@@ -31,10 +31,7 @@ def l2_error_nodal(values: np.ndarray, ks: int, mesh: Mesh,
     n_q = n_q or ks + 2
     w, js, xq, interp = spatial_quadrature_data(mesh, coords, ks, n_q)
     uq = np.einsum("qs,esv->eqv", interp, values)
-    if mesh.dim == 1:
-        ue = exact_state(sol, xq[..., 0], t=t)
-    else:
-        ue = exact_state(sol, xq[..., 0], xq[..., 1], t)
+    ue = exact_state(sol, *np.moveaxis(xq, -1, 0), t=t)
     diff2 = (uq[..., 0] - ue[..., 0]) ** 2
     num = float(np.einsum("q,eq->", w, js * diff2))
     vol = float(np.einsum("q,eq->", w, js))
@@ -59,10 +56,7 @@ def l2_error_slab(fld: StateField, geom: SlabGeometry, sol: ExactSolution,
     nE = fld.values.shape[0]
     uq = np.einsum("qp,epv->eqv",
                    interp, fld.values.reshape(nE, -1, fld.values.shape[-1]))
-    if geom.dim == 1:
-        ue = exact_state(sol, coords[..., 0], t=coords[..., 1])
-    else:
-        ue = exact_state(sol, coords[..., 0], coords[..., 1], coords[..., 2])
+    ue = exact_state(sol, *np.moveaxis(coords[..., :-1], -1, 0), t=coords[..., -1])
     diff2 = (uq[..., 0] - ue[..., 0]) ** 2
     num = float(np.einsum("q,eq->", w, jac * diff2))
     vol = float(np.einsum("q,eq->", w, jac))
@@ -145,22 +139,6 @@ class ConvergenceReport:
                         prev.error_slab / row.error_slab) / ratio
         self.rows.append(row)
         return row
-
-    @property
-    def errors_final(self):
-        return [r.error_final for r in self.rows]
-
-    @property
-    def errors_slab(self):
-        return [r.error_slab for r in self.rows]
-
-    @property
-    def orders_final(self):
-        return [r.order_final for r in self.rows]
-
-    @property
-    def orders_slab(self):
-        return [r.order_slab for r in self.rows]
 
     def to_csv(self, path: str) -> None:
         if not self.rows:

@@ -10,10 +10,12 @@ Exit codes: 0 success, 1 validation error, 2 solver non-convergence.
 """
 
 import argparse
+import inspect
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -29,6 +31,20 @@ from stfr.stfv import Fv1dState, stfv_step_explicit, upwind_flux_rule
 
 class ConfigError(ValueError):
     """Invalid case configuration; message lists every offending field."""
+
+
+EQUATIONS = {"advection1d": physics.Advection1D,
+             "advection2d": physics.Advection2D,
+             "euler2d": physics.Euler2D}
+MESHES = {"interval": meshmod.interval_mesh, "rect": meshmod.rect_mesh,
+          "disk": meshmod.disk_mesh, "file": meshmod.read_mesh}
+MOTIONS = {"stationary": motionmod.Stationary,
+           "rigid_oscillation": motionmod.RigidOscillation,
+           "sine_deformation": motionmod.SineDeformation,
+           "circle_deformation": motionmod.CircleDeformation}
+TYPED = {"equation": EQUATIONS, "mesh": MESHES, "motion": MOTIONS,
+         "exact": ("sine_wave", "isentropic_vortex", "constant")}
+SECTIONS = ("equation", "exact", "mesh", "motion", "pseudo")
 
 
 @dataclass
@@ -62,18 +78,23 @@ class CaseConfig:
 
 def validate(cfg: CaseConfig):
     """Collect every validation failure; raise ConfigError naming them all."""
-    errs = []
+    errs = [f"{s}: must be an object, got {getattr(cfg, s)!r}"
+            for s in SECTIONS if not isinstance(getattr(cfg, s), dict)]
+    if errs:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errs))
     if cfg.solver not in ("spacetime", "mol", "stfv"):
         errs.append(f"solver: unknown solver {cfg.solver!r}")
-    if cfg.equation.get("type") not in ("advection1d", "advection2d", "euler2d"):
-        errs.append(f"equation.type: unknown {cfg.equation.get('type')!r}")
-    if cfg.exact.get("type") not in ("sine_wave", "isentropic_vortex", "constant"):
-        errs.append(f"exact.type: unknown {cfg.exact.get('type')!r}")
-    if cfg.mesh.get("type") not in ("interval", "rect", "disk", "file"):
-        errs.append(f"mesh.type: unknown {cfg.mesh.get('type')!r}")
-    if cfg.motion.get("type") not in ("stationary", "rigid_oscillation",
-                                      "sine_deformation", "circle_deformation"):
-        errs.append(f"motion.type: unknown {cfg.motion.get('type')!r}")
+    euler = cfg.equation.get("type") == "euler2d"
+    for section in SECTIONS:
+        d = getattr(cfg, section)
+        kind = d.get("type") if section in TYPED else None
+        if section in TYPED and not (isinstance(kind, str) and kind in TYPED[section]):
+            errs.append(f"{section}.type: unknown {kind!r}")
+            continue
+        names, required = _accepted_keys(section, kind, euler)
+        what = f"for {section} type {kind!r}" if kind else f"in {section}"
+        errs += [f"{section}.{k}: unknown key {what}" for k in sorted(d.keys() - names)]
+        errs += [f"{section}.{k}: required {what}" for k in required if k not in d]
     if cfg.bc not in ("periodic", "dirichlet"):
         errs.append(f"bc: must be periodic or dirichlet, got {cfg.bc!r}")
     if not isinstance(cfg.k_s, int) or cfg.k_s < 0:
@@ -105,14 +126,33 @@ def validate(cfg: CaseConfig):
     return cfg
 
 
+@lru_cache(maxsize=None)
+def _accepted_keys(section: str, kind: str | None, euler: bool):
+    """(settable, required) keys of a config section of type `kind`: the
+    parameters of what it builds, less those its builder fills in.  Cached,
+    because inspecting a signature costs more than the rest of validate."""
+    fixed = ()
+    if section == "pseudo":
+        target = PseudoControls
+    elif section == "mesh":
+        target, fixed = MESHES[kind], ("periodic",)  # set from bc
+    elif section != "exact":
+        target = TYPED[section][kind]
+    elif kind == "constant":
+        target = physics.Constant
+    elif euler:
+        target, fixed = physics.IsentropicVortex, ("gamma",)  # from the equation
+    else:  # a sine wave takes its speeds from the equation
+        target, fixed = physics.SineWave2D, ("c1", "c2")
+    params = inspect.signature(target).parameters
+    names = [k for k in params if k not in fixed]
+    required = tuple(k for k in names if params[k].default is params[k].empty)
+    return frozenset(names + ["type"] * (section in TYPED)), required
+
+
 def build_equation(cfg: CaseConfig) -> physics.EquationSet:
     d = dict(cfg.equation)
-    kind = d.pop("type")
-    if kind == "advection1d":
-        return physics.Advection1D(**d)
-    if kind == "advection2d":
-        return physics.Advection2D(**d)
-    return physics.Euler2D(**d)
+    return EQUATIONS[d.pop("type")](**d)
 
 
 def build_exact(cfg: CaseConfig, eq) -> physics.ExactSolution:
@@ -124,13 +164,9 @@ def build_exact(cfg: CaseConfig, eq) -> physics.ExactSolution:
 def build_mesh(cfg: CaseConfig) -> meshmod.Mesh:
     d = dict(cfg.mesh)
     kind = d.pop("type")
-    if kind == "interval":
-        return meshmod.interval_mesh(periodic=(cfg.bc == "periodic"), **d)
-    if kind == "rect":
-        return meshmod.rect_mesh(periodic=(cfg.bc == "periodic"), **d)
-    if kind == "disk":
-        return meshmod.disk_mesh(**d)
-    return meshmod.read_mesh(d["path"])
+    if kind in ("interval", "rect"):
+        d["periodic"] = cfg.bc == "periodic"
+    return MESHES[kind](**d)
 
 
 def build_motion(cfg: CaseConfig) -> motionmod.MotionPrescription:
@@ -139,13 +175,7 @@ def build_motion(cfg: CaseConfig) -> motionmod.MotionPrescription:
     for key in ("amp", "omega", "length", "n"):
         if key in d and isinstance(d[key], list):
             d[key] = tuple(d[key])
-    if kind == "stationary":
-        return motionmod.Stationary()
-    if kind == "rigid_oscillation":
-        return motionmod.RigidOscillation(**d)
-    if kind == "sine_deformation":
-        return motionmod.SineDeformation(**d)
-    return motionmod.CircleDeformation(**d)
+    return MOTIONS[kind](**d)
 
 
 def build_pseudo(cfg: CaseConfig) -> PseudoControls:
@@ -250,6 +280,8 @@ def sweep(cfg: CaseConfig, axis: str, levels: int) -> ConvergenceReport:
         raise ConfigError(f"axis: must be space or time, got {axis!r}")
     if levels < 2:
         raise ConfigError(f"levels: need at least 2, got {levels}")
+    if axis == "space" and cfg.mesh["type"] == "file":
+        raise ConfigError("mesh: file meshes cannot be swept in space")
     report = ConvergenceReport(case={**cfg.to_dict(), "axis": axis})
     for lv in range(levels):
         c = CaseConfig.from_dict(cfg.to_dict())
@@ -257,7 +289,7 @@ def sweep(cfg: CaseConfig, axis: str, levels: int) -> ConvergenceReport:
             c.dt = cfg.dt / 2**lv
             run_case(c, report=report, resolution=c.dt)
         else:
-            c.mesh = _refined_mesh_spec(cfg.mesh, lv)
+            c.mesh = meshmod.refined_spec(cfg.mesh, lv)
             h = mesh_resolution(c)
             c.dt = _subdominant_dt(cfg, h)
             if c.solver == "mol":
@@ -272,20 +304,6 @@ def sweep(cfg: CaseConfig, axis: str, levels: int) -> ConvergenceReport:
         report.to_csv(out / f"{cfg.name}_{axis}.csv")
         report.to_plot_data(out / f"{cfg.name}_{axis}.dat")
     return report
-
-
-def _refined_mesh_spec(mesh_spec: dict, level: int) -> dict:
-    d = dict(mesh_spec)
-    if d["type"] == "interval":
-        d["n"] = d["n"] * 2**level
-    elif d["type"] == "rect":
-        d["nx"] = d["nx"] * 2**level
-        d["ny"] = d["ny"] * 2**level
-    elif d["type"] == "disk":
-        d["level"] = d.get("level", 0) + level
-    else:
-        raise ConfigError("mesh: file meshes cannot be swept in space")
-    return d
 
 
 def _subdominant_dt(cfg: CaseConfig, h: float) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stfr.basis import BasisSet, diff_matrix, gauss_legendre, interp_matrix, make_basis
+from stfr.basis import BasisSet, gauss_legendre, interp_matrix, make_basis
 from stfr.mesh import Mesh
 
 CORNER_XI = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -59,32 +59,20 @@ def st_points(basis_s: BasisSet, basis_t: BasisSet, dim: int):
     C-order over (i_tau, i_eta, i_xi); returns (xi, eta, tau) with eta None
     in 1D.  nS = (ks+1)**dim spatial points per temporal level.
     """
-    xs, xt = basis_s.nodes, basis_t.nodes
-    if dim == 1:
-        T, X = np.meshgrid(xt, xs, indexing="ij")
-        return X.ravel(), None, T.ravel()
-    T, Y, X = np.meshgrid(xt, xs, xs, indexing="ij")
-    return X.ravel(), Y.ravel(), T.ravel()
+    return _over_tau(spatial_points(basis_s, dim), basis_t)
 
 
 def st_face_points(basis_s: BasisSet, basis_t: BasisSet, dim: int, edge: int):
     """Reference coordinates of one side face's flux points, C-order (i_tau, j)."""
-    xs, xt = basis_s.nodes, basis_t.nodes
-    if dim == 1:
-        tau = xt
-        xi = np.full_like(tau, -1.0 if edge == 0 else 1.0)
-        return xi, None, tau
-    T, S = np.meshgrid(xt, xs, indexing="ij")
-    s, t = S.ravel(), T.ravel()
-    if edge == 0:
-        return s, np.full_like(s, -1.0), t
-    if edge == 1:
-        return np.full_like(s, 1.0), s, t
-    if edge == 2:
-        return s, np.full_like(s, 1.0), t
-    if edge == 3:
-        return np.full_like(s, -1.0), s, t
-    raise ValueError(f"bad edge {edge}")
+    return _over_tau(spatial_face_points(basis_s, dim, edge), basis_t)
+
+
+def _over_tau(points, basis_t: BasisSet):
+    """Repeat flat spatial reference points (xi, eta) at every tau level."""
+    nT = basis_t.n
+    xi, eta = points
+    return (np.tile(xi, nT), None if eta is None else np.tile(eta, nT),
+            np.repeat(basis_t.nodes, xi.size))
 
 
 def eval_st_mapping(corners_n, corners_n1, dt, t_n, xi, eta, tau):
@@ -162,15 +150,21 @@ class SlabGeometry:
     face_m: np.ndarray          # (nE, n_edges, nT, nFs, dim+1), outward
     face_coords: np.ndarray     # (nE, n_edges, nT, nFs, dim+1)
     js_bot: np.ndarray          # (nE, nS) spatial jacobian at tau = -1
-    js_top: np.ndarray
 
     @property
     def n_elems(self) -> int:
         return self.jac.shape[0]
 
-    @property
-    def n_edges(self) -> int:
-        return 2 * self.dim
+
+def _outward(mapping, edge: int):
+    """Outward face vector of one edge from the mapping's metric rows.
+
+    Edges are (W, E) in 1D and (S, E, N, W) in 2D.
+    """
+    if "m_eta" not in mapping:
+        return mapping["m_xi"] * (-1.0 if edge == 0 else 1.0)
+    m = mapping["m_xi"] if edge in (1, 3) else mapping["m_eta"]
+    return m * (1.0 if edge in (1, 2) else -1.0)
 
 
 def slab_geometry(mesh: Mesh, coords_n: np.ndarray, coords_n1: np.ndarray,
@@ -208,24 +202,12 @@ def slab_geometry(mesh: Mesh, coords_n: np.ndarray, coords_n1: np.ndarray,
     for edge in range(n_edges):
         fxi, feta, ftau = st_face_points(basis_s, basis_t, dim, edge)
         fv = eval_st_mapping(Cn, Cn1, dt, t_n, fxi, feta, ftau)
-        if dim == 1:
-            m = fv["m_xi"]
-            sign = -1.0 if edge == 0 else 1.0
-        else:
-            m = fv["m_xi"] if edge in (1, 3) else fv["m_eta"]
-            sign = 1.0 if edge in (1, 2) else -1.0
-        face_m[:, edge] = (sign * m).reshape(-1, nT, nFs, dim + 1)
+        face_m[:, edge] = _outward(fv, edge).reshape(-1, nT, nFs, dim + 1)
         face_coords[:, edge] = fv["coords"].reshape(-1, nT, nFs, dim + 1)
 
-    # spatial jacobian traces on the temporal faces (spatial point layout)
-    if dim == 1:
-        sxi = basis_s.nodes
-        seta = None
-    else:
-        Y, X = np.meshgrid(basis_s.nodes, basis_s.nodes, indexing="ij")
-        sxi, seta = X.ravel(), Y.ravel()
+    # spatial jacobian trace on the bottom temporal face (spatial point layout)
+    sxi, seta = spatial_points(basis_s, dim)
     bot = eval_st_mapping(Cn, Cn1, dt, t_n, sxi, seta, np.full(nS, -1.0))
-    top = eval_st_mapping(Cn, Cn1, dt, t_n, sxi, seta, np.full(nS, 1.0))
 
     return SlabGeometry(
         dim=dim, ks=basis_s.degree, kt=basis_t.degree, dt=dt, t_n=t_n,
@@ -236,7 +218,7 @@ def slab_geometry(mesh: Mesh, coords_n: np.ndarray, coords_n1: np.ndarray,
         m_eta=(vol["m_eta"].reshape(-1, nT, nS, dim + 1) if dim == 2 else None),
         coords=vol["coords"].reshape(-1, nT, nS, dim + 1),
         face_m=face_m, face_coords=face_coords,
-        js_bot=bot["js"], js_top=top["js"],
+        js_bot=bot["js"],
     )
 
 
@@ -370,13 +352,7 @@ def spatial_geometry(mesh: Mesh, coords: np.ndarray,
     for edge in range(n_edges):
         fxi, feta = spatial_face_points(basis_s, dim, edge)
         fv = eval_spatial_mapping(C, fxi, feta)
-        if dim == 1:
-            m = fv["m_xi"]
-            sign = -1.0 if edge == 0 else 1.0
-        else:
-            m = fv["m_xi"] if edge in (1, 3) else fv["m_eta"]
-            sign = 1.0 if edge in (1, 2) else -1.0
-        face_m[:, edge] = sign * m
+        face_m[:, edge] = _outward(fv, edge)
         face_coords[:, edge] = fv["coords"]
     return SpatialGeometry(dim=dim, ks=basis_s.degree, js=js,
                            m_xi=vol["m_xi"],

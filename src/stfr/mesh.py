@@ -55,7 +55,6 @@ class Mesh:
     faces: FaceList
     dirichlet: np.ndarray        # (n_bf, 2): (elem, edge)
     spec: dict = field(default_factory=dict)   # builder recipe, for refinement
-    domain_period: tuple | None = None         # period lengths if fully periodic
 
     @property
     def n_elems(self) -> int:
@@ -72,19 +71,25 @@ class Mesh:
 
     def refined(self) -> "Mesh":
         """One uniform refinement level (element count x4 in 2D, x2 in 1D)."""
-        s = dict(self.spec)
-        kind = s.get("type")
-        if kind == "interval":
-            s["n"] *= 2
-            return interval_mesh(**{k: v for k, v in s.items() if k != "type"})
-        if kind == "rect":
-            s["nx"] *= 2
-            s["ny"] *= 2
-            return rect_mesh(**{k: v for k, v in s.items() if k != "type"})
-        if kind == "disk":
-            s["level"] += 1
-            return disk_mesh(**{k: v for k, v in s.items() if k != "type"})
+        s = refined_spec(self.spec)
+        build = {"interval": interval_mesh, "rect": rect_mesh, "disk": disk_mesh}
+        return build[s.pop("type")](**s)
+
+
+def refined_spec(spec: dict, levels: int = 1) -> dict:
+    """A mesh builder recipe after `levels` uniform refinement levels."""
+    s = dict(spec)
+    kind = s.get("type")
+    if kind == "interval":
+        s["n"] *= 2**levels
+    elif kind == "rect":
+        s["nx"] *= 2**levels
+        s["ny"] *= 2**levels
+    elif kind == "disk":
+        s["level"] = s.get("level", 0) + levels
+    else:
         raise ValueError(f"mesh of type {kind!r} cannot be refined automatically")
+    return s
 
 
 def _edge_pair(elem_nodes, edge: int, dim: int):
@@ -163,7 +168,6 @@ def interval_mesh(n: int, xmin: float = 0.0, xmax: float = 1.0,
         dim=1, nodes=nodes, elems=elems, faces=faces, dirichlet=diri,
         spec={"type": "interval", "n": n, "xmin": xmin, "xmax": xmax,
               "periodic": periodic},
-        domain_period=(xmax - xmin,) if periodic else None,
     )
 
 
@@ -210,7 +214,6 @@ def rect_mesh(nx: int, ny: int, xmin: float = 0.0, xmax: float = 1.0,
         dim=2, nodes=nodes, elems=elems, faces=faces, dirichlet=diri,
         spec={"type": "rect", "nx": nx, "ny": ny, "xmin": xmin, "xmax": xmax,
               "ymin": ymin, "ymax": ymax, "periodic": periodic},
-        domain_period=(xmax - xmin, ymax - ymin) if periodic else None,
     )
 
 
@@ -289,7 +292,6 @@ def disk_mesh(level: int = 0, radius: float = 0.5) -> Mesh:
     mesh = Mesh(
         dim=2, nodes=nodes, elems=elems, faces=faces, dirichlet=diri,
         spec={"type": "disk", "level": level, "radius": radius},
-        domain_period=None,
     )
     return mesh
 

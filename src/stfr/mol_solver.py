@@ -7,15 +7,21 @@ plus mesh-relative face fluxes F_n = F . n - (V_g . n) u.  The grid velocity
 is frozen per physical step, V_g = (x^{n+1} - x^n) / dt, and nodes move
 linearly within the step; metrics are rebuilt at every RK stage from the
 stage-time node positions.
+
+The operator is the nT = 1 case of the space-time FR kernels in
+`st_solver`: its metric rows and face vectors are the space-time vectors
+(M, -V_g . M), so the chain-rule divergence, face jumps (traces, Riemann
+flux, Dirichlet states) and lift are the same code the slab operator runs,
+without the temporal-direction terms.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from stfr.basis import make_basis
 from stfr.geometry import (
-    SpatialGeometry,
     shape1d,
     shape2d,
     spatial_face_points,
@@ -24,22 +30,16 @@ from stfr.geometry import (
 )
 from stfr.mesh import Mesh
 from stfr.motion import MotionPrescription, motion_path
-from stfr.physics import (
-    Advection1D,
-    Advection2D,
-    EquationSet,
-    ExactSolution,
-    exact_state,
-    flux,
-)
+from stfr.physics import Advection1D, Advection2D, EquationSet, ExactSolution
 from stfr.st_solver import (
-    PseudoControls,  # noqa: F401  (re-exported for symmetric driver APIs)
-    _transformed_common_flux,
-    _transformed_normal_flux,
-    _traces_all_edges,
+    FacePlan,
+    _divergence_weights,
+    _face_jumps,
+    _lift,
+    _spatial_divergence,
     initial_condition,
 )
-from stfr.timestepping import SSP_RK3_STAGE_TIMES, ssp_rk3_step
+from stfr.timestepping import ssp_rk3_step
 
 
 @dataclass
@@ -60,31 +60,35 @@ def grid_velocity_step(coords_n: np.ndarray, coords_n1: np.ndarray,
     return (np.asarray(coords_n1) - np.asarray(coords_n)) / dt
 
 
+@lru_cache(maxsize=None)
+def _corner_shapes(ks: int, dim: int) -> tuple:
+    """Corner shape functions at the solution points, then at each edge's
+    flux points, each (nP, n_corners)."""
+    b = make_basis(ks)
+    pts = [spatial_points(b, dim)] + [spatial_face_points(b, dim, edge)
+                                      for edge in range(2 * dim)]
+    shapes = tuple(shape1d(xi)[0] if dim == 1 else shape2d(xi, eta)[0]
+                   for xi, eta in pts)
+    for N in shapes:
+        N.setflags(write=False)
+    return shapes
+
+
 def _nodal_to_points(mesh: Mesh, nodal: np.ndarray, basis_s) -> tuple:
     """Interpolate nodal (per-mesh-node) vectors to solution and face points.
 
     Returns (at_solution_points, at_face_points) with shapes
     (nE, nS, dim) and (nE, n_edges, nFs, dim).
     """
-    dim = mesh.dim
     C = nodal[mesh.elems]  # (nE, nc, dim)
-    xi, eta = spatial_points(basis_s, dim)
-    if dim == 1:
-        N, _ = shape1d(xi)
-    else:
-        N, _, _ = shape2d(xi, eta)
-    vol = np.einsum("pc,ecd->epd", N, C)
-    n_edges = 2 * dim
-    nFs = 1 if dim == 1 else basis_s.n
-    fac = np.empty((mesh.n_elems, n_edges, nFs, dim))
-    for edge in range(n_edges):
-        fxi, feta = spatial_face_points(basis_s, dim, edge)
-        if dim == 1:
-            Nf, _ = shape1d(fxi)
-        else:
-            Nf, _, _ = shape2d(fxi, feta)
-        fac[:, edge] = np.einsum("pc,ecd->epd", Nf, C)
-    return vol, fac
+    vol, *fac = [np.matmul(N, C) for N in _corner_shapes(basis_s.degree, mesh.dim)]
+    return vol, np.stack(fac, axis=1)
+
+
+def _mesh_relative(m, vg):
+    """Space-time vectors (M, -V_g . M) from spatial vectors M and grid velocity."""
+    return np.concatenate([m, -np.einsum("...d,...d->...", vg, m)[..., None]],
+                          axis=-1)
 
 
 class MolOperator:
@@ -103,116 +107,38 @@ class MolOperator:
         self.bc = bc
 
     def bind_degree(self, ks: int):
+        """Build the metric rows and face vectors for degree ks, as
+        space-time arrays with a temporal axis of length 1."""
         self.bs = make_basis(ks)
-        self.geom: SpatialGeometry = spatial_geometry(self.mesh, self.coords, self.bs)
+        g = self.geom = spatial_geometry(self.mesh, self.coords, self.bs)
         vg_vol, vg_face = _nodal_to_points(self.mesh, self.vel_nodes, self.bs)
-        self.vg = vg_vol
-        dim = self.dim
-        # space-time-style face vectors (M, -V_g . M): mesh-relative fluxes
-        self.face_Mst = np.concatenate(
-            [self.geom.face_m,
-             -np.einsum("egfd,egfd->egf", vg_face, self.geom.face_m)[..., None]],
-            axis=-1)
-        f = self.mesh.faces
-        self.f_eL, self.f_edgeL = f.elem_l, f.edge_l
-        self.f_eR, self.f_edgeR = f.elem_r, f.edge_r
-        self.f_flip = f.flip
-        self.face_M = self.face_Mst[self.f_eL, self.f_edgeL]
-        self.d_e = self.mesh.dirichlet[:, 0] if len(self.mesh.dirichlet) else np.empty(0, int)
-        self.d_edge = self.mesh.dirichlet[:, 1] if len(self.mesh.dirichlet) else np.empty(0, int)
-        if len(self.d_e):
-            if self.bc is None:
-                raise ValueError("mesh has dirichlet faces but no analytic bc")
-            fc = self.geom.face_coords[self.d_e, self.d_edge]
-            if dim == 1:
-                self.d_ext = exact_state(self.bc, fc[..., 0], t=self.t)
-            else:
-                self.d_ext = exact_state(self.bc, fc[..., 0], fc[..., 1], self.t)
-            self.d_M = self.face_Mst[self.d_e, self.d_edge]
-        # advection fast path: (c - V_g) . M_dir per point
-        if isinstance(self.eq, (Advection1D, Advection2D)):
-            c = (self.eq.c,) if dim == 1 else (self.eq.c1, self.eq.c2)
-            rel = np.stack([c[i] - self.vg[..., i] for i in range(dim)], axis=-1)
-            self.w_xi = np.einsum("esd,esd->es", rel, self.geom.m_xi)
-            if dim == 2:
-                self.w_eta = np.einsum("esd,esd->es", rel, self.geom.m_eta)
+        rows = [g.m_xi] if self.dim == 1 else [g.m_xi, g.m_eta]
+        self.weights = _divergence_weights(
+            self.eq, [_mesh_relative(m, vg_vol)[:, None] for m in rows])
+        t_col = np.full(g.face_coords.shape[:-1] + (1,), self.t)
+        face_coords = np.concatenate([g.face_coords, t_col], axis=-1)
+        self.plan = FacePlan(self.mesh,
+                             _mesh_relative(g.face_m, vg_face)[:, :, None],
+                             face_coords[:, :, None], self.bc)
         return self
 
     def _interior(self, u):
         """js * (div F - V_g . grad u) at solution points."""
-        Ds = self.bs.diff
-        dim, eq = self.dim, self.eq
-        nE, nS, nV = u.shape
-        n1 = self.bs.n
-        if isinstance(eq, (Advection1D, Advection2D)):
-            if dim == 1:
-                du = np.matmul(Ds, u)
-                return self.w_xi[..., None] * du
-            du_xi = np.matmul(Ds, u.reshape(nE * n1, n1, nV)).reshape(u.shape)
-            du_eta = np.matmul(Ds, u.reshape(nE, n1, n1 * nV)).reshape(u.shape)
-            return self.w_xi[..., None] * du_xi + self.w_eta[..., None] * du_eta
-        fx, gy = flux(eq, u)
-        m_xi, m_eta, vg = self.geom.m_xi, self.geom.m_eta, self.vg
-        F = np.stack([fx, gy, u], axis=-2)  # (nE, nS, 3, nV)
-        dF_xi = np.matmul(Ds, F.reshape(nE * n1, n1, 3 * nV)).reshape(F.shape)
-        dF_eta = np.matmul(Ds, F.reshape(nE, n1, n1 * 3 * nV)).reshape(F.shape)
-        # augment metric rows with -V_g . M so the stacked u-component
-        # carries the grid-velocity transport term
-        w_xi = np.concatenate(
-            [m_xi, -np.einsum("esd,esd->es", vg, m_xi)[..., None]], axis=-1)
-        w_eta = np.concatenate(
-            [m_eta, -np.einsum("esd,esd->es", vg, m_eta)[..., None]], axis=-1)
-        out = np.einsum("esc,escv->esv", w_xi, dF_xi)
-        out += np.einsum("esc,escv->esv", w_eta, dF_eta)
-        return out
+        return _spatial_divergence(self.eq, u, self.bs.diff, self.weights)
 
     def _side_deltas(self, u):
-        u_t = u[:, None]  # reuse the space-time trace helper with nT = 1
-        tr = _traces_all_edges(u_t, self.bs, self.dim)[:, :, 0]  # (nE,ne,nFs,nV)
-        n_edges = 2 * self.dim
-        nFs = tr.shape[2]
-        nV = u.shape[-1]
-        delta = np.zeros((self.mesh.n_elems, n_edges, nFs, nV))
-        QL = tr[self.f_eL, self.f_edgeL]
-        QR = tr[self.f_eR, self.f_edgeR]
-        if self.dim == 2 and np.any(self.f_flip):
-            QR = np.where(self.f_flip[:, None, None], QR[:, ::-1, :], QR)
-        M = self.face_M
-        com = _transformed_common_flux(self.eq, QL, QR, M)
-        dL = com - _transformed_normal_flux(self.eq, QL, M)
-        dR_here = com - _transformed_normal_flux(self.eq, QR, M)
-        if self.dim == 2:
-            dR = np.where(self.f_flip[:, None, None], -dR_here[:, ::-1, :], -dR_here)
-        else:
-            dR = -dR_here
-        delta[self.f_eL, self.f_edgeL] = dL
-        delta[self.f_eR, self.f_edgeR] = dR
-        if len(self.d_e):
-            QB = tr[self.d_e, self.d_edge]
-            com_b = _transformed_common_flux(self.eq, QB, self.d_ext, self.d_M)
-            delta[self.d_e, self.d_edge] = \
-                com_b - _transformed_normal_flux(self.eq, QB, self.d_M)
-        return delta
+        return _face_jumps(self.eq, u, self.bs, self.dim, self.plan)
 
     def _lift(self, delta):
-        gl, gr = self.bs.corr_deriv_left, self.bs.corr_deriv_right
-        if self.dim == 1:
-            return (delta[:, 1] * gr[None, :, None]
-                    - delta[:, 0] * gl[None, :, None])
-        n1 = self.bs.n
-        nV = delta.shape[-1]
-        south = -delta[:, 0][:, None, :, :] * gl[None, :, None, None]
-        north = delta[:, 2][:, None, :, :] * gr[None, :, None, None]
-        east = delta[:, 1][:, :, None, :] * gr[None, None, :, None]
-        west = -delta[:, 3][:, :, None, :] * gl[None, None, :, None]
-        corr = (south + north) + (east + west)
-        return corr.reshape(self.mesh.n_elems, n1 * n1, nV)
+        return _lift(delta, self.geom.ks, self.dim)
 
     def residual(self, u):
-        """du/dt = -(div F - V_g . grad u + correction field)."""
+        """du/dt = -(div F - V_g . grad u + correction field) for nodal u
+        (nE, nS, nV), run through the kernels as (nE, 1, nS, nV)."""
+        u = u[:, None]
         total = self._interior(u)
         total += self._lift(self._side_deltas(u))
-        return -total / self.geom.js[..., None]
+        return -total[:, 0] / self.geom.js[..., None]
 
 
 def mol_residual(field: MolField, mesh: Mesh, vel_nodes: np.ndarray,

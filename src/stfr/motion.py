@@ -8,7 +8,7 @@ depend on the step size used to march them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

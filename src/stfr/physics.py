@@ -1,11 +1,13 @@
-"""Equation sets, physical and space-time fluxes, Riemann solvers, and
-exact solutions for error measurement.
+"""Equation sets, physical fluxes, the Roe-ALE Riemann solver, and exact
+solutions for error measurement.
+
+Space-time normal and common fluxes through unnormalized face vectors live
+with the FR kernels in `st_solver`.
 
 All operations are pure functions over trailing state axes: arrays of shape
 (..., n_vars) go in, matching shapes come out.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,22 +71,6 @@ def flux(eq: EquationSet, Q):
     f = np.stack([rho * u, rho * u * u + p, rho * u * v, u * (rhoE + p)], axis=-1)
     g = np.stack([rho * v, rho * u * v, rho * v * v + p, v * (rhoE + p)], axis=-1)
     return f, g
-
-
-def st_normal_flux(eq: EquationSet, Q, n_st):
-    """Space-time normal flux n . F_st with F_st = (F(Q), Q).
-
-    n_st has dim+1 components (n_x [, n_y], n_t) on the trailing axis.
-    """
-    Q = np.asarray(Q, dtype=float)
-    n_st = np.asarray(n_st, dtype=float)
-    if isinstance(eq, Advection1D):
-        return (eq.c * n_st[..., 0] + n_st[..., 1])[..., None] * Q
-    if isinstance(eq, Advection2D):
-        speed = eq.c1 * n_st[..., 0] + eq.c2 * n_st[..., 1] + n_st[..., 2]
-        return speed[..., None] * Q
-    f, g = flux(eq, Q)
-    return (n_st[..., 0:1] * f + n_st[..., 1:2] * g + n_st[..., 2:3] * Q)
 
 
 def _roe_ale(eq: Euler2D, QL, QR, mx, my, vgn):
@@ -151,35 +137,6 @@ def _roe_ale(eq: Euler2D, QL, QR, mx, my, vgn):
                    Q[..., 3] * rel + p * qnl)
 
     return 0.5 * (phi(QL, rhoL, uL, vL, pL) + phi(QR, rhoR, uR, vR, pR)) - 0.5 * diss
-
-
-def common_flux(eq: EquationSet, QL, QR, n_st):
-    """Single-valued interface flux for a unit space-time normal.
-
-    Advection: exact upwind on the space-time characteristic speed.
-    Euler: Roe in the frame of the face (grid speed from the temporal
-    normal component), plus the n_t Q convective part; reduces to the
-    standard static Roe flux when n_t = 0.
-    """
-    QL = np.asarray(QL, dtype=float)
-    QR = np.asarray(QR, dtype=float)
-    n_st = np.asarray(n_st, dtype=float)
-    if isinstance(eq, Advection1D):
-        lam = eq.c * n_st[..., 0] + n_st[..., 1]
-        return (np.maximum(lam, 0.0)[..., None] * QL
-                + np.minimum(lam, 0.0)[..., None] * QR)
-    if isinstance(eq, Advection2D):
-        lam = eq.c1 * n_st[..., 0] + eq.c2 * n_st[..., 1] + n_st[..., 2]
-        return (np.maximum(lam, 0.0)[..., None] * QL
-                + np.minimum(lam, 0.0)[..., None] * QR)
-    ns = np.sqrt(n_st[..., 0] ** 2 + n_st[..., 1] ** 2)
-    if np.any(ns < 1e-14):
-        raise ValueError("Euler common flux needs a spatial normal component; "
-                         "temporal faces use causal upwinding")
-    mx = n_st[..., 0] / ns
-    my = n_st[..., 1] / ns
-    vgn = -n_st[..., 2] / ns
-    return ns[..., None] * _roe_ale(eq, QL, QR, mx, my, vgn)
 
 
 # ---------------------------------------------------------------------------

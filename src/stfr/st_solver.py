@@ -13,9 +13,17 @@ rows of a linear space-time element satisfy the conservation-law identities
 exactly), which is what preserves uniform flow on deforming grids at every
 order.  Temporal faces are upwinded causally: the bottom face takes the
 inflow (previous slab or initial condition), the top face is left local.
+
+The FR kernels work on nodal arrays (nE, nT, nS, nV) and are shared with the
+method-of-lines operator as their nT = 1 case: `FacePlan` (face pairs, face
+vectors, frozen Dirichlet states), `_spatial_divergence` (chain-rule
+sum_dir M_dir . d_dir F_st), `_face_jumps` (traces, flipped faces, Riemann
+and Dirichlet fluxes) and `_lift` (one matmul with `_edge_tables`).
+`SlabOperator` adds only the d_tau term and the causal temporal correction.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,12 +35,12 @@ from stfr.physics import (
     Advection1D,
     Advection2D,
     EquationSet,
-    Euler2D,
     ExactSolution,
+    _roe_ale,
+    euler_primitives,
     exact_state,
     flux,
 )
-from stfr.timestepping import ssp_rk3_step
 
 
 class PseudoConvergenceError(RuntimeError):
@@ -91,32 +99,23 @@ class SlabStats:
 
 def _traces_all_edges(u, basis_s, dim):
     """Solution traces on every side face, (nE, n_edges, nT, nFs, nV)."""
-    el, er = basis_s.extrap_left, basis_s.extrap_right
-    nE, nT = u.shape[0], u.shape[1]
-    nV = u.shape[-1]
-    n1 = basis_s.n
-    if dim == 1:
-        u3 = u.reshape(nE * nT, n1, nV)
-        t0 = np.matmul(el, u3).reshape(nE, 1, nT, 1, nV)
-        t1 = np.matmul(er, u3).reshape(nE, 1, nT, 1, nV)
-        return np.concatenate([t0, t1], axis=1)
-    uy = u.reshape(nE * nT, n1, n1 * nV)       # contract eta
-    ux = u.reshape(nE * nT * n1, n1, nV)       # contract xi
-    tr_s = np.matmul(el, uy).reshape(nE, nT, n1, nV)
-    tr_n = np.matmul(er, uy).reshape(nE, nT, n1, nV)
-    tr_w = np.matmul(el, ux).reshape(nE, nT, n1, nV)
-    tr_e = np.matmul(er, ux).reshape(nE, nT, n1, nV)
-    return np.stack([tr_s, tr_e, tr_n, tr_w], axis=1)
+    nE, nT, nS, nV = u.shape
+    extrap, _ = _edge_tables(basis_s.degree, dim)
+    tr = np.matmul(extrap, u.reshape(nE * nT, nS, nV))
+    return tr.reshape(nE, nT, 2 * dim, -1, nV).transpose(0, 2, 1, 3, 4)
+
+
+def _advection_speed(eq, M):
+    """c . M_x + M_t: advection speed through an unnormalized space-time vector M."""
+    if isinstance(eq, Advection1D):
+        return eq.c * M[..., 0] + M[..., 1]
+    return eq.c1 * M[..., 0] + eq.c2 * M[..., 1] + M[..., 2]
 
 
 def _transformed_normal_flux(eq, Q, M):
     """M . F_st(Q) for an unnormalized outward space-time vector M."""
-    if isinstance(eq, Advection1D):
-        lam = eq.c * M[..., 0] + M[..., 1]
-        return lam[..., None] * Q
-    if isinstance(eq, Advection2D):
-        lam = eq.c1 * M[..., 0] + eq.c2 * M[..., 1] + M[..., 2]
-        return lam[..., None] * Q
+    if isinstance(eq, (Advection1D, Advection2D)):
+        return _advection_speed(eq, M)[..., None] * Q
     f, g = flux(eq, Q)
     return M[..., 0:1] * f + M[..., 1:2] * g + M[..., 2:3] * Q
 
@@ -128,14 +127,9 @@ def _transformed_common_flux(eq, QL, QR, M):
     normalization entirely (the upwind sign is scale invariant).
     """
     if isinstance(eq, (Advection1D, Advection2D)):
-        if isinstance(eq, Advection1D):
-            lam = eq.c * M[..., 0] + M[..., 1]
-        else:
-            lam = eq.c1 * M[..., 0] + eq.c2 * M[..., 1] + M[..., 2]
+        lam = _advection_speed(eq, M)
         return (np.maximum(lam, 0.0)[..., None] * QL
                 + np.minimum(lam, 0.0)[..., None] * QR)
-    from stfr.physics import _roe_ale
-
     sig = np.hypot(M[..., 0], M[..., 1])
     mx = M[..., 0] / sig
     my = M[..., 1] / sig
@@ -143,143 +137,180 @@ def _transformed_common_flux(eq, QL, QR, M):
     return sig[..., None] * _roe_ale(eq, QL, QR, mx, my, vgn)
 
 
+# -- FR kernels shared by the space-time and method-of-lines operators ------
+
+
+class FacePlan:
+    """Gather indices of the face pairs and frozen Dirichlet states.
+
+    Built from per-edge outward face vectors and space-time flux-point
+    coordinates, each (nE, n_edges, nT, nFs, dim+1).  M and d_M are the
+    vectors of each face's left element and of each Dirichlet face; d_ext
+    holds the analytic states at the Dirichlet flux points.
+    """
+
+    def __init__(self, mesh: Mesh, face_m, face_coords,
+                 bc: ExactSolution | None):
+        f = mesh.faces
+        self.eL, self.edgeL, self.eR, self.edgeR = \
+            f.elem_l, f.edge_l, f.elem_r, f.edge_r
+        self.flipped = np.flatnonzero(f.flip)  # right side runs reversed
+        self.M = face_m[f.elem_l, f.edge_l]
+        self.d_e, self.d_edge = np.asarray(mesh.dirichlet, int).reshape(-1, 2).T
+        self.d_M = face_m[self.d_e, self.d_edge]
+        self.d_ext = None
+        if len(self.d_e):
+            if bc is None:
+                raise ValueError("mesh has dirichlet faces but no analytic bc")
+            fc = face_coords[self.d_e, self.d_edge]
+            self.d_ext = exact_state(bc, *np.moveaxis(fc[..., :-1], -1, 0),
+                                     t=fc[..., -1])
+
+
+def _reference_derivatives(D, a, dim):
+    """Derivatives of nodal a (nE, nT, nS, ...) along each reference direction.
+
+    Contractions run as batched matmuls (BLAS) rather than einsum, which
+    does not dispatch small high-rank contractions well.
+    """
+    n1 = D.shape[0]
+    m = a.shape[0] * a.shape[1]
+    rest = a.size // (m * n1 ** dim)
+    out = [np.matmul(D, a.reshape(m * n1 ** (dim - 1), n1, rest))]  # xi
+    if dim == 2:
+        out.append(np.matmul(D, a.reshape(m, n1, n1 * rest)))         # eta
+    return [d.reshape(a.shape) for d in out]
+
+
+def _divergence_weights(eq, rows):
+    """Per-direction weights of the chain-rule divergence.
+
+    rows holds the metric rows M_dir (nE, nT, nS, dim+1) per reference
+    direction.  Advection contracts them once into the pointwise speed
+    c . M_dir; Euler keeps the rows.
+    """
+    if isinstance(eq, (Advection1D, Advection2D)):
+        return [_advection_speed(eq, M) for M in rows]
+    return rows
+
+
+def _spatial_divergence(eq, u, D, weights):
+    """sum_dir M_dir . d_dir F_st(u) at the solution points, chain-rule form.
+
+    Excludes the temporal-direction term, which only the space-time
+    operator has.  Euler stacks (f, g, Q) so each direction is one
+    contraction.
+    """
+    dim = len(weights)
+    if isinstance(eq, (Advection1D, Advection2D)):
+        terms = (w[..., None] * du
+                 for w, du in zip(weights, _reference_derivatives(D, u, dim)))
+    else:
+        fx, gy = flux(eq, u)
+        F = np.stack([fx, gy, u], axis=-2)  # (nE, nT, nS, 3, nV)
+        terms = (np.einsum("etsc,etscv->etsv", M, dF)
+                 for M, dF in zip(weights, _reference_derivatives(D, F, dim)))
+    out = next(terms)
+    for term in terms:
+        out += term
+    return out
+
+
+def _face_jumps(eq, u, basis_s, dim, plan: FacePlan):
+    """Outward flux jumps (common minus local) on every element edge,
+    (nE, n_edges, nT, nFs, nV)."""
+    tr = _traces_all_edges(u, basis_s, dim)
+    # zeros_like keeps the traces' (nE, nT, edge) memory order, so the lift
+    # regroups delta by (element, tau level) without a copy
+    delta = np.zeros_like(tr)
+    QL = tr[plan.eL, plan.edgeL]
+    QR = tr[plan.eR, plan.edgeR]
+    fl = plan.flipped
+    if fl.size:
+        QR[fl] = QR[fl, :, ::-1]
+    com = _transformed_common_flux(eq, QL, QR, plan.M)
+    dR = _transformed_normal_flux(eq, QR, plan.M) - com
+    if fl.size:
+        dR[fl] = dR[fl, :, ::-1]
+    delta[plan.eL, plan.edgeL] = com - _transformed_normal_flux(eq, QL, plan.M)
+    delta[plan.eR, plan.edgeR] = dR
+    if len(plan.d_e):
+        QB = tr[plan.d_e, plan.d_edge]
+        com_b = _transformed_common_flux(eq, QB, plan.d_ext, plan.d_M)
+        delta[plan.d_e, plan.d_edge] = \
+            com_b - _transformed_normal_flux(eq, QB, plan.d_M)
+    return delta
+
+
+@lru_cache(maxsize=None)
+def _edge_tables(ks: int, dim: int):
+    """Extrapolation E (n_edges * nFs, nS) of nodal values to every edge's
+    flux points, and lift L (nS, n_edges * nFs) of edge jumps into the
+    correction field: -g'_L on minus faces, +g'_R on plus faces, constant
+    along the face."""
+    b = make_basis(ks)
+
+    def per_edge(minus, plus):  # (nS, n_edges * nFs); edges W, E or S, E, N, W
+        lo, hi = minus[:, None], plus[:, None]
+        if dim == 1:
+            return np.hstack([lo, hi])
+        eye = np.eye(b.n)  # spatial points are (eta, xi), xi fastest
+        cols = [np.kron(lo, eye), np.kron(eye, hi), np.kron(hi, eye), np.kron(eye, lo)]
+        return np.stack(cols, axis=1).reshape(b.n ** 2, -1)
+
+    tables = (np.ascontiguousarray(per_edge(b.extrap_left, b.extrap_right).T),
+              per_edge(-b.corr_deriv_left, b.corr_deriv_right))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _lift(delta, ks, dim):
+    """Correction field (nE, nT, nS, nV) from face jumps (nE, n_edges, nT, nFs, nV)."""
+    nE, _, nT, _, nV = delta.shape
+    _, lift = _edge_tables(ks, dim)
+    jumps = delta.transpose(0, 2, 1, 3, 4).reshape(nE * nT, -1, nV)
+    return np.matmul(lift, jumps).reshape(nE, nT, -1, nV)
+
+
 class SlabOperator:
     """Precomputed residual operator for one slab.
 
-    Holds geometry tables, face-plan gather indices, and frozen analytic
-    boundary states, so pseudo-time iterations reduce to einsums and
-    vectorized flux evaluations.
+    Holds geometry tables, the face plan, and frozen analytic boundary
+    states, so pseudo-time iterations reduce to the shared FR kernels plus
+    the temporal-direction terms.
     """
 
     def __init__(self, mesh: Mesh, geom: SlabGeometry, eq: EquationSet,
                  inflow: np.ndarray, bc: ExactSolution | None = None):
-        self.mesh = mesh
         self.geom = geom
         self.eq = eq
         self.inflow = inflow
         self.dim = mesh.dim
         self.bs = make_basis(geom.ks)
         self.bt = make_basis(geom.kt)
-        self.nV = eq.n_vars
-        self.nE = mesh.n_elems
-        self.nT = self.bt.n
-        self.nS = self.bs.n ** self.dim
-
-        f = mesh.faces
-        self.f_eL, self.f_edgeL = f.elem_l, f.edge_l
-        self.f_eR, self.f_edgeR = f.elem_r, f.edge_r
-        self.f_flip = f.flip
-        self.face_M = geom.face_m[self.f_eL, self.f_edgeL]
-        self.d_e = mesh.dirichlet[:, 0] if len(mesh.dirichlet) else np.empty(0, int)
-        self.d_edge = mesh.dirichlet[:, 1] if len(mesh.dirichlet) else np.empty(0, int)
-        if len(self.d_e):
-            if bc is None:
-                raise ValueError("mesh has dirichlet faces but no analytic bc")
-            fc = geom.face_coords[self.d_e, self.d_edge]
-            self.d_ext = _exact_at(bc, fc, self.dim)
-            self.d_M = geom.face_m[self.d_e, self.d_edge]
-        # advection fast path: pointwise characteristic weights per direction
-        if isinstance(eq, (Advection1D, Advection2D)):
-            c = (eq.c,) if self.dim == 1 else (eq.c1, eq.c2)
-            self.w_xi = sum(c[i] * geom.m_xi[..., i] for i in range(self.dim)) \
-                + geom.m_xi[..., self.dim]
-            if self.dim == 2:
-                self.w_eta = sum(c[i] * geom.m_eta[..., i] for i in range(self.dim)) \
-                    + geom.m_eta[..., self.dim]
-        self._corr_lift_cache = None
-
-    # -- interior divergence ------------------------------------------------
+        self.plan = FacePlan(mesh, geom.face_m, geom.face_coords, bc)
+        rows = [geom.m_xi] if self.dim == 1 else [geom.m_xi, geom.m_eta]
+        self.weights = _divergence_weights(eq, rows)
 
     def _interior(self, u):
-        """|J| * div_st(F) at solution points, chain-rule form.
-
-        Derivative contractions run as batched matmuls (BLAS) rather than
-        einsum, which does not dispatch small high-rank contractions well.
-        """
-        Ds, Dt = self.bs.diff, self.bt.diff
-        eq, dim = self.eq, self.dim
-        nE, nT, nS, nV = self.nE, self.nT, self.nS, self.nV
-        n1 = self.bs.n
-
-        def d_tau(a, trail):
-            return np.matmul(Dt, a.reshape(nE, nT, trail)).reshape(a.shape)
-
-        if isinstance(eq, (Advection1D, Advection2D)):
-            if dim == 1:
-                du_xi = np.matmul(Ds, u.reshape(nE * nT, n1, nV)).reshape(u.shape)
-                return self.w_xi[..., None] * du_xi \
-                    + self.geom.js[..., None] * d_tau(u, nS * nV)
-            du_xi = np.matmul(Ds, u.reshape(nE * nT * n1, n1, nV)).reshape(u.shape)
-            du_eta = np.matmul(Ds, u.reshape(nE * nT, n1, n1 * nV)).reshape(u.shape)
-            return (self.w_xi[..., None] * du_xi
-                    + self.w_eta[..., None] * du_eta
-                    + self.geom.js[..., None] * d_tau(u, nS * nV))
-        # Euler: stack (f, g, Q) so each direction is one contraction
-        fx, gy = flux(eq, u)
-        F = np.stack([fx, gy, u], axis=-2)  # (nE, nT, nS, 3, nV)
-        m_xi, m_eta, js = self.geom.m_xi, self.geom.m_eta, self.geom.js
-        dF_xi = np.matmul(Ds, F.reshape(nE * nT * n1, n1, 3 * nV)).reshape(F.shape)
-        Fy = F.reshape(nE * nT, n1, n1 * 3 * nV)
-        dF_eta = np.matmul(Ds, Fy).reshape(F.shape)
-        out = np.einsum("etsc,etscv->etsv", m_xi, dF_xi)
-        out += np.einsum("etsc,etscv->etsv", m_eta, dF_eta)
-        out += js[..., None] * d_tau(u, nS * nV)
+        """|J| * div_st(F) at solution points, chain-rule form."""
+        out = _spatial_divergence(self.eq, u, self.bs.diff, self.weights)
+        du_tau = np.matmul(self.bt.diff, u.reshape(*u.shape[:2], -1))
+        out += self.geom.js[..., None] * du_tau.reshape(u.shape)
         return out
 
-    # -- face corrections ---------------------------------------------------
-
     def _side_deltas(self, u):
-        """Outward-normal flux jumps per element edge, (nE, n_edges, nT, nFs, nV)."""
-        tr = _traces_all_edges(u, self.bs, self.dim)
-        n_edges = 2 * self.dim
-        nFs = tr.shape[3]
-        delta = np.zeros((self.nE, n_edges, self.nT, nFs, self.nV))
-        QL = tr[self.f_eL, self.f_edgeL]
-        QR = tr[self.f_eR, self.f_edgeR]
-        if self.dim == 2 and np.any(self.f_flip):
-            QR = np.where(self.f_flip[:, None, None, None],
-                          QR[:, :, ::-1, :], QR)
-        M = self.face_M
-        com = _transformed_common_flux(self.eq, QL, QR, M)
-        dL = com - _transformed_normal_flux(self.eq, QL, M)
-        dR_here = com - _transformed_normal_flux(self.eq, QR, M)
-        if self.dim == 2:
-            dR = np.where(self.f_flip[:, None, None, None],
-                          -dR_here[:, :, ::-1, :], -dR_here)
-        else:
-            dR = -dR_here
-        delta[self.f_eL, self.f_edgeL] = dL
-        delta[self.f_eR, self.f_edgeR] = dR
-        if len(self.d_e):
-            QB = tr[self.d_e, self.d_edge]
-            com_b = _transformed_common_flux(self.eq, QB, self.d_ext, self.d_M)
-            delta[self.d_e, self.d_edge] = \
-                com_b - _transformed_normal_flux(self.eq, QB, self.d_M)
-        return delta
+        return _face_jumps(self.eq, u, self.bs, self.dim, self.plan)
 
     def _lift(self, delta):
-        """Correction field from edge jumps: -g'_L on minus faces, +g'_R on plus."""
-        gl, gr = self.bs.corr_deriv_left, self.bs.corr_deriv_right
-        if self.dim == 1:
-            # the singleton face-point axis doubles as the x axis
-            return (delta[:, 1] * gr[None, None, :, None]
-                    - delta[:, 0] * gl[None, None, :, None])
-        n1 = self.bs.n
-        # delta[:, edge] has shape (nE, nT, nFs, nV); broadcast the
-        # correction-derivative profile along the transverse axis
-        south = -delta[:, 0][:, :, None, :, :] * gl[None, None, :, None, None]
-        north = delta[:, 2][:, :, None, :, :] * gr[None, None, :, None, None]
-        east = delta[:, 1][:, :, :, None, :] * gr[None, None, None, :, None]
-        west = -delta[:, 3][:, :, :, None, :] * gl[None, None, None, :, None]
-        corr = (south + north) + (east + west)
-        return corr.reshape(self.nE, self.nT, self.nS, self.nV)
+        return _lift(delta, self.geom.ks, self.dim)
 
     def _temporal_correction(self, u):
         """Causal bottom-face correction from the slab inflow."""
-        ubot = np.matmul(self.bt.extrap_left,
-                         u.reshape(self.nE, self.nT, self.nS * self.nV))
-        ubot = ubot.reshape(self.nE, self.nS, self.nV)
-        d_out = self.geom.js_bot[..., None] * (ubot - self.inflow)
+        nE, nT, nS, nV = u.shape
+        ubot = np.matmul(self.bt.extrap_left, u.reshape(nE, nT, nS * nV))
+        d_out = self.geom.js_bot[..., None] * (ubot.reshape(nE, nS, nV) - self.inflow)
         gl = self.bt.corr_deriv_left
         return -d_out[:, None] * gl[None, :, None, None]
 
@@ -295,20 +326,14 @@ class SlabOperator:
     def pseudo_dt(self, u, sigma: float) -> float:
         """Global pseudo step from a space-time wave-speed estimate."""
         geom, eq = self.geom, self.eq
-        dirs = [geom.m_xi] if self.dim == 1 else [geom.m_xi, geom.m_eta]
+        speed = np.abs(geom.js)
         if isinstance(eq, (Advection1D, Advection2D)):
-            c = (eq.c,) if self.dim == 1 else (eq.c1, eq.c2)
-            speed = np.abs(geom.js)
-            for M in dirs:
-                lam = sum(c[i] * M[..., i] for i in range(self.dim)) + M[..., self.dim]
-                speed = speed + np.abs(lam)
+            for w in self.weights:  # the advection speed c . M_dir
+                speed = speed + np.abs(w)
         else:
-            from stfr.physics import euler_primitives
-
             rho, uu, vv, p = euler_primitives(eq, u)
             a = np.sqrt(eq.gamma * p / rho)
-            speed = np.abs(geom.js)
-            for M in dirs:
+            for M in self.weights:  # the metric rows M_dir
                 lam = np.abs(uu * M[..., 0] + vv * M[..., 1] + M[..., 2])
                 lam += a * np.hypot(M[..., 0], M[..., 1])
                 speed = speed + lam
@@ -358,13 +383,6 @@ class SlabOperator:
             f"iterations (achieved {np.log10(r0 / rnorm):.2f})",
             achieved_drop=float(np.log10(r0 / rnorm)),
             iterations=controls.max_iters)
-
-
-def _exact_at(sol: ExactSolution, coords, dim):
-    """Exact conservative state at stacked (x[, y], t) coordinate arrays."""
-    if dim == 1:
-        return exact_state(sol, coords[..., 0], t=coords[..., 1])
-    return exact_state(sol, coords[..., 0], coords[..., 1], coords[..., 2])
 
 
 def st_residual(field: StateField, geom: SlabGeometry, inflow: np.ndarray,
@@ -423,10 +441,7 @@ def initial_condition(mesh: Mesh, coords0, basis_s: BasisSet,
 
     xi, eta = spatial_points(basis_s, mesh.dim)
     v = eval_spatial_mapping(mesh.elem_corners(coords0), xi, eta)
-    c = v["coords"]
-    if mesh.dim == 1:
-        return exact_state(sol, c[..., 0], t=0.0)
-    return exact_state(sol, c[..., 0], c[..., 1], 0.0)
+    return exact_state(sol, *np.moveaxis(v["coords"], -1, 0), t=0.0)
 
 
 def march(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,

@@ -5,9 +5,6 @@ physical time marching of the method-of-lines solver.  Stage time offsets
 are (0, 1, 1/2) in units of dt.
 """
 
-SSP_RK3_STAGE_TIMES = (0.0, 1.0, 0.5)
-
-
 def ssp_rk3_step(u, rhs, dt, t=0.0):
     """One SSP-RK3 cycle: u_{n+1} from u_n with du/dt = rhs(u, t).
 

@@ -129,6 +129,25 @@ def test_cli_unknown_case():
     assert main(["run", "no_such_case_anywhere"]) == 1
 
 
+@pytest.mark.parametrize("overrides, bad", [
+    (["mesh.foo=1"], ["mesh.foo"]),
+    (["pseudo.bogus=1", "pseudo.other=2"], ["pseudo.bogus", "pseudo.other"]),
+    (['equation.type="euler2d"'], ["equation.c1", "equation.c2"]),
+    (["motion.amp=[0.1, 0.1]", "motion.type=\"stationary\""], ["motion.amp"]),
+    (['mesh={"type": "rect", "nx": 4}'], ["mesh.ny"]),
+    (["exact=3"], ["exact"]),
+    (["equation.type=[1]"], ["equation.type"]),
+    (["pseudo.type=1"], ["pseudo.type"]),
+])
+def test_cli_bad_section_keys_exit_1(capsys, overrides, bad):
+    args = ["run", "compare_sine_deform_p2"]
+    for pair in overrides:
+        args += ["--set", pair]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert all(f"{name}:" in err for name in bad)
+
+
 def test_determinism_identical_rows():
     cfg = load_case("wave1d_stationary_p2p2")
     cfg.dt = 0.125

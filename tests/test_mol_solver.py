@@ -3,8 +3,9 @@ import pytest
 
 from stfr.basis import make_basis
 from stfr.geometry import spatial_quadrature_data
-from stfr.mesh import interval_mesh, rect_mesh
+from stfr.mesh import disk_mesh, interval_mesh, rect_mesh
 from stfr.motion import (
+    CircleDeformation,
     RigidOscillation,
     SineDeformation,
     Stationary,
@@ -14,6 +15,8 @@ from stfr.physics import (
     Advection1D,
     Advection2D,
     Constant,
+    Euler2D,
+    IsentropicVortex,
     SineWave1D,
     SineWave2D,
     exact_state,
@@ -27,6 +30,7 @@ from stfr.mol_solver import (
     rk3_physical_step,
 )
 from stfr.analysis import l2_error_nodal
+from stfr.st_solver import initial_condition
 from stfr.timestepping import ssp_rk3_step
 
 
@@ -206,3 +210,36 @@ def test_rk3_rejects_bad_dt():
     fld = MolField(np.zeros((4, 3, 1)), ks=2, t=0.0, coords=m.nodes)
     with pytest.raises(ValueError):
         rk3_physical_step(fld, m, m.nodes, 0.0, Advection1D(1.0))
+
+
+def _signature(a):
+    """(norm, fixed random projection): pins a whole array to round-off."""
+    w = np.random.default_rng(0).standard_normal(a.shape)
+    return [float(np.linalg.norm(a)), float(np.sum(w * a))]
+
+
+@pytest.mark.parametrize("mesh, presc, eq, sol, dt, n_steps, pins", [
+    # 8 dirichlet faces and 4 flipped faces on a deforming disk
+    (disk_mesh(0), CircleDeformation(), Advection2D(0.5, 0.5),
+     SineWave2D(0.5, 0.5), 0.01, 8,
+     ([37.52355604311179, -56.62453532706195],
+      [10.737149403429699, -27.02132715503531])),
+    # Roe-ALE face fluxes and the stacked-flux interior on a deforming mesh
+    (rect_mesh(4, 4, -2, 2, -2, 2),
+     SineDeformation(amp=(0.05, 0.05), length=(4.0, 4.0), n=(2.0, 2.0),
+                     t_max=0.5),
+     Euler2D(), IsentropicVortex(period=4.0), 0.02, 6,
+     ([5.575991058292718, 4.9237223589362635],
+      [37.979225627647125, -13.329632915967231])),
+], ids=["disk_circle_advection", "sine_deform_euler"])
+def test_characterization_pins(mesh, presc, eq, sol, dt, n_steps, pins):
+    ks = 3
+    path = motion_path(presc, mesh, dt, 2)
+    u0 = initial_condition(mesh, path[1], make_basis(ks), sol)
+    fld = MolField(u0, ks=ks, t=dt, coords=path[1])
+    r = mol_residual(fld, mesh, grid_velocity_step(path[1], path[2], dt), eq,
+                     bc=sol)
+    res = march_mol(mesh, presc, eq, sol, ks=ks, dt=dt, n_steps=n_steps)
+    pin_r, pin_u = pins
+    assert _signature(r) == pytest.approx(pin_r, rel=1e-12)
+    assert _signature(res.field.values) == pytest.approx(pin_u, rel=1e-12)

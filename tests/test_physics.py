@@ -10,11 +10,10 @@ from stfr.physics import (
     NonPhysicalStateError,
     SineWave1D,
     SineWave2D,
-    common_flux,
     exact_state,
     flux,
-    st_normal_flux,
 )
+from stfr.st_solver import _transformed_common_flux, _transformed_normal_flux
 
 GAMMA = 1.4
 
@@ -60,9 +59,10 @@ def test_st_normal_flux_pure_directions():
     eq = Euler2D()
     Q = np.array([1.0, 0.2, -0.1, 2.0])
     f, g = flux(eq, Q)
-    assert np.allclose(st_normal_flux(eq, Q, np.array([0.0, 0.0, 1.0])), Q)
-    assert np.allclose(st_normal_flux(eq, Q, np.array([1.0, 0.0, 0.0])), f)
-    assert np.allclose(st_normal_flux(eq, Q, np.array([0.0, 1.0, 0.0])), g)
+    nflux = _transformed_normal_flux
+    assert np.allclose(nflux(eq, Q, np.array([0.0, 0.0, 1.0])), Q)
+    assert np.allclose(nflux(eq, Q, np.array([1.0, 0.0, 0.0])), f)
+    assert np.allclose(nflux(eq, Q, np.array([0.0, 1.0, 0.0])), g)
 
 
 def test_st_normal_flux_moving_1d_face():
@@ -70,16 +70,18 @@ def test_st_normal_flux_moving_1d_face():
     c, u, dt, dx = 1.0, 0.7, 0.1, 0.02
     ell = np.hypot(dt, dx)
     n = np.array([-dt, dx]) / ell
-    val = st_normal_flux(Advection1D(c), np.array([u]), n)[0]
+    val = _transformed_normal_flux(Advection1D(c), np.array([u]), n)[0]
     v_g = dx / dt
     assert val * ell == pytest.approx(-dt * (c * u - u * v_g), abs=1e-15)
 
 
 def test_upwind_basic():
     eq = Advection1D(c=1.0)
-    out = common_flux(eq, np.array([0.4]), np.array([-0.2]), np.array([1.0, 0.0]))
+    out = _transformed_common_flux(eq, np.array([0.4]), np.array([-0.2]),
+                                   np.array([1.0, 0.0]))
     assert out[0] == pytest.approx(0.4)
-    out = common_flux(eq, np.array([0.4]), np.array([-0.2]), np.array([-1.0, 0.0]))
+    out = _transformed_common_flux(eq, np.array([0.4]), np.array([-0.2]),
+                                   np.array([-1.0, 0.0]))
     assert out[0] == pytest.approx(0.2)  # upwind from the right, flux -(-0.2)
 
 
@@ -99,8 +101,8 @@ def test_flux_consistency_random(eq):
             Q = rng.standard_normal(1)
             n = rng.standard_normal(2)
             n /= np.linalg.norm(n)
-        com = common_flux(eq, Q, Q, n)
-        loc = st_normal_flux(eq, Q, n)
+        com = _transformed_common_flux(eq, Q, Q, n)
+        loc = _transformed_normal_flux(eq, Q, n)
         assert np.abs(com - loc).max() <= 1e-12
 
 
@@ -111,8 +113,8 @@ def test_roe_antisymmetry_50_pairs():
         QL = random_admissible_state(rng)
         QR = random_admissible_state(rng)
         n = random_st_normal(rng)
-        a = common_flux(eq, QL, QR, n)
-        b = common_flux(eq, QR, QL, -n)
+        a = _transformed_common_flux(eq, QL, QR, n)
+        b = _transformed_common_flux(eq, QR, QL, -n)
         assert np.abs(a + b).max() <= 1e-12
 
 
@@ -123,10 +125,10 @@ def test_roe_static_reduction():
     QL = random_admissible_state(rng)
     QR = random_admissible_state(rng)
     n3 = np.array([0.6, 0.8, 0.0])
-    out = common_flux(eq, QL, QR, n3)
+    out = _transformed_common_flux(eq, QL, QR, n3)
     assert np.all(np.isfinite(out))
     # consistency of the static reduction: equal states give F . n
-    same = common_flux(eq, QL, QL, n3)
+    same = _transformed_common_flux(eq, QL, QL, n3)
     f, g = flux(eq, QL)
     assert np.allclose(same, 0.6 * f + 0.8 * g, atol=1e-13)
 
@@ -138,9 +140,10 @@ def test_upwind_monotone_bracketing():
         uL, uR = rng.standard_normal(2)
         n = rng.standard_normal(2)
         n /= np.linalg.norm(n)
-        com = common_flux(eq, np.array([uL]), np.array([uR]), n)[0]
-        fl = st_normal_flux(eq, np.array([uL]), n)[0]
-        fr = st_normal_flux(eq, np.array([uR]), n)[0]
+        com = _transformed_common_flux(eq, np.array([uL]), np.array([uR]),
+                                       n)[0]
+        fl = _transformed_normal_flux(eq, np.array([uL]), n)[0]
+        fr = _transformed_normal_flux(eq, np.array([uR]), n)[0]
         assert min(fl, fr) - 1e-12 <= com <= max(fl, fr) + 1e-12
 
 

@@ -102,52 +102,57 @@ def _edge_pair(elem_nodes, edge: int, dim: int):
 def _build_faces(dim, elems, periodic_pairs, dirichlet_keys):
     """Pair element edges into faces.
 
-    periodic_pairs: list of ((elemA, edgeA), (elemB, edgeB), flip)
-    dirichlet_keys: set of sorted node tuples tagged dirichlet
+    Edges are keyed by their sorted end nodes.  Two edges with one key make
+    an interior face; faces come in order of first appearance (element by
+    element, local edge by local edge) with the first hit on the left, and
+    are flipped when the two traverse the edge in opposite order.  Then
+    come the periodic pairs, rows (elemA, edgeA, elemB, edgeB, flip).  The
+    edges left unpaired are dirichlet faces.
+
+    dirichlet_keys: set of sorted node tuples tagged dirichlet, or None
+    when every unpaired edge is.
     """
     n_edges = 2 if dim == 1 else 4
-    seen: dict[tuple, list] = {}
-    for e, en in enumerate(elems):
-        for edge in range(n_edges):
-            pair = _edge_pair(en, edge, dim)
-            key = tuple(sorted(pair))
-            seen.setdefault(key, []).append((e, edge, pair))
+    if dim == 1:
+        a = b = elems.ravel()
+    else:  # EDGE_NODES_2D
+        a = elems[:, [0, 1, 3, 0]].ravel()
+        b = elems[:, [1, 2, 2, 3]].ravel()
+    n = int(elems.max()) + 1
+    key = np.minimum(a, b) * n + np.maximum(a, b)  # hit h = elem * n_edges + edge
 
-    fl, gl, fr, gr, flip = [], [], [], [], []
-    boundary = []
-    for key, hits in seen.items():
-        if len(hits) > 2:
-            raise ValueError(f"edge {key} shared by more than two elements")
-        if len(hits) == 2:
-            (eL, gL, pL), (eR, gR, pR) = hits
-            fl.append(eL); gl.append(gL); fr.append(eR); gr.append(gR)
-            flip.append(pL != pR)  # equal tuples -> same tangential order
-        else:
-            boundary.append(hits[0])
+    def nodes_of(k):
+        return (int(k // n),) if dim == 1 else (int(k // n), int(k % n))
 
-    diri = []
-    matched = set()
-    for (ea, ga), (eb, gb), fp in periodic_pairs:
-        fl.append(ea); gl.append(ga); fr.append(eb); gr.append(gb)
-        flip.append(fp)
-        matched.add((ea, ga))
-        matched.add((eb, gb))
-    for e, edge, pair in boundary:
-        if (e, edge) in matched:
-            continue
-        key = tuple(sorted(pair))
-        if dirichlet_keys is not None and key not in dirichlet_keys:
-            raise ValueError(f"boundary edge {key} has no tag")
-        diri.append((e, edge))
+    hits = np.argsort(key, kind="stable")  # grouped by key, in hit order
+    sk = key[hits]
+    new = np.ones(sk.size + 1, dtype=bool)
+    new[1:-1] = sk[1:] != sk[:-1]
+    start = np.flatnonzero(new)  # group starts, then the end
+    count = np.diff(start)
+    start = start[:-1]
+    if count.max() > 2:
+        k = sk[start[np.argmax(count > 2)]]
+        raise ValueError(f"edge {nodes_of(k)} shared by more than two elements")
+    pairs = start[count == 2]
+    order = np.argsort(hits[pairs])
+    left, right = hits[pairs][order], hits[pairs + 1][order]
 
-    faces = FaceList(
-        elem_l=np.asarray(fl, dtype=int),
-        edge_l=np.asarray(gl, dtype=int),
-        elem_r=np.asarray(fr, dtype=int),
-        edge_r=np.asarray(gr, dtype=int),
-        flip=np.asarray(flip, dtype=bool),
-    )
-    return faces, np.asarray(diri, dtype=int).reshape(-1, 2)
+    per = np.asarray(periodic_pairs, dtype=int).reshape(-1, 5)
+    unpaired = np.zeros(key.size, dtype=bool)
+    unpaired[hits[start[count == 1]]] = True
+    unpaired[per[:, [0, 2]] * n_edges + per[:, [1, 3]]] = False
+    boundary = np.flatnonzero(unpaired)
+    if dirichlet_keys is not None:
+        tagged = [t[0] * n + t[-1] for t in dirichlet_keys if 0 <= t[0] and t[-1] < n]
+        untagged = boundary[~np.isin(key[boundary], tagged)]
+        if untagged.size:
+            raise ValueError(f"boundary edge {nodes_of(key[untagged[0]])} has no tag")
+
+    ids = np.concatenate([[left // n_edges, left % n_edges, right // n_edges,
+                           right % n_edges, a[left] != a[right]], per.T], axis=1)
+    faces = FaceList(*ids[:4], flip=ids[4] != 0)
+    return faces, np.stack([boundary // n_edges, boundary % n_edges], axis=1)
 
 
 def interval_mesh(n: int, xmin: float = 0.0, xmax: float = 1.0,
@@ -157,13 +162,9 @@ def interval_mesh(n: int, xmin: float = 0.0, xmax: float = 1.0,
         raise ValueError("interval_mesh requires n >= 1")
     nodes = np.linspace(xmin, xmax, n + 1)[:, None]
     elems = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
-    periodic_pairs = []
-    dirichlet_keys = None
-    if periodic:
-        periodic_pairs.append(((n - 1, 1), (0, 0), False))
-    else:
-        dirichlet_keys = {(0,), (n,)}
-    faces, diri = _build_faces(1, elems, periodic_pairs, dirichlet_keys)
+    periodic_pairs = [(n - 1, 1, 0, 0, False)] if periodic else []
+    # unpaired ends are both dirichlet
+    faces, diri = _build_faces(1, elems, periodic_pairs, None)
     return Mesh(
         dim=1, nodes=nodes, elems=elems, faces=faces, dirichlet=diri,
         spec={"type": "interval", "n": n, "xmin": xmin, "xmax": xmax,
@@ -179,37 +180,27 @@ def rect_mesh(nx: int, ny: int, xmin: float = 0.0, xmax: float = 1.0,
         raise ValueError("rect_mesh requires nx, ny >= 1")
     xs = np.linspace(xmin, xmax, nx + 1)
     ys = np.linspace(ymin, ymax, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
+    nodes = np.empty((ny + 1, nx + 1, 2))  # node (i, j) is j * (nx + 1) + i
+    nodes[..., 0] = xs
+    nodes[..., 1] = ys[:, None]
+    nodes = nodes.reshape(-1, 2)
 
-    def nid(i, j):
-        return j * (nx + 1) + i
+    # element (i, j) is j * nx + i, with lower left node (i, j)
+    n0 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    elems = n0[:, None] + [0, 1, nx + 2, nx + 1]
 
-    elems = []
-    for j in range(ny):
-        for i in range(nx):
-            elems.append([nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)])
-    elems = np.asarray(elems, dtype=int)
-
-    def eid(i, j):
-        return j * nx + i
-
-    periodic_pairs = []
-    dirichlet_keys = None
-    if periodic:
-        for j in range(ny):
-            periodic_pairs.append(((eid(nx - 1, j), 1), (eid(0, j), 3), False))
-        for i in range(nx):
-            periodic_pairs.append(((eid(i, ny - 1), 2), (eid(i, 0), 0), False))
-    else:
-        dirichlet_keys = set()
-        for i in range(nx):
-            dirichlet_keys.add(tuple(sorted((nid(i, 0), nid(i + 1, 0)))))
-            dirichlet_keys.add(tuple(sorted((nid(i, ny), nid(i + 1, ny)))))
-        for j in range(ny):
-            dirichlet_keys.add(tuple(sorted((nid(0, j), nid(0, j + 1)))))
-            dirichlet_keys.add(tuple(sorted((nid(nx, j), nid(nx, j + 1)))))
-    faces, diri = _build_faces(2, elems, periodic_pairs, dirichlet_keys)
+    periodic_pairs = np.zeros((nx + ny if periodic else 0, 5), dtype=int)
+    if periodic:  # east edges onto west edges, then north edges onto south
+        west, south = np.arange(ny) * nx, np.arange(nx)
+        periodic_pairs[:ny, 0] = west + nx - 1
+        periodic_pairs[:ny, 1] = 1
+        periodic_pairs[:ny, 2] = west
+        periodic_pairs[:ny, 3] = 3
+        periodic_pairs[ny:, 0] = south + (ny - 1) * nx
+        periodic_pairs[ny:, 1] = 2
+        periodic_pairs[ny:, 2] = south
+    # unpaired edges lie on the rectangle's sides, all dirichlet
+    faces, diri = _build_faces(2, elems, periodic_pairs, None)
     return Mesh(
         dim=2, nodes=nodes, elems=elems, faces=faces, dirichlet=diri,
         spec={"type": "rect", "nx": nx, "ny": ny, "xmin": xmin, "xmax": xmax,
@@ -425,7 +416,7 @@ def read_mesh(path: str) -> Mesh:
             d_same = np.linalg.norm(nodes[pa[0]] + t - nodes[pb[0]])
             d_flip = np.linalg.norm(nodes[pa[0]] + t - nodes[pb[1]])
             fp = d_flip < d_same
-        periodic_pairs.append(((ea, ga), (eb, gb), fp))
+        periodic_pairs.append((ea, ga, eb, gb, fp))
 
     faces, diri = _build_faces(dim, elems, periodic_pairs, diri_keys or None)
     return Mesh(dim=dim, nodes=nodes, elems=elems, faces=faces, dirichlet=diri,

@@ -97,7 +97,7 @@ def test_norm_element_relabel_invariance():
     # rebuild faces for the permuted element order
     from stfr.mesh import _build_faces
 
-    m2.faces, m2.dirichlet = _build_faces(1, m2.elems, [((np.where(perm == 7)[0][0], 1), (np.where(perm == 0)[0][0], 0), False)], None)
+    m2.faces, m2.dirichlet = _build_faces(1, m2.elems, [(np.where(perm == 7)[0][0], 1, np.where(perm == 0)[0][0], 0, False)], None)
     geom2 = slab_geometry(m2, m2.nodes, m2.nodes, 0.05, bs, bt)
     fld2 = StateField(vals[perm], ks=2, kt=1)
     e2 = l2_error_final(fld2, geom2, m2, m2.nodes, sol, 0.05)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from stfr import mesh as mesh_module
 from stfr.mesh import (
+    FaceList,
     MeshFormatError,
     disk_mesh,
     interval_mesh,
@@ -125,3 +127,107 @@ def test_periodic_flip_from_file(tmp_path):
     m = read_mesh(str(p))
     assert m.faces.n == 2  # one interior + one periodic
     assert len(m.dirichlet) == 4
+
+
+# -- vectorised face pairing against the loop it replaced --------------------
+
+
+def _reference_faces(dim, elems, periodic_pairs, dirichlet_keys):
+    """Face pairing by a dict over edge keys, in first-appearance order."""
+    n_edges = 2 if dim == 1 else 4
+    seen = {}
+    for e, en in enumerate(elems):
+        for edge in range(n_edges):
+            pair = _edge_pair(en, edge, dim)
+            seen.setdefault(tuple(sorted(pair)), []).append((e, edge, pair))
+    rows, boundary = [], []
+    for key, hits in seen.items():
+        assert len(hits) <= 2
+        if len(hits) == 2:
+            (eL, gL, pL), (eR, gR, pR) = hits
+            rows.append((eL, gL, eR, gR, pL != pR))
+        else:
+            boundary.append(hits[0])
+    matched = set()
+    for ea, ga, eb, gb, fp in periodic_pairs:
+        rows.append((ea, ga, eb, gb, bool(fp)))
+        matched |= {(ea, ga), (eb, gb)}
+    diri = []
+    for e, edge, pair in boundary:
+        if (e, edge) in matched:
+            continue
+        assert dirichlet_keys is None or tuple(sorted(pair)) in dirichlet_keys
+        diri.append((e, edge))
+    cols = list(zip(*rows)) or [()] * 5
+    faces = FaceList(*(np.asarray(c, dtype=int) for c in cols[:4]),
+                     flip=np.asarray(cols[4], dtype=bool))
+    return faces, np.asarray(diri, dtype=int).reshape(-1, 2)
+
+
+def _reference_rect_inputs(nx, ny, periodic):
+    """Elements, periodic pairs and dirichlet keys of rect_mesh, by loops."""
+    def nid(i, j):
+        return j * (nx + 1) + i
+
+    def eid(i, j):
+        return j * nx + i
+
+    elems = np.asarray([[nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)]
+                        for j in range(ny) for i in range(nx)], dtype=int)
+    if periodic:
+        pairs = ([(eid(nx - 1, j), 1, eid(0, j), 3, False) for j in range(ny)]
+                 + [(eid(i, ny - 1), 2, eid(i, 0), 0, False) for i in range(nx)])
+        return elems, pairs, None
+    keys = set()
+    for i in range(nx):
+        keys |= {(nid(i, 0), nid(i + 1, 0)), (nid(i, ny), nid(i + 1, ny))}
+    for j in range(ny):
+        keys |= {(nid(0, j), nid(0, j + 1)), (nid(nx, j), nid(nx, j + 1))}
+    return elems, [], keys
+
+
+def _assert_same_faces(mesh, faces, diri):
+    for name in ("elem_l", "edge_l", "elem_r", "edge_r", "flip"):
+        got, want = getattr(mesh.faces, name), getattr(faces, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert mesh.dirichlet.dtype == diri.dtype
+    assert np.array_equal(mesh.dirichlet, diri)
+
+
+@pytest.mark.parametrize("nx, ny, periodic", [
+    (1, 1, True), (3, 2, True), (3, 2, False), (8, 8, True), (5, 7, False)])
+def test_rect_faces_match_reference_loop(nx, ny, periodic):
+    m = rect_mesh(nx, ny, periodic=periodic)
+    elems, pairs, keys = _reference_rect_inputs(nx, ny, periodic)
+    assert m.elems.dtype == elems.dtype and np.array_equal(m.elems, elems)
+    _assert_same_faces(m, *_reference_faces(2, elems, pairs, keys))
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp: interval_mesh(5),
+    lambda tmp: interval_mesh(5, periodic=False),
+    lambda tmp: disk_mesh(0),
+    lambda tmp: disk_mesh(1),
+    lambda tmp: disk_mesh(2),
+    lambda tmp: _file_mesh(tmp, disk_mesh(0)),
+    lambda tmp: _file_mesh(tmp, rect_mesh(3, 2)),
+], ids=["interval", "interval_dirichlet", "disk0", "disk1", "disk2",
+        "file_disk", "file_periodic_rect"])
+def test_faces_match_reference_loop(build, tmp_path, monkeypatch):
+    calls = []
+    real = mesh_module._build_faces
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mesh_module, "_build_faces", spy)
+    m = build(tmp_path)
+    args, kwargs = calls[-1]
+    _assert_same_faces(m, *_reference_faces(*args, **kwargs))
+
+
+def _file_mesh(tmp, mesh):
+    path = tmp / "m.txt"
+    write_mesh(mesh, path)
+    return read_mesh(str(path))

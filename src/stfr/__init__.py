@@ -7,7 +7,7 @@ Subpackage layout:
     motion      grid motion prescriptions
     geometry    space-time slab mappings, Jacobians/metrics, GCL residual
     physics     equation sets, fluxes, Riemann solvers, exact solutions
-    st_solver   space-time FR solver with dual time stepping
+    st_solver   space-time FR solver, Newton-Krylov solve per slab
     mol_solver  ALE-FR method-of-lines solver (SSP-RK3)
     stfv        1D space-time finite-volume reference schemes
     analysis    error norms, observed orders, spectral slopes, reports

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from importlib import resources
 from pathlib import Path
 
@@ -42,9 +42,16 @@ MOTIONS = {"stationary": motionmod.Stationary,
            "rigid_oscillation": motionmod.RigidOscillation,
            "sine_deformation": motionmod.SineDeformation,
            "circle_deformation": motionmod.CircleDeformation}
+# exact-solution kind -> the class whose parameters its section may set
+EXACTS = {"sine_wave": physics.SineWave2D,
+          "isentropic_vortex": physics.IsentropicVortex,
+          "constant": physics.Constant}
 TYPED = {"equation": EQUATIONS, "mesh": MESHES, "motion": MOTIONS,
-         "exact": ("sine_wave", "isentropic_vortex", "constant")}
+         "exact": EXACTS}
 SECTIONS = ("equation", "exact", "mesh", "motion", "pseudo")
+# parameters that a builder fills in rather than the config
+FIXED = {"mesh": ("periodic",),                   # from bc
+         "exact": ("c", "c1", "c2", "gamma")}     # from the equation
 
 
 @dataclass
@@ -84,17 +91,23 @@ def validate(cfg: CaseConfig):
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errs))
     if cfg.solver not in ("spacetime", "mol", "stfv"):
         errs.append(f"solver: unknown solver {cfg.solver!r}")
-    euler = cfg.equation.get("type") == "euler2d"
+    kinds = {}  # section -> its valid type
     for section in SECTIONS:
         d = getattr(cfg, section)
         kind = d.get("type") if section in TYPED else None
         if section in TYPED and not (isinstance(kind, str) and kind in TYPED[section]):
             errs.append(f"{section}.type: unknown {kind!r}")
             continue
-        names, required = _accepted_keys(section, kind, euler)
+        kinds[section] = kind
+        names, required = _accepted_keys(section, kind)
         what = f"for {section} type {kind!r}" if kind else f"in {section}"
         errs += [f"{section}.{k}: unknown key {what}" for k in sorted(d.keys() - names)]
         errs += [f"{section}.{k}: required {what}" for k in required if k not in d]
+    eq_kind, ex_kind = kinds.get("equation"), kinds.get("exact")
+    if eq_kind and ex_kind and not issubclass(EQUATIONS[eq_kind],
+                                              physics.EXACT_KINDS[ex_kind]):
+        errs.append(f"exact.type: {ex_kind!r} does not solve equation "
+                    f"type {eq_kind!r}")
     if cfg.bc not in ("periodic", "dirichlet"):
         errs.append(f"bc: must be periodic or dirichlet, got {cfg.bc!r}")
     if not isinstance(cfg.k_s, int) or cfg.k_s < 0:
@@ -127,40 +140,45 @@ def validate(cfg: CaseConfig):
 
 
 @lru_cache(maxsize=None)
-def _accepted_keys(section: str, kind: str | None, euler: bool):
+def _accepted_keys(section: str, kind: str | None):
     """(settable, required) keys of a config section of type `kind`: the
     parameters of what it builds, less those its builder fills in.  Cached,
     because inspecting a signature costs more than the rest of validate."""
-    fixed = ()
-    if section == "pseudo":
-        target = PseudoControls
-    elif section == "mesh":
-        target, fixed = MESHES[kind], ("periodic",)  # set from bc
-    elif section != "exact":
-        target = TYPED[section][kind]
-    elif kind == "constant":
-        target = physics.Constant
-    elif euler:
-        target, fixed = physics.IsentropicVortex, ("gamma",)  # from the equation
-    else:  # a sine wave takes its speeds from the equation
-        target, fixed = physics.SineWave2D, ("c1", "c2")
+    target = PseudoControls if section == "pseudo" else TYPED[section][kind]
     params = inspect.signature(target).parameters
-    names = [k for k in params if k not in fixed]
+    names = [k for k in params if k not in FIXED.get(section, ())]
     required = tuple(k for k in names if params[k].default is params[k].empty)
     return frozenset(names + ["type"] * (section in TYPED)), required
 
 
+def _section_errors(section: str):
+    """Decorator: a value the builder of `section` rejects (ValueError,
+    TypeError, an unreadable mesh file) becomes a ConfigError naming it."""
+    def wrap(build):
+        @wraps(build)
+        def checked(*args):
+            try:
+                return build(*args)
+            except (ValueError, TypeError, OSError) as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
+        return checked
+    return wrap
+
+
+@_section_errors("equation")
 def build_equation(cfg: CaseConfig) -> physics.EquationSet:
     d = dict(cfg.equation)
     return EQUATIONS[d.pop("type")](**d)
 
 
+@_section_errors("exact")
 def build_exact(cfg: CaseConfig, eq) -> physics.ExactSolution:
     d = dict(cfg.exact)
     kind = d.pop("type")
     return physics.exact_for(eq, kind, **d)
 
 
+@_section_errors("mesh")
 def build_mesh(cfg: CaseConfig) -> meshmod.Mesh:
     d = dict(cfg.mesh)
     kind = d.pop("type")
@@ -169,6 +187,7 @@ def build_mesh(cfg: CaseConfig) -> meshmod.Mesh:
     return MESHES[kind](**d)
 
 
+@_section_errors("motion")
 def build_motion(cfg: CaseConfig) -> motionmod.MotionPrescription:
     d = dict(cfg.motion)
     kind = d.pop("type")
@@ -178,6 +197,7 @@ def build_motion(cfg: CaseConfig) -> motionmod.MotionPrescription:
     return MOTIONS[kind](**d)
 
 
+@_section_errors("pseudo")
 def build_pseudo(cfg: CaseConfig) -> PseudoControls:
     return PseudoControls(**cfg.pseudo)
 
@@ -235,6 +255,7 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
     sol = build_exact(cfg, eq)
     mesh = build_mesh(cfg)
     presc = build_motion(cfg)
+    controls = build_pseudo(cfg)
     n_steps = int(round(cfg.t_final / cfg.dt))
     if report is None:
         report = ConvergenceReport(case=cfg.to_dict())
@@ -247,7 +268,7 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
     with Stopwatch() as sw:
         if cfg.solver == "spacetime":
             res = march(mesh, presc, eq, sol, cfg.k_s, cfg.k_t, cfg.dt,
-                        n_steps, controls=build_pseudo(cfg))
+                        n_steps, controls=controls)
             e_fin = analysis.l2_error_final(res.field, res.geom, mesh,
                                             res.coords_final, sol, cfg.t_final)
             e_slab = analysis.l2_error_slab(res.field, res.geom, sol)

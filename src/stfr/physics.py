@@ -218,8 +218,20 @@ def exact_state(sol: ExactSolution, x, y=None, t: float = 0.0):
     return np.stack([rho, rho * u, rho * v, rhoE], axis=-1)
 
 
+# exact-solution kind -> the equation sets it solves
+EXACT_KINDS = {"sine_wave": (Advection1D, Advection2D),
+               "isentropic_vortex": (Euler2D,),
+               "constant": (Advection1D, Advection2D, Euler2D)}
+
+
 def exact_for(eq: EquationSet, kind: str = "sine_wave", **params) -> ExactSolution:
-    """Pick the exact solution matching the equation set."""
+    """The exact solution of kind `kind` for the equation set eq.
+
+    Raises ValueError when that kind does not solve eq.
+    """
+    if not isinstance(eq, EXACT_KINDS.get(kind, ())):
+        raise ValueError(f"exact solution {kind!r} does not solve "
+                         f"{type(eq).__name__}")
     if kind == "constant":
         default = (1.0,) if eq.n_vars == 1 else (1.0, 0.5, 0.5, 1.0 / (1.4 - 1) + 0.25)
         return Constant(tuple(params.get("value", default)))

@@ -1,9 +1,13 @@
 """Space-time flux reconstruction solver.
 
-One slab at a time: assemble the space-time residual (projected divergence
-plus correction field), drive it to steady state in pseudo time with
-explicit SSP-RK3, then interpolate the converged slab to its top face to
-feed the next slab.
+One slab at a time: assemble the space-time residual R(u) (projected
+divergence plus correction field), solve R(u) = 0 for the slab's nodal
+values by Newton-Krylov iteration, then interpolate the converged slab to
+its top face to feed the next slab.  The converged slab is the fixed point
+of the paper's dual time stepping; only the iteration that reaches it
+differs.  `gmres` is restarted GMRES (Saad & Schultz 1986); for advection R
+is affine and the solve is plain GMRES, for Euler it is Jacobian-free
+Newton-Krylov (Knoll & Keyes 2004) with finite-difference products.
 
 The interior divergence is evaluated in chain-rule form: reference-direction
 derivatives of the collocated physical flux components are contracted with
@@ -22,6 +26,7 @@ and Dirichlet fluxes) and `_lift` (one matmul with `_edge_tables`).
 `SlabOperator` adds only the d_tau term and the causal temporal correction.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,32 +48,57 @@ from stfr.physics import (
 )
 
 
-class PseudoConvergenceError(RuntimeError):
-    """Pseudo-time marching hit max_iters before the requested residual drop."""
+# Krylov vectors kept per GMRES cycle.  Each holds one slab state (12,288
+# doubles for euler_vortex_p3), so the restart length bounds the memory the
+# solve adds; 8 adds about 1.4 MB there, 30 would add 2.6 MB.
+KRYLOV_RESTART = 8
 
-    def __init__(self, msg, achieved_drop, iterations):
-        super().__init__(msg)
+# Inexact-Newton forcing term for nonlinear (Euler) slabs: each Newton step
+# solves its linear system to this fraction of the current residual.
+NEWTON_FORCING = 1e-3
+
+# Relative step of the finite-difference Jacobian products, sqrt(eps).
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+class PseudoConvergenceError(RuntimeError):
+    """A slab solve diverged or ran out of residual evaluations.
+
+    Carries the residual it reached and, once `advance_slab` has added
+    them, the slab index and start time; the message names all three.
+    """
+
+    def __init__(self, reason, achieved_drop, iterations, residual,
+                 slab_index=None, t=None):
+        super().__init__(reason)
         self.achieved_drop = achieved_drop
         self.iterations = iterations
+        self.residual = residual
+        self.slab_index = slab_index
+        self.t = t
+
+    def __str__(self):
+        where = ("" if self.slab_index is None
+                 else f"slab {self.slab_index} at t = {self.t:.6g}: ")
+        return (f"{where}{self.args[0]}: residual {self.residual:.3e} "
+                f"(drop {self.achieved_drop:.2f} orders) after "
+                f"{self.iterations} residual evaluations")
 
 
 @dataclass
 class PseudoControls:
-    """Dual-time-stepping controls.
+    """Slab-solve controls.
 
-    sigma_cfl defaults to 0.8 / (2 k_s + 1); drop_orders is the required
-    reduction of the relative unsteady residual; an absolute RMS floor
-    short-circuits the relative criterion for exact initial guesses.
+    drop_orders is the required reduction of the RMS slab residual; an
+    absolute RMS floor short-circuits the relative criterion for exact
+    initial guesses; max_iters caps the residual evaluations per slab.
     """
 
-    sigma_cfl: float | None = None
     drop_orders: float = 10.0
     max_iters: int = 100_000
     abs_floor: float = 1e-14
 
     def __post_init__(self):
-        if self.sigma_cfl is not None and self.sigma_cfl <= 0:
-            raise ValueError("sigma_cfl must be > 0")
         if self.drop_orders < 1:
             raise ValueError("drop_orders must be >= 1")
 
@@ -91,10 +121,9 @@ class StateField:
 
 @dataclass
 class SlabStats:
-    iterations: int
+    iterations: int            # residual evaluations
     initial_residual: float
     final_residual: float
-    pseudo_dt: float
 
 
 def _traces_all_edges(u, basis_s, dim):
@@ -273,11 +302,61 @@ def _lift(delta, ks, dim):
     return np.matmul(lift, jumps).reshape(nE, nT, -1, nV)
 
 
+def gmres(matvec, b, tol, restart=KRYLOV_RESTART, max_matvecs=None):
+    """Restarted GMRES (Saad & Schultz 1986) for A x = b, from x = 0.
+
+    matvec(v) returns A v for a flat vector v.  Each cycle builds at most
+    `restart` Arnoldi vectors (modified Gram-Schmidt) and keeps the
+    least-squares problem triangular with Givens rotations; it ends early
+    once the residual estimate |b - A x| is at or below tol.  Between cycles
+    the residual is recomputed as b - A x, at the cost of one product.  No
+    more than max_matvecs products are made in all.
+    """
+    budget = np.inf if max_matvecs is None else max_matvecs
+    x = np.zeros_like(b, dtype=float)
+    r = np.asarray(b, dtype=float)
+    while True:
+        beta = np.linalg.norm(r)
+        m = int(min(restart, budget))
+        if beta <= tol or m < 1:
+            return x
+        V = np.empty((m + 1, r.size))
+        H = np.zeros((m + 1, m))
+        cs, sn = np.zeros(m), np.zeros(m)
+        g = np.zeros(m + 1)
+        g[0] = beta
+        V[0] = r / beta
+        k = 0
+        while k < m and abs(g[k]) > tol:
+            w = np.array(matvec(V[k]), dtype=float)
+            for j in range(k + 1):
+                H[j, k] = V[j] @ w
+                w -= H[j, k] * V[j]
+            H[k + 1, k] = np.linalg.norm(w)
+            if H[k + 1, k] > 0:
+                V[k + 1] = w / H[k + 1, k]
+            for j in range(k):  # earlier rotations on the new column
+                H[j, k], H[j + 1, k] = (cs[j] * H[j, k] + sn[j] * H[j + 1, k],
+                                        cs[j] * H[j + 1, k] - sn[j] * H[j, k])
+            rho = np.hypot(H[k, k], H[k + 1, k])
+            cs[k], sn[k] = H[k, k] / rho, H[k + 1, k] / rho
+            H[k, k], H[k + 1, k] = rho, 0.0
+            g[k + 1], g[k] = -sn[k] * g[k], cs[k] * g[k]
+            k += 1
+        y = np.linalg.solve(H[:k, :k], g[:k])
+        x += V[:k].T @ y
+        budget -= k
+        if abs(g[k]) <= tol or budget < 1:
+            return x
+        r = b - matvec(x)
+        budget -= 1
+
+
 class SlabOperator:
     """Precomputed residual operator for one slab.
 
     Holds geometry tables, the face plan, and frozen analytic boundary
-    states, so pseudo-time iterations reduce to the shared FR kernels plus
+    states, so a residual evaluation reduces to the shared FR kernels plus
     the temporal-direction terms.
     """
 
@@ -321,10 +400,11 @@ class SlabOperator:
         total += self._temporal_correction(u)
         return -total / self.geom.jac[..., None]
 
-    # -- pseudo-time stepping ----------------------------------------------
+    # -- slab solve --------------------------------------------------------
 
-    def pseudo_dt(self, u, sigma: float) -> float:
-        """Global pseudo step from a space-time wave-speed estimate."""
+    def _max_rate(self, u) -> float:
+        """Largest space-time wave speed over |J|, the fastest rate of the
+        slab operator at state u."""
         geom, eq = self.geom, self.eq
         speed = np.abs(geom.js)
         if isinstance(eq, (Advection1D, Advection2D)):
@@ -337,52 +417,67 @@ class SlabOperator:
                 lam = np.abs(uu * M[..., 0] + vv * M[..., 1] + M[..., 2])
                 lam += a * np.hypot(M[..., 0], M[..., 1])
                 speed = speed + lam
-        return sigma * float(np.min(geom.jac / speed))
+        return float(np.max(speed / geom.jac))
 
     def march(self, u0, controls: PseudoControls):
-        """Iterate SSP-RK3 in pseudo time until the residual drop is reached.
+        """Solve R(u) = 0 for the slab by Newton-Krylov iteration.
 
-        Returns (u, SlabStats).  Raises PseudoConvergenceError at max_iters.
+        Each step linearizes R at the current iterate and runs one GMRES
+        cycle on J du = -R(u); every product J v is one residual evaluation.
+        Advection is affine, J v = R(u + v) - R(u) exactly, and the steps
+        are the restart cycles of one GMRES solve to the target.  Euler
+        takes finite-difference products (R(u + eps v) - R(u)) / eps and
+        solves each Newton step to NEWTON_FORCING times the current
+        residual.  After each step the true RMS residual is recomputed; the
+        slab has converged once it has dropped by drop_orders, or sits at
+        the round-off floor.
+
+        Returns (u, SlabStats).  Raises PseudoConvergenceError when the
+        residual turns non-finite or grows 1e8-fold, or when max_iters
+        residual evaluations do not reach the drop.
         """
-        sigma = controls.sigma_cfl
-        if sigma is None:
-            sigma = 0.8 / (2 * self.geom.ks + 1)
+        affine = isinstance(self.eq, (Advection1D, Advection2D))
         u = u0.copy()
-        dtau = self.pseudo_dt(u0, sigma)
         r = self.residual(u)
+        evals = 1
         r0 = float(np.sqrt(np.mean(r * r)))
         # round-off-aware absolute floor: the residual of an exact solution
-        # assembles to eps times the operator's characteristic rate
+        # assembles to eps times the operator's fastest rate
         urms = float(np.sqrt(np.mean(u0 * u0)))
-        floor = controls.abs_floor * max(1.0, urms * sigma / dtau)
-        if r0 <= floor:
-            return u, SlabStats(0, r0, r0, dtau)
+        floor = controls.abs_floor * max(1.0, urms * self._max_rate(u0))
         target = max(r0 * 10.0 ** (-controls.drop_orders), floor)
         rnorm = r0
-        for it in range(1, controls.max_iters + 1):
-            # unrolled SSP-RK3 cycle; the first stage residual doubles as
-            # the convergence monitor of the current iterate
-            u1 = u + dtau * r
-            r2 = self.residual(u1)
-            u2 = 0.75 * u + 0.25 * u1 + 0.25 * dtau * r2
-            r3 = self.residual(u2)
-            u = u / 3.0 + 2.0 / 3.0 * u2 + 2.0 / 3.0 * dtau * r3
-            r = self.residual(u)
-            rnorm = float(np.sqrt(np.mean(r * r)))
-            if rnorm <= target:
-                return u, SlabStats(it, r0, rnorm, dtau)
-            if not np.isfinite(rnorm) or rnorm > 1e8 * r0:
+        scale = np.sqrt(r.size)  # RMS to 2-norm
+
+        def jv(v):  # J v at the current (u, r), one residual evaluation
+            nonlocal evals
+            evals += 1
+            h = 1.0 if affine else \
+                _FD_STEP * (1.0 + np.linalg.norm(u)) / np.linalg.norm(v)
+            return ((self.residual(u + h * v.reshape(u.shape)) - r) / h).ravel()
+
+        while rnorm > target:
+            budget = min(KRYLOV_RESTART, controls.max_iters - evals - 1)
+            if budget < 1:
                 raise PseudoConvergenceError(
-                    f"pseudo-time iteration diverged at iter {it} "
-                    f"(residual {rnorm:.3e} from {r0:.3e})",
-                    achieved_drop=np.log10(r0 / max(rnorm, 1e-300)),
-                    iterations=it)
-        raise PseudoConvergenceError(
-            f"pseudo-time marching did not drop the residual by "
-            f"{controls.drop_orders} orders within {controls.max_iters} "
-            f"iterations (achieved {np.log10(r0 / rnorm):.2f})",
-            achieved_drop=float(np.log10(r0 / rnorm)),
-            iterations=controls.max_iters)
+                    f"max_iters={controls.max_iters} reached before a "
+                    f"{controls.drop_orders:g}-order residual drop",
+                    _drop(r0, rnorm), evals, rnorm)
+            tol = target if affine else max(NEWTON_FORCING * rnorm, target)
+            du = gmres(jv, -r.ravel(), tol * scale, max_matvecs=budget)
+            u = u + du.reshape(u.shape)
+            r = self.residual(u)
+            evals += 1
+            rnorm = float(np.sqrt(np.mean(r * r)))
+            if not rnorm <= 1e8 * r0:  # also catches nan and inf
+                raise PseudoConvergenceError("slab solve diverged",
+                                             _drop(r0, rnorm), evals, rnorm)
+        return u, SlabStats(evals, r0, rnorm)
+
+
+def _drop(r0, r):
+    """Orders of magnitude by which the residual fell from r0 to r."""
+    return math.log10(r0 / r) if 0 < r < math.inf else -math.inf
 
 
 def st_residual(field: StateField, geom: SlabGeometry, inflow: np.ndarray,
@@ -396,7 +491,7 @@ def st_residual(field: StateField, geom: SlabGeometry, inflow: np.ndarray,
 def pseudo_march(field: StateField, geom: SlabGeometry, inflow: np.ndarray,
                  eq: EquationSet, mesh: Mesh, bc: ExactSolution | None = None,
                  controls: PseudoControls | None = None):
-    """Drive one slab to pseudo-steady state; returns (StateField, SlabStats)."""
+    """Converge one slab, R(u) = 0; returns (StateField, SlabStats)."""
     controls = controls or PseudoControls()
     op = SlabOperator(mesh, geom, eq, inflow, bc)
     u, stats = op.march(field.values, controls)
@@ -418,7 +513,11 @@ def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
     geom = slab_geometry(mesh, coords_n, coords_n1, dt, basis_s, basis_t, t_n)
     u0 = np.repeat(inflow[:, None], basis_t.n, axis=1)
     op = SlabOperator(mesh, geom, eq, inflow, bc)
-    u, stats = op.march(u0, controls)
+    try:
+        u, stats = op.march(u0, controls)
+    except PseudoConvergenceError as exc:
+        exc.slab_index, exc.t = slab_index, t_n
+        raise
     top = np.einsum("t,etsv->esv", basis_t.extrap_right, u)
     fld = StateField(values=u, ks=basis_s.degree, kt=basis_t.degree,
                      slab_index=slab_index, t_n=t_n, t_np1=t_n + dt)

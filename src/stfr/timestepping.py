@@ -1,8 +1,7 @@
 """Three-stage strong-stability-preserving Runge-Kutta stepping.
 
-Shared by the pseudo-time iteration of the space-time solver and the
-physical time marching of the method-of-lines solver.  Stage time offsets
-are (0, 1, 1/2) in units of dt.
+Used by the physical time marching of the method-of-lines solver.  Stage
+time offsets are (0, 1, 1/2) in units of dt.
 """
 
 def ssp_rk3_step(u, rhs, dt, t=0.0):

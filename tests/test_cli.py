@@ -123,6 +123,8 @@ def test_cli_main_run_exit_codes(tmp_path, capsys):
     case["pseudo"] = {"max_iters": 2}
     p.write_text(json.dumps(case))
     assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "slab 0" in err and "t = 0" in err
 
 
 def test_cli_unknown_case():
@@ -146,6 +148,36 @@ def test_cli_bad_section_keys_exit_1(capsys, overrides, bad):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert all(f"{name}:" in err for name in bad)
+
+
+@pytest.mark.parametrize("case, overrides, section", [
+    ("compare_sine_deform_p2", ["pseudo.drop_orders=0.5"], "pseudo"),
+    ("compare_sine_deform_p2", ['mesh.nx="a"'], "mesh"),
+    ("euler_vortex_p3", ["equation.gamma=1.0"], "equation"),
+    ("compare_sine_deform_p2", ["bad mesh file"], "mesh"),
+    ("compare_sine_deform_p2", ["missing mesh file"], "mesh"),
+])
+def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
+    bad = tmp_path / "bad.mesh"
+    bad.write_text("2 4 1 0\n0 0\n1 0\n")  # header promises more lines
+    files = {"bad mesh file": bad, "missing mesh file": tmp_path / "none.mesh"}
+    args = ["run", case]
+    for pair in overrides:
+        if pair in files:
+            pair = f'mesh={{"type": "file", "path": "{files[pair]}"}}'
+        args += ["--set", pair]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: {section}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case, exact", [
+    ("euler_vortex_p3", "sine_wave"),
+    ("compare_sine_deform_p2", "isentropic_vortex"),
+])
+def test_exact_type_must_solve_equation(capsys, case, exact):
+    assert main(["run", case, "--set", f'exact={{"type": "{exact}"}}']) == 1
+    assert f"exact.type: '{exact}' does not solve" in capsys.readouterr().err
 
 
 def test_determinism_identical_rows():

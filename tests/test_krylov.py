@@ -1,0 +1,92 @@
+"""The Newton-Krylov slab solve: GMRES on its own, the residual evaluations
+a slab costs, and slabs close to the Euler admissibility limit."""
+
+import numpy as np
+import pytest
+
+from stfr.basis import make_basis
+from stfr.cli import (build_equation, build_exact, build_mesh, build_motion,
+                      load_case)
+from stfr.mesh import rect_mesh
+from stfr.physics import (Euler2D, IsentropicVortex, NonPhysicalStateError,
+                          euler_primitives)
+from stfr.st_solver import (PseudoConvergenceError, SlabOperator, advance_slab,
+                            gmres, initial_condition, march)
+
+
+@pytest.mark.parametrize("restart", [12, 4])
+def test_gmres_dense_nonsymmetric(restart):
+    rng = np.random.default_rng(3)
+    n = 12
+    A = n * np.eye(n) + rng.standard_normal((n, n))
+    assert np.abs(A - A.T).max() > 1.0
+    b = rng.standard_normal(n)
+    products = []
+
+    def matvec(v):
+        products.append(1)
+        return A @ v
+
+    x = gmres(matvec, b, tol=1e-14 * np.linalg.norm(b), restart=restart)
+    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-10
+    if restart < n:
+        assert len(products) > restart  # at least one restart happened
+
+
+def test_gmres_respects_product_budget():
+    rng = np.random.default_rng(4)
+    A = 8 * np.eye(8) + rng.standard_normal((8, 8))
+    products = []
+
+    def matvec(v):
+        products.append(1)
+        return A @ v
+
+    gmres(matvec, rng.standard_normal(8), tol=0.0, restart=3, max_matvecs=5)
+    assert len(products) == 5
+
+
+# residual evaluations per slab of the explicit SSP-RK3 pseudo-time
+# iteration this solve replaced, on the first slab of each case
+RK3_EVALS = {"wave2d_sine_deform": 607, "euler_vortex_p3": 634}
+
+
+@pytest.mark.parametrize("case", sorted(RK3_EVALS))
+def test_slab_residual_evaluations_ceiling(case, monkeypatch):
+    cfg = load_case(case)
+    eq = build_equation(cfg)
+    calls = []
+    residual = SlabOperator.residual
+
+    def counted(self, u):
+        calls.append(1)
+        return residual(self, u)
+
+    monkeypatch.setattr(SlabOperator, "residual", counted)
+    res = march(build_mesh(cfg), build_motion(cfg), eq, build_exact(cfg, eq),
+                cfg.k_s, cfg.k_t, cfg.dt, n_steps=1)
+    st = res.stats[0]
+    assert st.iterations == len(calls)
+    assert st.iterations <= RK3_EVALS[case] / 5
+    assert st.final_residual <= st.initial_residual * 1e-10
+
+
+@pytest.mark.parametrize("pressure_left", [1e-2, 1e-3])
+def test_euler_slab_near_admissibility_limit(pressure_left):
+    """A vortex whose pressure is cut to a small fraction either converges
+    to an admissible slab or ends in a named error, never a floating-point
+    fault."""
+    eq = Euler2D()
+    m = rect_mesh(4, 4, -2.0, 2.0, -2.0, 2.0)
+    bs = bt = make_basis(2)
+    inflow = initial_condition(m, m.nodes, bs, IsentropicVortex(period=4.0))
+    p = euler_primitives(eq, inflow)[3]
+    inflow[..., 3] -= (1.0 - pressure_left) * p / (eq.gamma - 1.0)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _, _, top, st = advance_slab(inflow, m, m.nodes, m.nodes, 0.25,
+                                         0.0, eq, bs, bt)
+    except (NonPhysicalStateError, PseudoConvergenceError):
+        return
+    assert st.final_residual <= st.initial_residual * 1e-10
+    assert euler_primitives(eq, top)[3].min() > 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stfr.basis import gauss_legendre, interp_matrix, make_basis
+from stfr.cli import main
 from stfr.geometry import slab_geometry, spatial_quadrature_data
 from stfr.mesh import disk_mesh, interval_mesh, rect_mesh
 from stfr.motion import (
@@ -153,9 +154,11 @@ def test_pseudo_march_max_iters_raises():
     assert exc.value.iterations == 5
 
 
-def test_invalid_controls():
-    with pytest.raises(ValueError):
-        PseudoControls(sigma_cfl=-1.0)
+def test_invalid_controls(capsys):
+    # the pseudo step of the explicit iteration is gone with it
+    assert main(["run", "compare_sine_deform_p2",
+                 "--set", "pseudo.sigma_cfl=0.1"]) == 1
+    assert "pseudo.sigma_cfl: unknown key" in capsys.readouterr().err
     with pytest.raises(ValueError):
         PseudoControls(drop_orders=0.5)
 

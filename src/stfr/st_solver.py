@@ -49,8 +49,8 @@ from stfr.physics import (
 
 
 # Krylov vectors kept per GMRES cycle.  Each holds one slab state (12,288
-# doubles for euler_vortex_p3), so the restart length bounds the memory the
-# solve adds; 8 adds about 1.4 MB there, 30 would add 2.6 MB.
+# doubles for euler_vortex_p3), so the restart length sets the memory the
+# solve holds beyond the residual's own; it stays small to keep peak RSS.
 KRYLOV_RESTART = 8
 
 # Inexact-Newton forcing term for nonlinear (Euler) slabs: each Newton step

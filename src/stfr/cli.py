@@ -6,7 +6,9 @@ Verbs:
     stfr check
 
 <case> is a JSON file path or the name of a bundled case (see `cases/`).
-Exit codes: 0 success, 1 validation error, 2 solver non-convergence.
+Exit codes: 0 success, 1 validation error, 2 solver non-convergence,
+3 inadmissible solver state (a non-positive Jacobian, an inverted cell or a
+non-physical flow state).
 """
 
 import argparse
@@ -21,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from stfr import analysis, mesh as meshmod, motion as motionmod, physics
+from stfr import analysis, mesh as meshmod, motion as motionmod, physics, stfv
 from stfr.analysis import ConvergenceReport, Stopwatch
+from stfr.geometry import GeometryDegeneracyError
 from stfr.mol_solver import march_mol, mol_stable_dt
 from stfr.motion import motion_path
 from stfr.st_solver import PseudoControls, PseudoConvergenceError, march
@@ -191,8 +194,13 @@ def build_mesh(cfg: CaseConfig) -> meshmod.Mesh:
 def build_motion(cfg: CaseConfig) -> motionmod.MotionPrescription:
     d = dict(cfg.motion)
     kind = d.pop("type")
+    # validate has matched the mesh dimension to the equation's
+    dim = 1 if cfg.equation.get("type") == "advection1d" else 2
     for key in ("amp", "omega", "length", "n"):
-        if key in d and isinstance(d[key], list):
+        if key in d:
+            if not isinstance(d[key], (list, tuple)) or len(d[key]) < dim:
+                raise ValueError(f"{key} needs one value per mesh dimension "
+                                 f"({dim}), got {d[key]!r}")
             d[key] = tuple(d[key])
     return MOTIONS[kind](**d)
 
@@ -544,6 +552,10 @@ def main(argv=None) -> int:
     except PseudoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (GeometryDegeneracyError, physics.NonPhysicalStateError,
+            stfv.CellInversionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 A slab element maps the reference cube [-1,1]^(d+1) to physical space-time:
 
-    x(xi, eta, tau) = (1-tau)/2 * x_n(xi, eta) + (1+tau)/2 * x_{n+1}(xi, eta)
+    x(xi, eta, tau) = x_n(xi, eta) + (1+tau)/2 * (x_{n+1} - x_n)(xi, eta)
     t(tau) = t_n + (1+tau) dt/2
 
 with x_n, x_{n+1} the (bi)linear corner maps at the slab's two time levels,
@@ -16,17 +16,29 @@ of products.  For the 2D spatial case:
     M_xi  = ( y_eta t_tau, -x_eta t_tau, x_eta y_tau - x_tau y_eta)
     M_eta = (-y_xi  t_tau,  x_xi  t_tau, y_xi  x_tau - x_xi  y_tau)
     M_tau = (0, 0, Js),    Js = x_xi y_eta - x_eta y_xi,   |J| = t_tau Js
+
+One evaluator (`eval_st_mapping`, and `_evaluate` on cached point sets) and
+one builder of volume and face data on a given set of temporal levels serve
+both solvers.  `slab_geometry` runs the builder at the Gauss levels of the
+temporal basis.  `spatial_geometry`, the method-of-lines geometry at one
+stage, runs it at the single level tau = -1 of the slab of length dt = 2
+that goes from the stage positions x to x + 2 V_g.  There t_tau = 1 and
+x_tau = V_g, so the metric rows are exactly the ALE vectors (M, -V_g . M)
+and |J| = Js: the mesh-relative metrics of a MOL stage are the space-time
+metric rows at that temporal level divided by t_tau.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from stfr.basis import BasisSet, gauss_legendre, interp_matrix, make_basis
 from stfr.mesh import Mesh
 
-CORNER_XI = np.array([-1.0, 1.0, 1.0, -1.0])
-CORNER_ETA = np.array([-1.0, -1.0, 1.0, 1.0])
+# reference corner coordinates per direction, counter-clockwise in 2D
+CORNERS = {1: (np.array([-1.0, 1.0]),),
+           2: (np.array([-1.0, 1.0, 1.0, -1.0]), np.array([-1.0, -1.0, 1.0, 1.0]))}
 
 JAC_FLOOR = 1e-13
 
@@ -35,22 +47,18 @@ class GeometryDegeneracyError(RuntimeError):
     """Non-positive space-time Jacobian; names the element and point."""
 
 
-def shape2d(xi, eta):
-    """Bilinear shape functions and derivatives at points, each (nP, 4)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    N = 0.25 * (1 + xi[:, None] * CORNER_XI) * (1 + eta[:, None] * CORNER_ETA)
-    dNdxi = 0.25 * CORNER_XI * (1 + eta[:, None] * CORNER_ETA)
-    dNdeta = 0.25 * (1 + xi[:, None] * CORNER_XI) * CORNER_ETA
-    return N, dNdxi, dNdeta
-
-
-def shape1d(xi):
-    """Linear shape functions and derivatives at points, each (nP, 2)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    N = np.stack([(1 - xi) / 2, (1 + xi) / 2], axis=1)
-    dN = np.tile(np.array([-0.5, 0.5]), (xi.size, 1))
-    return N, dN
+def corner_shapes(xi, eta=None):
+    """(Bi)linear corner shape functions N and their derivatives along each
+    reference direction at flat points, each (nP, n_corners); 1D if eta is
+    None."""
+    pts = [xi] if eta is None else [xi, eta]
+    cs = CORNERS[len(pts)]
+    f = [(1 + np.atleast_1d(np.asarray(x, dtype=float))[:, None] * c) / 2
+         for x, c in zip(pts, cs)]
+    N = np.prod(f, axis=0)
+    dN = [np.prod([np.broadcast_to(c / 2, N.shape)] + f[:k] + f[k + 1:], axis=0)
+          for k, c in enumerate(cs)]
+    return (N, *dN)
 
 
 def st_points(basis_s: BasisSet, basis_t: BasisSet, dim: int):
@@ -59,20 +67,58 @@ def st_points(basis_s: BasisSet, basis_t: BasisSet, dim: int):
     C-order over (i_tau, i_eta, i_xi); returns (xi, eta, tau) with eta None
     in 1D.  nS = (ks+1)**dim spatial points per temporal level.
     """
-    return _over_tau(spatial_points(basis_s, dim), basis_t)
+    return _over_tau(spatial_points(basis_s.nodes, dim), basis_t.nodes)
 
 
-def st_face_points(basis_s: BasisSet, basis_t: BasisSet, dim: int, edge: int):
-    """Reference coordinates of one side face's flux points, C-order (i_tau, j)."""
-    return _over_tau(spatial_face_points(basis_s, dim, edge), basis_t)
-
-
-def _over_tau(points, basis_t: BasisSet):
+def _over_tau(points, levels):
     """Repeat flat spatial reference points (xi, eta) at every tau level."""
-    nT = basis_t.n
+    nT = len(levels)
     xi, eta = points
     return (np.tile(xi, nT), None if eta is None else np.tile(eta, nT),
-            np.repeat(basis_t.nodes, xi.size))
+            np.repeat(levels, xi.size))
+
+
+def _evaluate(shapes, b1, corners_n, disp, dt, t_n):
+    """Mapping and metrics at points with corner shape functions `shapes`
+    (N and its reference derivatives, each (nP, nc)) and blend weights
+    b1 = (1+tau)/2, (nP, 1), for corners_n and the corner displacement
+    disp = corners_n1 - corners_n, each (nE, nc, dim).  See eval_st_mapping.
+    """
+    N, *dN = shapes
+    dim = corners_n.shape[2]
+    t_tau = dt / 2.0
+    d_tau = np.matmul(N, disp)
+    d_tau *= 0.5
+    x = np.matmul(N, corners_n)
+    x += (2.0 * b1) * d_tau
+    grads = []
+    for dNk in dN:  # x_xi (and x_eta), blended in place
+        g = np.matmul(dNk, disp)
+        g *= b1
+        g += np.matmul(dNk, corners_n)
+        grads.append(g)
+    coords = np.empty(x.shape[:2] + (dim + 1,))
+    coords[..., :dim] = x
+    coords[..., dim] = t_n + b1[:, 0] * dt
+    if dim == 1:
+        js = grads[0][..., 0]
+        m_xi = np.empty_like(coords)
+        m_xi[..., 0] = t_tau
+        m_xi[..., 1] = -d_tau[..., 0]
+        return {"coords": coords, "jac": t_tau * js, "js": js, "m_xi": m_xi}
+    (x_xi, y_xi), (x_eta, y_eta) = (np.moveaxis(g, -1, 0) for g in grads)
+    x_tau, y_tau = np.moveaxis(d_tau, -1, 0)
+    js = x_xi * y_eta - x_eta * y_xi
+    m_xi = np.empty_like(coords)
+    m_xi[..., 0] = y_eta * t_tau
+    m_xi[..., 1] = x_eta * -t_tau
+    m_xi[..., 2] = x_eta * y_tau - x_tau * y_eta
+    m_eta = np.empty_like(coords)
+    m_eta[..., 0] = y_xi * -t_tau
+    m_eta[..., 1] = x_xi * t_tau
+    m_eta[..., 2] = y_xi * x_tau - x_xi * y_tau
+    return {"coords": coords, "jac": t_tau * js, "js": js, "m_xi": m_xi,
+            "m_eta": m_eta}
 
 
 def eval_st_mapping(corners_n, corners_n1, dt, t_n, xi, eta, tau):
@@ -81,59 +127,39 @@ def eval_st_mapping(corners_n, corners_n1, dt, t_n, xi, eta, tau):
     Args:
         corners_n, corners_n1: (nE, nc, dim) element corner coordinates.
         dt, t_n: slab extent and start time.
-        xi, eta, tau: flat (nP,) reference coordinates (eta None in 1D).
+        xi, eta, tau: flat (nP,) reference coordinates (eta None in 1D);
+            a scalar tau is taken at every point.
 
     Returns:
         dict with coords (nE, nP, dim+1), jac, js (nE, nP), and metric rows
         m_xi (and m_eta in 2D) of shape (nE, nP, dim+1).
     """
-    dim = corners_n.shape[2]
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    b0 = (1 - tau) / 2
-    b1 = (1 + tau) / 2
-    t_tau = dt / 2.0
-    if dim == 1:
-        N, dN = shape1d(xi)
-        xn = np.einsum("pc,ec->ep", N, corners_n[:, :, 0])
-        xn1 = np.einsum("pc,ec->ep", N, corners_n1[:, :, 0])
-        x = b0 * xn + b1 * xn1
-        dxn = np.einsum("pc,ec->ep", dN, corners_n[:, :, 0])
-        dxn1 = np.einsum("pc,ec->ep", dN, corners_n1[:, :, 0])
-        x_xi = b0 * dxn + b1 * dxn1
-        x_tau = (xn1 - xn) / 2.0
-        jac = x_xi * t_tau
-        m_xi = np.stack([np.broadcast_to(t_tau, x.shape), -x_tau], axis=-1)
-        t = np.broadcast_to(t_n + b1 * dt, x.shape)
-        coords = np.stack([x, t], axis=-1)
-        return {"coords": coords, "jac": jac, "js": x_xi, "m_xi": m_xi}
+    shapes = corner_shapes(xi, eta)
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), (len(shapes[0]),))
+    return _evaluate(shapes, ((1 + tau) / 2)[:, None], corners_n,
+                     corners_n1 - corners_n, dt, t_n)
 
-    N, dNdxi, dNdeta = shape2d(xi, eta)
-    xy_n = np.einsum("pc,ecd->epd", N, corners_n)
-    xy_n1 = np.einsum("pc,ecd->epd", N, corners_n1)
-    xy = b0[None, :, None] * xy_n + b1[None, :, None] * xy_n1
-    d_xi = (b0[None, :, None] * np.einsum("pc,ecd->epd", dNdxi, corners_n)
-            + b1[None, :, None] * np.einsum("pc,ecd->epd", dNdxi, corners_n1))
-    d_eta = (b0[None, :, None] * np.einsum("pc,ecd->epd", dNdeta, corners_n)
-             + b1[None, :, None] * np.einsum("pc,ecd->epd", dNdeta, corners_n1))
-    d_tau = (xy_n1 - xy_n) / 2.0
 
-    x_xi, y_xi = d_xi[..., 0], d_xi[..., 1]
-    x_eta, y_eta = d_eta[..., 0], d_eta[..., 1]
-    x_tau, y_tau = d_tau[..., 0], d_tau[..., 1]
-    js = x_xi * y_eta - x_eta * y_xi
-    jac = t_tau * js
-    m_xi = np.stack([y_eta * t_tau, -x_eta * t_tau,
-                     x_eta * y_tau - x_tau * y_eta], axis=-1)
-    m_eta = np.stack([-y_xi * t_tau, x_xi * t_tau,
-                      y_xi * x_tau - x_xi * y_tau], axis=-1)
-    t = np.broadcast_to(t_n + b1 * dt, js.shape)
-    coords = np.concatenate([xy, t[..., None]], axis=-1)
-    return {"coords": coords, "jac": jac, "js": js, "m_xi": m_xi, "m_eta": m_eta}
+@lru_cache(maxsize=None)
+def _point_sets(ks: int, dim: int, levels: tuple) -> tuple:
+    """(shapes, b1) of the solution points, then of each edge's flux points,
+    at the temporal levels `levels`, each point set C-order (i_tau, j)."""
+    b = make_basis(ks)
+    sets = []
+    for pts in [spatial_points(b.nodes, dim)] + [
+            spatial_face_points(b, dim, edge) for edge in range(2 * dim)]:
+        xi, eta, tau = _over_tau(pts, np.array(levels))
+        arrays = corner_shapes(xi, eta) + (((1 + tau) / 2)[:, None],)
+        for a in arrays:
+            a.setflags(write=False)
+        sets.append((arrays[:-1], arrays[-1]))
+    return tuple(sets)
 
 
 @dataclass
 class SlabGeometry:
-    """Immutable per-slab mapping data at solution and face points."""
+    """Immutable mapping data of one slab, or of one MOL stage (nT = 1), at
+    solution and face points."""
 
     dim: int
     ks: int
@@ -151,26 +177,62 @@ class SlabGeometry:
     face_coords: np.ndarray     # (nE, n_edges, nT, nFs, dim+1)
     js_bot: np.ndarray          # (nE, nS) spatial jacobian at tau = -1
 
-    @property
-    def n_elems(self) -> int:
-        return self.jac.shape[0]
 
+def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
+              basis_s: BasisSet, kt: int, levels: tuple) -> SlabGeometry:
+    """Volume and face data of the slab from corners_n to corners_n + disp,
+    at the temporal levels `levels`.
 
-def _outward(mapping, edge: int):
-    """Outward face vector of one edge from the mapping's metric rows.
-
-    Edges are (W, E) in 1D and (S, E, N, W) in 2D.
+    Raises:
+        GeometryDegeneracyError: if |J| <= 1e-13 anywhere, naming the
+            element and point.
     """
-    if "m_eta" not in mapping:
-        return mapping["m_xi"] * (-1.0 if edge == 0 else 1.0)
-    m = mapping["m_xi"] if edge in (1, 3) else mapping["m_eta"]
-    return m * (1.0 if edge in (1, 2) else -1.0)
+    dim = mesh.dim
+    ks = basis_s.degree
+    (vol_shapes, vol_b1), *face_sets = _point_sets(ks, dim, levels)
+    nT, nS = len(levels), basis_s.n ** dim
+    vol = _evaluate(vol_shapes, vol_b1, corners_n, disp, dt, t_n)
+
+    jac = vol["jac"].reshape(-1, nT, nS)
+    if not jac.min() > JAC_FLOOR:  # also catches nan
+        e, it, s = np.argwhere(~(jac > JAC_FLOOR))[0]
+        raise GeometryDegeneracyError(
+            f"non-positive space-time Jacobian {jac[e, it, s]:.3e} in element "
+            f"{e} at solution point (tau index {it}, spatial index {s})")
+
+    nFs = 1 if dim == 1 else basis_s.n
+    face_m = np.empty((mesh.n_elems, 2 * dim, nT, nFs, dim + 1))
+    face_coords = np.empty_like(face_m)
+    for edge, (shapes, b1) in enumerate(face_sets):
+        fv = _evaluate(shapes, b1, corners_n, disp, dt, t_n)
+        # outward face vector: the metric row normal to the edge, signed
+        m = fv["m_xi"] if dim == 1 or edge % 2 else fv["m_eta"]
+        face_m[:, edge] = (_side(edge) * m).reshape(-1, nT, nFs, dim + 1)
+        face_coords[:, edge] = fv["coords"].reshape(-1, nT, nFs, dim + 1)
+
+    js = vol["js"].reshape(-1, nT, nS)
+    if levels[0] == -1.0:
+        js_bot = js[:, 0]
+    else:  # spatial jacobian trace on the bottom temporal face
+        shapes, b1 = _point_sets(ks, dim, (-1.0,))[0]
+        js_bot = _evaluate(shapes, b1, corners_n, disp, dt, t_n)["js"]
+
+    return SlabGeometry(
+        dim=dim, ks=ks, kt=kt, dt=dt, t_n=t_n,
+        corners_n=corners_n, corners_n1=corners_n + disp,
+        jac=jac, js=js,
+        m_xi=vol["m_xi"].reshape(-1, nT, nS, dim + 1),
+        m_eta=(vol["m_eta"].reshape(-1, nT, nS, dim + 1) if dim == 2 else None),
+        coords=vol["coords"].reshape(-1, nT, nS, dim + 1),
+        face_m=face_m, face_coords=face_coords, js_bot=js_bot,
+    )
 
 
 def slab_geometry(mesh: Mesh, coords_n: np.ndarray, coords_n1: np.ndarray,
                   dt: float, basis_s: BasisSet, basis_t: BasisSet,
                   t_n: float = 0.0) -> SlabGeometry:
-    """Build the space-time geometry of one slab.
+    """Build the space-time geometry of one slab at the Gauss levels of
+    basis_t.
 
     Raises:
         GeometryDegeneracyError: if |J| <= 1e-13 anywhere, naming the
@@ -178,54 +240,45 @@ def slab_geometry(mesh: Mesh, coords_n: np.ndarray, coords_n1: np.ndarray,
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    dim = mesh.dim
     Cn = mesh.elem_corners(coords_n)
-    Cn1 = mesh.elem_corners(coords_n1)
-    nT = basis_t.n
-    nS = basis_s.n ** dim
+    return _geometry(mesh, Cn, mesh.elem_corners(coords_n1) - Cn, dt, t_n,
+                     basis_s, basis_t.degree, tuple(basis_t.nodes))
 
-    xi, eta, tau = st_points(basis_s, basis_t, dim)
-    vol = eval_st_mapping(Cn, Cn1, dt, t_n, xi, eta, tau)
 
-    jac = vol["jac"].reshape(-1, nT, nS)
-    bad = np.argwhere(jac <= JAC_FLOOR)
-    if bad.size:
-        e, it, s = bad[0]
-        raise GeometryDegeneracyError(
-            f"non-positive space-time Jacobian {jac[e, it, s]:.3e} in element "
-            f"{e} at solution point (tau index {it}, spatial index {s})")
+def spatial_geometry(mesh: Mesh, coords: np.ndarray, vel_nodes: np.ndarray,
+                     basis_s: BasisSet, t: float) -> SlabGeometry:
+    """Geometry of a method-of-lines stage: mesh at `coords` at time t,
+    moving with the per-node grid velocity vel_nodes.
 
-    n_edges = 2 * dim
-    nFs = 1 if dim == 1 else basis_s.n
-    face_m = np.empty((mesh.n_elems, n_edges, nT, nFs, dim + 1))
-    face_coords = np.empty_like(face_m)
-    for edge in range(n_edges):
-        fxi, feta, ftau = st_face_points(basis_s, basis_t, dim, edge)
-        fv = eval_st_mapping(Cn, Cn1, dt, t_n, fxi, feta, ftau)
-        face_m[:, edge] = _outward(fv, edge).reshape(-1, nT, nFs, dim + 1)
-        face_coords[:, edge] = fv["coords"].reshape(-1, nT, nFs, dim + 1)
+    It is the slab geometry at the single level tau = -1 (nT = 1, kt = 0)
+    of the slab of length dt = 2 from coords to coords + 2 vel_nodes.  With
+    t_tau = 1 and x_tau = V_g there, m_xi and m_eta are the ALE vectors
+    (M, -V_g . M) of the spatial metric rows M, the face vectors are the
+    outward (n, -V_g . n), jac = js, and the face coordinates carry t.
 
-    # spatial jacobian trace on the bottom temporal face (spatial point layout)
-    sxi, seta = spatial_points(basis_s, dim)
-    bot = eval_st_mapping(Cn, Cn1, dt, t_n, sxi, seta, np.full(nS, -1.0))
+    Raises:
+        GeometryDegeneracyError: if the spatial Jacobian is <= 1e-13
+            anywhere, naming the element and point.
+    """
+    return _geometry(mesh, mesh.elem_corners(coords),
+                     2.0 * mesh.elem_corners(vel_nodes), 2.0, t, basis_s, 0,
+                     (-1.0,))
 
-    return SlabGeometry(
-        dim=dim, ks=basis_s.degree, kt=basis_t.degree, dt=dt, t_n=t_n,
-        corners_n=Cn, corners_n1=Cn1,
-        jac=jac,
-        js=vol["js"].reshape(-1, nT, nS),
-        m_xi=vol["m_xi"].reshape(-1, nT, nS, dim + 1),
-        m_eta=(vol["m_eta"].reshape(-1, nT, nS, dim + 1) if dim == 2 else None),
-        coords=vol["coords"].reshape(-1, nT, nS, dim + 1),
-        face_m=face_m, face_coords=face_coords,
-        js_bot=bot["js"],
-    )
+
+def _along(A, a, axis):
+    """Matrix A applied along one axis of array a."""
+    return np.moveaxis(np.tensordot(A, a, axes=(1, axis)), 0, axis)
+
+
+def _tensor(a, dim):
+    """Tensor product of a 1D weight vector or matrix over dim directions."""
+    return a if dim == 1 else np.kron(a, a)
 
 
 def gcl_residual(geom: SlabGeometry, basis_s: BasisSet | None = None,
                  basis_t: BasisSet | None = None) -> np.ndarray:
     """Discrete GCL residual d(Js)/dtau + d(|J| xi_t)/dxi [+ d(|J| eta_t)/deta]
-    at the solution points.
+    at the solution points, (nE, nT, nS).
 
     The metric rows of a linear space-time element are polynomials of degree
     at most 2 per reference direction, so they are differentiated on a grid
@@ -236,128 +289,45 @@ def gcl_residual(geom: SlabGeometry, basis_s: BasisSet | None = None,
     basis_s = basis_s or make_basis(geom.ks)
     basis_t = basis_t or make_basis(geom.kt)
     dim = geom.dim
-    ke = max(basis_s.degree, 2)
-    kte = max(basis_t.degree, 2)
-    es = make_basis(ke)
-    et = make_basis(kte)
-    Ds, Dt = es.diff, et.diff
-    xi, eta, tau = st_points(es, et, dim)
+    es = make_basis(max(basis_s.degree, 2))
+    et = make_basis(max(basis_t.degree, 2))
     v = eval_st_mapping(geom.corners_n, geom.corners_n1, geom.dt, geom.t_n,
-                        xi, eta, tau)
-    nE = geom.n_elems
-    nTe, nSe1 = et.n, es.n
-    if dim == 1:
-        A = v["m_xi"][..., 1].reshape(nE, nTe, nSe1)      # |J| xi_t
-        C = v["js"].reshape(nE, nTe, nSe1)                # |J| tau_t
-        res = (np.einsum("pq,etq->etp", Ds, A)
-               + np.einsum("pq,eqs->eps", Dt, C))
-        Is = interp_matrix(es.nodes, basis_s.nodes)
-        It = interp_matrix(et.nodes, basis_t.nodes)
-        out = np.einsum("ap,bq,epq->eab", It, Is, res)
-        return out.reshape(nE, basis_t.n, basis_s.n)
-    A = v["m_xi"][..., 2].reshape(nE, nTe, nSe1, nSe1)
-    B = v["m_eta"][..., 2].reshape(nE, nTe, nSe1, nSe1)
-    C = v["js"].reshape(nE, nTe, nSe1, nSe1)
-    res = (np.einsum("pq,etyq->etyp", Ds, A)
-           + np.einsum("pq,etqx->etpx", Ds, B)
-           + np.einsum("pq,eqyx->epyx", Dt, C))
+                        *st_points(es, et, dim))
+    shape = (-1, et.n) + (es.n,) * dim  # (nE, tau, [eta,] xi)
+    res = _along(et.diff, v["js"].reshape(shape), 1)
+    for axis, row in zip((-1, -2), ("m_xi", "m_eta")[:dim]):
+        res += _along(es.diff, v[row][..., dim].reshape(shape), axis)
+    res = _along(interp_matrix(et.nodes, basis_t.nodes), res, 1)
     Is = interp_matrix(es.nodes, basis_s.nodes)
-    It = interp_matrix(et.nodes, basis_t.nodes)
-    out = np.einsum("ap,by,cx,epyx->eabc", It, Is, Is, res)
-    return out.reshape(nE, basis_t.n, basis_s.n ** 2)
+    for axis in range(2, dim + 2):
+        res = _along(Is, res, axis)
+    return res.reshape(res.shape[0], basis_t.n, -1)
 
 
-def spatial_points(basis_s: BasisSet, dim: int):
-    """Flat reference coordinates of the spatial solution points."""
+def spatial_points(nodes: np.ndarray, dim: int):
+    """Flat tensor-product reference coordinates (xi, eta) of 1D points
+    `nodes`, xi fastest; eta is None in 1D."""
     if dim == 1:
-        return basis_s.nodes.copy(), None
-    Y, X = np.meshgrid(basis_s.nodes, basis_s.nodes, indexing="ij")
+        return nodes.copy(), None
+    Y, X = np.meshgrid(nodes, nodes, indexing="ij")
     return X.ravel(), Y.ravel()
+
+
+def _side(edge: int) -> float:
+    """+1 on the plus faces (E, N), -1 on the minus faces (W, S).
+
+    Edges are (W, E) in 1D and (S, E, N, W) in 2D; odd edges are xi faces.
+    """
+    return 1.0 if edge in (1, 2) else -1.0
 
 
 def spatial_face_points(basis_s: BasisSet, dim: int, edge: int):
     """Reference coordinates of one edge's flux points (spatial only)."""
-    xs = basis_s.nodes
     if dim == 1:
-        v = np.array([-1.0 if edge == 0 else 1.0])
-        return v, None
-    if edge == 0:
-        return xs.copy(), np.full_like(xs, -1.0)
-    if edge == 1:
-        return np.full_like(xs, 1.0), xs.copy()
-    if edge == 2:
-        return xs.copy(), np.full_like(xs, 1.0)
-    if edge == 3:
-        return np.full_like(xs, -1.0), xs.copy()
-    raise ValueError(f"bad edge {edge}")
-
-
-def eval_spatial_mapping(corners, xi, eta):
-    """Instantaneous (bi)linear element mapping at flat reference points.
-
-    Returns dict with coords (nE, nP, dim), js (nE, nP), and spatial metric
-    rows m_xi (and m_eta in 2D) of shape (nE, nP, dim).
-    """
-    dim = corners.shape[2]
-    if dim == 1:
-        N, dN = shape1d(xi)
-        x = np.einsum("pc,ec->ep", N, corners[:, :, 0])
-        x_xi = np.einsum("pc,ec->ep", dN, corners[:, :, 0])
-        return {"coords": x[..., None], "js": x_xi,
-                "m_xi": np.ones_like(x)[..., None]}
-    N, dNdxi, dNdeta = shape2d(xi, eta)
-    xy = np.einsum("pc,ecd->epd", N, corners)
-    d_xi = np.einsum("pc,ecd->epd", dNdxi, corners)
-    d_eta = np.einsum("pc,ecd->epd", dNdeta, corners)
-    x_xi, y_xi = d_xi[..., 0], d_xi[..., 1]
-    x_eta, y_eta = d_eta[..., 0], d_eta[..., 1]
-    js = x_xi * y_eta - x_eta * y_xi
-    m_xi = np.stack([y_eta, -x_eta], axis=-1)
-    m_eta = np.stack([-y_xi, x_xi], axis=-1)
-    return {"coords": xy, "js": js, "m_xi": m_xi, "m_eta": m_eta}
-
-
-@dataclass
-class SpatialGeometry:
-    """Instantaneous element geometry for the method-of-lines solver."""
-
-    dim: int
-    ks: int
-    js: np.ndarray              # (nE, nS)
-    m_xi: np.ndarray            # (nE, nS, dim)
-    m_eta: np.ndarray | None
-    coords: np.ndarray          # (nE, nS, dim)
-    face_m: np.ndarray          # (nE, n_edges, nFs, dim), outward
-    face_coords: np.ndarray     # (nE, n_edges, nFs, dim)
-
-
-def spatial_geometry(mesh: Mesh, coords: np.ndarray,
-                     basis_s: BasisSet) -> SpatialGeometry:
-    """Geometry of the current mesh position for MOL residuals."""
-    dim = mesh.dim
-    C = mesh.elem_corners(coords)
-    xi, eta = spatial_points(basis_s, dim)
-    vol = eval_spatial_mapping(C, xi, eta)
-    js = vol["js"]
-    bad = np.argwhere(js <= JAC_FLOOR)
-    if bad.size:
-        e, s = bad[0]
-        raise GeometryDegeneracyError(
-            f"non-positive spatial Jacobian {js[e, s]:.3e} in element {e} "
-            f"at point {s}")
-    n_edges = 2 * dim
-    nFs = 1 if dim == 1 else basis_s.n
-    face_m = np.empty((mesh.n_elems, n_edges, nFs, dim))
-    face_coords = np.empty_like(face_m)
-    for edge in range(n_edges):
-        fxi, feta = spatial_face_points(basis_s, dim, edge)
-        fv = eval_spatial_mapping(C, fxi, feta)
-        face_m[:, edge] = _outward(fv, edge)
-        face_coords[:, edge] = fv["coords"]
-    return SpatialGeometry(dim=dim, ks=basis_s.degree, js=js,
-                           m_xi=vol["m_xi"],
-                           m_eta=vol.get("m_eta"), coords=vol["coords"],
-                           face_m=face_m, face_coords=face_coords)
+        return np.array([_side(edge)]), None
+    xs = basis_s.nodes.copy()
+    fixed = np.full_like(xs, _side(edge))
+    return (fixed, xs) if edge % 2 else (xs, fixed)
 
 
 def st_quadrature_data(geom: SlabGeometry, n_q: int):
@@ -368,37 +338,25 @@ def st_quadrature_data(geom: SlabGeometry, n_q: int):
     Gauss weights.  Used by the slab error norm.
     """
     xq, wq = gauss_legendre(n_q)
-    bs = make_basis(geom.ks)
-    bt = make_basis(geom.kt)
-    Is = interp_matrix(bs.nodes, xq)
-    It = interp_matrix(bt.nodes, xq)
-    if geom.dim == 1:
-        T, X = np.meshgrid(xq, xq, indexing="ij")
-        v = eval_st_mapping(geom.corners_n, geom.corners_n1, geom.dt, geom.t_n,
-                            X.ravel(), None, T.ravel())
-        w = np.einsum("a,b->ab", wq, wq).ravel()
-        interp = np.einsum("ap,bq->abpq", It, Is).reshape(n_q**2, bt.n * bs.n)
-        return w, v["jac"], v["coords"], interp
-    T, Y, X = np.meshgrid(xq, xq, xq, indexing="ij")
     v = eval_st_mapping(geom.corners_n, geom.corners_n1, geom.dt, geom.t_n,
-                        X.ravel(), Y.ravel(), T.ravel())
-    w = np.einsum("a,b,c->abc", wq, wq, wq).ravel()
-    interp = np.einsum("ap,by,cx->abcpyx", It, Is, Is).reshape(
-        n_q**3, bt.n * bs.n * bs.n)
-    return w, v["jac"], v["coords"], interp
+                        *_over_tau(spatial_points(xq, geom.dim), xq))
+    Is = interp_matrix(make_basis(geom.ks).nodes, xq)
+    It = interp_matrix(make_basis(geom.kt).nodes, xq)
+    return (np.kron(wq, _tensor(wq, geom.dim)), v["jac"], v["coords"],
+            np.kron(It, _tensor(Is, geom.dim)))
+
+
+def spatial_mapping(mesh: Mesh, coords: np.ndarray, xi, eta):
+    """(js, coords) of the mesh at position `coords` at flat reference
+    points: the mapping of a resting slab at tau = -1."""
+    C = mesh.elem_corners(coords)
+    v = eval_st_mapping(C, C, 2.0, 0.0, xi, eta, -1.0)
+    return v["js"], v["coords"][..., :-1]
 
 
 def spatial_quadrature_data(mesh: Mesh, coords: np.ndarray, ks: int, n_q: int):
     """(weights, js, coords, interp) on an n_q-per-direction spatial grid."""
     xq, wq = gauss_legendre(n_q)
-    bs = make_basis(ks)
-    Is = interp_matrix(bs.nodes, xq)
-    C = mesh.elem_corners(coords)
-    if mesh.dim == 1:
-        v = eval_spatial_mapping(C, xq, None)
-        return wq.copy(), v["js"], v["coords"], Is
-    Yq, Xq = np.meshgrid(xq, xq, indexing="ij")
-    v = eval_spatial_mapping(C, Xq.ravel(), Yq.ravel())
-    w = np.einsum("a,b->ab", wq, wq).ravel()
-    interp = np.einsum("by,cx->bcyx", Is, Is).reshape(n_q**2, bs.n**2)
-    return w, v["js"], v["coords"], interp
+    Is = interp_matrix(make_basis(ks).nodes, xq)
+    js, x = spatial_mapping(mesh, coords, *spatial_points(xq, mesh.dim))
+    return _tensor(wq, mesh.dim), js, x, _tensor(Is, mesh.dim)

@@ -5,29 +5,26 @@ metric terms are never differentiated, the Jacobian is never evolved as an
 unknown, and the grid velocity enters as a pointwise -V_g . grad(u) source
 plus mesh-relative face fluxes F_n = F . n - (V_g . n) u.  The grid velocity
 is frozen per physical step, V_g = (x^{n+1} - x^n) / dt, and nodes move
-linearly within the step; metrics are rebuilt at every RK stage from the
-stage-time node positions.
+linearly within the step.
+
+Each RK stage takes its geometry from `geometry.spatial_geometry`: the
+space-time mapping at the single level tau = -1 of the slab of length
+dt = 2 from the stage-time node positions x to x + 2 V_g.  There t_tau = 1
+and x_tau = V_g, so the space-time metric rows and face vectors are the ALE
+vectors (M, -V_g . M) and |J| = Js; no separate MOL geometry exists.
 
 The operator is the nT = 1 case of the space-time FR kernels in
-`st_solver`: its metric rows and face vectors are the space-time vectors
-(M, -V_g . M), so the chain-rule divergence, face jumps (traces, Riemann
-flux, Dirichlet states) and lift are the same code the slab operator runs,
+`st_solver`: the chain-rule divergence, face jumps (traces, Riemann flux,
+Dirichlet states) and lift are the same code the slab operator runs,
 without the temporal-direction terms.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from stfr.basis import make_basis
-from stfr.geometry import (
-    shape1d,
-    shape2d,
-    spatial_face_points,
-    spatial_geometry,
-    spatial_points,
-)
+from stfr.geometry import spatial_geometry
 from stfr.mesh import Mesh
 from stfr.motion import MotionPrescription, motion_path
 from stfr.physics import Advection1D, Advection2D, EquationSet, ExactSolution
@@ -60,37 +57,6 @@ def grid_velocity_step(coords_n: np.ndarray, coords_n1: np.ndarray,
     return (np.asarray(coords_n1) - np.asarray(coords_n)) / dt
 
 
-@lru_cache(maxsize=None)
-def _corner_shapes(ks: int, dim: int) -> tuple:
-    """Corner shape functions at the solution points, then at each edge's
-    flux points, each (nP, n_corners)."""
-    b = make_basis(ks)
-    pts = [spatial_points(b, dim)] + [spatial_face_points(b, dim, edge)
-                                      for edge in range(2 * dim)]
-    shapes = tuple(shape1d(xi)[0] if dim == 1 else shape2d(xi, eta)[0]
-                   for xi, eta in pts)
-    for N in shapes:
-        N.setflags(write=False)
-    return shapes
-
-
-def _nodal_to_points(mesh: Mesh, nodal: np.ndarray, basis_s) -> tuple:
-    """Interpolate nodal (per-mesh-node) vectors to solution and face points.
-
-    Returns (at_solution_points, at_face_points) with shapes
-    (nE, nS, dim) and (nE, n_edges, nFs, dim).
-    """
-    C = nodal[mesh.elems]  # (nE, nc, dim)
-    vol, *fac = [np.matmul(N, C) for N in _corner_shapes(basis_s.degree, mesh.dim)]
-    return vol, np.stack(fac, axis=1)
-
-
-def _mesh_relative(m, vg):
-    """Space-time vectors (M, -V_g . M) from spatial vectors M and grid velocity."""
-    return np.concatenate([m, -np.einsum("...d,...d->...", vg, m)[..., None]],
-                          axis=-1)
-
-
 class MolOperator:
     """Residual du/dt at one mesh position with one frozen grid velocity."""
 
@@ -107,19 +73,13 @@ class MolOperator:
         self.bc = bc
 
     def bind_degree(self, ks: int):
-        """Build the metric rows and face vectors for degree ks, as
-        space-time arrays with a temporal axis of length 1."""
+        """Build the metric rows and face vectors for degree ks: the
+        space-time geometry at one temporal level, (nE, 1, ...) arrays."""
         self.bs = make_basis(ks)
-        g = self.geom = spatial_geometry(self.mesh, self.coords, self.bs)
-        vg_vol, vg_face = _nodal_to_points(self.mesh, self.vel_nodes, self.bs)
-        rows = [g.m_xi] if self.dim == 1 else [g.m_xi, g.m_eta]
-        self.weights = _divergence_weights(
-            self.eq, [_mesh_relative(m, vg_vol)[:, None] for m in rows])
-        t_col = np.full(g.face_coords.shape[:-1] + (1,), self.t)
-        face_coords = np.concatenate([g.face_coords, t_col], axis=-1)
-        self.plan = FacePlan(self.mesh,
-                             _mesh_relative(g.face_m, vg_face)[:, :, None],
-                             face_coords[:, :, None], self.bc)
+        g = self.geom = spatial_geometry(self.mesh, self.coords, self.vel_nodes,
+                                         self.bs, self.t)
+        self.weights = _divergence_weights(self.eq, g)
+        self.plan = FacePlan(self.mesh, g.face_m, g.face_coords, self.bc)
         return self
 
     def _interior(self, u):
@@ -138,7 +98,7 @@ class MolOperator:
         u = u[:, None]
         total = self._interior(u)
         total += self._lift(self._side_deltas(u))
-        return -total[:, 0] / self.geom.js[..., None]
+        return -total[:, 0] / self.geom.js[:, 0, :, None]
 
 
 def mol_residual(field: MolField, mesh: Mesh, vel_nodes: np.ndarray,

@@ -33,7 +33,13 @@ from functools import lru_cache
 import numpy as np
 
 from stfr.basis import BasisSet, make_basis
-from stfr.geometry import SlabGeometry, slab_geometry
+from stfr.geometry import (
+    GeometryDegeneracyError,
+    SlabGeometry,
+    slab_geometry,
+    spatial_mapping,
+    spatial_points,
+)
 from stfr.mesh import Mesh
 from stfr.motion import MotionPrescription, motion_path
 from stfr.physics import (
@@ -41,6 +47,7 @@ from stfr.physics import (
     Advection2D,
     EquationSet,
     ExactSolution,
+    NonPhysicalStateError,
     _roe_ale,
     euler_primitives,
     exact_state,
@@ -211,13 +218,14 @@ def _reference_derivatives(D, a, dim):
     return [d.reshape(a.shape) for d in out]
 
 
-def _divergence_weights(eq, rows):
+def _divergence_weights(eq, geom: SlabGeometry):
     """Per-direction weights of the chain-rule divergence.
 
-    rows holds the metric rows M_dir (nE, nT, nS, dim+1) per reference
-    direction.  Advection contracts them once into the pointwise speed
-    c . M_dir; Euler keeps the rows.
+    The geometry holds the metric rows M_dir (nE, nT, nS, dim+1) per
+    reference direction.  Advection contracts them once into the pointwise
+    speed c . M_dir; Euler keeps the rows.
     """
+    rows = [geom.m_xi] if geom.dim == 1 else [geom.m_xi, geom.m_eta]
     if isinstance(eq, (Advection1D, Advection2D)):
         return [_advection_speed(eq, M) for M in rows]
     return rows
@@ -369,8 +377,7 @@ class SlabOperator:
         self.bs = make_basis(geom.ks)
         self.bt = make_basis(geom.kt)
         self.plan = FacePlan(mesh, geom.face_m, geom.face_coords, bc)
-        rows = [geom.m_xi] if self.dim == 1 else [geom.m_xi, geom.m_eta]
-        self.weights = _divergence_weights(eq, rows)
+        self.weights = _divergence_weights(eq, geom)
 
     def _interior(self, u):
         """|J| * div_st(F) at solution points, chain-rule form."""
@@ -510,13 +517,15 @@ def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
     """Build one slab, seed it from the inflow, converge it, and hand back
     (StateField, SlabGeometry, top-face values, SlabStats)."""
     controls = controls or PseudoControls()
-    geom = slab_geometry(mesh, coords_n, coords_n1, dt, basis_s, basis_t, t_n)
     u0 = np.repeat(inflow[:, None], basis_t.n, axis=1)
-    op = SlabOperator(mesh, geom, eq, inflow, bc)
     try:
-        u, stats = op.march(u0, controls)
+        geom = slab_geometry(mesh, coords_n, coords_n1, dt, basis_s, basis_t, t_n)
+        u, stats = SlabOperator(mesh, geom, eq, inflow, bc).march(u0, controls)
     except PseudoConvergenceError as exc:
         exc.slab_index, exc.t = slab_index, t_n
+        raise
+    except (GeometryDegeneracyError, NonPhysicalStateError) as exc:
+        exc.args = (f"slab {slab_index} at t = {t_n:.6g}: {exc}",)
         raise
     top = np.einsum("t,etsv->esv", basis_t.extrap_right, u)
     fld = StateField(values=u, ks=basis_s.degree, kt=basis_t.degree,
@@ -536,11 +545,8 @@ class MarchResult:
 def initial_condition(mesh: Mesh, coords0, basis_s: BasisSet,
                       sol: ExactSolution) -> np.ndarray:
     """Sample the exact solution at the spatial solution points at t = 0."""
-    from stfr.geometry import eval_spatial_mapping, spatial_points
-
-    xi, eta = spatial_points(basis_s, mesh.dim)
-    v = eval_spatial_mapping(mesh.elem_corners(coords0), xi, eta)
-    return exact_state(sol, *np.moveaxis(v["coords"], -1, 0), t=0.0)
+    _, x = spatial_mapping(mesh, coords0, *spatial_points(basis_s.nodes, mesh.dim))
+    return exact_state(sol, *np.moveaxis(x, -1, 0), t=0.0)
 
 
 def march(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,

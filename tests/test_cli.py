@@ -156,6 +156,7 @@ def test_cli_bad_section_keys_exit_1(capsys, overrides, bad):
     ("euler_vortex_p3", ["equation.gamma=1.0"], "equation"),
     ("compare_sine_deform_p2", ["bad mesh file"], "mesh"),
     ("compare_sine_deform_p2", ["missing mesh file"], "mesh"),
+    ("compare_sine_deform_p2", ["motion.amp=[0.1]"], "motion"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"
@@ -169,6 +170,22 @@ def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert f"error: {section}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case, overrides, message", [
+    ("compare_sine_deform_p2", ["motion.amp=[3.0,3.0]"],
+     "slab 2 at t = 0.04: non-positive space-time Jacobian"),
+    ("euler_vortex_p3", ["t_final=0.0625", "exact.u_max=1.0"],
+     "slab 0 at t = 0: non-positive pressure"),
+    ("stfv_moving_1d", ["motion.amp=[10.0]"], "interfaces must be strictly"),
+])
+def test_cli_solver_state_errors_exit_3(capsys, case, overrides, message):
+    args = ["run", case]
+    for pair in overrides:
+        args += ["--set", pair]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("case, exact", [

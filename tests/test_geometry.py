@@ -173,8 +173,26 @@ def test_face_normals_watertight():
 
 
 def test_spatial_geometry_matches_slab_bottom():
-    m = rect_mesh(4, 4)
-    path = motion_path(SineDeformation(), m, 0.02, 2)
-    g = slab_geometry(m, path[1], path[2], 0.02, B2, B2)
-    sg = spatial_geometry(m, path[1], B2)
-    assert np.allclose(sg.js, g.js_bot, atol=1e-14)
+    # MOL/space-time consistency: a MOL stage at the slab's node positions
+    # x(tau_j), with the slab's grid velocity, has the slab's geometry at
+    # level tau_j, metric rows and face vectors divided by t_tau = dt/2
+    dt, t_n = 0.02, 0.02
+    for mesh, motion in ((rect_mesh(4, 4), SineDeformation()),
+                         (disk_mesh(0), CircleDeformation())):
+        path = motion_path(motion, mesh, dt, 2)
+        x_n, x_n1 = path[1], path[2]
+        vel = (x_n1 - x_n) / dt
+        g = slab_geometry(mesh, x_n, x_n1, dt, B2, B2, t_n)
+        sg = spatial_geometry(mesh, x_n, vel, B2, t_n)
+        assert np.allclose(sg.js[:, 0], g.js_bot, atol=1e-14)
+        for j, tau in enumerate(B2.nodes):
+            b1 = (1 + tau) / 2
+            sg = spatial_geometry(mesh, x_n + b1 * (x_n1 - x_n), vel, B2,
+                                  t_n + b1 * dt)
+            pairs = [(sg.js[:, 0], g.js[:, j]),
+                     (sg.m_xi[:, 0], g.m_xi[:, j] / (dt / 2)),
+                     (sg.m_eta[:, 0], g.m_eta[:, j] / (dt / 2)),
+                     (sg.face_m[:, :, 0], g.face_m[:, :, j] / (dt / 2)),
+                     (sg.face_coords[:, :, 0], g.face_coords[:, :, j])]
+            for mol, slab in pairs:
+                assert np.abs(mol - slab).max() <= 1e-13

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stfr.analysis import l2_error_final, observed_orders
 from stfr.basis import gauss_legendre, interp_matrix, make_basis
 from stfr.cli import main
 from stfr.geometry import slab_geometry, spatial_quadrature_data
@@ -207,14 +208,7 @@ def test_conservation_periodic_advection():
     m = rect_mesh(6, 6)
     eq = Advection2D()
     sol = SineWave2D()
-    masses = []
-
-    def cb(fld, geom, top):
-        w, js, _, interp = spatial_quadrature_data(
-            m, None, fld.ks, fld.ks + 2)
-
-    res = march(m, SineDeformation(), eq, sol, ks=2, kt=2, dt=0.02, n_steps=4)
-    # recompute mass at each slab boundary from a fresh march with callback
+    # mass at each slab boundary, from the slab callback
     path = motion_path(SineDeformation(), m, 0.02, 4)
     vals = {"masses": []}
 
@@ -247,6 +241,25 @@ def test_conservation_periodic_advection_1d():
           ks=2, kt=2, dt=0.02, n_steps=5, slab_callback=cb)
     vals = np.array(vals)
     assert np.abs(vals - vals[0]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("ks, kt, dts", [
+    (7, 1, (1 / 8, 1 / 16, 1 / 32)),
+    (9, 2, (1 / 4, 1 / 8, 1 / 16)),
+])
+def test_temporal_superconvergence_moving_mesh(ks, kt, dts):
+    # error_final converges as dt^(2 kt + 1) on an oscillating 1D mesh; k_s
+    # is high enough that the spatial error stays below the temporal one
+    m = interval_mesh(8)
+    motion = RigidOscillation(amp=(0.05,), omega=(2 * np.pi,))
+    sol = SineWave1D(1.0)
+    errs = []
+    for dt in dts:
+        res = march(m, motion, Advection1D(1.0), sol, ks, kt, dt,
+                    int(round(0.5 / dt)))
+        errs.append(l2_error_final(res.field, res.geom, m, res.coords_final,
+                                   sol, 0.5))
+    assert abs(observed_orders(errs, dts)[-1] - (2 * kt + 1)) <= 0.3
 
 
 @pytest.mark.parametrize("kt", [1, 2, 3])

@@ -7,8 +7,8 @@ Verbs:
 
 <case> is a JSON file path or the name of a bundled case (see `cases/`).
 Exit codes: 0 success, 1 validation error, 2 solver non-convergence,
-3 inadmissible solver state (a non-positive Jacobian, an inverted cell or a
-non-physical flow state).
+3 inadmissible solver state (a non-positive Jacobian, an inverted cell, a
+non-physical flow state or a non-finite solution).
 """
 
 import argparse
@@ -233,6 +233,9 @@ def _stfv_run(cfg: CaseConfig, eq, sol, mesh):
     for k in range(n_steps):
         st = Fv1dState(ubar, path[k][order, 0], path[k + 1][order, 0], cfg.dt)
         ubar = stfv_step_explicit(st, upwind_flux_rule(eq.c))
+        if not np.isfinite(ubar).all():
+            raise physics.NonPhysicalStateError(
+                f"step {k} at t = {k * cfg.dt:.6g}: non-finite cell averages")
     x_fin = path[n_steps][order, 0]
     uex = _cell_averages(sol, x_fin, cfg.t_final)
     vols = np.diff(x_fin)

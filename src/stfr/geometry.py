@@ -20,12 +20,15 @@ of products.  For the 2D spatial case:
 One evaluator (`eval_st_mapping`, and `_evaluate` on cached point sets) and
 one builder of volume and face data on a given set of temporal levels serve
 both solvers.  `slab_geometry` runs the builder at the Gauss levels of the
-temporal basis.  `spatial_geometry`, the method-of-lines geometry at one
-stage, runs it at the single level tau = -1 of the slab of length dt = 2
-that goes from the stage positions x to x + 2 V_g.  There t_tau = 1 and
-x_tau = V_g, so the metric rows are exactly the ALE vectors (M, -V_g . M)
-and |J| = Js: the mesh-relative metrics of a MOL stage are the space-time
-metric rows at that temporal level divided by t_tau.
+temporal basis.  `spatial_geometry` builds the method-of-lines geometry of
+a whole step with one builder call: all stages of a step share one grid
+velocity V_g, so they are the levels tau = s - 1 of the slab of length
+dt = 2 from the step-start positions x_n to x_n + 2 V_g, taken at the stage
+time offsets s.  At every level t_tau = 1 and x_tau = V_g, so the metric
+rows are exactly the ALE vectors (M, -V_g . M) at the positions
+x_n + s V_g, |J| = Js, and the face times are t_n + s: the mesh-relative
+metrics of a MOL stage are the space-time metric rows at its level, with
+no division by t_tau.
 """
 
 from dataclasses import dataclass
@@ -158,8 +161,8 @@ def _point_sets(ks: int, dim: int, levels: tuple) -> tuple:
 
 @dataclass
 class SlabGeometry:
-    """Immutable mapping data of one slab, or of one MOL stage (nT = 1), at
-    solution and face points."""
+    """Immutable mapping data of one slab, or of the stages of one MOL step
+    (one temporal level each), at solution and face points."""
 
     dim: int
     ks: int
@@ -246,15 +249,19 @@ def slab_geometry(mesh: Mesh, coords_n: np.ndarray, coords_n1: np.ndarray,
 
 
 def spatial_geometry(mesh: Mesh, coords: np.ndarray, vel_nodes: np.ndarray,
-                     basis_s: BasisSet, t: float) -> SlabGeometry:
-    """Geometry of a method-of-lines stage: mesh at `coords` at time t,
-    moving with the per-node grid velocity vel_nodes.
+                     basis_s: BasisSet, t: float,
+                     offsets: tuple = (0.0,)) -> SlabGeometry:
+    """Geometry of method-of-lines stages: the mesh that is at `coords` at
+    time t and moves with the per-node grid velocity vel_nodes, taken at
+    the time offsets `offsets` (one temporal level each, in order).
 
-    It is the slab geometry at the single level tau = -1 (nT = 1, kt = 0)
-    of the slab of length dt = 2 from coords to coords + 2 vel_nodes.  With
-    t_tau = 1 and x_tau = V_g there, m_xi and m_eta are the ALE vectors
+    It is the slab geometry at the levels tau = s - 1 (kt = 0) of the slab
+    of length dt = 2 from coords to coords + 2 vel_nodes.  With t_tau = 1
+    and x_tau = V_g at every level, level j holds the mesh at
+    coords + s_j vel_nodes: m_xi and m_eta are the ALE vectors
     (M, -V_g . M) of the spatial metric rows M, the face vectors are the
-    outward (n, -V_g . n), jac = js, and the face coordinates carry t.
+    outward (n, -V_g . n), jac = js, and the face coordinates carry the
+    time t + s_j.
 
     Raises:
         GeometryDegeneracyError: if the spatial Jacobian is <= 1e-13
@@ -262,7 +269,7 @@ def spatial_geometry(mesh: Mesh, coords: np.ndarray, vel_nodes: np.ndarray,
     """
     return _geometry(mesh, mesh.elem_corners(coords),
                      2.0 * mesh.elem_corners(vel_nodes), 2.0, t, basis_s, 0,
-                     (-1.0,))
+                     tuple(s - 1.0 for s in offsets))
 
 
 def _along(A, a, axis):

@@ -14,7 +14,8 @@ import numpy as np
 
 
 class NonPhysicalStateError(RuntimeError):
-    """Euler state with non-positive density or pressure."""
+    """A state the solver cannot go on from: an Euler state with non-positive
+    density or pressure, or non-finite values after a time step."""
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,14 @@ def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     ("euler_vortex_p3", ["t_final=0.0625", "exact.u_max=1.0"],
      "slab 0 at t = 0: non-positive pressure"),
     ("stfv_moving_1d", ["motion.amp=[10.0]"], "interfaces must be strictly"),
+    ("mol_sine_deform_p2", ["motion.amp=[3.0,3.0]"],
+     "step 204 at t = 0.0408: non-positive space-time Jacobian"),
+    # unstable runs: the state overflows instead of failing a check
+    ("stfv_moving_1d", ["motion.amp=[3.0]"],
+     "step 94 at t = 0.188: non-finite cell averages"),
+    ("mol_sine_deform_p2",
+     ["dt=0.04", "t_final=24.0", "motion.amp=[0.01,0.01]"],
+     "step 481 at t = 19.24: non-finite solution values"),
 ])
 def test_cli_solver_state_errors_exit_3(capsys, case, overrides, message):
     args = ["run", case]

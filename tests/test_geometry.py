@@ -177,7 +177,7 @@ def test_spatial_geometry_matches_slab_bottom():
     # x(tau_j), with the slab's grid velocity, has the slab's geometry at
     # level tau_j, metric rows and face vectors divided by t_tau = dt/2
     dt, t_n = 0.02, 0.02
-    for mesh, motion in ((rect_mesh(4, 4), SineDeformation()),
+    for mesh, motion in ((rect_mesh(4, 4), SineDeformation(n=(3.0, 3.0))),
                          (disk_mesh(0), CircleDeformation())):
         path = motion_path(motion, mesh, dt, 2)
         x_n, x_n1 = path[1], path[2]
@@ -196,3 +196,27 @@ def test_spatial_geometry_matches_slab_bottom():
                      (sg.face_coords[:, :, 0], g.face_coords[:, :, j])]
             for mol, slab in pairs:
                 assert np.abs(mol - slab).max() <= 1e-13
+
+
+def test_spatial_geometry_levels_are_stage_geometries():
+    # the three RK3 stages of one MOL step, built in one call at the levels
+    # tau = s - 1, equal the single-level geometry at x_n + s V_g, t_n + s;
+    # n = 3, since the default n = 4 leaves every node of a 4 x 4 mesh still
+    dt, t_n = 0.02, 0.02
+    offsets = (0.0, dt, dt / 2)
+    for mesh, motion in ((rect_mesh(4, 4), SineDeformation(n=(3.0, 3.0))),
+                         (disk_mesh(0), CircleDeformation())):
+        path = motion_path(motion, mesh, dt, 2)
+        x_n = path[1]
+        vel = (path[2] - x_n) / dt
+        g = spatial_geometry(mesh, x_n, vel, B2, t_n, offsets)
+        assert g.js.shape[1] == len(offsets)
+        for j, s in enumerate(offsets):
+            sg = spatial_geometry(mesh, x_n + s * vel, vel, B2, t_n + s)
+            pairs = [(g.js[:, j], sg.js[:, 0]),
+                     (g.m_xi[:, j], sg.m_xi[:, 0]),
+                     (g.m_eta[:, j], sg.m_eta[:, 0]),
+                     (g.face_m[:, :, j], sg.face_m[:, :, 0]),
+                     (g.face_coords[:, :, j], sg.face_coords[:, :, 0])]
+            for level, single in pairs:
+                assert np.abs(level - single).max() <= 1e-13

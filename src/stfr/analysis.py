@@ -113,6 +113,7 @@ class ReportRow:
     order_final: float = math.nan
     order_slab: float = math.nan
     walltime_s: float = 0.0
+    evals_per_slab: float = math.nan  # mean residual evaluations per slab
 
 
 @dataclass
@@ -122,11 +123,13 @@ class ConvergenceReport:
     case: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
 
-    def add(self, resolution, error_final, error_slab, walltime_s=0.0):
+    def add(self, resolution, error_final, error_slab, walltime_s=0.0,
+            evals_per_slab=math.nan):
         row = ReportRow(resolution=float(resolution),
                         error_final=float(error_final),
                         error_slab=float(error_slab),
-                        walltime_s=float(walltime_s))
+                        walltime_s=float(walltime_s),
+                        evals_per_slab=float(evals_per_slab))
         if self.rows:
             prev = self.rows[-1]
             ratio = math.log(prev.resolution / row.resolution)
@@ -150,14 +153,16 @@ class ConvergenceReport:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["resolution", "error_final", "error_slab",
-                        "order_final", "order_slab", "walltime_s"])
+                        "order_final", "order_slab", "walltime_s",
+                        "evals_per_slab"])
             for r in self.rows:
                 w.writerow([f"{r.resolution:.12g}",
                             fmt(r.error_final, ".12e"),
                             fmt(r.error_slab, ".12e"),
                             fmt(r.order_final, ".4f"),
                             fmt(r.order_slab, ".4f"),
-                            f"{r.walltime_s:.3f}"])
+                            f"{r.walltime_s:.3f}",
+                            fmt(r.evals_per_slab, ".2f")])
 
     def to_plot_data(self, path: str) -> None:
         """Two-column log10(resolution) vs log10(error_final) file."""

@@ -276,6 +276,7 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
         except ConfigError:
             resolution = cfg.dt
     dump = None
+    evals = math.nan
     with Stopwatch() as sw:
         if cfg.solver == "spacetime":
             res = march(mesh, presc, eq, sol, cfg.k_s, cfg.k_t, cfg.dt,
@@ -283,6 +284,7 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
             e_fin = analysis.l2_error_final(res.field, res.geom, mesh,
                                             res.coords_final, sol, cfg.t_final)
             e_slab = analysis.l2_error_slab(res.field, res.geom, sol)
+            evals = float(np.mean([st.iterations for st in res.stats]))
             dump = {"values": res.field.values, "coords": res.coords_final}
         elif cfg.solver == "mol":
             res = march_mol(mesh, presc, eq, sol, cfg.k_s, cfg.dt, n_steps)
@@ -293,7 +295,8 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
         else:
             e_fin, e_slab, ubar = _stfv_run(cfg, eq, sol, mesh)
             dump = {"values": ubar}
-    row = report.add(resolution, e_fin, e_slab, walltime_s=sw.seconds)
+    row = report.add(resolution, e_fin, e_slab, walltime_s=sw.seconds,
+                     evals_per_slab=evals)
     if cfg.output_dir:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -540,6 +543,8 @@ def main(argv=None) -> int:
             print(f"{cfg.name}: error_final={row.error_final:.6e} "
                   + ("" if math.isnan(row.error_slab)
                      else f"error_slab={row.error_slab:.6e} ")
+                  + ("" if math.isnan(row.evals_per_slab)
+                     else f"evals_per_slab={row.evals_per_slab:.1f} ")
                   + f"walltime={row.walltime_s:.2f}s")
             return 0
         report = sweep(cfg, args.axis, args.levels)

@@ -26,14 +26,14 @@ def _exact_field_1d(mesh, geom, ks, kt, sol):
     return StateField(vals, ks=ks, kt=kt)
 
 
-def test_exact_resolvable_field_error_machine_zero():
+def test_exact_resolvable_field_error_machine_zero(moving_path):
     # a field that coincides with the exact solution at every quadrature
     # point (here: a constant state) measures as zero in both norms
     from stfr.physics import Constant
 
     m = rect_mesh(4, 4)
     bs, bt = make_basis(2), make_basis(1)
-    path = motion_path(SineDeformation(), m, 0.05, 2)
+    path = moving_path(SineDeformation(n=(3.0, 3.0)), m, 0.05, 2)
     geom = slab_geometry(m, path[1], path[2], 0.05, bs, bt, t_n=0.05)
     sol = Constant((1.7,))
     vals = np.full((16, 2, 9, 1), 1.7)
@@ -148,14 +148,17 @@ def test_spectral_slope_needs_two():
 def test_report_csv_and_plot(tmp_path):
     rep = ConvergenceReport(case={"name": "demo"})
     rep.add(0.125, 3.24e-3, 2.0e-3, walltime_s=0.5)
-    rep.add(0.0625, 7.34e-4, 4.0e-4, walltime_s=1.0)
+    rep.add(0.0625, 7.34e-4, 4.0e-4, walltime_s=1.0, evals_per_slab=17.4)
     p = tmp_path / "r.csv"
     rep.to_csv(p)
     lines = p.read_text().strip().splitlines()
-    assert lines[0] == "resolution,error_final,error_slab,order_final,order_slab,walltime_s"
+    assert lines[0] == ("resolution,error_final,error_slab,order_final,"
+                        "order_slab,walltime_s,evals_per_slab")
     assert len(lines) == 3
     assert lines[1].split(",")[3] == ""  # first row has no order
     assert float(lines[2].split(",")[3]) == pytest.approx(2.14, abs=0.01)
+    assert lines[1].split(",")[6] == ""  # no slab solve recorded
+    assert lines[2].split(",")[6] == "17.40"
     rep.to_plot_data(tmp_path / "r.dat")
     dat = (tmp_path / "r.dat").read_text().strip().splitlines()
     assert len(dat) == 2

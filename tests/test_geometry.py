@@ -100,22 +100,22 @@ def test_metric_identities_vs_finite_differences(presc):
     assert worst <= 1e-7
 
 
-def test_metric_identities_sine_deformation():
+def test_metric_identities_sine_deformation(moving_path):
     mesh = rect_mesh(4, 4)
-    path = motion_path(SineDeformation(), mesh, 0.02, 4)
+    path = moving_path(SineDeformation(n=(3.0, 3.0)), mesh, 0.02, 4)
     worst = _fd_metric_check(mesh, path[3], path[4], 0.02, seed=7)
     assert worst <= 1e-7
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_gcl_all_prescriptions(k):
+def test_gcl_all_prescriptions(k, moving_path):
     b = make_basis(k)
     cases = []
     m = rect_mesh(4, 4)
     cases.append((m, m.nodes, m.nodes))
     cases.append((m, node_positions(RigidOscillation(), m, 0.0),
                   node_positions(RigidOscillation(), m, 0.05)))
-    path = motion_path(SineDeformation(), m, 0.02, 3)
+    path = moving_path(SineDeformation(n=(3.0, 3.0)), m, 0.02, 3)
     cases.append((m, path[2], path[3]))
     d = disk_mesh(0)
     cases.append((d, node_positions(CircleDeformation(), d, 0.3),

@@ -1,0 +1,126 @@
+"""The Kronecker-sum preconditioner of the slab solve: its 1D tables, the
+fast-diagonalization apply, and the exact element inverse it is on a still,
+uniform mesh."""
+
+import numpy as np
+import pytest
+
+from stfr.basis import make_basis
+from stfr.geometry import slab_geometry
+from stfr.mesh import interval_mesh, rect_mesh
+from stfr.motion import SineDeformation
+from stfr.physics import Advection1D, Advection2D, Euler2D, IsentropicVortex
+from stfr.st_solver import (KroneckerPreconditioner, SlabOperator, _kron_tables,
+                            initial_condition)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("v", [0.7, -1.3])
+def test_upwind_split(k, v):
+    b = make_basis(k)
+    C, S = _kron_tables(k)[:2]
+    if v > 0:
+        upwind = b.diff - np.outer(b.corr_deriv_left, b.extrap_left)
+    else:
+        upwind = b.diff - np.outer(b.corr_deriv_right, b.extrap_right)
+    assert np.abs(v * C + abs(v) * S - v * upwind).max() <= 1e-14
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+def test_temporal_eigendecomposition(k):
+    b = make_basis(k)
+    lam, V, Vi = _kron_tables(k)[2:]
+    n = k + 1
+    causal = b.diff - np.outer(b.corr_deriv_left, b.extrap_left)
+    W = V[:n, :n] + 1j * V[n:, :n]  # complex eigenvectors from the real form
+    assert np.abs(causal @ W - W * lam).max() <= 1e-11
+    assert np.abs(V @ Vi - np.eye(2 * n)).max() <= 1e-12
+    assert np.linalg.cond(V) <= 1e3
+    assert lam.real.min() > 0  # causal: no zero divisor in the apply
+
+
+def _moving_operator(eq, inflow_fn, moving_path, ks=3, kt=2):
+    m = rect_mesh(3, 3, -1.0, 1.0, -1.0, 1.0)
+    presc = SineDeformation(length=(2.0, 2.0), n=(3.0, 3.0))
+    path = moving_path(presc, m, 0.05, 3)
+    bs, bt = make_basis(ks), make_basis(kt)
+    geom = slab_geometry(m, path[2], path[3], 0.05, bs, bt, t_n=0.1)
+    inflow = inflow_fn(m, path[2], bs)
+    return m, geom, SlabOperator(m, geom, eq, inflow), inflow
+
+
+def _kron_sum_dense(geom, speeds, e):
+    """The element's Kronecker sum a_tau Dc (x) I (x) I + I (x) A_eta (x) I
+    + I (x) I (x) A_xi, assembled densely from the 1D tables."""
+    C, S = _kron_tables(geom.ks)[:2]
+    b = make_basis(geom.kt)
+    causal = b.diff - np.outer(b.corr_deriv_left, b.extrap_left)
+    dim = len(speeds)
+    ops = []
+    for v, s in speeds:  # xi, then eta
+        ve = v[e].mean()
+        ops.append(ve * C + (abs(ve) + s[e].mean()) * S)
+    eye_s, eye_t = np.eye(geom.ks + 1), np.eye(geom.kt + 1)
+    K = geom.js[e].mean() * np.kron(causal, np.eye((geom.ks + 1) ** dim))
+    if dim == 1:
+        return K + np.kron(eye_t, ops[0])
+    return (K + np.kron(eye_t, np.kron(ops[1], eye_s))
+            + np.kron(eye_t, np.kron(eye_s, ops[0])))
+
+
+@pytest.mark.parametrize("equation", ["advection2d", "euler2d"])
+def test_fast_diagonalization_matches_dense_solve(equation, moving_path):
+    if equation == "advection2d":
+        eq = Advection2D(0.6, -0.4)
+        m, geom, op, inflow = _moving_operator(
+            eq, lambda m, c, bs: np.ones((m.n_elems, bs.n ** 2, 1)),
+            moving_path)
+    else:
+        eq = Euler2D()
+        sol = IsentropicVortex(period=2.0)
+        m, geom, op, inflow = _moving_operator(
+            eq, lambda m, c, bs: initial_condition(m, c, bs, sol),
+            moving_path)
+    u0 = np.repeat(inflow[:, None], geom.kt + 1, axis=1)
+    speeds = op._wave_speeds(u0)
+    P = KroneckerPreconditioner(geom, speeds, u0.shape)
+    r = np.random.default_rng(5).standard_normal(u0.shape)
+    out = P(r.ravel()).reshape(r.shape)
+    for e in (0, 4, 7):
+        K = _kron_sum_dense(geom, speeds, e)
+        nE, nT, nS, nV = r.shape
+        ref = -geom.jac[e].mean() * np.linalg.solve(K, r[e].reshape(-1, nV))
+        assert np.abs(out[e].reshape(-1, nV) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def _element_block(op, shape, e):
+    """Jacobian of element e's residual with respect to its own values,
+    probed one column at a time with every other value and the inflow zero."""
+    n = int(np.prod(shape[1:]))
+    cols = []
+    for j in range(n):
+        u = np.zeros(shape)
+        u[e].flat[j] = 1.0
+        cols.append(op.residual(u)[e].ravel())
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_exact_inverse_on_still_uniform_mesh(dim):
+    if dim == 1:
+        m, eq, nS = interval_mesh(5), Advection1D(-0.8), 4
+    else:
+        m, eq, nS = rect_mesh(3, 3), Advection2D(0.5, -0.3), 16
+    bs, bt = make_basis(3), make_basis(2)
+    geom = slab_geometry(m, m.nodes, m.nodes, 0.05, bs, bt)
+    shape = (m.n_elems, bt.n, nS, 1)
+    op = SlabOperator(m, geom, eq, np.zeros((m.n_elems, nS, 1)))
+    P = KroneckerPreconditioner(geom, op._wave_speeds(np.zeros(shape)), shape)
+    for e in (0, m.n_elems - 1):
+        B = _element_block(op, shape, e)
+        PB = np.empty_like(B)
+        for j in range(B.shape[1]):
+            v = np.zeros(shape)
+            v[e] = B[:, j].reshape(shape[1:])
+            PB[:, j] = P(v.ravel()).reshape(shape)[e].ravel()
+        assert np.abs(PB - np.eye(B.shape[0])).max() <= 1e-10

@@ -74,10 +74,10 @@ def test_freestream_residual_advection(presc):
     assert np.abs(r).max() <= 1e-12
 
 
-def test_freestream_residual_euler_moving():
+def test_freestream_residual_euler_moving(moving_path):
     m = rect_mesh(4, 4)
     bs = bt = make_basis(2)
-    path = motion_path(SineDeformation(), m, 0.02, 2)
+    path = moving_path(SineDeformation(n=(3.0, 3.0)), m, 0.02, 2)
     geom = slab_geometry(m, path[1], path[2], 0.02, bs, bt)
     q = np.array(EULER_FREESTREAM)
     inflow = np.tile(q, (16, 9, 1))
@@ -164,12 +164,12 @@ def test_invalid_controls(capsys):
         PseudoControls(drop_orders=0.5)
 
 
-def test_advance_slab_constant_top():
+def test_advance_slab_constant_top(moving_path):
     m = rect_mesh(4, 4)
-    path = motion_path(SineDeformation(), m, 0.02, 1)
+    path = moving_path(SineDeformation(n=(3.0, 3.0)), m, 0.02, 2)
     inflow = np.full((16, 9, 1), 3.0)
     fld, geom, top, stats = advance_slab(
-        inflow, m, path[0], path[1], 0.02, 0.0, Advection2D(),
+        inflow, m, path[1], path[2], 0.02, 0.02, Advection2D(),
         make_basis(2), make_basis(2))
     assert np.abs(top - 3.0).max() <= 1e-12
 
@@ -189,16 +189,18 @@ def test_two_slabs_vs_one_both_valid():
 
 
 @pytest.mark.parametrize("ks,kt", [(1, 1), (2, 2), (3, 3)])
-def test_freestream_marching_all_prescriptions(ks, kt):
+def test_freestream_marching_all_prescriptions(ks, kt, moving_path):
     eq2 = Advection2D()
     const = Constant((1.0,))
     cases = [
         (rect_mesh(4, 4), Stationary(), "periodic"),
         (rect_mesh(4, 4), RigidOscillation(), "periodic"),
-        (rect_mesh(4, 4), SineDeformation(), "periodic"),
+        (rect_mesh(4, 4), SineDeformation(n=(3.0, 3.0)), "periodic"),
         (disk_mesh(0), CircleDeformation(), "dirichlet"),
     ]
     for mesh, presc, bckind in cases:
+        if not isinstance(presc, Stationary):
+            moving_path(presc, mesh, 0.04, 5)
         res = march(mesh, presc, eq2, const, ks=ks, kt=kt, dt=0.04, n_steps=5)
         assert np.abs(res.top - 1.0).max() <= 1e-11, (presc, ks, kt)
 

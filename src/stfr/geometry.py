@@ -19,8 +19,12 @@ of products.  For the 2D spatial case:
 
 One evaluator (`eval_st_mapping`, and `_evaluate` on cached point sets) and
 one builder of volume and face data on a given set of temporal levels serve
-both solvers.  `slab_geometry` runs the builder at the Gauss levels of the
-temporal basis.  `spatial_geometry` builds the method-of-lines geometry of
+both solvers.  Each build is one evaluation over one cached point set: the
+solution points, every edge's flux points and, when the levels do not start
+at tau = -1, the bottom trace; the volume arrays and the bottom trace are
+copied out contiguous, so no view keeps the batched result alive.
+`slab_geometry` runs the builder at the Gauss levels of the temporal
+basis.  `spatial_geometry` builds the method-of-lines geometry of
 a whole step with one builder call: all stages of a step share one grid
 velocity V_g, so they are the levels tau = s - 1 of the slab of length
 dt = 2 from the step-start positions x_n to x_n + 2 V_g, taken at the stage
@@ -145,18 +149,22 @@ def eval_st_mapping(corners_n, corners_n1, dt, t_n, xi, eta, tau):
 
 @lru_cache(maxsize=None)
 def _point_sets(ks: int, dim: int, levels: tuple) -> tuple:
-    """(shapes, b1) of the solution points, then of each edge's flux points,
-    at the temporal levels `levels`, each point set C-order (i_tau, j)."""
+    """(shapes, b1) of the one point set of a geometry build, read-only:
+    the solution points at the temporal levels `levels`, then each edge's
+    flux points at `levels`, then, unless levels[0] == -1, the solution
+    points at tau = -1 (the bottom trace); each part C-order (i_tau, j)."""
     b = make_basis(ks)
-    sets = []
-    for pts in [spatial_points(b.nodes, dim)] + [
-            spatial_face_points(b, dim, edge) for edge in range(2 * dim)]:
-        xi, eta, tau = _over_tau(pts, np.array(levels))
-        arrays = corner_shapes(xi, eta) + (((1 + tau) / 2)[:, None],)
-        for a in arrays:
-            a.setflags(write=False)
-        sets.append((arrays[:-1], arrays[-1]))
-    return tuple(sets)
+    vol = spatial_points(b.nodes, dim)
+    parts = [_over_tau(pts, np.array(levels)) for pts in [vol] + [
+        spatial_face_points(b, dim, edge) for edge in range(2 * dim)]]
+    if levels[0] != -1.0:
+        parts.append(_over_tau(vol, np.array([-1.0])))
+    xi, eta, tau = (None if p[0] is None else np.concatenate(p)
+                    for p in zip(*parts))
+    arrays = corner_shapes(xi, eta) + (((1 + tau) / 2)[:, None],)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[:-1], arrays[-1]
 
 
 @dataclass
@@ -184,7 +192,10 @@ class SlabGeometry:
 def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
               basis_s: BasisSet, kt: int, levels: tuple) -> SlabGeometry:
     """Volume and face data of the slab from corners_n to corners_n + disp,
-    at the temporal levels `levels`.
+    at the temporal levels `levels`: one evaluation over the cached point
+    set of `_point_sets`, sliced into the volume arrays, the signed face
+    vectors and coordinates, and the bottom trace js_bot (the first level
+    when it is tau = -1), each copied contiguous.
 
     Raises:
         GeometryDegeneracyError: if |J| <= 1e-13 anywhere, naming the
@@ -192,41 +203,40 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
     """
     dim = mesh.dim
     ks = basis_s.degree
-    (vol_shapes, vol_b1), *face_sets = _point_sets(ks, dim, levels)
-    nT, nS = len(levels), basis_s.n ** dim
-    vol = _evaluate(vol_shapes, vol_b1, corners_n, disp, dt, t_n)
+    nT, nS, nFs = len(levels), basis_s.n ** dim, 1 if dim == 1 else basis_s.n
+    nV, nF = nT * nS, 2 * dim * nT * nFs
+    v = _evaluate(*_point_sets(ks, dim, levels), corners_n, disp, dt, t_n)
 
-    jac = vol["jac"].reshape(-1, nT, nS)
+    def volume(a):  # a contiguous copy: no view keeps the batched result
+        return a[:, :nV].copy().reshape((-1, nT, nS) + a.shape[2:])
+
+    jac = volume(v["jac"])
     if not jac.min() > JAC_FLOOR:  # also catches nan
         e, it, s = np.argwhere(~(jac > JAC_FLOOR))[0]
         raise GeometryDegeneracyError(
             f"non-positive space-time Jacobian {jac[e, it, s]:.3e} in element "
             f"{e} at solution point (tau index {it}, spatial index {s})")
 
-    nFs = 1 if dim == 1 else basis_s.n
-    face_m = np.empty((mesh.n_elems, 2 * dim, nT, nFs, dim + 1))
-    face_coords = np.empty_like(face_m)
-    for edge, (shapes, b1) in enumerate(face_sets):
-        fv = _evaluate(shapes, b1, corners_n, disp, dt, t_n)
-        # outward face vector: the metric row normal to the edge, signed
-        m = fv["m_xi"] if dim == 1 or edge % 2 else fv["m_eta"]
-        face_m[:, edge] = (_side(edge) * m).reshape(-1, nT, nFs, dim + 1)
-        face_coords[:, edge] = fv["coords"].reshape(-1, nT, nFs, dim + 1)
+    # outward face vectors: the metric row normal to each edge, signed
+    face = slice(nV, nV + nF)
+    fshape = (-1, 2 * dim, nT, nFs, dim + 1)
+    sides = np.array([_side(e) for e in range(2 * dim)]).reshape(-1, 1, 1, 1)
+    face_m = v["m_xi"][:, face].reshape(fshape) * sides
+    if dim == 2:  # the S and N edges are eta faces
+        m_eta = v["m_eta"][:, face].reshape(fshape)
+        face_m[:, ::2] = m_eta[:, ::2] * sides[::2]
+    face_coords = v["coords"][:, face].copy().reshape(fshape)
 
-    js = vol["js"].reshape(-1, nT, nS)
-    if levels[0] == -1.0:
-        js_bot = js[:, 0]
-    else:  # spatial jacobian trace on the bottom temporal face
-        shapes, b1 = _point_sets(ks, dim, (-1.0,))[0]
-        js_bot = _evaluate(shapes, b1, corners_n, disp, dt, t_n)["js"]
+    js = volume(v["js"])
+    js_bot = (js[:, 0] if levels[0] == -1.0 else v["js"][:, nV + nF:]).copy()
 
     return SlabGeometry(
         dim=dim, ks=ks, kt=kt, dt=dt, t_n=t_n,
         corners_n=corners_n, corners_n1=corners_n + disp,
         jac=jac, js=js,
-        m_xi=vol["m_xi"].reshape(-1, nT, nS, dim + 1),
-        m_eta=(vol["m_eta"].reshape(-1, nT, nS, dim + 1) if dim == 2 else None),
-        coords=vol["coords"].reshape(-1, nT, nS, dim + 1),
+        m_xi=volume(v["m_xi"]),
+        m_eta=volume(v["m_eta"]) if dim == 2 else None,
+        coords=volume(v["coords"]),
         face_m=face_m, face_coords=face_coords, js_bot=js_bot,
     )
 

@@ -7,13 +7,13 @@ plus mesh-relative face fluxes F_n = F . n - (V_g . n) u.  The grid velocity
 is frozen per physical step, V_g = (x^{n+1} - x^n) / dt, and nodes move
 linearly within the step.
 
-All stages of a step share V_g, so one call of `geometry.spatial_geometry`
-builds the geometry of the whole step: the space-time mapping of the slab
-of length dt = 2 from the step-start positions x_n to x_n + 2 V_g, at the
-levels tau = s - 1 for the stage time offsets s = (0, dt, dt/2).  At every
-level t_tau = 1 and x_tau = V_g, so the metric rows and face vectors are
-the ALE vectors (M, -V_g . M) at the stage positions x_n + s V_g and
-|J| = Js; no separate MOL geometry exists.
+All stages of a step share V_g, so one call of `geometry.spatial_geometry`,
+one evaluation of the mapping, builds the geometry of the whole step: the
+space-time mapping of the slab of length dt = 2 from the step-start
+positions x_n to x_n + 2 V_g, at the levels tau = s - 1 for the stage time
+offsets s = (0, dt, dt/2).  At every level t_tau = 1 and x_tau = V_g, so
+the metric rows and face vectors are the ALE vectors (M, -V_g . M) at the
+stage positions x_n + s V_g and |J| = Js; no separate MOL geometry exists.
 
 The operator is the nT = 1 case of the space-time FR kernels in
 `st_solver`: the chain-rule divergence, face jumps (traces, Riemann flux,

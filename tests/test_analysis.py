@@ -16,7 +16,7 @@ from stfr.analysis import (
 from stfr.basis import make_basis
 from stfr.geometry import slab_geometry
 from stfr.mesh import interval_mesh, rect_mesh
-from stfr.motion import SineDeformation, motion_path
+from stfr.motion import SineDeformation
 from stfr.physics import Advection1D, SineWave1D, SineWave2D, exact_state
 from stfr.st_solver import StateField, march
 
@@ -53,18 +53,19 @@ def test_interpolated_exact_field_error_small():
     assert e < 5e-4
 
 
-def test_constant_offset_exactly_measured():
-    # interpolate the constant itself: error must be exactly 0.01
+def test_constant_offset_exactly_measured(moving_path):
+    # interpolate the constant itself: error must be exactly 0.01; the
+    # second slab, since the first step of a sine deformation moves nothing
     m = rect_mesh(3, 3)
     bs, bt = make_basis(2), make_basis(1)
-    path = motion_path(SineDeformation(), m, 0.04, 1)
-    geom = slab_geometry(m, path[0], path[1], 0.04, bs, bt)
+    path = moving_path(SineDeformation(), m, 0.04, 2)
+    geom = slab_geometry(m, path[1], path[2], 0.04, bs, bt, t_n=0.04)
     vals = np.full((9, 2, 9, 1), 0.01)
     fld = StateField(vals, ks=2, kt=1)
     from stfr.physics import Constant
 
     zero = Constant((0.0,))
-    assert abs(l2_error_final(fld, geom, m, path[1], zero, 0.04) - 0.01) <= 1e-12
+    assert abs(l2_error_final(fld, geom, m, path[2], zero, 0.08) - 0.01) <= 1e-12
     assert abs(l2_error_slab(fld, geom, zero) - 0.01) <= 1e-12
 
 

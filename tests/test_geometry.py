@@ -7,7 +7,9 @@ from stfr.geometry import (
     eval_st_mapping,
     gcl_residual,
     slab_geometry,
+    spatial_face_points,
     spatial_geometry,
+    spatial_points,
     st_points,
 )
 from stfr.mesh import disk_mesh, interval_mesh, rect_mesh
@@ -51,7 +53,9 @@ def test_degenerate_geometry_raises():
     m = interval_mesh(2)
     coords1 = m.nodes.copy()
     coords1[1, 0] = -0.6  # crosses the left neighbor: inverted element
-    with pytest.raises(GeometryDegeneracyError, match="element"):
+    # the first offending volume point, in (element, tau, space) order
+    with pytest.raises(GeometryDegeneracyError, match=r"in element 0 at "
+                       r"solution point \(tau index 1, spatial index 0\)"):
         slab_geometry(m, m.nodes, coords1, 0.1, B1, B1)
 
 
@@ -220,3 +224,82 @@ def test_spatial_geometry_levels_are_stage_geometries():
                      (g.face_coords[:, :, j], sg.face_coords[:, :, 0])]
             for level, single in pairs:
                 assert np.abs(level - single).max() <= 1e-13
+
+
+def _at_levels(points, levels):
+    """Flat spatial points (xi, eta) repeated at every tau level."""
+    xi, eta = points
+    n = len(levels)
+    return (np.tile(xi, n), None if eta is None else np.tile(eta, n),
+            np.repeat(np.asarray(levels, dtype=float), xi.size))
+
+
+def _owns_buffer(a):
+    """True unless `a` is a view into a buffer larger than itself."""
+    base = a
+    while base.base is not None:
+        base = base.base
+    return base.nbytes == a.nbytes
+
+
+def _check_build(g, mesh, Cn, Cn1, dt, t_n, bs, levels):
+    """Every array of the one-evaluation build equals eval_st_mapping on
+    its own point set, is C-contiguous and owns its buffer."""
+    dim, nT = mesh.dim, len(levels)
+    shape = (mesh.n_elems, nT, -1)
+    vol = eval_st_mapping(Cn, Cn1, dt, t_n,
+                          *_at_levels(spatial_points(bs.nodes, dim), levels))
+    pairs = [(g.jac, vol["jac"].reshape(shape)),
+             (g.js, vol["js"].reshape(shape))]
+    for row in ("m_xi", "coords") + (("m_eta",) if dim == 2 else ()):
+        pairs.append((getattr(g, row), vol[row].reshape(shape + (dim + 1,))))
+    for edge in range(2 * dim):
+        f = eval_st_mapping(Cn, Cn1, dt, t_n, *_at_levels(
+            spatial_face_points(bs, dim, edge), levels))
+        normal = f["m_xi"] if dim == 1 or edge % 2 else f["m_eta"]
+        sign = 1.0 if edge in (1, 2) else -1.0
+        pairs.append((g.face_m[:, edge],
+                      sign * normal.reshape(shape + (dim + 1,))))
+        pairs.append((g.face_coords[:, edge],
+                      f["coords"].reshape(shape + (dim + 1,))))
+    bot = eval_st_mapping(Cn, Cn1, dt, t_n,
+                          *_at_levels(spatial_points(bs.nodes, dim), [-1.0]))
+    pairs.append((g.js_bot, bot["js"]))
+    for built, ref in pairs:
+        assert built.shape == ref.shape
+        assert np.abs(built - ref).max() <= 1e-15
+    arrays = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
+    assert len(arrays) == (10 if dim == 2 else 9)
+    for name, a in arrays.items():
+        assert a.flags.c_contiguous, name
+        assert _owns_buffer(a), name
+
+
+def _moving_1d_2d(moving_path):
+    """(mesh, path) of a 1D and a 2D mesh whose second step moves."""
+    m1 = interval_mesh(6)
+    m2 = rect_mesh(4, 4)
+    sine_1d = SineDeformation(amp=(0.1,), n=(3.0,))
+    return [(m1, moving_path(sine_1d, m1, 0.02, 2)),
+            (m2, moving_path(SineDeformation(n=(3.0, 3.0)), m2, 0.02, 2))]
+
+
+@pytest.mark.parametrize("kt", [0, 1, 2])
+def test_slab_geometry_one_evaluation_layout(kt, moving_path):
+    dt, t_n = 0.02, 0.02
+    bt = make_basis(kt)
+    for mesh, path in _moving_1d_2d(moving_path):
+        g = slab_geometry(mesh, path[1], path[2], dt, B2, bt, t_n)
+        _check_build(g, mesh, mesh.elem_corners(path[1]),
+                     mesh.elem_corners(path[2]), dt, t_n, B2, bt.nodes)
+
+
+def test_spatial_geometry_one_evaluation_layout(moving_path):
+    dt, t_n = 0.02, 0.02
+    offsets = (0.0, dt, dt / 2)  # the SSP-RK3 stage offsets
+    for mesh, path in _moving_1d_2d(moving_path):
+        vel = (path[2] - path[1]) / dt
+        g = spatial_geometry(mesh, path[1], vel, B2, t_n, offsets)
+        Cn = mesh.elem_corners(path[1])
+        _check_build(g, mesh, Cn, Cn + 2.0 * mesh.elem_corners(vel), 2.0, t_n,
+                     B2, [s - 1.0 for s in offsets])

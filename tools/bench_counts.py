@@ -8,13 +8,16 @@ Each bundled case runs once at full length through `cli.run_case`, the path
 file records the solver, the slabs (space-time) or steps (method of lines,
 space-time FV), the DOF of one slab or step, the residual evaluations per
 slab or step (mean and max), the us per DOF per residual evaluation, the
-solve time and the errors.  Counts repeat exactly from run to run; the
-times come from this one run and move with the machine, whose description
-the file also holds.
+solve time, the errors, and the geometry layer: the calls to, and the
+time inside, the slab and MOL geometry builds.  Counts repeat exactly from
+run to run; the times come from this one run and move with the machine,
+whose description the file also holds.
 
 The counts are read from outside the package, by wrapping
-`SlabOperator.march` and `rk3_physical_step` (one call per slab or step) and
-the two operators' `residual`, so the script runs unchanged on older
+`SlabOperator.march` and `rk3_physical_step` (one call per slab or step),
+the two operators' `residual`, and `slab_geometry` and `spatial_geometry`
+under the names `st_solver` and `mol_solver` import them by.  A name that a
+checkout lacks is not wrapped, so the script runs unchanged on older
 checkouts.  The space-time FV scheme has no residual operator: its
 evaluation fields are null.
 """
@@ -43,6 +46,8 @@ class Counts:
         self.calls = 0
         self.seconds = 0.0
         self.dof = None
+        self.geometry_calls = 0
+        self.geometry_s = 0.0
 
     def unit(self, fn):
         def wrapped(*args, **kwargs):
@@ -62,6 +67,15 @@ class Counts:
             return out
         return wrapped
 
+    def geometry(self, fn):
+        def wrapped(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            self.geometry_s += time.perf_counter() - t0
+            self.geometry_calls += 1
+            return out
+        return wrapped
+
 
 def _finite(x):
     return None if x is None or math.isnan(x) else x
@@ -76,7 +90,10 @@ def measure(case):
     patches = [(st_solver.SlabOperator, "march", counts.unit),
                (st_solver.SlabOperator, "residual", counts.residual),
                (mol_solver, "rk3_physical_step", counts.unit),
-               (mol_solver.MolOperator, "residual", counts.residual)]
+               (mol_solver.MolOperator, "residual", counts.residual),
+               (st_solver, "slab_geometry", counts.geometry),
+               (mol_solver, "spatial_geometry", counts.geometry)]
+    patches = [p for p in patches if hasattr(p[0], p[1])]
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     try:
         for owner, name, wrap in patches:
@@ -95,6 +112,8 @@ def measure(case):
         "us_per_dof_residual": (1e6 * counts.seconds / counts.calls / counts.dof
                                 if counts.calls else None),
         "solve_s": row.walltime_s,
+        "geometry_calls": counts.geometry_calls,
+        "geometry_s": counts.geometry_s,
         "error_final": _finite(row.error_final),
         "error_slab": _finite(row.error_slab),
     }

@@ -11,7 +11,6 @@ fields measured here.
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +62,15 @@ def l2_error_slab(fld: StateField, geom: SlabGeometry, sol: ExactSolution,
     return math.sqrt(num / vol)
 
 
+def _order(e_prev, e, s_prev, s):
+    """log(e_prev/e) / log(s_prev/s); NaN if either error is <= 0 or the
+    two resolutions are equal."""
+    if not (e_prev > 0 and e > 0):
+        return math.nan
+    ratio = math.log(s_prev / s)
+    return math.log(e_prev / e) / ratio if ratio != 0 else math.nan
+
+
 def observed_orders(errors, sizes):
     """order_i = log(E_{i-1}/E_i) / log(s_{i-1}/s_i); NaN where undefined.
 
@@ -76,9 +84,7 @@ def observed_orders(errors, sizes):
         raise ValueError("sizes must be strictly monotone")
     out = np.full(errors.size, np.nan)
     for i in range(1, errors.size):
-        if errors[i - 1] > 0 and errors[i] > 0:
-            out[i] = math.log(errors[i - 1] / errors[i]) / math.log(
-                sizes[i - 1] / sizes[i])
+        out[i] = _order(errors[i - 1], errors[i], sizes[i - 1], sizes[i])
     return out
 
 
@@ -132,14 +138,10 @@ class ConvergenceReport:
                         evals_per_slab=float(evals_per_slab))
         if self.rows:
             prev = self.rows[-1]
-            ratio = math.log(prev.resolution / row.resolution)
-            if ratio != 0:
-                if prev.error_final > 0 and row.error_final > 0:
-                    row.order_final = math.log(
-                        prev.error_final / row.error_final) / ratio
-                if prev.error_slab > 0 and row.error_slab > 0:
-                    row.order_slab = math.log(
-                        prev.error_slab / row.error_slab) / ratio
+            row.order_final = _order(prev.error_final, row.error_final,
+                                     prev.resolution, row.resolution)
+            row.order_slab = _order(prev.error_slab, row.error_slab,
+                                    prev.resolution, row.resolution)
         self.rows.append(row)
         return row
 
@@ -184,15 +186,3 @@ def write_spectral_data(path: str, degrees, errors) -> None:
     with open(path, "w") as fh:
         for m, e in zip(degrees, errors):
             fh.write(f"{m:.4f} {math.log10(e):.8f}\n")
-
-
-class Stopwatch:
-    """Wall-time measurement for report rows."""
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.t0
-        return False

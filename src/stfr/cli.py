@@ -16,6 +16,7 @@ import inspect
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from importlib import resources
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from stfr import analysis, mesh as meshmod, motion as motionmod, physics, stfv
-from stfr.analysis import ConvergenceReport, Stopwatch
+from stfr.analysis import ConvergenceReport
 from stfr.geometry import GeometryDegeneracyError
 from stfr.mol_solver import march_mol, mol_stable_dt
 from stfr.motion import motion_path
@@ -277,26 +278,26 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
             resolution = cfg.dt
     dump = None
     evals = math.nan
-    with Stopwatch() as sw:
-        if cfg.solver == "spacetime":
-            res = march(mesh, presc, eq, sol, cfg.k_s, cfg.k_t, cfg.dt,
-                        n_steps, controls=controls)
-            e_fin = analysis.l2_error_final(res.field, res.geom, mesh,
-                                            res.coords_final, sol, cfg.t_final)
-            e_slab = analysis.l2_error_slab(res.field, res.geom, sol)
-            evals = float(np.mean([st.iterations for st in res.stats]))
-            dump = {"values": res.field.values, "coords": res.coords_final}
-        elif cfg.solver == "mol":
-            res = march_mol(mesh, presc, eq, sol, cfg.k_s, cfg.dt, n_steps)
-            e_fin = analysis.l2_error_nodal(res.field.values, cfg.k_s, mesh,
-                                            res.coords_final, sol, cfg.t_final)
-            e_slab = math.nan
-            dump = {"values": res.field.values, "coords": res.coords_final}
-        else:
-            e_fin, e_slab, ubar = _stfv_run(cfg, eq, sol, mesh)
-            dump = {"values": ubar}
-    row = report.add(resolution, e_fin, e_slab, walltime_s=sw.seconds,
-                     evals_per_slab=evals)
+    t0 = time.perf_counter()
+    if cfg.solver == "spacetime":
+        res = march(mesh, presc, eq, sol, cfg.k_s, cfg.k_t, cfg.dt,
+                    n_steps, controls=controls)
+        e_fin = analysis.l2_error_final(res.field, res.geom, mesh,
+                                        res.coords_final, sol, cfg.t_final)
+        e_slab = analysis.l2_error_slab(res.field, res.geom, sol)
+        evals = float(np.mean([st.iterations for st in res.stats]))
+        dump = {"values": res.field.values, "coords": res.coords_final}
+    elif cfg.solver == "mol":
+        res = march_mol(mesh, presc, eq, sol, cfg.k_s, cfg.dt, n_steps)
+        e_fin = analysis.l2_error_nodal(res.field.values, cfg.k_s, mesh,
+                                        res.coords_final, sol, cfg.t_final)
+        e_slab = math.nan
+        dump = {"values": res.field.values, "coords": res.coords_final}
+    else:
+        e_fin, e_slab, ubar = _stfv_run(cfg, eq, sol, mesh)
+        dump = {"values": ubar}
+    row = report.add(resolution, e_fin, e_slab,
+                     walltime_s=time.perf_counter() - t0, evals_per_slab=evals)
     if cfg.output_dir:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -334,10 +335,7 @@ def sweep(cfg: CaseConfig, axis: str, levels: int) -> ConvergenceReport:
                                cfg.t_final)
             run_case(c, report=report, resolution=h)
     if cfg.output_dir:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.to_csv(out / f"{cfg.name}_{axis}.csv")
-        report.to_plot_data(out / f"{cfg.name}_{axis}.dat")
+        emit_reports(report, cfg.output_dir, f"{cfg.name}_{axis}")
     return report
 
 

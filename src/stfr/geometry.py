@@ -32,7 +32,8 @@ time offsets s.  At every level t_tau = 1 and x_tau = V_g, so the metric
 rows are exactly the ALE vectors (M, -V_g . M) at the positions
 x_n + s V_g, |J| = Js, and the face times are t_n + s: the mesh-relative
 metrics of a MOL stage are the space-time metric rows at its level, with
-no division by t_tau.
+no division by t_tau.  `SlabGeometry` has no volume coordinates; no solver
+reads them (`eval_st_mapping` at `st_points` gives them).
 """
 
 from dataclasses import dataclass
@@ -183,7 +184,6 @@ class SlabGeometry:
     js: np.ndarray              # (nE, nT, nS)
     m_xi: np.ndarray            # (nE, nT, nS, dim+1)
     m_eta: np.ndarray | None    # 2D only
-    coords: np.ndarray          # (nE, nT, nS, dim+1)
     face_m: np.ndarray          # (nE, n_edges, nT, nFs, dim+1), outward
     face_coords: np.ndarray     # (nE, n_edges, nT, nFs, dim+1)
     js_bot: np.ndarray          # (nE, nS) spatial jacobian at tau = -1
@@ -236,7 +236,6 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
         jac=jac, js=js,
         m_xi=volume(v["m_xi"]),
         m_eta=volume(v["m_eta"]) if dim == 2 else None,
-        coords=volume(v["coords"]),
         face_m=face_m, face_coords=face_coords, js_bot=js_bot,
     )
 

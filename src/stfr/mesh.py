@@ -15,7 +15,7 @@ Interior/periodic faces carry a `flip` flag: True when the two elements
 traverse the shared edge in opposite tangential order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class Mesh:
     elems: np.ndarray            # (n_elems, 2) or (n_elems, 4), CCW
     faces: FaceList
     dirichlet: np.ndarray        # (n_bf, 2): (elem, edge)
-    spec: dict = field(default_factory=dict)   # builder recipe, for refinement
 
     @property
     def n_elems(self) -> int:
@@ -68,12 +67,6 @@ class Mesh:
         """Corner coordinates per element, (n_elems, n_corners, dim)."""
         c = self.nodes if coords is None else coords
         return c[self.elems]
-
-    def refined(self) -> "Mesh":
-        """One uniform refinement level (element count x4 in 2D, x2 in 1D)."""
-        s = refined_spec(self.spec)
-        build = {"interval": interval_mesh, "rect": rect_mesh, "disk": disk_mesh}
-        return build[s.pop("type")](**s)
 
 
 def refined_spec(spec: dict, levels: int = 1) -> dict:
@@ -165,11 +158,7 @@ def interval_mesh(n: int, xmin: float = 0.0, xmax: float = 1.0,
     periodic_pairs = [(n - 1, 1, 0, 0, False)] if periodic else []
     # unpaired ends are both dirichlet
     faces, diri = _build_faces(1, elems, periodic_pairs, None)
-    return Mesh(
-        dim=1, nodes=nodes, elems=elems, faces=faces, dirichlet=diri,
-        spec={"type": "interval", "n": n, "xmin": xmin, "xmax": xmax,
-              "periodic": periodic},
-    )
+    return Mesh(dim=1, nodes=nodes, elems=elems, faces=faces, dirichlet=diri)
 
 
 def rect_mesh(nx: int, ny: int, xmin: float = 0.0, xmax: float = 1.0,
@@ -201,11 +190,7 @@ def rect_mesh(nx: int, ny: int, xmin: float = 0.0, xmax: float = 1.0,
         periodic_pairs[ny:, 2] = south
     # unpaired edges lie on the rectangle's sides, all dirichlet
     faces, diri = _build_faces(2, elems, periodic_pairs, None)
-    return Mesh(
-        dim=2, nodes=nodes, elems=elems, faces=faces, dirichlet=diri,
-        spec={"type": "rect", "nx": nx, "ny": ny, "xmin": xmin, "xmax": xmax,
-              "ymin": ymin, "ymax": ymax, "periodic": periodic},
-    )
+    return Mesh(dim=2, nodes=nodes, elems=elems, faces=faces, dirichlet=diri)
 
 
 def _ccw_fix(nodes, elems):
@@ -280,11 +265,7 @@ def disk_mesh(level: int = 0, radius: float = 0.5) -> Mesh:
 
     # all untagged boundary edges of this generator lie on the circle
     faces, diri = _build_faces(2, elems, [], dirichlet_keys=None)
-    mesh = Mesh(
-        dim=2, nodes=nodes, elems=elems, faces=faces, dirichlet=diri,
-        spec={"type": "disk", "level": level, "radius": radius},
-    )
-    return mesh
+    return Mesh(dim=2, nodes=nodes, elems=elems, faces=faces, dirichlet=diri)
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:
@@ -419,5 +400,4 @@ def read_mesh(path: str) -> Mesh:
         periodic_pairs.append((ea, ga, eb, gb, fp))
 
     faces, diri = _build_faces(dim, elems, periodic_pairs, diri_keys or None)
-    return Mesh(dim=dim, nodes=nodes, elems=elems, faces=faces, dirichlet=diri,
-                spec={"type": "file", "path": path})
+    return Mesh(dim=dim, nodes=nodes, elems=elems, faces=faces, dirichlet=diri)

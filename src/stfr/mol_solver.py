@@ -7,19 +7,17 @@ plus mesh-relative face fluxes F_n = F . n - (V_g . n) u.  The grid velocity
 is frozen per physical step, V_g = (x^{n+1} - x^n) / dt, and nodes move
 linearly within the step.
 
-All stages of a step share V_g, so one call of `geometry.spatial_geometry`,
-one evaluation of the mapping, builds the geometry of the whole step: the
-space-time mapping of the slab of length dt = 2 from the step-start
-positions x_n to x_n + 2 V_g, at the levels tau = s - 1 for the stage time
-offsets s = (0, dt, dt/2).  At every level t_tau = 1 and x_tau = V_g, so
-the metric rows and face vectors are the ALE vectors (M, -V_g . M) at the
-stage positions x_n + s V_g and |J| = Js; no separate MOL geometry exists.
+All stages of a step share V_g, so `rk3_physical_step` builds the geometry
+of the whole step with one `geometry.spatial_geometry` call: the space-time
+mapping of the slab of length dt = 2 from the step-start positions x_n to
+x_n + 2 V_g, at the levels tau = s - 1 for the stage time offsets
+s = (0, dt, dt/2).  At every level t_tau = 1 and x_tau = V_g, so the metric
+rows and face vectors are the ALE vectors (M, -V_g . M) at the stage
+positions x_n + s V_g and |J| = Js; no separate MOL geometry exists.
 
-The operator is the nT = 1 case of the space-time FR kernels in
-`st_solver`: the chain-rule divergence, face jumps (traces, Riemann flux,
-Dirichlet states) and lift are the same code the slab operator runs,
-without the temporal-direction terms.  Each stage runs them on its own
-level's contiguous (nE, 1, ...) copies of the metric data.
+`MolOperator` binds that geometry.  Its tables are the slab operator's
+`LevelPlan`, one contiguous (nE, 1, ...) copy per stage level, run through
+the same FR kernels without the temporal-direction terms.
 """
 
 from dataclasses import dataclass
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stfr.basis import make_basis
-from stfr.geometry import GeometryDegeneracyError, spatial_geometry
+from stfr.geometry import GeometryDegeneracyError, SlabGeometry, spatial_geometry
 from stfr.mesh import Mesh
 from stfr.motion import MotionPrescription, motion_path
 from stfr.physics import (
@@ -38,8 +36,7 @@ from stfr.physics import (
     NonPhysicalStateError,
 )
 from stfr.st_solver import (
-    FacePlan,
-    _divergence_weights,
+    LevelPlan,
     _face_jumps,
     _lift,
     _spatial_divergence,
@@ -67,45 +64,33 @@ def grid_velocity_step(coords_n: np.ndarray, coords_n1: np.ndarray,
 
 
 class MolOperator:
-    """Residuals du/dt of the mesh that moves from `coords` at time t with
-    one frozen grid velocity, at the stage time offsets `offsets` (one
-    temporal level each)."""
+    """Residuals du/dt of the stages of one step, one temporal level each,
+    from the `LevelPlan` of the geometry it is bound to."""
 
-    def __init__(self, mesh: Mesh, coords: np.ndarray, vel_nodes: np.ndarray,
-                 eq: EquationSet, t: float = 0.0,
-                 bc: ExactSolution | None = None, offsets: tuple = (0.0,)):
+    def __init__(self, mesh: Mesh, eq: EquationSet,
+                 bc: ExactSolution | None = None):
         self.mesh = mesh
         self.eq = eq
-        self.dim = mesh.dim
-        self.t = t
-        self.bs = None  # set by bind_degree
-        self.coords = coords
-        self.vel_nodes = vel_nodes
         self.bc = bc
-        self.offsets = offsets
+        self.dim = mesh.dim
+        self.bs = None  # set by bind_degree
 
-    def bind_degree(self, ks: int):
-        """Build the metric rows and face vectors for degree ks with one
-        geometry call at all levels, then keep per level contiguous
-        (nE, 1, ...) divergence weights, a FacePlan and js."""
-        self.bs = make_basis(ks)
-        g = spatial_geometry(self.mesh, self.coords, self.vel_nodes, self.bs,
-                             self.t, self.offsets)
-        weights = _divergence_weights(self.eq, g)
-        levels = [slice(j, j + 1) for j in range(len(self.offsets))]
-        self.weights = [[np.ascontiguousarray(w[:, j]) for w in weights]
-                        for j in levels]
-        self.plans = [FacePlan(self.mesh, g.face_m[:, :, j],
-                               g.face_coords[:, :, j], self.bc) for j in levels]
-        self.js = [np.ascontiguousarray(g.js[:, j]) for j in levels]
+    def bind_degree(self, geom: SlabGeometry):
+        """Bind the stage geometry of one `spatial_geometry` call: build one
+        LevelPlan over all its levels and keep each level's contiguous
+        (nE, 1, ...) copy."""
+        self.bs = make_basis(geom.ks)
+        plan = LevelPlan(self.mesh, geom, self.eq, self.bc)
+        self.levels = [plan.level(j) for j in range(geom.js.shape[1])]
         return self
 
     def _interior(self, u, level):
         """js * (div F - V_g . grad u) at solution points."""
-        return _spatial_divergence(self.eq, u, self.bs.diff, self.weights[level])
+        return _spatial_divergence(self.eq, u, self.bs.diff,
+                                   self.levels[level].weights)
 
     def _side_deltas(self, u, level):
-        return _face_jumps(self.eq, u, self.bs, self.dim, self.plans[level])
+        return _face_jumps(self.eq, u, self.bs, self.dim, self.levels[level])
 
     def _lift(self, delta):
         return _lift(delta, self.bs.degree, self.dim)
@@ -113,19 +98,19 @@ class MolOperator:
     def residual(self, u, level: int = 0):
         """du/dt = -(div F - V_g . grad u + correction field) for nodal u
         (nE, nS, nV) at temporal level `level`, run through the kernels as
-        (nE, 1, nS, nV)."""
+        (nE, 1, nS, nV); |J| = Js at every level."""
         u = u[:, None]
         total = self._interior(u, level)
         total += self._lift(self._side_deltas(u, level))
-        return -total[:, 0] / self.js[level][:, 0, :, None]
+        return -total[:, 0] / self.levels[level].jac[:, 0, :, None]
 
 
 def mol_residual(field: MolField, mesh: Mesh, vel_nodes: np.ndarray,
                  eq: EquationSet, bc: ExactSolution | None = None) -> np.ndarray:
     """Semi-discrete du/dt at the solution points (spec surface)."""
-    op = MolOperator(mesh, field.coords, vel_nodes, eq, t=field.t, bc=bc)
-    op.bind_degree(field.ks)
-    return op.residual(field.values)
+    geom = spatial_geometry(mesh, field.coords, vel_nodes,
+                            make_basis(field.ks), field.t)
+    return MolOperator(mesh, eq, bc).bind_degree(geom).residual(field.values)
 
 
 def rk3_physical_step(field: MolField, mesh: Mesh, coords_n1: np.ndarray,
@@ -136,17 +121,15 @@ def rk3_physical_step(field: MolField, mesh: Mesh, coords_n1: np.ndarray,
     The grid velocity is frozen from the step's endpoint positions; stage
     residuals see the node positions x_n + s V_g and the analytic boundary
     states at the stage times field.t + s, s = (0, dt, dt/2), all from one
-    operator built at those three levels.
+    geometry built at those three levels.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     vel = grid_velocity_step(field.coords, coords_n1, dt)
-    offsets = tuple(c * dt for c in STAGE_OFFSETS)
-    op = MolOperator(mesh, field.coords, vel, eq, t=field.t, bc=bc,
-                     offsets=offsets).bind_degree(field.ks)
-    stages = iter(range(len(offsets)))  # ssp_rk3_step runs them in order
-    u1 = ssp_rk3_step(field.values, lambda u, t: op.residual(u, next(stages)),
-                      dt, t=field.t)
+    geom = spatial_geometry(mesh, field.coords, vel, make_basis(field.ks),
+                            field.t, tuple(c * dt for c in STAGE_OFFSETS))
+    op = MolOperator(mesh, eq, bc).bind_degree(geom)
+    u1 = ssp_rk3_step(field.values, op.residual, dt)
     return MolField(values=u1, ks=field.ks, t=field.t + dt, coords=coords_n1)
 
 

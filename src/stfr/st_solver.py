@@ -22,14 +22,16 @@ exactly), which is what preserves uniform flow on deforming grids at every
 order.  Temporal faces are upwinded causally: the bottom face takes the
 inflow (previous slab or initial condition), the top face is left local.
 
-The FR kernels work on nodal arrays (nE, nT, nS, nV) and are shared with the
-method-of-lines operator as their nT = 1 case: `FacePlan` (face pairs, face
-vectors, frozen Dirichlet states), `_spatial_divergence` (chain-rule
-sum_dir M_dir . d_dir F_st), `_face_jumps` (traces, flipped faces, Riemann
-and Dirichlet fluxes) and `_lift` (one matmul with `_edge_tables`).
-`SlabOperator` adds only the d_tau term and the causal temporal correction.
+`LevelPlan` is the spatial operator both solvers share, its tables at every
+temporal level of a geometry; the FR kernels on nodal arrays (nE, nT, nS,
+nV) are `_spatial_divergence` (chain-rule sum_dir M_dir . d_dir F_st),
+`_face_jumps` (traces, flipped faces, Riemann and Dirichlet fluxes) and
+`_lift` (one matmul with `_edge_tables`).  `SlabOperator` adds only the
+d_tau term and the causal temporal correction: the slab is FR in time over
+the method-of-lines operator at the Gauss levels.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -180,31 +182,42 @@ def _transformed_common_flux(eq, QL, QR, M):
 # -- FR kernels shared by the space-time and method-of-lines operators ------
 
 
-class FacePlan:
-    """Gather indices of the face pairs and frozen Dirichlet states.
+class LevelPlan:
+    """Spatial-operator tables of a geometry at every temporal level (axis 1).
 
-    Built from per-edge outward face vectors and space-time flux-point
-    coordinates, each (nE, n_edges, nT, nFs, dim+1).  M and d_M are the
-    vectors of each face's left element and of each Dirichlet face; d_ext
-    holds the analytic states at the Dirichlet flux points.
+    M and d_M are the outward vectors of each face's left element and of
+    each Dirichlet face, d_ext the analytic states at the Dirichlet flux
+    points, weights the chain-rule divergence weights and jac the |J| that
+    divides the residual.
     """
 
-    def __init__(self, mesh: Mesh, face_m, face_coords,
+    def __init__(self, mesh: Mesh, geom: SlabGeometry, eq: EquationSet,
                  bc: ExactSolution | None):
         f = mesh.faces
         self.eL, self.edgeL, self.eR, self.edgeR = \
             f.elem_l, f.edge_l, f.elem_r, f.edge_r
         self.flipped = np.flatnonzero(f.flip)  # right side runs reversed
-        self.M = face_m[f.elem_l, f.edge_l]
+        self.M = geom.face_m[f.elem_l, f.edge_l]
         self.d_e, self.d_edge = np.asarray(mesh.dirichlet, int).reshape(-1, 2).T
-        self.d_M = face_m[self.d_e, self.d_edge]
+        self.d_M = geom.face_m[self.d_e, self.d_edge]
         self.d_ext = None
         if len(self.d_e):
             if bc is None:
                 raise ValueError("mesh has dirichlet faces but no analytic bc")
-            fc = face_coords[self.d_e, self.d_edge]
+            fc = geom.face_coords[self.d_e, self.d_edge]
             self.d_ext = exact_state(bc, *np.moveaxis(fc[..., :-1], -1, 0),
                                      t=fc[..., -1])
+        self.weights = _divergence_weights(eq, geom)
+        self.jac = geom.jac
+
+    def level(self, j: int) -> "LevelPlan":
+        """Level j alone, each table copied out contiguous."""
+        out = copy.copy(self)
+        for name in ("M", "d_M", "d_ext", "jac"):
+            a = getattr(self, name)
+            setattr(out, name, None if a is None else a[:, j:j + 1].copy())
+        out.weights = [w[:, j:j + 1].copy() for w in self.weights]
+        return out
 
 
 def _reference_derivatives(D, a, dim):
@@ -257,7 +270,7 @@ def _spatial_divergence(eq, u, D, weights):
     return out
 
 
-def _face_jumps(eq, u, basis_s, dim, plan: FacePlan):
+def _face_jumps(eq, u, basis_s, dim, plan: LevelPlan):
     """Outward flux jumps (common minus local) on every element edge,
     (nE, n_edges, nT, nFs, nV)."""
     tr = _traces_all_edges(u, basis_s, dim)
@@ -507,9 +520,9 @@ class KroneckerPreconditioner:
 class SlabOperator:
     """Precomputed residual operator for one slab.
 
-    Holds geometry tables, the face plan, and frozen analytic boundary
-    states, so a residual evaluation reduces to the shared FR kernels plus
-    the temporal-direction terms.
+    Holds the slab's `LevelPlan` at its Gauss levels, so a residual
+    evaluation reduces to the shared FR kernels plus the temporal-direction
+    terms.
     """
 
     def __init__(self, mesh: Mesh, geom: SlabGeometry, eq: EquationSet,
@@ -520,12 +533,11 @@ class SlabOperator:
         self.dim = mesh.dim
         self.bs = make_basis(geom.ks)
         self.bt = make_basis(geom.kt)
-        self.plan = FacePlan(mesh, geom.face_m, geom.face_coords, bc)
-        self.weights = _divergence_weights(eq, geom)
+        self.plan = LevelPlan(mesh, geom, eq, bc)
 
     def _interior(self, u):
         """|J| * div_st(F) at solution points, chain-rule form."""
-        out = _spatial_divergence(self.eq, u, self.bs.diff, self.weights)
+        out = _spatial_divergence(self.eq, u, self.bs.diff, self.plan.weights)
         du_tau = np.matmul(self.bt.diff, u.reshape(*u.shape[:2], -1))
         out += self.geom.js[..., None] * du_tau.reshape(u.shape)
         return out
@@ -549,7 +561,7 @@ class SlabOperator:
         total = self._interior(u)
         total += self._lift(self._side_deltas(u))
         total += self._temporal_correction(u)
-        return -total / self.geom.jac[..., None]
+        return -total / self.plan.jac[..., None]
 
     # -- slab solve --------------------------------------------------------
 
@@ -560,11 +572,11 @@ class SlabOperator:
         has v = (u, v, 1) . M_dir and s = a |M_xy|."""
         eq = self.eq
         if isinstance(eq, (Advection1D, Advection2D)):  # s = 0, one per element
-            return [(w, np.zeros_like(w[:, :1, :1])) for w in self.weights]
+            return [(w, np.zeros_like(w[:, :1, :1])) for w in self.plan.weights]
         rho, uu, vv, p = euler_primitives(eq, u)
         a = np.sqrt(eq.gamma * p / rho)
         return [(uu * M[..., 0] + vv * M[..., 1] + M[..., 2],
-                 a * np.hypot(M[..., 0], M[..., 1])) for M in self.weights]
+                 a * np.hypot(M[..., 0], M[..., 1])) for M in self.plan.weights]
 
     def march(self, u0, controls: PseudoControls):
         """Solve R(u) = 0 for the slab by Newton-Krylov iteration.

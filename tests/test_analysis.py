@@ -14,7 +14,7 @@ from stfr.analysis import (
     write_spectral_data,
 )
 from stfr.basis import make_basis
-from stfr.geometry import slab_geometry
+from stfr.geometry import eval_st_mapping, slab_geometry, st_points
 from stfr.mesh import interval_mesh, rect_mesh
 from stfr.motion import SineDeformation
 from stfr.physics import Advection1D, SineWave1D, SineWave2D, exact_state
@@ -22,7 +22,10 @@ from stfr.st_solver import StateField, march
 
 
 def _exact_field_1d(mesh, geom, ks, kt, sol):
-    vals = exact_state(sol, geom.coords[..., 0], t=geom.coords[..., 1])
+    x = eval_st_mapping(geom.corners_n, geom.corners_n1, geom.dt, geom.t_n,
+                        *st_points(make_basis(ks), make_basis(kt), 1))["coords"]
+    vals = exact_state(sol, x[..., 0], t=x[..., 1]).reshape(
+        geom.js.shape + (-1,))
     return StateField(vals, ks=ks, kt=kt)
 
 

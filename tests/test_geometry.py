@@ -251,7 +251,7 @@ def _check_build(g, mesh, Cn, Cn1, dt, t_n, bs, levels):
                           *_at_levels(spatial_points(bs.nodes, dim), levels))
     pairs = [(g.jac, vol["jac"].reshape(shape)),
              (g.js, vol["js"].reshape(shape))]
-    for row in ("m_xi", "coords") + (("m_eta",) if dim == 2 else ()):
+    for row in ("m_xi",) + (("m_eta",) if dim == 2 else ()):
         pairs.append((getattr(g, row), vol[row].reshape(shape + (dim + 1,))))
     for edge in range(2 * dim):
         f = eval_st_mapping(Cn, Cn1, dt, t_n, *_at_levels(
@@ -269,7 +269,7 @@ def _check_build(g, mesh, Cn, Cn1, dt, t_n, bs, levels):
         assert built.shape == ref.shape
         assert np.abs(built - ref).max() <= 1e-15
     arrays = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
-    assert len(arrays) == (10 if dim == 2 else 9)
+    assert len(arrays) == (9 if dim == 2 else 8)
     for name, a in arrays.items():
         assert a.flags.c_contiguous, name
         assert _owns_buffer(a), name

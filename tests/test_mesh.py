@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stfr import mesh as mesh_module
+from stfr.cli import MESHES
 from stfr.mesh import (
     FaceList,
     MeshFormatError,
@@ -9,6 +10,7 @@ from stfr.mesh import (
     interval_mesh,
     read_mesh,
     rect_mesh,
+    refined_spec,
     write_mesh,
     _edge_pair,
 )
@@ -73,9 +75,11 @@ def test_disk_ccw_and_valid():
 
 
 def test_refinement():
-    assert interval_mesh(8).refined().n_elems == 16
-    assert rect_mesh(4, 4).refined().n_elems == 64
-    assert disk_mesh(0).refined().n_elems == 80
+    for spec, n_elems in [({"type": "interval", "n": 8}, 16),
+                          ({"type": "rect", "nx": 4, "ny": 4}, 64),
+                          ({"type": "disk", "level": 0}, 80)]:
+        s = refined_spec(spec)
+        assert MESHES[s.pop("type")](**s).n_elems == n_elems
 
 
 def test_mesh_file_roundtrip(tmp_path):

@@ -141,7 +141,7 @@ def test_rk3_step_frozen_residual():
     rng = np.random.default_rng(1)
     u = rng.standard_normal((5, 4))
     r = rng.standard_normal((5, 4))
-    out = ssp_rk3_step(u, lambda w, t: r, 0.2)
+    out = ssp_rk3_step(u, lambda w, k: r, 0.2)
     assert np.allclose(out, u + 0.2 * r, atol=1e-14)
 
 

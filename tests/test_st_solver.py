@@ -4,7 +4,12 @@ import pytest
 from stfr.analysis import l2_error_final, observed_orders
 from stfr.basis import gauss_legendre, interp_matrix, make_basis
 from stfr.cli import main
-from stfr.geometry import slab_geometry, spatial_quadrature_data
+from stfr.geometry import (
+    eval_st_mapping,
+    slab_geometry,
+    spatial_quadrature_data,
+    st_points,
+)
 from stfr.mesh import disk_mesh, interval_mesh, rect_mesh
 from stfr.motion import (
     CircleDeformation,
@@ -45,7 +50,7 @@ def test_ssp_rk3_frozen_residual_identity():
     rng = np.random.default_rng(0)
     u = rng.standard_normal((4, 3))
     r = rng.standard_normal((4, 3))
-    out = ssp_rk3_step(u, lambda w, t: r, 0.37)
+    out = ssp_rk3_step(u, lambda w, k: r, 0.37)
     assert np.allclose(out, u + 0.37 * r, atol=1e-15)
 
 
@@ -95,8 +100,10 @@ def test_p1_exact_linear_solution_residual(monkeypatch):
     m = interval_mesh(1, periodic=False)
     bs = bt = make_basis(1)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.1, bs, bt)
-    xs = geom.coords[..., 0]
-    ts = geom.coords[..., 1]
+    x = eval_st_mapping(geom.corners_n, geom.corners_n1, geom.dt, geom.t_n,
+                        *st_points(bs, bt, 1))["coords"]
+    xs = x[..., 0].reshape(geom.js.shape)
+    ts = x[..., 1].reshape(geom.js.shape)
     vals = (xs - ts)[..., None]
     bot_x = 0.5 * (1 + bs.nodes)  # element [0,1] spatial points
     inflow = bot_x[None, :, None]

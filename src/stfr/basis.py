@@ -164,7 +164,7 @@ def correction_derivatives(nodes, k: int):
     collocated scheme on Gauss-Legendre points equivalent to nodal DG.
 
     Args:
-        nodes: the k+1 solution points.
+        nodes: the k+1 solution points, symmetric about 0.
         k: polynomial degree; len(nodes) must equal k+1.
 
     Returns:
@@ -173,14 +173,14 @@ def correction_derivatives(nodes, k: int):
     nodes = _check_nodes(nodes)
     if nodes.size != k + 1:
         raise ValueError(f"expected {k + 1} nodes for degree {k}, got {nodes.size}")
+    if not np.array_equal(nodes, -nodes[::-1]):
+        raise ValueError("nodes must be symmetric about 0")
     _, dpk = legendre_and_deriv(k, nodes)
     _, dpk1 = legendre_and_deriv(k + 1, nodes)
     dgl = (-1.0) ** (k + 1) * 0.5 * (dpk1 - dpk)
-    # reflection g_R(tau) = g_L(-tau); nodes are symmetric so reuse in reverse
-    _, dpk_m = legendre_and_deriv(k, -nodes)
-    _, dpk1_m = legendre_and_deriv(k + 1, -nodes)
-    dgr = -((-1.0) ** (k + 1) * 0.5 * (dpk1_m - dpk_m))
-    return dgl, dgr
+    # reflection g_R(tau) = g_L(-tau), so g'_R(x) = -g'_L(-x); the nodes are
+    # symmetric, -x_i = x_{k-i}, so g'_L(-x) is g'_L at the nodes reversed
+    return dgl, -dgl[::-1]
 
 
 @dataclass(frozen=True)

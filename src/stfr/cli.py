@@ -320,7 +320,8 @@ def sweep(cfg: CaseConfig, axis: str, levels: int) -> ConvergenceReport:
         raise ConfigError("mesh: file meshes cannot be swept in space")
     report = ConvergenceReport(case={**cfg.to_dict(), "axis": axis})
     for lv in range(levels):
-        c = CaseConfig.from_dict(cfg.to_dict())
+        # the levels write nothing; the sweep's files are its report's
+        c = CaseConfig.from_dict({**cfg.to_dict(), "output_dir": None})
         if axis == "time":
             c.dt = cfg.dt / 2**lv
             run_case(c, report=report, resolution=c.dt)

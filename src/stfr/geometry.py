@@ -291,8 +291,7 @@ def _tensor(a, dim):
     return a if dim == 1 else np.kron(a, a)
 
 
-def gcl_residual(geom: SlabGeometry, basis_s: BasisSet | None = None,
-                 basis_t: BasisSet | None = None) -> np.ndarray:
+def gcl_residual(geom: SlabGeometry) -> np.ndarray:
     """Discrete GCL residual d(Js)/dtau + d(|J| xi_t)/dxi [+ d(|J| eta_t)/deta]
     at the solution points, (nE, nT, nS).
 
@@ -302,8 +301,7 @@ def gcl_residual(geom: SlabGeometry, basis_s: BasisSet | None = None,
     is interpolated back to the solution points.  For linear space-time
     elements this identity cancels to round-off.
     """
-    basis_s = basis_s or make_basis(geom.ks)
-    basis_t = basis_t or make_basis(geom.kt)
+    basis_s, basis_t = make_basis(geom.ks), make_basis(geom.kt)
     dim = geom.dim
     es = make_basis(max(basis_s.degree, 2))
     et = make_basis(max(basis_t.degree, 2))

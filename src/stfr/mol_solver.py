@@ -44,6 +44,9 @@ from stfr.st_solver import (
 )
 from stfr.timestepping import STAGE_OFFSETS, ssp_rk3_step
 
+# Fraction of the estimated stability limit that `mol_stable_dt` returns.
+CFL_SAFETY = 0.5
+
 
 @dataclass
 class MolField:
@@ -133,9 +136,9 @@ def rk3_physical_step(field: MolField, mesh: Mesh, coords_n1: np.ndarray,
     return MolField(values=u1, ks=field.ks, t=field.t + dt, coords=coords_n1)
 
 
-def mol_stable_dt(mesh: Mesh, coords: np.ndarray, eq: EquationSet, ks: int,
-                  safety: float = 0.5) -> float:
-    """Explicit-RK3 stable step estimate: safety * h_min / (s_max (k+1)^2).
+def mol_stable_dt(mesh: Mesh, coords: np.ndarray, eq: EquationSet,
+                  ks: int) -> float:
+    """Explicit-RK3 stable step estimate: CFL_SAFETY * h_min / (s_max (k+1)^2).
 
     s_max is a crude convective speed bound; the (k+1)^2 factor tracks the
     growth of the FR operator's spectral radius with degree.
@@ -153,7 +156,7 @@ def mol_stable_dt(mesh: Mesh, coords: np.ndarray, eq: EquationSet, ks: int,
         s = np.hypot(eq.c1, eq.c2)
     else:
         s = 3.0  # order-one velocities plus sound speed for the test states
-    return safety * h / (max(s, 1e-12) * (ks + 1) ** 2)
+    return CFL_SAFETY * h / (max(s, 1e-12) * (ks + 1) ** 2)
 
 
 @dataclass

@@ -5,13 +5,14 @@ divergence plus correction field), solve R(u) = 0 for the slab's nodal
 values by Newton-Krylov iteration, then interpolate the converged slab to
 its top face to feed the next slab.  The converged slab is the fixed point
 of the paper's dual time stepping; only the iteration that reaches it
-differs.  `gmres` is restarted GMRES (Saad & Schultz 1986); for advection R
-is affine and the solve is plain GMRES, for Euler it is Jacobian-free
-Newton-Krylov (Knoll & Keyes 2004) with finite-difference products.  Both
-are right-preconditioned by `KroneckerPreconditioner`: each element's
-space-time Jacobian block approximated by a Kronecker sum of 1D upwind
-operators and inverted by fast diagonalization, built once per slab from
-element means of the metric and, for Euler, of the slab's inflow state.
+differs.  `gmres` runs one GMRES cycle (Saad & Schultz 1986) per Newton
+step, and `SlabOperator.march` owns the restarts; for advection R is affine
+and the steps are the restart cycles of one GMRES solve, for Euler it is
+Jacobian-free Newton-Krylov (Knoll & Keyes 2004) with finite-difference
+products.  Both are right-preconditioned by `KroneckerPreconditioner`: each
+element's space-time Jacobian block approximated by a Kronecker sum of 1D
+upwind operators and inverted by fast diagonalization, built once per slab
+from element means of the metric and, for Euler, of the slab's inflow state.
 
 The interior divergence is evaluated in chain-rule form: reference-direction
 derivatives of the collocated physical flux components are contracted with
@@ -70,6 +71,11 @@ KRYLOV_RESTART = 8
 # solves its linear system to this fraction of the current residual.
 NEWTON_FORCING = 1e-3
 
+# Round-off floor of the RMS slab residual, in units of the state's RMS times
+# the operator's fastest rate (`SlabOperator.march`): it short-circuits the
+# relative drop for slabs whose initial guess is exact.
+ABS_FLOOR = 1e-14
+
 # Relative step of the finite-difference Jacobian products, sqrt(eps).
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
@@ -77,23 +83,18 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 class PseudoConvergenceError(RuntimeError):
     """A slab solve diverged or ran out of residual evaluations.
 
-    Carries the residual it reached and, once `advance_slab` has added
-    them, the slab index and start time; the message names all three.
+    Carries the residual it reached; the message names it, and
+    `advance_slab` prefixes the slab index and start time.
     """
 
-    def __init__(self, reason, achieved_drop, iterations, residual,
-                 slab_index=None, t=None):
+    def __init__(self, reason, achieved_drop, iterations, residual):
         super().__init__(reason)
         self.achieved_drop = achieved_drop
         self.iterations = iterations
         self.residual = residual
-        self.slab_index = slab_index
-        self.t = t
 
     def __str__(self):
-        where = ("" if self.slab_index is None
-                 else f"slab {self.slab_index} at t = {self.t:.6g}: ")
-        return (f"{where}{self.args[0]}: residual {self.residual:.3e} "
+        return (f"{self.args[0]}: residual {self.residual:.3e} "
                 f"(drop {self.achieved_drop:.2f} orders) after "
                 f"{self.iterations} residual evaluations")
 
@@ -102,14 +103,12 @@ class PseudoConvergenceError(RuntimeError):
 class PseudoControls:
     """Slab-solve controls.
 
-    drop_orders is the required reduction of the RMS slab residual; an
-    absolute RMS floor short-circuits the relative criterion for exact
-    initial guesses; max_iters caps the residual evaluations per slab.
+    drop_orders is the required reduction of the RMS slab residual;
+    max_iters caps the residual evaluations per slab.
     """
 
     drop_orders: float = 10.0
     max_iters: int = 100_000
-    abs_floor: float = 1e-14
 
     def __post_init__(self):
         if self.drop_orders < 1:
@@ -147,35 +146,40 @@ def _traces_all_edges(u, basis_s, dim):
     return tr.reshape(nE, nT, 2 * dim, -1, nV).transpose(0, 2, 1, 3, 4)
 
 
-def _advection_speed(eq, M):
-    """c . M_x + M_t: advection speed through an unnormalized space-time vector M."""
+def _weights(eq, M):
+    """What the flux kernels read of unnormalized space-time vectors M
+    (..., dim+1): for advection the speed c . M_x + M_t through them,
+    contracted once, for Euler M itself."""
     if isinstance(eq, Advection1D):
         return eq.c * M[..., 0] + M[..., 1]
-    return eq.c1 * M[..., 0] + eq.c2 * M[..., 1] + M[..., 2]
+    if isinstance(eq, Advection2D):
+        return eq.c1 * M[..., 0] + eq.c2 * M[..., 1] + M[..., 2]
+    return M
 
 
-def _transformed_normal_flux(eq, Q, M):
-    """M . F_st(Q) for an unnormalized outward space-time vector M."""
+def _transformed_normal_flux(eq, Q, w):
+    """M . F_st(Q) for an unnormalized outward space-time vector M, given
+    as its `_weights` w."""
     if isinstance(eq, (Advection1D, Advection2D)):
-        return _advection_speed(eq, M)[..., None] * Q
+        return w[..., None] * Q
     f, g = flux(eq, Q)
-    return M[..., 0:1] * f + M[..., 1:2] * g + M[..., 2:3] * Q
+    return w[..., 0:1] * f + w[..., 1:2] * g + w[..., 2:3] * Q
 
 
-def _transformed_common_flux(eq, QL, QR, M):
-    """Common flux scaled by the face's unnormalized space-time vector M.
+def _transformed_common_flux(eq, QL, QR, w):
+    """Common flux scaled by the face's unnormalized space-time vector M,
+    given as its `_weights` w.
 
     Equals ||M|| times the unit-normal common flux; advection avoids the
     normalization entirely (the upwind sign is scale invariant).
     """
     if isinstance(eq, (Advection1D, Advection2D)):
-        lam = _advection_speed(eq, M)
-        return (np.maximum(lam, 0.0)[..., None] * QL
-                + np.minimum(lam, 0.0)[..., None] * QR)
-    sig = np.hypot(M[..., 0], M[..., 1])
-    mx = M[..., 0] / sig
-    my = M[..., 1] / sig
-    vgn = -M[..., 2] / sig
+        return (np.maximum(w, 0.0)[..., None] * QL
+                + np.minimum(w, 0.0)[..., None] * QR)
+    sig = np.hypot(w[..., 0], w[..., 1])
+    mx = w[..., 0] / sig
+    my = w[..., 1] / sig
+    vgn = -w[..., 2] / sig
     return sig[..., None] * _roe_ale(eq, QL, QR, mx, my, vgn)
 
 
@@ -185,10 +189,11 @@ def _transformed_common_flux(eq, QL, QR, M):
 class LevelPlan:
     """Spatial-operator tables of a geometry at every temporal level (axis 1).
 
-    M and d_M are the outward vectors of each face's left element and of
-    each Dirichlet face, d_ext the analytic states at the Dirichlet flux
-    points, weights the chain-rule divergence weights and jac the |J| that
-    divides the residual.
+    M and d_M are the `_weights` of the outward vectors of each face's left
+    element and of each Dirichlet face, d_ext the analytic states at the
+    Dirichlet flux points, weights the `_weights` of the metric rows M_dir
+    (nE, nT, nS, dim+1) per reference direction, which the chain-rule
+    divergence contracts, and jac the |J| that divides the residual.
     """
 
     def __init__(self, mesh: Mesh, geom: SlabGeometry, eq: EquationSet,
@@ -197,9 +202,9 @@ class LevelPlan:
         self.eL, self.edgeL, self.eR, self.edgeR = \
             f.elem_l, f.edge_l, f.elem_r, f.edge_r
         self.flipped = np.flatnonzero(f.flip)  # right side runs reversed
-        self.M = geom.face_m[f.elem_l, f.edge_l]
+        self.M = _weights(eq, geom.face_m[f.elem_l, f.edge_l])
         self.d_e, self.d_edge = np.asarray(mesh.dirichlet, int).reshape(-1, 2).T
-        self.d_M = geom.face_m[self.d_e, self.d_edge]
+        self.d_M = _weights(eq, geom.face_m[self.d_e, self.d_edge])
         self.d_ext = None
         if len(self.d_e):
             if bc is None:
@@ -207,7 +212,8 @@ class LevelPlan:
             fc = geom.face_coords[self.d_e, self.d_edge]
             self.d_ext = exact_state(bc, *np.moveaxis(fc[..., :-1], -1, 0),
                                      t=fc[..., -1])
-        self.weights = _divergence_weights(eq, geom)
+        rows = [geom.m_xi] if geom.dim == 1 else [geom.m_xi, geom.m_eta]
+        self.weights = [_weights(eq, M) for M in rows]
         self.jac = geom.jac
 
     def level(self, j: int) -> "LevelPlan":
@@ -233,19 +239,6 @@ def _reference_derivatives(D, a, dim):
     if dim == 2:
         out.append(np.matmul(D, a.reshape(m, n1, n1 * rest)))         # eta
     return [d.reshape(a.shape) for d in out]
-
-
-def _divergence_weights(eq, geom: SlabGeometry):
-    """Per-direction weights of the chain-rule divergence.
-
-    The geometry holds the metric rows M_dir (nE, nT, nS, dim+1) per
-    reference direction.  Advection contracts them once into the pointwise
-    speed c . M_dir; Euler keeps the rows.
-    """
-    rows = [geom.m_xi] if geom.dim == 1 else [geom.m_xi, geom.m_eta]
-    if isinstance(eq, (Advection1D, Advection2D)):
-        return [_advection_speed(eq, M) for M in rows]
-    return rows
 
 
 def _spatial_divergence(eq, u, D, weights):
@@ -327,54 +320,42 @@ def _lift(delta, ks, dim):
     return np.matmul(lift, jumps).reshape(nE, nT, -1, nV)
 
 
-def gmres(matvec, b, tol, restart=KRYLOV_RESTART, max_matvecs=None):
-    """Restarted GMRES (Saad & Schultz 1986) for A x = b, from x = 0.
+def gmres(matvec, b, tol, m):
+    """One GMRES cycle (Saad & Schultz 1986) for A x = b, from x = 0.
 
-    matvec(v) returns A v for a flat vector v.  Each cycle builds at most
-    `restart` Arnoldi vectors (modified Gram-Schmidt) and keeps the
+    matvec(v) returns A v for a flat vector v.  The cycle builds at most m
+    Arnoldi vectors (modified Gram-Schmidt), one product each, and keeps the
     least-squares problem triangular with Givens rotations; it ends early
-    once the residual estimate |b - A x| is at or below tol.  Between cycles
-    the residual is recomputed as b - A x, at the cost of one product.  No
-    more than max_matvecs products are made in all.
+    once the residual estimate |b - A x| is at or below tol.  Restarts are
+    the caller's: `SlabOperator.march` runs one cycle per step.
     """
-    budget = np.inf if max_matvecs is None else max_matvecs
-    x = np.zeros_like(b, dtype=float)
-    r = np.asarray(b, dtype=float)
-    while True:
-        beta = np.linalg.norm(r)
-        m = int(min(restart, budget))
-        if beta <= tol or m < 1:
-            return x
-        V = np.empty((m + 1, r.size))
-        H = np.zeros((m + 1, m))
-        cs, sn = np.zeros(m), np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[0] = r / beta
-        k = 0
-        while k < m and abs(g[k]) > tol:
-            w = np.array(matvec(V[k]), dtype=float)
-            for j in range(k + 1):
-                H[j, k] = V[j] @ w
-                w -= H[j, k] * V[j]
-            H[k + 1, k] = np.linalg.norm(w)
-            if H[k + 1, k] > 0:
-                V[k + 1] = w / H[k + 1, k]
-            for j in range(k):  # earlier rotations on the new column
-                H[j, k], H[j + 1, k] = (cs[j] * H[j, k] + sn[j] * H[j + 1, k],
-                                        cs[j] * H[j + 1, k] - sn[j] * H[j, k])
-            rho = np.hypot(H[k, k], H[k + 1, k])
-            cs[k], sn[k] = H[k, k] / rho, H[k + 1, k] / rho
-            H[k, k], H[k + 1, k] = rho, 0.0
-            g[k + 1], g[k] = -sn[k] * g[k], cs[k] * g[k]
-            k += 1
-        y = np.linalg.solve(H[:k, :k], g[:k])
-        x += V[:k].T @ y
-        budget -= k
-        if abs(g[k]) <= tol or budget < 1:
-            return x
-        r = b - matvec(x)
-        budget -= 1
+    beta = np.linalg.norm(b)
+    if beta <= tol:
+        return np.zeros_like(b, dtype=float)
+    V = np.empty((m + 1, b.size))
+    H = np.zeros((m + 1, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    V[0] = b / beta
+    k = 0
+    while k < m and abs(g[k]) > tol:
+        w = np.array(matvec(V[k]), dtype=float)
+        for j in range(k + 1):
+            H[j, k] = V[j] @ w
+            w -= H[j, k] * V[j]
+        H[k + 1, k] = np.linalg.norm(w)
+        if H[k + 1, k] > 0:
+            V[k + 1] = w / H[k + 1, k]
+        for j in range(k):  # earlier rotations on the new column
+            H[j, k], H[j + 1, k] = (cs[j] * H[j, k] + sn[j] * H[j + 1, k],
+                                    cs[j] * H[j + 1, k] - sn[j] * H[j, k])
+        rho = np.hypot(H[k, k], H[k + 1, k])
+        cs[k], sn[k] = H[k, k] / rho, H[k + 1, k] / rho
+        H[k, k], H[k + 1, k] = rho, 0.0
+        g[k + 1], g[k] = -sn[k] * g[k], cs[k] * g[k]
+        k += 1
+    return V[:k].T @ np.linalg.solve(H[:k, :k], g[:k])
 
 
 @lru_cache(maxsize=None)
@@ -618,7 +599,7 @@ class SlabOperator:
         for v, s in speeds:
             rate = rate + np.abs(v) + s
         urms = float(np.sqrt(np.mean(u0 * u0)))
-        floor = controls.abs_floor * max(
+        floor = ABS_FLOOR * max(
             1.0, urms * float(np.max(rate / self.geom.jac)))
         target = max(r0 * 10.0 ** (-controls.drop_orders), floor)
         rnorm = r0
@@ -642,7 +623,7 @@ class SlabOperator:
                     _drop(r0, rnorm), evals, rnorm)
             tol = target if affine else max(NEWTON_FORCING * rnorm, target)
             du = precond(gmres(lambda v: jv(precond(v)), -r.ravel(),
-                               tol * scale, max_matvecs=budget))
+                               tol * scale, budget))
             u = u + du.reshape(u.shape)
             r = self.residual(u)
             evals += 1
@@ -692,11 +673,9 @@ def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
     try:
         geom = slab_geometry(mesh, coords_n, coords_n1, dt, basis_s, basis_t, t_n)
         u, stats = SlabOperator(mesh, geom, eq, inflow, bc).march(u0, controls)
-    except PseudoConvergenceError as exc:
-        exc.slab_index, exc.t = slab_index, t_n
-        raise
-    except (GeometryDegeneracyError, NonPhysicalStateError) as exc:
-        exc.args = (f"slab {slab_index} at t = {t_n:.6g}: {exc}",)
+    except (GeometryDegeneracyError, NonPhysicalStateError,
+            PseudoConvergenceError) as exc:
+        exc.args = (f"slab {slab_index} at t = {t_n:.6g}: {exc.args[0]}",)
         raise
     top = np.einsum("t,etsv->esv", basis_t.extrap_right, u)
     fld = StateField(values=u, ks=basis_s.degree, kt=basis_t.degree,

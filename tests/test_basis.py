@@ -8,6 +8,7 @@ from stfr.basis import (
     interp_matrix,
     lagrange_eval,
     lagrange_row,
+    legendre_and_deriv,
     make_basis,
     radau_right,
 )
@@ -113,8 +114,13 @@ def test_correction_k0():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_correction_reflection(k):
     b = make_basis(k)
-    # g'_R(tau_i) = -g'_L(-tau_i); nodes symmetric so reversed order
-    assert np.allclose(b.corr_deriv_right, -b.corr_deriv_left[::-1], atol=1e-13)
+    # g'_R(tau_i) = -g'_L(-tau_i), with g'_L evaluated at -tau_i directly
+    _, dpk = legendre_and_deriv(k, -b.nodes)
+    _, dpk1 = legendre_and_deriv(k + 1, -b.nodes)
+    dgl_reflected = (-1.0) ** (k + 1) * 0.5 * (dpk1 - dpk)
+    assert np.allclose(b.corr_deriv_right, -dgl_reflected, atol=1e-13)
+    with pytest.raises(ValueError, match="symmetric"):
+        correction_derivatives(b.nodes + 0.01, k)
 
 
 def test_radau_orthogonality_k1():

@@ -85,7 +85,9 @@ def test_space_sweep_orders(tmp_path):
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "resolution"
-    assert (tmp_path / f"{cfg.name}_space.dat").exists()
+    # the levels write nothing of their own
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        [f"{cfg.name}_space.csv", f"{cfg.name}_space.dat"]
 
 
 def test_overrides_dotted_paths():

@@ -14,26 +14,19 @@ from stfr.st_solver import (PseudoConvergenceError, SlabOperator, advance_slab,
                             gmres, initial_condition, march)
 
 
-@pytest.mark.parametrize("restart", [12, 4])
-def test_gmres_dense_nonsymmetric(restart):
+@pytest.mark.parametrize("m", [12])
+def test_gmres_dense_nonsymmetric(m):
     rng = np.random.default_rng(3)
     n = 12
     A = n * np.eye(n) + rng.standard_normal((n, n))
     assert np.abs(A - A.T).max() > 1.0
     b = rng.standard_normal(n)
-    products = []
-
-    def matvec(v):
-        products.append(1)
-        return A @ v
-
-    x = gmres(matvec, b, tol=1e-14 * np.linalg.norm(b), restart=restart)
+    x = gmres(lambda v: A @ v, b, tol=1e-14 * np.linalg.norm(b), m=m)
     assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-10
-    if restart < n:
-        assert len(products) > restart  # at least one restart happened
 
 
 def test_gmres_respects_product_budget():
+    """A cycle of m makes at most m products, however far it is from tol."""
     rng = np.random.default_rng(4)
     A = 8 * np.eye(8) + rng.standard_normal((8, 8))
     products = []
@@ -42,7 +35,7 @@ def test_gmres_respects_product_budget():
         products.append(1)
         return A @ v
 
-    gmres(matvec, rng.standard_normal(8), tol=0.0, restart=3, max_matvecs=5)
+    gmres(matvec, rng.standard_normal(8), tol=0.0, m=5)
     assert len(products) == 5
 
 

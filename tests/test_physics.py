@@ -13,7 +13,8 @@ from stfr.physics import (
     exact_state,
     flux,
 )
-from stfr.st_solver import _transformed_common_flux, _transformed_normal_flux
+from stfr.st_solver import (_transformed_common_flux, _transformed_normal_flux,
+                            _weights)
 
 GAMMA = 1.4
 
@@ -70,7 +71,8 @@ def test_st_normal_flux_moving_1d_face():
     c, u, dt, dx = 1.0, 0.7, 0.1, 0.02
     ell = np.hypot(dt, dx)
     n = np.array([-dt, dx]) / ell
-    val = _transformed_normal_flux(Advection1D(c), np.array([u]), n)[0]
+    eq = Advection1D(c)
+    val = _transformed_normal_flux(eq, np.array([u]), _weights(eq, n))[0]
     v_g = dx / dt
     assert val * ell == pytest.approx(-dt * (c * u - u * v_g), abs=1e-15)
 
@@ -78,10 +80,10 @@ def test_st_normal_flux_moving_1d_face():
 def test_upwind_basic():
     eq = Advection1D(c=1.0)
     out = _transformed_common_flux(eq, np.array([0.4]), np.array([-0.2]),
-                                   np.array([1.0, 0.0]))
+                                   _weights(eq, np.array([1.0, 0.0])))
     assert out[0] == pytest.approx(0.4)
     out = _transformed_common_flux(eq, np.array([0.4]), np.array([-0.2]),
-                                   np.array([-1.0, 0.0]))
+                                   _weights(eq, np.array([-1.0, 0.0])))
     assert out[0] == pytest.approx(0.2)  # upwind from the right, flux -(-0.2)
 
 
@@ -101,8 +103,8 @@ def test_flux_consistency_random(eq):
             Q = rng.standard_normal(1)
             n = rng.standard_normal(2)
             n /= np.linalg.norm(n)
-        com = _transformed_common_flux(eq, Q, Q, n)
-        loc = _transformed_normal_flux(eq, Q, n)
+        com = _transformed_common_flux(eq, Q, Q, _weights(eq, n))
+        loc = _transformed_normal_flux(eq, Q, _weights(eq, n))
         assert np.abs(com - loc).max() <= 1e-12
 
 
@@ -140,10 +142,11 @@ def test_upwind_monotone_bracketing():
         uL, uR = rng.standard_normal(2)
         n = rng.standard_normal(2)
         n /= np.linalg.norm(n)
+        w = _weights(eq, n)
         com = _transformed_common_flux(eq, np.array([uL]), np.array([uR]),
-                                       n)[0]
-        fl = _transformed_normal_flux(eq, np.array([uL]), n)[0]
-        fr = _transformed_normal_flux(eq, np.array([uR]), n)[0]
+                                       w)[0]
+        fl = _transformed_normal_flux(eq, np.array([uL]), w)[0]
+        fr = _transformed_normal_flux(eq, np.array([uR]), w)[0]
         assert min(fl, fr) - 1e-12 <= com <= max(fl, fr) + 1e-12
 
 

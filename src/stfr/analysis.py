@@ -30,7 +30,7 @@ def l2_error_nodal(values: np.ndarray, ks: int, mesh: Mesh,
     n_q = n_q or ks + 2
     w, js, xq, interp = spatial_quadrature_data(mesh, coords, ks, n_q)
     uq = np.einsum("qs,esv->eqv", interp, values)
-    ue = exact_state(sol, *np.moveaxis(xq, -1, 0), t=t)
+    ue = exact_state(sol, *xq, t=t)
     diff2 = (uq[..., 0] - ue[..., 0]) ** 2
     num = float(np.einsum("q,eq->", w, js * diff2))
     vol = float(np.einsum("q,eq->", w, js))

@@ -103,10 +103,13 @@ def validate(cfg: CaseConfig):
             errs.append(f"{section}.type: unknown {kind!r}")
             continue
         kinds[section] = kind
-        names, required = _accepted_keys(section, kind)
+        names, required, defaults = _accepted_keys(section, kind)
         what = f"for {section} type {kind!r}" if kind else f"in {section}"
         errs += [f"{section}.{k}: unknown key {what}" for k in sorted(d.keys() - names)]
         errs += [f"{section}.{k}: required {what}" for k in required if k not in d]
+        errs += [f"{section}.{k}: must be {want}, got {d[k]!r}"
+                 for k in sorted(d.keys() & defaults.keys())
+                 if (want := _misfit(d[k], defaults[k]))]
     eq_kind, ex_kind = kinds.get("equation"), kinds.get("exact")
     if eq_kind and ex_kind and not issubclass(EQUATIONS[eq_kind],
                                               physics.EXACT_KINDS[ex_kind]):
@@ -145,14 +148,37 @@ def validate(cfg: CaseConfig):
 
 @lru_cache(maxsize=None)
 def _accepted_keys(section: str, kind: str | None):
-    """(settable, required) keys of a config section of type `kind`: the
-    parameters of what it builds, less those its builder fills in.  Cached,
-    because inspecting a signature costs more than the rest of validate."""
+    """(settable, required, defaults) of a config section of type `kind`:
+    the parameters of what it builds, less those its builder fills in, and
+    the default of each optional one.  Cached, because inspecting a
+    signature costs more than the rest of validate."""
     target = PseudoControls if section == "pseudo" else TYPED[section][kind]
     params = inspect.signature(target).parameters
     names = [k for k in params if k not in FIXED.get(section, ())]
-    required = tuple(k for k in names if params[k].default is params[k].empty)
-    return frozenset(names + ["type"] * (section in TYPED)), required
+    defaults = {k: params[k].default for k in names
+                if params[k].default is not params[k].empty}
+    required = tuple(k for k in names if k not in defaults)
+    return frozenset(names + ["type"] * (section in TYPED)), required, defaults
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _misfit(value, default) -> str | None:
+    """What a value must be to stand for a parameter with this default (a
+    number for a float, an integer for an int, a list of numbers for a
+    tuple, a number or null for None), or None when it is that."""
+    if default is None:
+        return None if value is None or _is_number(value) else "a number or null"
+    if isinstance(default, int):
+        return None if _is_number(value) and isinstance(value, int) else "an integer"
+    if isinstance(default, float):
+        return None if _is_number(value) else "a number"
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+        return None if ok else "a list of numbers"
+    return None
 
 
 def _section_errors(section: str):

@@ -17,23 +17,18 @@ of products.  For the 2D spatial case:
     M_eta = (-y_xi  t_tau,  x_xi  t_tau, y_xi  x_tau - x_xi  y_tau)
     M_tau = (0, 0, Js),    Js = x_xi y_eta - x_eta y_xi,   |J| = t_tau Js
 
-One evaluator (`eval_st_mapping`, and `_evaluate` on cached point sets) and
-one builder of volume and face data on a given set of temporal levels serve
-both solvers.  Each build is one evaluation over one cached point set: the
-solution points, every edge's flux points and, when the levels do not start
-at tau = -1, the bottom trace; the volume arrays and the bottom trace are
-copied out contiguous, so no view keeps the batched result alive.
-`slab_geometry` runs the builder at the Gauss levels of the temporal
-basis.  `spatial_geometry` builds the method-of-lines geometry of
-a whole step with one builder call: all stages of a step share one grid
-velocity V_g, so they are the levels tau = s - 1 of the slab of length
-dt = 2 from the step-start positions x_n to x_n + 2 V_g, taken at the stage
-time offsets s.  At every level t_tau = 1 and x_tau = V_g, so the metric
-rows are exactly the ALE vectors (M, -V_g . M) at the positions
-x_n + s V_g, |J| = Js, and the face times are t_n + s: the mesh-relative
-metrics of a MOL stage are the space-time metric rows at its level, with
-no division by t_tau.  `SlabGeometry` has no volume coordinates; no solver
-reads them (`eval_st_mapping` at `st_points` gives them).
+One evaluator, `_evaluate`, returns only what its callers read: the
+positions, js and the metric rows (`eval_st_mapping` is its flat-point dict
+form).  A build is one evaluation over one cached point set: the solution
+points, every edge's flux points and, unless the levels start at tau = -1,
+the bottom trace.  `slab_geometry` builds at the Gauss levels of the
+temporal basis.  `spatial_geometry` builds the method-of-lines geometry of
+a whole step: all stages share one grid velocity V_g, so they are the
+levels tau = s - 1 of the slab of length dt = 2 from the step-start
+positions x_n to x_n + 2 V_g, at the stage time offsets s.  There t_tau = 1
+and x_tau = V_g, so the metric rows are exactly the ALE vectors
+(M, -V_g . M) at the positions x_n + s V_g, |J| = Js, and the face times
+are t_n + s, with no division by t_tau.
 """
 
 from dataclasses import dataclass
@@ -86,47 +81,49 @@ def _over_tau(points, levels):
             np.repeat(levels, xi.size))
 
 
-def _evaluate(shapes, b1, corners_n, disp, dt, t_n):
-    """Mapping and metrics at points with corner shape functions `shapes`
-    (N and its reference derivatives, each (nP, nc)) and blend weights
-    b1 = (1+tau)/2, (nP, 1), for corners_n and the corner displacement
-    disp = corners_n1 - corners_n, each (nE, nc, dim).  See eval_st_mapping.
-    """
+def _evaluate(shapes, b1, corners_n, disp, dt):
+    """Positions x (dim, nE, nP), js (nE, nP) and metric rows [M_xi(, M_eta)],
+    each (nE, nP, dim+1), at points with corner shape functions `shapes` (N
+    and its derivatives, each (nP, nc)) and blend weights b1 = (1+tau)/2
+    (nP,), for corners_n and disp = corners_n1 - corners_n (nE, nc, dim)."""
     N, *dN = shapes
-    dim = corners_n.shape[2]
+    nE, _, dim = corners_n.shape
+    cn, cd = _stacked(corners_n), _stacked(disp)
+
+    def blended(S):  # corners_n + b1 disp through the shape rows S
+        f = cd @ S.T
+        f *= b1
+        f += cn @ S.T
+        return f.reshape(dim, nE, -1)
+
     t_tau = dt / 2.0
-    d_tau = np.matmul(N, disp)
+    d_tau = (cd @ N.T).reshape(dim, nE, -1)
+    x = (cn @ N.T).reshape(dim, nE, -1)
+    x += b1 * d_tau
     d_tau *= 0.5
-    x = np.matmul(N, corners_n)
-    x += (2.0 * b1) * d_tau
-    grads = []
-    for dNk in dN:  # x_xi (and x_eta), blended in place
-        g = np.matmul(dNk, disp)
-        g *= b1
-        g += np.matmul(dNk, corners_n)
-        grads.append(g)
-    coords = np.empty(x.shape[:2] + (dim + 1,))
-    coords[..., :dim] = x
-    coords[..., dim] = t_n + b1[:, 0] * dt
+    grads = [blended(dNk) for dNk in dN]  # x_xi (and x_eta)
     if dim == 1:
-        js = grads[0][..., 0]
-        m_xi = np.empty_like(coords)
-        m_xi[..., 0] = t_tau
-        m_xi[..., 1] = -d_tau[..., 0]
-        return {"coords": coords, "jac": t_tau * js, "js": js, "m_xi": m_xi}
-    (x_xi, y_xi), (x_eta, y_eta) = (np.moveaxis(g, -1, 0) for g in grads)
-    x_tau, y_tau = np.moveaxis(d_tau, -1, 0)
+        js = grads[0][0]
+        return x, js, [np.stack([np.full_like(js, t_tau), -d_tau[0]], axis=-1)]
+    (x_xi, y_xi), (x_eta, y_eta) = grads
+    x_tau, y_tau = d_tau
     js = x_xi * y_eta - x_eta * y_xi
-    m_xi = np.empty_like(coords)
-    m_xi[..., 0] = y_eta * t_tau
-    m_xi[..., 1] = x_eta * -t_tau
-    m_xi[..., 2] = x_eta * y_tau - x_tau * y_eta
-    m_eta = np.empty_like(coords)
-    m_eta[..., 0] = y_xi * -t_tau
-    m_eta[..., 1] = x_xi * t_tau
-    m_eta[..., 2] = y_xi * x_tau - x_xi * y_tau
-    return {"coords": coords, "jac": t_tau * js, "js": js, "m_xi": m_xi,
-            "m_eta": m_eta}
+    m_xi = np.stack([y_eta * t_tau, x_eta * -t_tau,
+                     x_eta * y_tau - x_tau * y_eta], axis=-1)
+    m_eta = np.stack([y_xi * -t_tau, x_xi * t_tau,
+                      y_xi * x_tau - x_xi * y_tau], axis=-1)
+    return x, js, [m_xi, m_eta]
+
+
+def _stacked(corners):
+    """Corners (nE, nc, dim) as coordinate-major rows (dim nE, nc)."""
+    return corners.transpose(2, 0, 1).reshape(-1, corners.shape[1])
+
+
+def _coords(x, b1, dt, t_n):
+    """Space-time coordinates (nE, nP, dim+1) of positions x (dim, nE, nP)
+    at blend weights b1 (nP,) of the slab from t_n of length dt."""
+    return np.stack([*x, np.broadcast_to(t_n + b1 * dt, x.shape[1:])], axis=-1)
 
 
 def eval_st_mapping(corners_n, corners_n1, dt, t_n, xi, eta, tau):
@@ -143,9 +140,10 @@ def eval_st_mapping(corners_n, corners_n1, dt, t_n, xi, eta, tau):
         m_xi (and m_eta in 2D) of shape (nE, nP, dim+1).
     """
     shapes = corner_shapes(xi, eta)
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), (len(shapes[0]),))
-    return _evaluate(shapes, ((1 + tau) / 2)[:, None], corners_n,
-                     corners_n1 - corners_n, dt, t_n)
+    b1 = np.broadcast_to((1 + np.asarray(tau, dtype=float)) / 2, len(shapes[0]))
+    x, js, rows = _evaluate(shapes, b1, corners_n, corners_n1 - corners_n, dt)
+    return {"coords": _coords(x, b1, dt, t_n), "jac": (dt / 2.0) * js,
+            "js": js, **dict(zip(("m_xi", "m_eta"), rows))}
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +160,7 @@ def _point_sets(ks: int, dim: int, levels: tuple) -> tuple:
         parts.append(_over_tau(vol, np.array([-1.0])))
     xi, eta, tau = (None if p[0] is None else np.concatenate(p)
                     for p in zip(*parts))
-    arrays = corner_shapes(xi, eta) + (((1 + tau) / 2)[:, None],)
+    arrays = corner_shapes(xi, eta) + ((1 + tau) / 2,)
     for a in arrays:
         a.setflags(write=False)
     return arrays[:-1], arrays[-1]
@@ -193,24 +191,26 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
               basis_s: BasisSet, kt: int, levels: tuple) -> SlabGeometry:
     """Volume and face data of the slab from corners_n to corners_n + disp,
     at the temporal levels `levels`: one evaluation over the cached point
-    set of `_point_sets`, sliced into the volume arrays, the signed face
-    vectors and coordinates, and the bottom trace js_bot (the first level
-    when it is tau = -1), each copied contiguous.
+    set of `_point_sets`, sliced into the volume arrays (|J| = t_tau js),
+    the signed face vectors, space-time coordinates at the face points only,
+    and the bottom trace js_bot (the first level when it is tau = -1), each
+    copied contiguous.
 
     Raises:
         GeometryDegeneracyError: if |J| <= 1e-13 anywhere, naming the
             element and point.
     """
-    dim = mesh.dim
-    ks = basis_s.degree
+    dim, ks = mesh.dim, basis_s.degree
     nT, nS, nFs = len(levels), basis_s.n ** dim, 1 if dim == 1 else basis_s.n
     nV, nF = nT * nS, 2 * dim * nT * nFs
-    v = _evaluate(*_point_sets(ks, dim, levels), corners_n, disp, dt, t_n)
+    shapes, b1 = _point_sets(ks, dim, levels)
+    x, js_all, rows = _evaluate(shapes, b1, corners_n, disp, dt)
 
     def volume(a):  # a contiguous copy: no view keeps the batched result
         return a[:, :nV].copy().reshape((-1, nT, nS) + a.shape[2:])
 
-    jac = volume(v["jac"])
+    js = volume(js_all)
+    jac = (dt / 2.0) * js
     if not jac.min() > JAC_FLOOR:  # also catches nan
         e, it, s = np.argwhere(~(jac > JAC_FLOOR))[0]
         raise GeometryDegeneracyError(
@@ -221,21 +221,17 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
     face = slice(nV, nV + nF)
     fshape = (-1, 2 * dim, nT, nFs, dim + 1)
     sides = np.array([_side(e) for e in range(2 * dim)]).reshape(-1, 1, 1, 1)
-    face_m = v["m_xi"][:, face].reshape(fshape) * sides
+    face_m = rows[0][:, face].reshape(fshape) * sides
     if dim == 2:  # the S and N edges are eta faces
-        m_eta = v["m_eta"][:, face].reshape(fshape)
-        face_m[:, ::2] = m_eta[:, ::2] * sides[::2]
-    face_coords = v["coords"][:, face].copy().reshape(fshape)
-
-    js = volume(v["js"])
-    js_bot = (js[:, 0] if levels[0] == -1.0 else v["js"][:, nV + nF:]).copy()
+        face_m[:, ::2] = rows[1][:, face].reshape(fshape)[:, ::2] * sides[::2]
+    face_coords = _coords(x[:, :, face], b1[face], dt, t_n).reshape(fshape)
+    js_bot = (js[:, 0] if levels[0] == -1.0 else js_all[:, nV + nF:]).copy()
 
     return SlabGeometry(
         dim=dim, ks=ks, kt=kt, dt=dt, t_n=t_n,
         corners_n=corners_n, corners_n1=corners_n + disp,
-        jac=jac, js=js,
-        m_xi=volume(v["m_xi"]),
-        m_eta=volume(v["m_eta"]) if dim == 2 else None,
+        jac=jac, js=js, m_xi=volume(rows[0]),
+        m_eta=volume(rows[1]) if dim == 2 else None,
         face_m=face_m, face_coords=face_coords, js_bot=js_bot,
     )
 
@@ -360,17 +356,20 @@ def st_quadrature_data(geom: SlabGeometry, n_q: int):
             np.kron(It, _tensor(Is, geom.dim)))
 
 
-def spatial_mapping(mesh: Mesh, coords: np.ndarray, xi, eta):
-    """(js, coords) of the mesh at position `coords` at flat reference
-    points: the mapping of a resting slab at tau = -1."""
-    C = mesh.elem_corners(coords)
-    v = eval_st_mapping(C, C, 2.0, 0.0, xi, eta, -1.0)
-    return v["js"], v["coords"][..., :-1]
+def solution_positions(mesh: Mesh, coords: np.ndarray, ks: int) -> np.ndarray:
+    """Positions (dim, nE, nS) of the degree-ks solution points on the mesh
+    at `coords`, from the cached shape functions of a geometry build."""
+    N = _point_sets(ks, mesh.dim, (-1.0,))[0][0][:(ks + 1) ** mesh.dim]
+    return (_stacked(mesh.elem_corners(coords)) @ N.T).reshape(
+        mesh.dim, mesh.n_elems, -1)
 
 
 def spatial_quadrature_data(mesh: Mesh, coords: np.ndarray, ks: int, n_q: int):
-    """(weights, js, coords, interp) on an n_q-per-direction spatial grid."""
+    """(weights, js, x (dim, nE, nq), interp) on an n_q-per-direction
+    spatial grid: the mapping of a resting slab at tau = -1."""
     xq, wq = gauss_legendre(n_q)
     Is = interp_matrix(make_basis(ks).nodes, xq)
-    js, x = spatial_mapping(mesh, coords, *spatial_points(xq, mesh.dim))
+    C = mesh.elem_corners(coords)
+    x, js, _ = _evaluate(corner_shapes(*spatial_points(xq, mesh.dim)),
+                         np.zeros(len(xq) ** mesh.dim), C, np.zeros_like(C), 2.0)
     return _tensor(wq, mesh.dim), js, x, _tensor(Is, mesh.dim)

@@ -9,6 +9,7 @@ All operations are pure functions over trailing state axes: arrays of shape
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,23 +22,23 @@ class NonPhysicalStateError(RuntimeError):
 @dataclass(frozen=True)
 class Advection1D:
     c: float = 1.0
-    n_vars: int = 1
-    dim: int = 1
+    n_vars: ClassVar[int] = 1
+    dim: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
 class Advection2D:
     c1: float = 0.5
     c2: float = 0.5
-    n_vars: int = 1
-    dim: int = 2
+    n_vars: ClassVar[int] = 1
+    dim: ClassVar[int] = 2
 
 
 @dataclass(frozen=True)
 class Euler2D:
     gamma: float = 1.4
-    n_vars: int = 4
-    dim: int = 2
+    n_vars: ClassVar[int] = 4
+    dim: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.gamma <= 1:
@@ -174,6 +175,12 @@ class IsentropicVortex:
     gamma: float = 1.4
     period: float | None = None
 
+    def __post_init__(self):
+        if self.b <= 0:
+            raise ValueError("IsentropicVortex requires b > 0")
+        if self.period is not None and self.period <= 0:
+            raise ValueError("IsentropicVortex requires period > 0")
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -228,14 +235,19 @@ EXACT_KINDS = {"sine_wave": (Advection1D, Advection2D),
 def exact_for(eq: EquationSet, kind: str = "sine_wave", **params) -> ExactSolution:
     """The exact solution of kind `kind` for the equation set eq.
 
-    Raises ValueError when that kind does not solve eq.
+    Raises ValueError when that kind does not solve eq, or when a constant
+    state does not have eq.n_vars values.
     """
     if not isinstance(eq, EXACT_KINDS.get(kind, ())):
         raise ValueError(f"exact solution {kind!r} does not solve "
                          f"{type(eq).__name__}")
     if kind == "constant":
         default = (1.0,) if eq.n_vars == 1 else (1.0, 0.5, 0.5, 1.0 / (1.4 - 1) + 0.25)
-        return Constant(tuple(params.get("value", default)))
+        value = tuple(params.get("value", default))
+        if len(value) != eq.n_vars:
+            raise ValueError(f"a constant state of {type(eq).__name__} has "
+                             f"{eq.n_vars} values, got {len(value)}")
+        return Constant(value)
     if isinstance(eq, Advection1D):
         return SineWave1D(c=eq.c)
     if isinstance(eq, Advection2D):

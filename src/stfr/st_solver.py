@@ -44,8 +44,7 @@ from stfr.geometry import (
     GeometryDegeneracyError,
     SlabGeometry,
     slab_geometry,
-    spatial_mapping,
-    spatial_points,
+    solution_positions,
 )
 from stfr.mesh import Mesh
 from stfr.motion import MotionPrescription, motion_path
@@ -387,21 +386,6 @@ def _real_form(M):
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
-def _distinct(x):
-    """Distinct values of x and, per entry, the index of its value among them.
-
-    Like np.unique(x, return_inverse=True), but with a stable sort, which
-    mesh building already runs: the first call of np.unique's quicksort
-    raised peak RSS by 0.25 MB on NumPy 2.4.6.
-    """
-    order = np.argsort(x, axis=None, kind="stable")
-    xs = x.ravel()[order]
-    first = np.concatenate([[True], xs[1:] != xs[:-1]])
-    idx = np.empty(x.size, dtype=int)
-    idx[order] = np.cumsum(first) - 1
-    return xs[first], idx.reshape(x.shape)
-
-
 def _along(M, z, axis):
     """Real form M, or one per element, applied along `axis` of z (nE, k,
     ...), whose axis 1 holds the real and imaginary parts (k = 2) or only
@@ -461,7 +445,8 @@ class KroneckerPreconditioner:
         # eigenvectors depend on rho alone; advection has rho = +-1, and all
         # its blocks share two eigendecompositions
         rho = np.divide(v_e, lam_e, out=np.zeros_like(v_e), where=lam_e > 0)
-        rho, idx = _distinct(rho)
+        rho, idx = np.unique(rho, return_inverse=True)
+        idx = idx.reshape(v_e.shape)
         mu, V = np.linalg.eig(rho[:, None, None] * C + S)
         V = _real_form(V)
         Vi = np.linalg.inv(V)
@@ -695,8 +680,8 @@ class MarchResult:
 def initial_condition(mesh: Mesh, coords0, basis_s: BasisSet,
                       sol: ExactSolution) -> np.ndarray:
     """Sample the exact solution at the spatial solution points at t = 0."""
-    _, x = spatial_mapping(mesh, coords0, *spatial_points(basis_s.nodes, mesh.dim))
-    return exact_state(sol, *np.moveaxis(x, -1, 0), t=0.0)
+    return exact_state(sol, *solution_positions(mesh, coords0, basis_s.degree),
+                       t=0.0)
 
 
 def march(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,

@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import random
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from stfr.cli import (
+    TYPED,
     CaseConfig,
     ConfigError,
+    _accepted_keys,
     apply_overrides,
     emit_reports,
     load_case,
@@ -142,6 +146,18 @@ def test_cli_unknown_case():
     (["exact=3"], ["exact"]),
     (["equation.type=[1]"], ["equation.type"]),
     (["pseudo.type=1"], ["pseudo.type"]),
+    # the equation's variable count and dimension are not parameters
+    (["equation.n_vars=1", "equation.dim=1"], ["equation.n_vars", "equation.dim"]),
+    # values of the wrong kind for their parameter's default
+    (['equation.c1="x"', 'motion.n_t="x"'], ["equation.c1", "motion.n_t"]),
+    (['motion={"type": "rigid_oscillation", "omega": ["a", "b"]}'],
+     ["motion.omega"]),
+    (['exact={"type": "constant", "value": "a"}'], ["exact.value"]),
+    (['equation={"type": "euler2d"}',
+      'exact={"type": "isentropic_vortex", "U0": "x", "period": "x"}'],
+     ["exact.U0", "exact.period"]),
+    (["pseudo.max_iters=1.5", "pseudo.drop_orders=true"],
+     ["pseudo.max_iters", "pseudo.drop_orders"]),
 ])
 def test_cli_bad_section_keys_exit_1(capsys, overrides, bad):
     args = ["run", "compare_sine_deform_p2"]
@@ -159,6 +175,12 @@ def test_cli_bad_section_keys_exit_1(capsys, overrides, bad):
     ("compare_sine_deform_p2", ["bad mesh file"], "mesh"),
     ("compare_sine_deform_p2", ["missing mesh file"], "mesh"),
     ("compare_sine_deform_p2", ["motion.amp=[0.1]"], "motion"),
+    ("euler_vortex_p3", ['exact={"type": "constant", "value": [1, 1, 1]}'],
+     "exact"),
+    ("wave1d_stationary_p2p2", ['exact={"type": "constant", "value": []}'],
+     "exact"),
+    ("euler_vortex_p3", ["exact.b=0"], "exact"),
+    ("euler_vortex_p3", ["exact.period=0"], "exact"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"
@@ -196,6 +218,47 @@ def test_cli_solver_state_errors_exit_3(capsys, case, overrides, message):
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+# config mutations the fuzz test draws from: each ends a run in exit 0-3
+FUZZ_MUTATIONS = [
+    'equation.c="x"', 'exact.U0="x"', 'motion.n_t="x"', 'motion.omega=["a","b"]',
+    'exact={"type":"constant","value":"a"}', 'exact={"type":"constant","value":[]}',
+    'exact={"type":"constant","value":[1.0,1.0,1.0]}', "exact.b=0",
+    "exact.period=0", "equation.n_vars=1", "equation.dim=1", "mesh.n=0",
+    "mesh.nx=-1", "mesh.level=-1", "mesh.xmax=0", "motion.t_max=0",
+    "motion.amp=[3.0,3.0]", "motion.n=[0,0]", "dt=-1", "k_t=-1",
+    "equation.gamma=1", "equation.c=0", "exact.u_max=10",
+]
+
+
+def _fits(cfg, pair):
+    """False for a key that only another type of the case's section takes:
+    it would stop every run at the unknown-key check."""
+    section, _, name = pair.partition("=")[0].partition(".")
+    if not name:
+        return True
+
+    def takes(kind):
+        return name in _accepted_keys(section, kind)[0]
+    return takes(getattr(cfg, section)["type"]) or not any(map(takes, TYPED[section]))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_seeded_fuzz_exits_cleanly(capsys, seed):
+    """A bundled case with two random mutations that fit its section types,
+    run for one slab or step, ends in a stable exit code: no exception
+    escapes `main`."""
+    cases = sorted(p.name.removesuffix(".json") for p in
+                   resources.files("stfr").joinpath("cases").iterdir()
+                   if p.name.endswith(".json"))
+    rng = random.Random(seed)
+    cfg = load_case(rng.choice(cases))
+    args = ["run", cfg.name, "--set", f"t_final={cfg.dt}"]
+    for pair in rng.sample([m for m in FUZZ_MUTATIONS if _fits(cfg, m)], 2):
+        args += ["--set", pair]
+    assert main(args) in (0, 1, 2, 3), args
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case, exact", [

@@ -15,7 +15,7 @@ Interior/periodic faces carry a `flip` flag: True when the two elements
 traverse the shared edge in opposite tangential order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,8 @@ class Mesh:
     elems: np.ndarray            # (n_elems, 2) or (n_elems, 4), CCW
     faces: FaceList
     dirichlet: np.ndarray        # (n_bf, 2): (elem, edge)
+    _side_rows: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)  # `side_rows` per level count
 
     @property
     def n_elems(self) -> int:
@@ -67,6 +69,42 @@ class Mesh:
         """Corner coordinates per element, (n_elems, n_corners, dim)."""
         c = self.nodes if coords is None else coords
         return c[self.elems]
+
+    def side_rows(self, n_levels: int):
+        """Rows of the face sides in an array whose rows run over (element,
+        level, edge), n_levels levels per element.
+
+        Returns (left, right, dirichlet, order): the rows of the left and
+        right sides of the faces and of the dirichlet faces, each
+        (n_sides, n_levels), and for every row its position among those
+        three stacked and flattened, which gathers values computed per
+        side back into rows.  Built once per level count and kept with the
+        mesh until its faces or dirichlet faces are replaced.
+        """
+        hit = self._side_rows.get(n_levels)
+        if hit is not None and hit[0] is self.faces and hit[1] is self.dirichlet:
+            return hit[2]
+        n_edges = 2 * self.dim
+        level = np.arange(n_levels)
+
+        def side(elem, edge):
+            return (elem[:, None] * n_levels + level) * n_edges + edge[:, None]
+
+        f = self.faces
+        d_e, d_edge = np.asarray(self.dirichlet, int).reshape(-1, 2).T
+        sides = [side(f.elem_l, f.edge_l), side(f.elem_r, f.edge_r), side(d_e, d_edge)]
+        flat = np.concatenate([r.ravel() for r in sides])
+        n = self.n_elems * n_levels * n_edges
+        if flat.size != n or np.bincount(flat, minlength=n).max() != 1:
+            raise ValueError("every element edge must be one face side or "
+                             "one dirichlet face")
+        order = np.empty(n, dtype=flat.dtype)
+        order[flat] = np.arange(n)
+        rows = (*sides, order)
+        for r in rows:
+            r.setflags(write=False)
+        self._side_rows[n_levels] = (self.faces, self.dirichlet, rows)
+        return rows
 
 
 def refined_spec(spec: dict, levels: int = 1) -> dict:
@@ -153,6 +191,8 @@ def interval_mesh(n: int, xmin: float = 0.0, xmax: float = 1.0,
     """Uniform 1D mesh of n elements on [xmin, xmax]."""
     if n < 1:
         raise ValueError("interval_mesh requires n >= 1")
+    if not xmax > xmin:
+        raise ValueError(f"interval_mesh requires xmax > xmin, got [{xmin}, {xmax}]")
     nodes = np.linspace(xmin, xmax, n + 1)[:, None]
     elems = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
     periodic_pairs = [(n - 1, 1, 0, 0, False)] if periodic else []
@@ -167,6 +207,9 @@ def rect_mesh(nx: int, ny: int, xmin: float = 0.0, xmax: float = 1.0,
     """Structured nx-by-ny quad mesh of [xmin, xmax] x [ymin, ymax]."""
     if nx < 1 or ny < 1:
         raise ValueError("rect_mesh requires nx, ny >= 1")
+    if not (xmax > xmin and ymax > ymin):
+        raise ValueError(f"rect_mesh requires xmax > xmin and ymax > ymin, got "
+                         f"[{xmin}, {xmax}] x [{ymin}, {ymax}]")
     xs = np.linspace(xmin, xmax, nx + 1)
     ys = np.linspace(ymin, ymax, ny + 1)
     nodes = np.empty((ny + 1, nx + 1, 2))  # node (i, j) is j * (nx + 1) + i
@@ -216,6 +259,8 @@ def disk_mesh(level: int = 0, radius: float = 0.5) -> Mesh:
     """
     if level < 0:
         raise ValueError("disk_mesh requires level >= 0")
+    if not radius > 0:
+        raise ValueError(f"disk_mesh requires radius > 0, got {radius}")
     n = 2 * 2**level          # divisions per block edge
     a = 0.5 * radius          # half-width of the central square block
 

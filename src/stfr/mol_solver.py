@@ -89,11 +89,12 @@ class MolOperator:
 
     def _interior(self, u, level):
         """js * (div F - V_g . grad u) at solution points."""
-        return _spatial_divergence(self.eq, u, self.bs.diff,
+        return _spatial_divergence(self.eq, u, self.bs.degree,
                                    self.levels[level].weights)
 
     def _side_deltas(self, u, level):
-        return _face_jumps(self.eq, u, self.bs, self.dim, self.levels[level])
+        return _face_jumps(self.eq, u, self.bs.degree, self.dim,
+                           self.levels[level])
 
     def _lift(self, delta):
         return _lift(delta, self.bs.degree, self.dim)

@@ -26,10 +26,14 @@ inflow (previous slab or initial condition), the top face is left local.
 `LevelPlan` is the spatial operator both solvers share, its tables at every
 temporal level of a geometry; the FR kernels on nodal arrays (nE, nT, nS,
 nV) are `_spatial_divergence` (chain-rule sum_dir M_dir . d_dir F_st),
-`_face_jumps` (traces, flipped faces, Riemann and Dirichlet fluxes) and
-`_lift` (one matmul with `_edge_tables`).  `SlabOperator` adds only the
-d_tau term and the causal temporal correction: the slab is FR in time over
-the method-of-lines operator at the Gauss levels.
+`_face_jumps` (traces, face sides gathered by the mesh's `side_rows`, the
+right side of a flipped face reversed, Riemann and Dirichlet fluxes, the
+jumps gathered back in the traces' (nE, nT, n_edges, nFs, nV) layout) and
+`_lift` (one contraction with the lift of `_edge_tables`).  Every table
+contraction goes through `_contract`: one GEMM for a scalar equation, a
+batched matmul for Euler.  `SlabOperator` adds only the d_tau term and the
+causal temporal correction: the slab is FR in time over the method-of-lines
+operator at the Gauss levels.
 """
 
 import copy
@@ -137,12 +141,26 @@ class SlabStats:
     final_residual: float
 
 
-def _traces_all_edges(u, basis_s, dim):
-    """Solution traces on every side face, (nE, n_edges, nT, nFs, nV)."""
+def _contract(table, a):
+    """table (t, s) applied along axis 1 of a (B, s, R), giving (B, t, R).
+
+    With one value per point (R = 1) this is one GEMM, (B, s) @ table.T:
+    NumPy's batched matmul would make one BLAS call per row of B, and those
+    calls, not the arithmetic, would take the time.  Systems (R > 1) keep
+    the batched matmul, whose output leaves the R values of a point
+    contiguous for the pointwise flux and metric arithmetic that follows.
+    """
+    if a.shape[2] == 1:
+        return (a.reshape(a.shape[0], -1) @ table.T)[..., None]
+    return np.matmul(table, a)
+
+
+def _traces_all_edges(u, ks, dim):
+    """Solution traces on every side face, (nE, nT, n_edges, nFs, nV)."""
     nE, nT, nS, nV = u.shape
-    extrap, _ = _edge_tables(basis_s.degree, dim)
-    tr = np.matmul(extrap, u.reshape(nE * nT, nS, nV))
-    return tr.reshape(nE, nT, 2 * dim, -1, nV).transpose(0, 2, 1, 3, 4)
+    extrap, _ = _edge_tables(ks, dim)
+    tr = _contract(extrap, u.reshape(nE * nT, nS, nV))
+    return tr.reshape(nE, nT, 2 * dim, -1, nV)
 
 
 def _weights(eq, M):
@@ -188,104 +206,124 @@ def _transformed_common_flux(eq, QL, QR, w):
 class LevelPlan:
     """Spatial-operator tables of a geometry at every temporal level (axis 1).
 
-    M and d_M are the `_weights` of the outward vectors of each face's left
-    element and of each Dirichlet face, d_ext the analytic states at the
-    Dirichlet flux points, weights the `_weights` of the metric rows M_dir
-    (nE, nT, nS, dim+1) per reference direction, which the chain-rule
-    divergence contracts, and jac the |J| that divides the residual.
+    rows are the mesh's `side_rows` at the plan's level count: where the
+    left and right side of each face and each Dirichlet face sit among the
+    (element, level, edge) rows of the traces.  M and d_M are the
+    `_weights` of the outward vectors of each face's left element and of
+    each Dirichlet face, d_ext the analytic states at the Dirichlet flux
+    points, weights the `_weights` of the metric rows M_dir (nE, nT, nS,
+    dim+1) per reference direction, which the chain-rule divergence
+    contracts, and jac the |J| that divides the residual.
     """
 
     def __init__(self, mesh: Mesh, geom: SlabGeometry, eq: EquationSet,
                  bc: ExactSolution | None):
         f = mesh.faces
-        self.eL, self.edgeL, self.eR, self.edgeR = \
-            f.elem_l, f.edge_l, f.elem_r, f.edge_r
+        self.mesh = mesh
+        self.rows = mesh.side_rows(geom.js.shape[1])
         self.flipped = np.flatnonzero(f.flip)  # right side runs reversed
         self.M = _weights(eq, geom.face_m[f.elem_l, f.edge_l])
-        self.d_e, self.d_edge = np.asarray(mesh.dirichlet, int).reshape(-1, 2).T
-        self.d_M = _weights(eq, geom.face_m[self.d_e, self.d_edge])
+        d_e, d_edge = np.asarray(mesh.dirichlet, int).reshape(-1, 2).T
+        self.d_M = _weights(eq, geom.face_m[d_e, d_edge])
         self.d_ext = None
-        if len(self.d_e):
+        if len(d_e):
             if bc is None:
                 raise ValueError("mesh has dirichlet faces but no analytic bc")
-            fc = geom.face_coords[self.d_e, self.d_edge]
+            fc = geom.face_coords[d_e, d_edge]
             self.d_ext = exact_state(bc, *np.moveaxis(fc[..., :-1], -1, 0),
                                      t=fc[..., -1])
         rows = [geom.m_xi] if geom.dim == 1 else [geom.m_xi, geom.m_eta]
+        # the scalar divergence contracts every direction in one einsum over
+        # one array; Euler's takes one direction at a time, so the
+        # geometry's rows serve it uncopied
         self.weights = [_weights(eq, M) for M in rows]
+        if eq.n_vars == 1:
+            self.weights = np.stack(self.weights)
         self.jac = geom.jac
 
     def level(self, j: int) -> "LevelPlan":
         """Level j alone, each table copied out contiguous."""
         out = copy.copy(self)
+        out.rows = self.mesh.side_rows(1)
         for name in ("M", "d_M", "d_ext", "jac"):
             a = getattr(self, name)
             setattr(out, name, None if a is None else a[:, j:j + 1].copy())
-        out.weights = [w[:, j:j + 1].copy() for w in self.weights]
+        out.weights = np.stack([w[:, j:j + 1] for w in self.weights])
         return out
 
 
-def _reference_derivatives(D, a, dim):
-    """Derivatives of nodal a (nE, nT, nS, ...) along each reference direction.
-
-    Contractions run as batched matmuls (BLAS) rather than einsum, which
-    does not dispatch small high-rank contractions well.
-    """
-    n1 = D.shape[0]
-    m = a.shape[0] * a.shape[1]
-    rest = a.size // (m * n1 ** dim)
-    out = [np.matmul(D, a.reshape(m * n1 ** (dim - 1), n1, rest))]  # xi
-    if dim == 2:
-        out.append(np.matmul(D, a.reshape(m, n1, n1 * rest)))         # eta
-    return [d.reshape(a.shape) for d in out]
+@lru_cache(maxsize=None)
+def _derivative_table(ks: int, dim: int):
+    """Reference derivatives of nodal values, stacked by direction: D in
+    1D, [I (x) D; D (x) I] (2 nS, nS) in 2D, the xi rows first (spatial
+    points are (eta, xi), xi fastest)."""
+    D = make_basis(ks).diff
+    eye = np.eye(ks + 1)
+    table = D.copy() if dim == 1 else np.vstack([np.kron(eye, D), np.kron(D, eye)])
+    table.setflags(write=False)
+    return table
 
 
-def _spatial_divergence(eq, u, D, weights):
+def _spatial_divergence(eq, u, ks, weights):
     """sum_dir M_dir . d_dir F_st(u) at the solution points, chain-rule form.
 
     Excludes the temporal-direction term, which only the space-time
-    operator has.  Euler stacks (f, g, Q) so each direction is one
-    contraction.
+    operator has.  Advection takes every reference derivative in one
+    contraction with `_derivative_table`; Euler stacks (f, g, Q) so each
+    direction is one contraction with D, whose output keeps the
+    contiguous (3, nV) blocks the metric einsum reads.
     """
+    nE, nT = u.shape[:2]
     dim = len(weights)
     if isinstance(eq, (Advection1D, Advection2D)):
-        terms = (w[..., None] * du
-                 for w, du in zip(weights, _reference_derivatives(D, u, dim)))
-    else:
-        fx, gy = flux(eq, u)
-        F = np.stack([fx, gy, u], axis=-2)  # (nE, nT, nS, 3, nV)
-        terms = (np.einsum("etsc,etscv->etsv", M, dF)
-                 for M, dF in zip(weights, _reference_derivatives(D, F, dim)))
-    out = next(terms)
-    for term in terms:
-        out += term
+        du = _contract(_derivative_table(ks, dim), u.reshape(nE * nT, -1, 1))
+        return np.einsum("dets,etds->ets", weights,
+                         du.reshape(nE, nT, dim, -1))[..., None]
+    fx, gy = flux(eq, u)
+    F = np.stack([fx, gy, u], axis=-2)  # (nE, nT, nS, 3, nV)
+    D = make_basis(ks).diff
+    n1 = ks + 1
+    dF = [_contract(D, F.reshape(nE * nT * n1, n1, -1)),  # xi
+          _contract(D, F.reshape(nE * nT, n1, -1))]       # eta
+    out = np.einsum("etsc,etscv->etsv", weights[0], dF[0].reshape(F.shape))
+    out += np.einsum("etsc,etscv->etsv", weights[1], dF[1].reshape(F.shape))
     return out
 
 
-def _face_jumps(eq, u, basis_s, dim, plan: LevelPlan):
+def _face_jumps(eq, u, ks, dim, plan: LevelPlan):
     """Outward flux jumps (common minus local) on every element edge,
-    (nE, n_edges, nT, nFs, nV)."""
-    tr = _traces_all_edges(u, basis_s, dim)
-    # zeros_like keeps the traces' (nE, nT, edge) memory order, so the lift
-    # regroups delta by (element, tau level) without a copy
-    delta = np.zeros_like(tr)
-    QL = tr[plan.eL, plan.edgeL]
-    QR = tr[plan.eR, plan.edgeR]
+    (nE, nT, n_edges, nFs, nV), the traces' layout.
+
+    Each face side gathers its (nF, nT) rows of nFs flux points from the
+    traces, viewed as rows (element, level, edge); the right side of a
+    flipped face runs its flux points in reverse, so it is reversed after
+    the gather and again before its jumps are stored.  The jumps of the
+    left, right and Dirichlet sides are stacked and gathered back into the
+    traces' rows by the mesh's `side_rows` order: one `take`, where a
+    scatter per side through fancy indexing cost ten times as much.
+    """
+    tr = _traces_all_edges(u, ks, dim)
+    rows = tr.reshape((-1,) + tr.shape[3:])
+    left, right, bound, order = plan.rows
+    nF = len(left)
+    QL = rows.take(left, axis=0)
+    QR = rows.take(right, axis=0)
     fl = plan.flipped
     if fl.size:
         QR[fl] = QR[fl, :, ::-1]
+    jumps = np.empty((2 * nF + len(bound),) + QL.shape[1:])
     com = _transformed_common_flux(eq, QL, QR, plan.M)
-    dR = _transformed_normal_flux(eq, QR, plan.M) - com
+    np.subtract(com, _transformed_normal_flux(eq, QL, plan.M), out=jumps[:nF])
+    dR = jumps[nF:2 * nF]
+    np.subtract(_transformed_normal_flux(eq, QR, plan.M), com, out=dR)
     if fl.size:
         dR[fl] = dR[fl, :, ::-1]
-    delta[plan.eL, plan.edgeL] = com - _transformed_normal_flux(eq, QL, plan.M)
-    delta[plan.eR, plan.edgeR] = dR
-    if len(plan.d_e):
-        QB = tr[plan.d_e, plan.d_edge]
+    if bound.size:
+        QB = rows.take(bound, axis=0)
         com_b = _transformed_common_flux(eq, QB, plan.d_ext, plan.d_M)
-        delta[plan.d_e, plan.d_edge] = \
-            com_b - _transformed_normal_flux(eq, QB, plan.d_M)
-    return delta
+        np.subtract(com_b, _transformed_normal_flux(eq, QB, plan.d_M),
+                    out=jumps[2 * nF:])
+    return jumps.reshape(rows.shape).take(order, axis=0).reshape(tr.shape)
 
 
 @lru_cache(maxsize=None)
@@ -312,11 +350,10 @@ def _edge_tables(ks: int, dim: int):
 
 
 def _lift(delta, ks, dim):
-    """Correction field (nE, nT, nS, nV) from face jumps (nE, n_edges, nT, nFs, nV)."""
-    nE, _, nT, _, nV = delta.shape
+    """Correction field (nE, nT, nS, nV) from face jumps (nE, nT, n_edges, nFs, nV)."""
+    nE, nT, _, _, nV = delta.shape
     _, lift = _edge_tables(ks, dim)
-    jumps = delta.transpose(0, 2, 1, 3, 4).reshape(nE * nT, -1, nV)
-    return np.matmul(lift, jumps).reshape(nE, nT, -1, nV)
+    return _contract(lift, delta.reshape(nE * nT, -1, nV)).reshape(nE, nT, -1, nV)
 
 
 def gmres(matvec, b, tol, m):
@@ -497,19 +534,18 @@ class SlabOperator:
         self.eq = eq
         self.inflow = inflow
         self.dim = mesh.dim
-        self.bs = make_basis(geom.ks)
         self.bt = make_basis(geom.kt)
         self.plan = LevelPlan(mesh, geom, eq, bc)
 
     def _interior(self, u):
         """|J| * div_st(F) at solution points, chain-rule form."""
-        out = _spatial_divergence(self.eq, u, self.bs.diff, self.plan.weights)
-        du_tau = np.matmul(self.bt.diff, u.reshape(*u.shape[:2], -1))
+        out = _spatial_divergence(self.eq, u, self.geom.ks, self.plan.weights)
+        du_tau = _contract(self.bt.diff, u.reshape(*u.shape[:2], -1))
         out += self.geom.js[..., None] * du_tau.reshape(u.shape)
         return out
 
     def _side_deltas(self, u):
-        return _face_jumps(self.eq, u, self.bs, self.dim, self.plan)
+        return _face_jumps(self.eq, u, self.geom.ks, self.dim, self.plan)
 
     def _lift(self, delta):
         return _lift(delta, self.geom.ks, self.dim)
@@ -517,7 +553,7 @@ class SlabOperator:
     def _temporal_correction(self, u):
         """Causal bottom-face correction from the slab inflow."""
         nE, nT, nS, nV = u.shape
-        ubot = np.matmul(self.bt.extrap_left, u.reshape(nE, nT, nS * nV))
+        ubot = _contract(self.bt.extrap_left[None], u.reshape(nE, nT, nS * nV))
         d_out = self.geom.js_bot[..., None] * (ubot.reshape(nE, nS, nV) - self.inflow)
         gl = self.bt.corr_deriv_left
         return -d_out[:, None] * gl[None, :, None, None]

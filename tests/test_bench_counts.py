@@ -19,3 +19,4 @@ def test_measure_counts_wave1d():
     assert rec["steps"] == 32
     assert rec["evals_mean"] == 9.0 and rec["evals_max"] == 9
     assert rec["geometry_calls"] == 32
+    assert rec["precond_applies_mean"] == 8.0 and rec["us_per_precond_apply"] > 0

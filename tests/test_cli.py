@@ -181,6 +181,10 @@ def test_cli_bad_section_keys_exit_1(capsys, overrides, bad):
      "exact"),
     ("euler_vortex_p3", ["exact.b=0"], "exact"),
     ("euler_vortex_p3", ["exact.period=0"], "exact"),
+    ("wave1d_stationary_p2p2", ["mesh.xmax=0"], "mesh"),
+    ("wave2d_stationary_p2p2", ["mesh.xmax=-2"], "mesh"),
+    ("wave2d_stationary_p2p2", ["mesh.ymax=-3"], "mesh"),
+    ("wave2d_circle_p2", ["mesh.radius=0"], "mesh"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"
@@ -209,7 +213,7 @@ def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
      "step 94 at t = 0.188: non-finite cell averages"),
     ("mol_sine_deform_p2",
      ["dt=0.04", "t_final=24.0", "motion.amp=[0.01,0.01]"],
-     "step 481 at t = 19.24: non-finite solution values"),
+     "step 480 at t = 19.2: non-finite solution values"),
 ])
 def test_cli_solver_state_errors_exit_3(capsys, case, overrides, message):
     args = ["run", case]
@@ -226,7 +230,8 @@ FUZZ_MUTATIONS = [
     'exact={"type":"constant","value":"a"}', 'exact={"type":"constant","value":[]}',
     'exact={"type":"constant","value":[1.0,1.0,1.0]}', "exact.b=0",
     "exact.period=0", "equation.n_vars=1", "equation.dim=1", "mesh.n=0",
-    "mesh.nx=-1", "mesh.level=-1", "mesh.xmax=0", "motion.t_max=0",
+    "mesh.nx=-1", "mesh.level=-1", "mesh.xmax=0", "mesh.xmax=-2",
+    "mesh.ymax=-3", "mesh.radius=0", "motion.t_max=0",
     "motion.amp=[3.0,3.0]", "motion.n=[0,0]", "dt=-1", "k_t=-1",
     "equation.gamma=1", "equation.c=0", "exact.u_max=10",
 ]

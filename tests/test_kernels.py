@@ -1,0 +1,140 @@
+"""The shared FR kernels against plain einsum and per-face references.
+
+`_spatial_divergence`, `_traces_all_edges`, `_face_jumps` and `_lift` run
+their contractions as single GEMMs or batched matmuls over row-indexed
+gathers.  Here each is recomputed from the 1D basis tables with einsum,
+face by face, on the disk mesh of `wave2d_circle_p2`, which has flipped
+and Dirichlet faces, for advection and Euler, on a slab plan (nT = 3) and
+on one of its levels (nT = 1, as the method of lines runs it).
+"""
+
+import numpy as np
+import pytest
+
+from stfr import cli
+from stfr.basis import make_basis
+from stfr.geometry import slab_geometry
+from stfr.motion import motion_path
+from stfr.physics import Euler2D, exact_for, exact_state, flux
+from stfr.st_solver import (
+    LevelPlan,
+    _face_jumps,
+    _lift,
+    _spatial_divergence,
+    _traces_all_edges,
+    _transformed_common_flux,
+    _transformed_normal_flux,
+    _weights,
+    initial_condition,
+)
+
+RTOL = 1e-13
+
+
+def _close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
+
+
+@pytest.fixture(scope="module", params=[("advection", 3), ("advection", 1),
+                                        ("euler", 3), ("euler", 1)],
+                ids=lambda p: f"{p[0]}-nT{p[1]}")
+def setup(request):
+    physics, nT = request.param
+    cfg = cli.load_case("wave2d_circle_p2")
+    mesh = cli.build_mesh(cfg)
+    assert mesh.faces.flip.any() and len(mesh.dirichlet)
+    if physics == "advection":
+        eq = cli.build_equation(cfg)
+        sol = cli.build_exact(cfg, eq)
+    else:
+        eq = Euler2D()
+        sol = exact_for(eq, "isentropic_vortex")
+    bs, bt = make_basis(cfg.k_s), make_basis(2)
+    path = motion_path(cli.build_motion(cfg), mesh, cfg.dt, 2)
+    geom = slab_geometry(mesh, path[1], path[2], cfg.dt, bs, bt, t_n=cfg.dt)
+    plan = LevelPlan(mesh, geom, eq, sol)
+    levels = slice(0, 3)
+    if nT == 1:
+        plan, levels = plan.level(1), slice(1, 2)
+    rng = np.random.default_rng(2409)
+    u = initial_condition(mesh, path[1], bs, sol)[:, None].repeat(nT, axis=1)
+    u = u * (1.0 + 0.01 * rng.standard_normal(u.shape))
+    return eq, sol, mesh, geom, plan, levels, cfg.k_s, u
+
+
+def _reference_derivatives(D, a):
+    """d/dxi and d/deta of nodal a (nE, nT, nS, ...), points (eta, xi)."""
+    n1 = D.shape[0]
+    a4 = a.reshape(a.shape[:2] + (n1, n1) + a.shape[3:])
+    dxi = np.einsum("ij,etaj...->etai...", D, a4)
+    deta = np.einsum("ij,etjb...->etib...", D, a4)
+    return [d.reshape(a.shape) for d in (dxi, deta)]
+
+
+def _reference_traces(b, u):
+    """Traces on edges (S, E, N, W) = (eta -1, xi +1, eta +1, xi -1)."""
+    nE, nT, _, nV = u.shape
+    u4 = u.reshape(nE, nT, b.n, b.n, nV)
+    return np.stack([np.einsum("j,etjiv->etiv", b.extrap_left, u4),
+                     np.einsum("j,etijv->etiv", b.extrap_right, u4),
+                     np.einsum("j,etjiv->etiv", b.extrap_right, u4),
+                     np.einsum("j,etijv->etiv", b.extrap_left, u4)], axis=2)
+
+
+def test_spatial_divergence(setup):
+    eq, _, _, _, plan, _, ks, u = setup
+    D = make_basis(ks).diff
+    if eq.n_vars == 1:
+        ref = sum(w[..., None] * du for w, du in
+                  zip(plan.weights, _reference_derivatives(D, u)))
+    else:
+        fx, gy = flux(eq, u)
+        F = np.stack([fx, gy, u], axis=-2)
+        ref = sum(np.einsum("etsc,etscv->etsv", M, dF) for M, dF in
+                  zip(plan.weights, _reference_derivatives(D, F)))
+    _close(_spatial_divergence(eq, u, ks, plan.weights), ref)
+
+
+def test_traces(setup):
+    _, _, _, _, _, _, ks, u = setup
+    _close(_traces_all_edges(u, ks, 2), _reference_traces(make_basis(ks), u))
+
+
+def test_face_jumps(setup):
+    eq, sol, mesh, geom, plan, levels, ks, u = setup
+    tr = _reference_traces(make_basis(ks), u)
+    ref = np.full_like(tr, np.nan)
+    f = mesh.faces
+    for eL, gL, eR, gR, flip in zip(f.elem_l, f.edge_l, f.elem_r, f.edge_r, f.flip):
+        w = _weights(eq, geom.face_m[eL, gL, levels])
+        QL, QR = tr[eL, :, gL], tr[eR, :, gR]
+        if flip:
+            QR = QR[:, ::-1]
+        com = _transformed_common_flux(eq, QL, QR, w)
+        dR = _transformed_normal_flux(eq, QR, w) - com
+        ref[eL, :, gL] = com - _transformed_normal_flux(eq, QL, w)
+        ref[eR, :, gR] = dR[:, ::-1] if flip else dR
+    for e, g in mesh.dirichlet:
+        w = _weights(eq, geom.face_m[e, g, levels])
+        fc = geom.face_coords[e, g, levels]
+        ext = exact_state(sol, fc[..., 0], fc[..., 1], t=fc[..., 2])
+        ref[e, :, g] = (_transformed_common_flux(eq, tr[e, :, g], ext, w)
+                        - _transformed_normal_flux(eq, tr[e, :, g], w))
+    assert not np.isnan(ref).any()  # every edge is a face side
+    _close(_face_jumps(eq, u, ks, 2, plan), ref)
+
+
+def test_lift(setup):
+    _, _, _, _, _, _, ks, u = setup
+    b = make_basis(ks)
+    rng = np.random.default_rng(7)
+    nE, nT, _, nV = u.shape
+    delta = rng.standard_normal((nE, nT, 4, b.n, nV))
+    gl, gr = b.corr_deriv_left, b.corr_deriv_right
+    # -g'_L on minus faces, +g'_R on plus faces, constant along the face
+    ref = (-np.einsum("a,etbv->etabv", gl, delta[:, :, 0])
+           + np.einsum("b,etav->etabv", gr, delta[:, :, 1])
+           + np.einsum("a,etbv->etabv", gr, delta[:, :, 2])
+           - np.einsum("b,etav->etabv", gl, delta[:, :, 3]))
+    _close(_lift(delta, ks, 2), ref.reshape(nE, nT, -1, nV))

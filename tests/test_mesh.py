@@ -235,3 +235,31 @@ def _file_mesh(tmp, mesh):
     path = tmp / "m.txt"
     write_mesh(mesh, path)
     return read_mesh(str(path))
+
+
+@pytest.mark.parametrize("n_levels", [1, 3])
+def test_side_rows_partition_the_trace_rows(n_levels):
+    """Left, right and dirichlet sides cover every (element, level, edge)
+    row once, and `order` gathers the stacked sides back into rows."""
+    m = disk_mesh(1)
+    left, right, bound, order = m.side_rows(n_levels)
+    f = m.faces
+    for rows, elem, edge in [(left, f.elem_l, f.edge_l), (right, f.elem_r, f.edge_r),
+                             (bound, m.dirichlet[:, 0], m.dirichlet[:, 1])]:
+        e, t, g = np.unravel_index(rows, (m.n_elems, n_levels, 4))
+        assert (e == elem[:, None]).all() and (g == edge[:, None]).all()
+        assert (t == np.arange(n_levels)).all()
+    stacked = np.concatenate([left.ravel(), right.ravel(), bound.ravel()])
+    assert np.array_equal(stacked[order], np.arange(m.n_elems * n_levels * 4))
+    assert m.side_rows(n_levels) is m.side_rows(n_levels)
+
+
+def test_side_rows_follow_replaced_faces():
+    m = rect_mesh(2, 2, periodic=False)
+    assert len(m.side_rows(1)[2]) == 8
+    m.faces, m.dirichlet = rect_mesh(2, 2).faces, np.zeros((0, 2), dtype=int)
+    assert len(m.side_rows(1)[2]) == 0
+    m.dirichlet = m.dirichlet[:0]
+    m.faces = rect_mesh(2, 2, periodic=False).faces
+    with pytest.raises(ValueError, match="every element edge"):
+        m.side_rows(1)

@@ -8,18 +8,20 @@ Each bundled case runs once at full length through `cli.run_case`, the path
 file records the solver, the slabs (space-time) or steps (method of lines,
 space-time FV), the DOF of one slab or step, the residual evaluations per
 slab or step (mean and max), the us per DOF per residual evaluation, the
-solve time, the errors, and the geometry layer: the calls to, and the
-time inside, the slab and MOL geometry builds.  Counts repeat exactly from
+preconditioner applies per slab (mean) and the us per apply, the solve
+time, the errors, and the geometry layer: the calls to, and the time
+inside, the slab and MOL geometry builds.  Counts repeat exactly from
 run to run; the times come from this one run and move with the machine,
 whose description the file also holds.
 
 The counts are read from outside the package, by wrapping
 `SlabOperator.march` and `rk3_physical_step` (one call per slab or step),
-the two operators' `residual`, and `slab_geometry` and `spatial_geometry`
-under the names `st_solver` and `mol_solver` import them by.  A name that a
-checkout lacks is not wrapped, so the script runs unchanged on older
-checkouts.  The space-time FV scheme has no residual operator: its
-evaluation fields are null.
+the two operators' `residual`, `KroneckerPreconditioner.__call__`, and
+`slab_geometry` and `spatial_geometry` under the names `st_solver` and
+`mol_solver` import them by.  A name that a checkout lacks is not wrapped,
+so the script runs unchanged on older checkouts.  The space-time FV scheme
+has no residual operator: its evaluation fields are null, as are the
+preconditioner fields of every solve without a preconditioner apply.
 """
 
 import argparse
@@ -39,20 +41,33 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 class Counts:
-    """Residual calls grouped by slab or step, and their total time."""
+    """Residual calls grouped by slab or step, and their total time;
+    likewise the preconditioner applies."""
 
     def __init__(self):
         self.groups = []
         self.calls = 0
         self.seconds = 0.0
         self.dof = None
+        self.applies = []
+        self.apply_s = 0.0
         self.geometry_calls = 0
         self.geometry_s = 0.0
 
     def unit(self, fn):
         def wrapped(*args, **kwargs):
             self.groups.append(0)
+            self.applies.append(0)
             return fn(*args, **kwargs)
+        return wrapped
+
+    def apply(self, fn):
+        def wrapped(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            self.apply_s += time.perf_counter() - t0
+            self.applies[-1] += 1
+            return out
         return wrapped
 
     def residual(self, fn):
@@ -91,6 +106,8 @@ def measure(case):
                (st_solver.SlabOperator, "residual", counts.residual),
                (mol_solver, "rk3_physical_step", counts.unit),
                (mol_solver.MolOperator, "residual", counts.residual),
+               (getattr(st_solver, "KroneckerPreconditioner", None), "__call__",
+                counts.apply),
                (st_solver, "slab_geometry", counts.geometry),
                (mol_solver, "spatial_geometry", counts.geometry)]
     patches = [p for p in patches if hasattr(p[0], p[1])]
@@ -103,6 +120,7 @@ def measure(case):
         for owner, name, original in saved:
             setattr(owner, name, original)
     groups = counts.groups
+    applies = sum(counts.applies)
     return {
         "solver": cfg.solver,
         "steps": len(groups) or round(cfg.t_final / cfg.dt),
@@ -111,6 +129,9 @@ def measure(case):
         "evals_max": max(groups) if counts.calls else None,
         "us_per_dof_residual": (1e6 * counts.seconds / counts.calls / counts.dof
                                 if counts.calls else None),
+        "precond_applies_mean": (applies / len(counts.applies)
+                                 if applies else None),
+        "us_per_precond_apply": 1e6 * counts.apply_s / applies if applies else None,
         "solve_s": row.walltime_s,
         "geometry_calls": counts.geometry_calls,
         "geometry_s": counts.geometry_s,

@@ -1,5 +1,5 @@
-"""Error norms, observed-order computation, spectral-slope extraction,
-and convergence-report serialization.
+"""Error norms, observed-order computation and convergence-report
+serialization.
 
 Both L2 norms are volume-normalized: the final-time norm interpolates the
 slab to its top face and integrates the squared pointwise error over the
@@ -88,29 +88,6 @@ def observed_orders(errors, sizes):
     return out
 
 
-def spectral_slope(errors, degrees=None) -> float:
-    """Least-squares slope of log10(E_m) against the nominal order m.
-
-    Superconvergent behavior E_m ~ C (dt)^(2m-1) predicts a slope of
-    2 log10(dt); see spectral_slope_prediction.
-    """
-    errors = np.asarray(errors, dtype=float)
-    if errors.size < 2:
-        raise ValueError("need at least 2 error values")
-    if degrees is None:
-        degrees = np.arange(2, 2 + errors.size, dtype=float)
-    else:
-        degrees = np.asarray(degrees, dtype=float)
-    A = np.stack([degrees, np.ones_like(degrees)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, np.log10(errors), rcond=None)
-    return float(coef[0])
-
-
-def spectral_slope_prediction(dt: float) -> float:
-    """Optimal spectral slope 2 log10(dt) for a superconvergent scheme."""
-    return 2.0 * math.log10(dt)
-
-
 @dataclass
 class ReportRow:
     resolution: float
@@ -175,14 +152,3 @@ class ConvergenceReport:
                 if r.error_final > 0:
                     fh.write(f"{math.log10(r.resolution):.8f} "
                              f"{math.log10(r.error_final):.8f}\n")
-
-
-def write_spectral_data(path: str, degrees, errors) -> None:
-    """Degree vs log10(error) file for spectral-convergence plots."""
-    degrees = np.asarray(degrees, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if degrees.size == 0:
-        raise ValueError("empty spectral data")
-    with open(path, "w") as fh:
-        for m, e in zip(degrees, errors):
-            fh.write(f"{m:.4f} {math.log10(e):.8f}\n")

@@ -70,11 +70,6 @@ def circle_psi(t, a_a: float = 1.5):
     return 1.0 + (a_a - 1.0) * circle_alpha(t)
 
 
-def circle_helpers(t, a_a: float = 1.5):
-    """(alpha(t), psi(t)) for the circular-domain deformation."""
-    return circle_alpha(t), circle_psi(t, a_a)
-
-
 def eta_perturbation(lam, omega, tau):
     """Symmetry-breaking perturbation sin(w*lam + tau*(1 - cos(w*lam)))."""
     lam = np.asarray(lam, dtype=float)

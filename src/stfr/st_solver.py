@@ -129,9 +129,6 @@ class StateField:
     values: np.ndarray
     ks: int
     kt: int
-    slab_index: int = 0
-    t_n: float = 0.0
-    t_np1: float = 0.0
 
 
 @dataclass
@@ -660,27 +657,6 @@ def _drop(r0, r):
     return math.log10(r0 / r) if 0 < r < math.inf else -math.inf
 
 
-def st_residual(field: StateField, geom: SlabGeometry, inflow: np.ndarray,
-                eq: EquationSet, mesh: Mesh,
-                bc: ExactSolution | None = None) -> np.ndarray:
-    """One residual evaluation (spec surface over SlabOperator)."""
-    op = SlabOperator(mesh, geom, eq, inflow, bc)
-    return op.residual(field.values)
-
-
-def pseudo_march(field: StateField, geom: SlabGeometry, inflow: np.ndarray,
-                 eq: EquationSet, mesh: Mesh, bc: ExactSolution | None = None,
-                 controls: PseudoControls | None = None):
-    """Converge one slab, R(u) = 0; returns (StateField, SlabStats)."""
-    controls = controls or PseudoControls()
-    op = SlabOperator(mesh, geom, eq, inflow, bc)
-    u, stats = op.march(field.values, controls)
-    out = StateField(values=u, ks=field.ks, kt=field.kt,
-                     slab_index=field.slab_index, t_n=field.t_n,
-                     t_np1=field.t_np1)
-    return out, stats
-
-
 def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
                  dt: float, t_n: float, eq: EquationSet,
                  basis_s: BasisSet, basis_t: BasisSet,
@@ -699,8 +675,7 @@ def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
         exc.args = (f"slab {slab_index} at t = {t_n:.6g}: {exc.args[0]}",)
         raise
     top = np.einsum("t,etsv->esv", basis_t.extrap_right, u)
-    fld = StateField(values=u, ks=basis_s.degree, kt=basis_t.degree,
-                     slab_index=slab_index, t_n=t_n, t_np1=t_n + dt)
+    fld = StateField(values=u, ks=basis_s.degree, kt=basis_t.degree)
     return fld, geom, top, stats
 
 

@@ -6,18 +6,14 @@ import pytest
 from stfr.analysis import (
     ConvergenceReport,
     l2_error_final,
-    l2_error_nodal,
     l2_error_slab,
     observed_orders,
-    spectral_slope,
-    spectral_slope_prediction,
-    write_spectral_data,
 )
 from stfr.basis import make_basis
 from stfr.geometry import eval_st_mapping, slab_geometry, st_points
 from stfr.mesh import interval_mesh, rect_mesh
 from stfr.motion import SineDeformation
-from stfr.physics import Advection1D, SineWave1D, SineWave2D, exact_state
+from stfr.physics import Advection1D, SineWave1D, exact_state
 from stfr.st_solver import StateField, march
 
 
@@ -136,19 +132,6 @@ def test_observed_orders_validation():
         observed_orders([1, 2, 3], [0.1, 0.3, 0.2])
 
 
-def test_spectral_slope_synthetic():
-    dt = 0.01
-    errs = [dt ** (2 * m - 1) for m in (2, 3, 4)]
-    assert spectral_slope(errs) == pytest.approx(2 * math.log10(dt), abs=1e-12)
-    assert spectral_slope_prediction(0.01) == pytest.approx(-4.0)
-    assert spectral_slope_prediction(0.05) == pytest.approx(-2.602, abs=1e-3)
-
-
-def test_spectral_slope_needs_two():
-    with pytest.raises(ValueError):
-        spectral_slope([1e-3])
-
-
 def test_report_csv_and_plot(tmp_path):
     rep = ConvergenceReport(case={"name": "demo"})
     rep.add(0.125, 3.24e-3, 2.0e-3, walltime_s=0.5)
@@ -172,11 +155,3 @@ def test_report_empty_raises(tmp_path):
     rep = ConvergenceReport()
     with pytest.raises(ValueError):
         rep.to_csv(tmp_path / "x.csv")
-
-
-def test_spectral_data_file(tmp_path):
-    write_spectral_data(tmp_path / "s.dat", [2, 3, 4], [1e-2, 1e-4, 1e-6])
-    lines = (tmp_path / "s.dat").read_text().strip().splitlines()
-    assert len(lines) == 3
-    with pytest.raises(ValueError):
-        write_spectral_data(tmp_path / "e.dat", [], [])

@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import stfr
 from stfr.cli import (
     TYPED,
     CaseConfig,
@@ -224,6 +228,24 @@ def test_cli_solver_state_errors_exit_3(capsys, case, overrides, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case, overrides, step", [
+    ("stfv_moving_1d", ["motion.amp=[3.0]"], "step 94"),
+    ("mol_sine_deform_p2",
+     ["dt=0.04", "t_final=24.0", "motion.amp=[0.01,0.01]"], "step 480"),
+])
+def test_cli_unstable_run_prints_one_line(case, overrides, step):
+    # the overflow of an unstable run is reported by the named error only,
+    # with no NumPy warning ahead of it on stderr
+    args = [sys.executable, "-m", "stfr.cli", "run", case]
+    for pair in overrides:
+        args += ["--set", pair]
+    env = dict(os.environ, PYTHONPATH=str(Path(stfr.__file__).parents[1]))
+    proc = subprocess.run(args, capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: {step} at t = ")
+    assert proc.stderr.count("\n") == 1
+
+
 # config mutations the fuzz test draws from: each ends a run in exit 0-3
 FUZZ_MUTATIONS = [
     'equation.c="x"', 'exact.U0="x"', 'motion.n_t="x"', 'motion.omega=["a","b"]',
@@ -293,8 +315,8 @@ def test_emit_reports(tmp_path):
     rep = ConvergenceReport()
     rep.add(0.1, 1e-3, 1e-3)
     rep.add(0.05, 1e-4, 1e-4)
-    files = emit_reports(rep, tmp_path, name="demo",
-                         spectral=([2, 3], [1e-2, 1e-5]))
+    files = emit_reports(rep, tmp_path, name="demo")
+    assert [f.name for f in files] == ["demo.csv", "demo.dat"]
     assert all(f.exists() for f in files)
     with pytest.raises(ValueError):
         emit_reports(ConvergenceReport(), tmp_path)

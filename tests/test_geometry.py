@@ -10,7 +10,6 @@ from stfr.geometry import (
     spatial_face_points,
     spatial_geometry,
     spatial_points,
-    st_points,
 )
 from stfr.mesh import disk_mesh, interval_mesh, rect_mesh
 from stfr.motion import (

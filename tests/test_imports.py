@@ -3,8 +3,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "stfr"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+# id -> path: package modules by file name, tests and tools with their folder
+MODULES = {p.name: p for p in sorted((ROOT / "src" / "stfr").glob("*.py"))
+           if p.name != "__init__.py"}
+MODULES.update({f"{d}/{p.name}": p for d in ("tests", "tools")
+                for p in sorted((ROOT / d).glob("*.py"))})
 
 
 def unused_imports(source: str) -> list:
@@ -30,6 +34,6 @@ def test_detector_flags_unused_and_keeps_used():
     assert unused_imports(src) == ["c (line 3)", "g (line 5)", "math (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", list(MODULES.values()), ids=list(MODULES))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -19,7 +19,6 @@ from stfr.physics import (
     IsentropicVortex,
     SineWave1D,
     SineWave2D,
-    exact_state,
 )
 from stfr.mol_solver import (
     MolField,
@@ -28,10 +27,10 @@ from stfr.mol_solver import (
     mol_residual,
     mol_stable_dt,
     rk3_physical_step,
+    ssp_rk3_step,
 )
 from stfr.analysis import l2_error_nodal
 from stfr.st_solver import initial_condition
-from stfr.timestepping import ssp_rk3_step
 
 
 def test_grid_velocity_trivia():

@@ -11,7 +11,6 @@ from stfr.motion import (
     Stationary,
     circle_alpha,
     circle_fg,
-    circle_helpers,
     circle_psi,
     circle_theta,
     deform_step,
@@ -37,9 +36,8 @@ def test_rigid_oscillation_at_zero():
 
 
 def test_circle_helpers_values():
-    a, psi = circle_helpers(1.0)
-    assert abs(a - 0.3125) < 1e-15
-    assert abs(psi - 1.15625) < 1e-15
+    assert abs(circle_alpha(1.0) - 0.3125) < 1e-15
+    assert abs(circle_psi(1.0) - 1.15625) < 1e-15
     assert circle_alpha(0.0) == 0.0 and circle_psi(0.0) == 1.0
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stfr.analysis import l2_error_final, observed_orders
-from stfr.basis import gauss_legendre, interp_matrix, make_basis
+from stfr.basis import make_basis
 from stfr.cli import main
 from stfr.geometry import (
     eval_st_mapping,
@@ -26,32 +26,18 @@ from stfr.physics import (
     Euler2D,
     SineWave1D,
     SineWave2D,
-    exact_state,
 )
 from stfr.st_solver import (
     PseudoControls,
     PseudoConvergenceError,
     SlabOperator,
-    StateField,
     advance_slab,
-    initial_condition,
     march,
-    pseudo_march,
-    st_residual,
     temporal_amplification,
 )
-from stfr.timestepping import ssp_rk3_step
 
 
 EULER_FREESTREAM = (1.0, 0.5, 0.5, 1.0 / 0.4 + 0.25)
-
-
-def test_ssp_rk3_frozen_residual_identity():
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal((4, 3))
-    r = rng.standard_normal((4, 3))
-    out = ssp_rk3_step(u, lambda w, k: r, 0.37)
-    assert np.allclose(out, u + 0.37 * r, atol=1e-15)
 
 
 def test_constant_field_stationary_zero_residual():
@@ -59,8 +45,8 @@ def test_constant_field_stationary_zero_residual():
     bs = bt = make_basis(2)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.05, bs, bt)
     inflow = np.full((8, 3, 1), 0.7)
-    fld = StateField(np.full((8, 3, 3, 1), 0.7), ks=2, kt=2)
-    r = st_residual(fld, geom, inflow, Advection1D(1.0), m)
+    u = np.full((8, 3, 3, 1), 0.7)
+    r = SlabOperator(m, geom, Advection1D(1.0), inflow).residual(u)
     assert np.abs(r).max() <= 1e-13
 
 
@@ -74,8 +60,8 @@ def test_freestream_residual_advection(presc):
     c0, c1 = path[-2], path[-1]
     geom = slab_geometry(m, c0, c1, 0.02, bs, bt)
     inflow = np.full((36, 9, 1), 2.0)
-    fld = StateField(np.full((36, 3, 9, 1), 2.0), ks=2, kt=2)
-    r = st_residual(fld, geom, inflow, Advection2D(), m)
+    u = np.full((36, 3, 9, 1), 2.0)
+    r = SlabOperator(m, geom, Advection2D(), inflow).residual(u)
     assert np.abs(r).max() <= 1e-12
 
 
@@ -86,8 +72,8 @@ def test_freestream_residual_euler_moving(moving_path):
     geom = slab_geometry(m, path[1], path[2], 0.02, bs, bt)
     q = np.array(EULER_FREESTREAM)
     inflow = np.tile(q, (16, 9, 1))
-    fld = StateField(np.tile(q, (16, 3, 9, 1)), ks=2, kt=2)
-    r = st_residual(fld, geom, inflow, Euler2D(), m)
+    u = np.tile(q, (16, 3, 9, 1))
+    r = SlabOperator(m, geom, Euler2D(), inflow).residual(u)
     assert np.abs(r).max() <= 1e-11
 
 
@@ -109,8 +95,8 @@ def test_p1_exact_linear_solution_residual(monkeypatch):
     inflow = bot_x[None, :, None]
 
     monkeypatch.setattr("stfr.st_solver.exact_state", linear_exact)
-    fld = StateField(vals, ks=1, kt=1)
-    r = st_residual(fld, geom, inflow, Advection1D(1.0), m, bc=SineWave1D())
+    op = SlabOperator(m, geom, Advection1D(1.0), inflow, bc=SineWave1D())
+    r = op.residual(vals)
     assert np.abs(r).max() <= 1e-12
 
 
@@ -126,7 +112,7 @@ def test_residual_linearity_advection():
     eq = Advection1D(1.0)
 
     def r(vals, infl):
-        return st_residual(StateField(vals, 2, 2), geom, infl, eq, m)
+        return SlabOperator(m, geom, eq, infl).residual(vals)
 
     a, b = 1.7, -0.6
     lhs = r(a * u + b * v, a * iu + b * iv)
@@ -139,12 +125,12 @@ def test_pseudo_march_freestream_immediate():
     bs = bt = make_basis(1)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.1, bs, bt)
     inflow = np.full((16, 4, 1), 1.0)
-    fld = StateField(np.full((16, 2, 4, 1), 1.0), ks=1, kt=1)
-    out, stats = pseudo_march(fld, geom, inflow, Advection2D(), m)
+    op = SlabOperator(m, geom, Advection2D(), inflow)
+    u, stats = op.march(np.full((16, 2, 4, 1), 1.0), PseudoControls())
     assert stats.iterations <= 1
 
 
-def test_pseudo_march_convergence_contract():
+def test_march_convergence_contract():
     m = interval_mesh(16)
     res = march(m, Stationary(), Advection1D(1.0), SineWave1D(1.0),
                 ks=2, kt=2, dt=1 / 32, n_steps=1)
@@ -152,7 +138,7 @@ def test_pseudo_march_convergence_contract():
     assert st.final_residual <= st.initial_residual * 1e-10
 
 
-def test_pseudo_march_max_iters_raises():
+def test_march_max_iters_raises():
     m = interval_mesh(16)
     with pytest.raises(PseudoConvergenceError) as exc:
         march(m, Stationary(), Advection1D(1.0), SineWave1D(1.0),
@@ -222,7 +208,7 @@ def test_conservation_periodic_advection():
     vals = {"masses": []}
 
     def cb2(fld, geom, top):
-        k = fld.slab_index + 1
+        k = len(vals["masses"]) + 1
         w, js, _, interp = spatial_quadrature_data(m, path[k], fld.ks,
                                                    fld.ks + 2)
         uq = np.einsum("qs,esv->eqv", interp, top)
@@ -241,7 +227,7 @@ def test_conservation_periodic_advection_1d():
     vals = []
 
     def cb(fld, geom, top):
-        k = fld.slab_index + 1
+        k = len(vals) + 1
         w, js, _, interp = spatial_quadrature_data(m, path[k], fld.ks, fld.ks + 2)
         uq = np.einsum("qs,esv->eqv", interp, top)
         vals.append(float(np.einsum("q,eq->", w, js * uq[..., 0])))

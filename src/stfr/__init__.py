@@ -10,7 +10,7 @@ Subpackage layout:
     st_solver   space-time FR solver, Newton-Krylov solve per slab
     mol_solver  ALE-FR method-of-lines solver (SSP-RK3)
     stfv        1D space-time finite-volume reference schemes
-    analysis    error norms, observed orders, convergence reports
+    analysis    error norms, convergence reports (orders between rows)
     cli         case configs, run/sweep orchestration, command line
 """
 

@@ -1,5 +1,5 @@
-"""Error norms, observed-order computation and convergence-report
-serialization.
+"""Error norms and the convergence report: its rows, the order between
+each row and the one before it, and its serialization.
 
 Both L2 norms are volume-normalized: the final-time norm interpolates the
 slab to its top face and integrates the squared pointwise error over the
@@ -69,23 +69,6 @@ def _order(e_prev, e, s_prev, s):
         return math.nan
     ratio = math.log(s_prev / s)
     return math.log(e_prev / e) / ratio if ratio != 0 else math.nan
-
-
-def observed_orders(errors, sizes):
-    """order_i = log(E_{i-1}/E_i) / log(s_{i-1}/s_i); NaN where undefined.
-
-    First entry is NaN (no previous row); non-positive errors give NaN.
-    """
-    errors = np.asarray(errors, dtype=float)
-    sizes = np.asarray(sizes, dtype=float)
-    if errors.size != sizes.size or errors.size < 2:
-        raise ValueError("need matching errors/sizes of length >= 2")
-    if not (np.all(np.diff(sizes) > 0) or np.all(np.diff(sizes) < 0)):
-        raise ValueError("sizes must be strictly monotone")
-    out = np.full(errors.size, np.nan)
-    for i in range(1, errors.size):
-        out[i] = _order(errors[i - 1], errors[i], sizes[i - 1], sizes[i])
-    return out
 
 
 @dataclass

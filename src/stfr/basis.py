@@ -1,82 +1,27 @@
 """One-dimensional polynomial infrastructure.
 
-Gauss-Legendre points/weights, Lagrange interpolation and differentiation,
-and the derivatives of the DG-recovering (Radau) correction functions.
-All tensor-product operators of the solvers are assembled from these
-1D tables.  Everything lives on the reference interval [-1, 1].
+Gauss-Legendre points and weights, Lagrange interpolation and
+differentiation tables, and the derivatives of the DG-recovering (Radau)
+correction functions.  The rule and the Legendre series come from
+`numpy.polynomial.legendre`; the Lagrange tables are products over the
+nodes.  All tensor-product operators of the solvers are assembled from
+these 1D tables.  Everything lives on the reference interval [-1, 1].
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-
-def legendre_and_deriv(n: int, x):
-    """Evaluate P_n(x) and P_n'(x) via the three-term recurrence.
-
-    Args:
-        n: Polynomial degree, n >= 0.
-        x: Evaluation point(s), scalar or array.
-
-    Returns:
-        (P_n(x), P_n'(x)) as arrays matching the shape of x.
-    """
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
-    p = x.copy()
-    for m in range(2, n + 1):
-        p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
-    # derivative from the standard identity (1-x^2) P_n' = n (P_{n-1} - x P_n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dp = n * (p_prev - x * p) / (1.0 - x * x)
-    # endpoints: P_n'(+-1) = (+-1)^(n-1) n(n+1)/2
-    at_end = np.isclose(np.abs(x), 1.0)
-    if np.any(at_end):
-        endval = np.sign(x) ** (n - 1) * n * (n + 1) / 2.0
-        dp = np.where(at_end, endval, dp)
-    return p, dp
+from numpy.polynomial import legendre
 
 
 def gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Newton iteration on P_n with the analytic recurrence; converges to
-    machine precision for the degrees used here (n <= 12).  The rule
-    integrates polynomials of degree <= 2n-1 exactly.
-
-    Args:
-        n: Number of points, n >= 1.
-
-    Returns:
-        (nodes, weights): arrays of shape (n,), nodes strictly increasing.
-
-    Raises:
-        ValueError: if n < 1.
-    """
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1], each
+    of shape (n,), nodes strictly increasing; exact for polynomials of
+    degree <= 2n-1.  Raises ValueError if n < 1."""
     if n < 1:
         raise ValueError(f"gauss_legendre requires n >= 1, got {n}")
-    if n == 1:
-        return np.array([0.0]), np.array([2.0])
-    # Chebyshev-like initial guesses, descending, then sorted at the end
-    k = np.arange(1, n + 1)
-    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p, dp = legendre_and_deriv(n, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    _, dp = legendre_and_deriv(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    x, w = x[order], w[order]
-    # enforce exact symmetry about the origin
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
-    return x, w
+    return legendre.leggauss(n)
 
 
 def _check_nodes(nodes) -> np.ndarray:
@@ -90,39 +35,20 @@ def _check_nodes(nodes) -> np.ndarray:
     return nodes
 
 
-def lagrange_eval(nodes, i: int, x):
-    """Evaluate the i-th Lagrange polynomial on `nodes` at x.
-
-    L_i(x) = prod_{j != i} (x - tau_j)/(tau_i - tau_j), so L_i(tau_j) is
-    the Kronecker delta.
-
-    Raises:
-        ValueError: for duplicate nodes or i out of range.
-    """
-    nodes = _check_nodes(nodes)
-    if not 0 <= i < nodes.size:
-        raise ValueError(f"index i={i} out of range for {nodes.size} nodes")
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    for j in range(nodes.size):
-        if j != i:
-            out = out * (x - nodes[j]) / (nodes[i] - nodes[j])
-    return out if out.ndim else float(out)
-
-
-def lagrange_row(nodes, x) -> np.ndarray:
-    """Values of all Lagrange polynomials on `nodes` at scalar x, shape (n,)."""
-    nodes = _check_nodes(nodes)
-    return np.array([lagrange_eval(nodes, i, float(x)) for i in range(nodes.size)])
-
-
 def interp_matrix(nodes, targets) -> np.ndarray:
     """Interpolation matrix from nodal values on `nodes` to `targets`.
 
-    A[p, j] = L_j(targets[p]); A @ values interpolates.
+    A[p, i] = L_i(targets[p]) with the Lagrange polynomial
+    L_i(x) = prod_{j != i} (x - tau_j)/(tau_i - tau_j), so A @ values
+    interpolates.  The product runs over j in node order.
     """
+    nodes = _check_nodes(nodes)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    return np.stack([lagrange_row(nodes, t) for t in targets], axis=0)
+    A = np.ones((targets.size, nodes.size))
+    for j, tau in enumerate(nodes):
+        others = np.arange(nodes.size) != j
+        A[:, others] = A[:, others] * (targets[:, None] - tau) / (nodes[others] - tau)
+    return A
 
 
 def diff_matrix(nodes) -> np.ndarray:
@@ -134,53 +60,37 @@ def diff_matrix(nodes) -> np.ndarray:
     at the nodes.
     """
     nodes = _check_nodes(nodes)
-    n = nodes.size
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
     bw = 1.0 / np.prod(diff, axis=1)  # barycentric weights
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (bw[j] / bw[i]) / (nodes[i] - nodes[j])
+    D = (bw[None, :] / bw[:, None]) / diff
+    np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -np.sum(D, axis=1))
     return D
 
 
-def radau_right(k: int, x):
-    """Right Radau polynomial of degree k+1: value 1 at -1, 0 at +1,
+def radau_right(k: int) -> np.ndarray:
+    """Legendre coefficients of the right Radau polynomial of degree k+1,
+    g_L = (-1)^(k+1) (P_{k+1} - P_k) / 2: value 1 at -1, 0 at +1,
     orthogonal to P^{k-1} on [-1, 1]."""
-    x = np.asarray(x, dtype=float)
-    pk, _ = legendre_and_deriv(k, x)
-    pk1, _ = legendre_and_deriv(k + 1, x)
-    return (-1.0) ** (k + 1) * 0.5 * (pk1 - pk)
+    c = np.zeros(k + 2)
+    c[k], c[k + 1] = -0.5, 0.5
+    return (-1.0) ** (k + 1) * c
 
 
 def correction_derivatives(nodes, k: int):
     """Derivatives of the DG-recovering correction functions at the nodes.
 
     g_L is the degree-(k+1) right Radau polynomial (g_L(-1)=1, g_L(1)=0,
-    orthogonal to P^{k-1}); g_R(tau) = g_L(-tau).  This choice keeps the
-    collocated scheme on Gauss-Legendre points equivalent to nodal DG.
-
-    Args:
-        nodes: the k+1 solution points, symmetric about 0.
-        k: polynomial degree; len(nodes) must equal k+1.
-
-    Returns:
-        (g'_L at nodes, g'_R at nodes), each shape (k+1,).
+    orthogonal to P^{k-1}); g_R(tau) = g_L(-tau), so g'_R(x) = -g'_L(-x).
+    This choice keeps the collocated scheme on Gauss-Legendre points
+    equivalent to nodal DG.  Returns (g'_L, g'_R) at the k+1 `nodes`.
     """
     nodes = _check_nodes(nodes)
     if nodes.size != k + 1:
         raise ValueError(f"expected {k + 1} nodes for degree {k}, got {nodes.size}")
-    if not np.array_equal(nodes, -nodes[::-1]):
-        raise ValueError("nodes must be symmetric about 0")
-    _, dpk = legendre_and_deriv(k, nodes)
-    _, dpk1 = legendre_and_deriv(k + 1, nodes)
-    dgl = (-1.0) ** (k + 1) * 0.5 * (dpk1 - dpk)
-    # reflection g_R(tau) = g_L(-tau), so g'_R(x) = -g'_L(-x); the nodes are
-    # symmetric, -x_i = x_{k-i}, so g'_L(-x) is g'_L at the nodes reversed
-    return dgl, -dgl[::-1]
+    dgl = legendre.legder(radau_right(k))
+    return legendre.legval(nodes, dgl), -legendre.legval(-nodes, dgl)
 
 
 @dataclass(frozen=True)
@@ -222,13 +132,14 @@ def make_basis(k: int) -> BasisSet:
         raise ValueError(f"degree must be >= 0, got {k}")
     nodes, weights = gauss_legendre(k + 1)
     dgl, dgr = correction_derivatives(nodes, k)
+    left, right = interp_matrix(nodes, (-1.0, 1.0))
     return BasisSet(
         degree=k,
         nodes=nodes,
         weights=weights,
         diff=diff_matrix(nodes),
-        extrap_left=lagrange_row(nodes, -1.0),
-        extrap_right=lagrange_row(nodes, 1.0),
+        extrap_left=left,
+        extrap_right=right,
         corr_deriv_left=dgl,
         corr_deriv_right=dgr,
     )

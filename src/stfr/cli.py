@@ -17,7 +17,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, wraps
 from importlib import resources
 from pathlib import Path
@@ -89,11 +90,13 @@ class CaseConfig:
 
 def validate(cfg: CaseConfig):
     """Collect every validation failure; raise ConfigError naming them all."""
-    errs = [f"{s}: must be an object, got {getattr(cfg, s)!r}"
-            for s in SECTIONS if not isinstance(getattr(cfg, s), dict)]
-    if errs:
+    bad = {f: want for f, kind in FIELD_KINDS.items()
+           if (want := _misfit(getattr(cfg, f), kind))}
+    errs = [f"{f}: must be {want}, got {getattr(cfg, f)!r}"
+            for f, want in bad.items()]
+    if bad.keys() & set(SECTIONS):
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errs))
-    if cfg.solver not in ("spacetime", "mol", "stfv"):
+    if "solver" not in bad and cfg.solver not in ("spacetime", "mol", "stfv"):
         errs.append(f"solver: unknown solver {cfg.solver!r}")
     kinds = {}  # section -> its valid type
     for section in SECTIONS:
@@ -103,30 +106,27 @@ def validate(cfg: CaseConfig):
             errs.append(f"{section}.type: unknown {kind!r}")
             continue
         kinds[section] = kind
-        names, required, defaults = _accepted_keys(section, kind)
+        names, required, annotations = _accepted_keys(section, kind)
         what = f"for {section} type {kind!r}" if kind else f"in {section}"
         errs += [f"{section}.{k}: unknown key {what}" for k in sorted(d.keys() - names)]
         errs += [f"{section}.{k}: required {what}" for k in required if k not in d]
         errs += [f"{section}.{k}: must be {want}, got {d[k]!r}"
-                 for k in sorted(d.keys() & defaults.keys())
-                 if (want := _misfit(d[k], defaults[k]))]
+                 for k in sorted(d.keys() & annotations.keys())
+                 if (want := _misfit(d[k], annotations[k]))]
     eq_kind, ex_kind = kinds.get("equation"), kinds.get("exact")
     if eq_kind and ex_kind and not issubclass(EQUATIONS[eq_kind],
                                               physics.EXACT_KINDS[ex_kind]):
         errs.append(f"exact.type: {ex_kind!r} does not solve equation "
                     f"type {eq_kind!r}")
-    if cfg.bc not in ("periodic", "dirichlet"):
+    if "bc" not in bad and cfg.bc not in ("periodic", "dirichlet"):
         errs.append(f"bc: must be periodic or dirichlet, got {cfg.bc!r}")
-    if not isinstance(cfg.k_s, int) or cfg.k_s < 0:
-        errs.append(f"k_s: must be a non-negative integer, got {cfg.k_s!r}")
-    if not isinstance(cfg.k_t, int) or cfg.k_t < 0:
-        errs.append(f"k_t: must be a non-negative integer, got {cfg.k_t!r}")
-    if not (isinstance(cfg.dt, (int, float)) and cfg.dt > 0):
-        errs.append(f"dt: must be > 0, got {cfg.dt!r}")
-    if not (isinstance(cfg.t_final, (int, float)) and cfg.t_final > 0):
-        errs.append(f"t_final: must be > 0, got {cfg.t_final!r}")
-    if isinstance(cfg.dt, (int, float)) and cfg.dt > 0 \
-            and isinstance(cfg.t_final, (int, float)) and cfg.t_final > 0:
+    errs += [f"{f}: must be >= 0, got {getattr(cfg, f)!r}"
+             for f in ("k_s", "k_t") if f not in bad and getattr(cfg, f) < 0]
+    times = [f for f in ("dt", "t_final") if f not in bad]
+    finite = [f for f in times if 0 < getattr(cfg, f) < math.inf]
+    errs += [f"{f}: must be finite and > 0, got {getattr(cfg, f)!r}"
+             for f in times if f not in finite]
+    if len(finite) == 2:
         ratio = cfg.t_final / cfg.dt
         if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
             errs.append(f"dt: t_final={cfg.t_final} is not an integer multiple "
@@ -148,37 +148,44 @@ def validate(cfg: CaseConfig):
 
 @lru_cache(maxsize=None)
 def _accepted_keys(section: str, kind: str | None):
-    """(settable, required, defaults) of a config section of type `kind`:
-    the parameters of what it builds, less those its builder fills in, and
-    the default of each optional one.  Cached, because inspecting a
-    signature costs more than the rest of validate."""
+    """(settable, required, annotations) of a config section of type
+    `kind`: the parameters of what it builds, less those its builder fills
+    in, those without a default, and the annotation of each.  Cached,
+    because inspecting a signature costs more than the rest of validate."""
     target = PseudoControls if section == "pseudo" else TYPED[section][kind]
     params = inspect.signature(target).parameters
     names = [k for k in params if k not in FIXED.get(section, ())]
-    defaults = {k: params[k].default for k in names
-                if params[k].default is not params[k].empty}
-    required = tuple(k for k in names if k not in defaults)
-    return frozenset(names + ["type"] * (section in TYPED)), required, defaults
+    required = tuple(k for k in names if params[k].default is params[k].empty)
+    annotations = {k: params[k].annotation for k in names}
+    return frozenset(names + ["type"] * (section in TYPED)), required, annotations
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _misfit(value, default) -> str | None:
-    """What a value must be to stand for a parameter with this default (a
-    number for a float, an integer for an int, a list of numbers for a
-    tuple, a number or null for None), or None when it is that."""
-    if default is None:
-        return None if value is None or _is_number(value) else "a number or null"
-    if isinstance(default, int):
-        return None if _is_number(value) and isinstance(value, int) else "an integer"
-    if isinstance(default, float):
-        return None if _is_number(value) else "a number"
-    if isinstance(default, tuple):
-        ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
-        return None if ok else "a list of numbers"
-    return None
+# annotation of a config field or builder parameter -> (what a value must
+# be to set it, the test of that)
+KINDS = {
+    int: ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    float: ("a number", _is_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+    tuple: ("a list of numbers",
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+}
+FIELD_KINDS = {f.name: f.type for f in fields(CaseConfig)}
+
+
+def _misfit(value, kind) -> str | None:
+    """What a value must be to set a field or parameter annotated `kind`
+    (`X | None` also takes null), or None when it is that."""
+    if isinstance(kind, types.UnionType):  # X | None
+        want = _misfit(value, kind.__args__[0])
+        return None if value is None or want is None else f"{want} or null"
+    want, fits = KINDS[kind]
+    return None if fits(value) else want
 
 
 def _section_errors(section: str):
@@ -250,7 +257,8 @@ def mesh_resolution(cfg: CaseConfig) -> float:
 
 
 def _stfv_run(cfg: CaseConfig, eq, sol, mesh):
-    """March the 1D space-time FV scheme; returns (error_final, nan)."""
+    """March the 1D space-time FV scheme; returns (error_final, nan, the
+    final cell averages)."""
     presc = build_motion(cfg)
     n_steps = int(round(cfg.t_final / cfg.dt))
     path = motion_path(presc, mesh, cfg.dt, n_steps)

@@ -112,14 +112,6 @@ class MolOperator:
         return -total[:, 0] / self.levels[level].jac[:, 0, :, None]
 
 
-def mol_residual(field: MolField, mesh: Mesh, vel_nodes: np.ndarray,
-                 eq: EquationSet, bc: ExactSolution | None = None) -> np.ndarray:
-    """Semi-discrete du/dt at the solution points (spec surface)."""
-    geom = spatial_geometry(mesh, field.coords, vel_nodes,
-                            make_basis(field.ks), field.t)
-    return MolOperator(mesh, eq, bc).bind_degree(geom).residual(field.values)
-
-
 def ssp_rk3_step(u, rhs, dt):
     """One SSP-RK3 cycle: u_{n+1} from u_n with du/dt = rhs(u, k).
 
@@ -180,20 +172,18 @@ class MolMarchResult:
 
 def march_mol(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,
               sol: ExactSolution, ks: int, dt: float, n_steps: int,
-              bc: ExactSolution | None = None,
               step_callback=None) -> MolMarchResult:
-    """March n_steps SSP-RK3 steps from the exact initial condition."""
+    """March n_steps SSP-RK3 steps from the exact initial condition; `sol`
+    also gives the boundary states where the mesh has Dirichlet faces."""
     bs = make_basis(ks)
     path = motion_path(motion, mesh, dt, n_steps)
-    if bc is None and len(mesh.dirichlet):
-        bc = sol
     u0 = initial_condition(mesh, path[0], bs, sol)
     fld = MolField(values=u0, ks=ks, t=0.0, coords=path[0])
     # an unstable run overflows; the finiteness check below names it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n_steps):
             try:
-                fld = rk3_physical_step(fld, mesh, path[k + 1], dt, eq, bc=bc)
+                fld = rk3_physical_step(fld, mesh, path[k + 1], dt, eq, bc=sol)
             except (GeometryDegeneracyError, NonPhysicalStateError) as exc:
                 exc.args = (f"step {k} at t = {k * dt:.6g}: {exc}",)
                 raise

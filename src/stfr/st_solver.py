@@ -697,26 +697,23 @@ def initial_condition(mesh: Mesh, coords0, basis_s: BasisSet,
 
 def march(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,
           sol: ExactSolution, ks: int, kt: int, dt: float, n_steps: int,
-          bc: ExactSolution | None = None,
           controls: PseudoControls | None = None,
           slab_callback=None) -> MarchResult:
     """March n_steps slabs from the exact initial condition at t = 0.
 
-    bc supplies analytic boundary states where the mesh has dirichlet faces
-    (defaults to `sol`).  slab_callback(field, geom, top) runs after each
+    `sol` also supplies the analytic boundary states where the mesh has
+    dirichlet faces.  slab_callback(field, geom, top) runs after each
     converged slab.
     """
     controls = controls or PseudoControls()
     bs, bt = make_basis(ks), make_basis(kt)
     path = motion_path(motion, mesh, dt, n_steps)
     inflow = initial_condition(mesh, path[0], bs, sol)
-    if bc is None and len(mesh.dirichlet):
-        bc = sol
     result = MarchResult(field=None, geom=None, top=inflow)
     for k in range(n_steps):
         fld, geom, top, stats = advance_slab(
             result.top, mesh, path[k], path[k + 1], dt, k * dt, eq,
-            bs, bt, bc=bc, controls=controls, slab_index=k)
+            bs, bt, bc=sol, controls=controls, slab_index=k)
         result.field, result.geom, result.top = fld, geom, top
         result.stats.append(stats)
         if slab_callback is not None:

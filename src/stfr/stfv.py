@@ -1,10 +1,10 @@
 """Desk-scale 1D space-time finite-volume reference schemes.
 
 The explicit 2nd-order space-time FV step on a moving 1D mesh, the
-finite-volume method-of-lines step it must coincide with, and the
-Crank-Nicolson defect check for the implicit midpoint-flux variant on
-stationary meshes.  Interfaces are periodic: interface i sits between
-cells i-1 and i (mod n).
+finite-volume method-of-lines step (volumes from the discrete GCL) it must
+match to round-off, and the Crank-Nicolson defect check for the implicit
+midpoint-flux variant on stationary meshes.  Interfaces are periodic:
+interface i sits between cells i-1 and i (mod n).
 """
 
 from dataclasses import dataclass
@@ -73,10 +73,13 @@ def stfv_step_explicit(state: Fv1dState, flux_rule=None) -> np.ndarray:
 
 def fvmol_step(state: Fv1dState, flux_rule=None) -> np.ndarray:
     """Forward-Euler FV method of lines on the moving mesh:
-    d(ubar V)/dt + (F_2 - F_1) = 0 with V the cell volume."""
+    d(ubar V)/dt + (F_2 - F_1) = 0, with the new cell volume V^{n+1} taken
+    from the discrete GCL dV/dt = v_g,2 - v_g,1, not from the new
+    interface positions."""
     flux_rule = flux_rule or upwind_flux_rule()
     V_n = np.diff(state.x_n)
-    V_np1 = np.diff(state.x_np1)
+    v_g = (state.x_np1 - state.x_n) / state.dt
+    V_np1 = V_n + state.dt * np.diff(v_g)
     if np.any(V_np1 <= 0):
         raise CellInversionError("cell inversion at t + dt")
     F = _interface_fluxes(state, flux_rule)

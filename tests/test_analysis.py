@@ -7,7 +7,6 @@ from stfr.analysis import (
     ConvergenceReport,
     l2_error_final,
     l2_error_slab,
-    observed_orders,
 )
 from stfr.basis import make_basis
 from stfr.geometry import eval_st_mapping, slab_geometry, st_points
@@ -104,32 +103,37 @@ def test_norm_element_relabel_invariance():
     assert abs(e1 - e2) <= 1e-13
 
 
+def _orders(errors, sizes):
+    """order_final of each row of a report over (size, error) rows."""
+    rep = ConvergenceReport()
+    return [rep.add(s, e, e).order_final for e, s in zip(errors, sizes)]
+
+
 def test_observed_orders_examples():
-    o = observed_orders([3.24e-3, 7.34e-4], [1 / 8, 1 / 16])
+    o = _orders([3.24e-3, 7.34e-4], [1 / 8, 1 / 16])
     assert o[1] == pytest.approx(2.14, abs=0.01)
-    o = observed_orders([2.04e-4, 2.67e-5], [1 / 8, 1 / 16])
+    o = _orders([2.04e-4, 2.67e-5], [1 / 8, 1 / 16])
     assert o[1] == pytest.approx(2.93, abs=0.01)
-    o = observed_orders([1e-3, 1e-3], [1 / 8, 1 / 16])
+    o = _orders([1e-3, 1e-3], [1 / 8, 1 / 16])
     assert o[1] == 0.0
 
 
 def test_observed_orders_power_law_exact():
     sizes = [0.2, 0.1, 0.05, 0.025]
     errors = [3.0 * s**2.75 for s in sizes]
-    o = observed_orders(errors, sizes)
+    o = _orders(errors, sizes)
     assert np.allclose(o[1:], 2.75, atol=1e-12)
 
 
 def test_observed_orders_undefined_marker():
-    o = observed_orders([1e-3, 0.0], [0.1, 0.05])
+    o = _orders([1e-3, 0.0], [0.1, 0.05])
     assert math.isnan(o[1])
 
 
-def test_observed_orders_validation():
-    with pytest.raises(ValueError):
-        observed_orders([1e-3], [0.1])
-    with pytest.raises(ValueError):
-        observed_orders([1, 2, 3], [0.1, 0.3, 0.2])
+def test_observed_orders_first_row_and_equal_resolution():
+    # no order without a previous row, nor between two equal resolutions
+    o = _orders([1e-3, 5e-4], [0.1, 0.1])
+    assert math.isnan(o[0]) and math.isnan(o[1])
 
 
 def test_report_csv_and_plot(tmp_path):

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre, legendre
 
 from stfr.basis import (
     correction_derivatives,
     diff_matrix,
     gauss_legendre,
     interp_matrix,
-    lagrange_eval,
-    lagrange_row,
-    legendre_and_deriv,
     make_basis,
     radau_right,
 )
@@ -51,22 +49,20 @@ def test_nodes_symmetric_and_weights(n):
 
 def test_lagrange_kronecker_and_partition():
     x, _ = gauss_legendre(5)
-    for i in range(5):
-        vals = [lagrange_eval(x, i, x[j]) for j in range(5)]
-        expect = np.eye(5)[i]
-        assert np.allclose(vals, expect, atol=1e-13)
-    assert abs(sum(lagrange_eval(x, i, 0.3) for i in range(5)) - 1.0) < 1e-13
+    assert np.allclose(interp_matrix(x, x), np.eye(5), atol=1e-13)
+    assert abs(interp_matrix(x, 0.3).sum() - 1.0) < 1e-13
 
 
 def test_lagrange_two_point_endpoint_values():
     nodes = np.array([-1 / np.sqrt(3), 1 / np.sqrt(3)])
-    v = lagrange_row(nodes, 1.0)
-    assert np.allclose(v, [-0.3660254, 1.3660254], atol=1e-7)
+    v = interp_matrix(nodes, 1.0)
+    assert v.shape == (1, 2)
+    assert np.allclose(v[0], [-0.3660254, 1.3660254], atol=1e-7)
 
 
 def test_lagrange_duplicate_nodes_error():
     with pytest.raises(ValueError):
-        lagrange_eval([0.1, 0.1, 0.5], 0, 0.3)
+        interp_matrix([0.1, 0.1, 0.5], 0.3)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -113,27 +109,28 @@ def test_correction_k0():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_correction_reflection(k):
+    # g'_R(tau_i) = -g'_L(-tau_i), with g'_L built from P_k and P_{k+1} and
+    # evaluated at -tau_i directly; shifted nodes are not symmetric
+    dgl = ((-1.0) ** (k + 1) * 0.5 * (Legendre.basis(k + 1)
+                                      - Legendre.basis(k))).deriv()
     b = make_basis(k)
-    # g'_R(tau_i) = -g'_L(-tau_i), with g'_L evaluated at -tau_i directly
-    _, dpk = legendre_and_deriv(k, -b.nodes)
-    _, dpk1 = legendre_and_deriv(k + 1, -b.nodes)
-    dgl_reflected = (-1.0) ** (k + 1) * 0.5 * (dpk1 - dpk)
-    assert np.allclose(b.corr_deriv_right, -dgl_reflected, atol=1e-13)
-    with pytest.raises(ValueError, match="symmetric"):
-        correction_derivatives(b.nodes + 0.01, k)
+    for nodes in (b.nodes, b.nodes + 0.01):
+        left, right = correction_derivatives(nodes, k)
+        assert np.allclose(left, dgl(nodes), atol=1e-13)
+        assert np.allclose(right, -dgl(-nodes), atol=1e-13)
 
 
 def test_radau_orthogonality_k1():
     # integral of g_L against P^0 must vanish (5-point quadrature oracle)
     x, w = gauss_legendre(5)
-    val = np.sum(w * radau_right(1, x))
+    val = np.sum(w * legendre.legval(x, radau_right(1)))
     assert abs(val) < 1e-14
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_radau_orthogonal_to_lower_space(k):
     x, w = gauss_legendre(k + 3)
-    g = radau_right(k, x)
+    g = legendre.legval(x, radau_right(k))
     for p in range(k):
         assert abs(np.sum(w * g * x**p)) < 1e-13
 
@@ -149,8 +146,8 @@ def test_correction_endpoint_conditions(k):
     dgl_q = A @ b.corr_deriv_left
     total = np.sum(wq * dgl_q)
     assert abs(total - (-1.0)) < 1e-13  # g_L(1) - g_L(-1) = -1
-    assert abs(radau_right(k, np.array([-1.0]))[0] - 1.0) < 1e-13
-    assert abs(radau_right(k, np.array([1.0]))[0]) < 1e-13
+    g_ends = legendre.legval([-1.0, 1.0], radau_right(k))
+    assert abs(g_ends[0] - 1.0) < 1e-13 and abs(g_ends[1]) < 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -161,3 +158,38 @@ def test_basisset_invariants(k):
     assert abs(np.sum(b.extrap_left) - 1.0) < 1e-13
     assert abs(np.sum(b.extrap_right) - 1.0) < 1e-13
     assert not b.nodes.flags.writeable
+
+
+def _loop_tables(nodes, targets):
+    """Reference interpolation and differentiation tables, one entry at a
+    time: L_i(x) as a product over j in node order, and the barycentric
+    D[i, j] with negated row sums on the diagonal."""
+    n = len(nodes)
+    A = np.ones((len(targets), n))
+    for p, x in enumerate(targets):
+        for i in range(n):
+            for j in range(n):
+                if j != i:
+                    A[p, i] = A[p, i] * (x - nodes[j]) / (nodes[i] - nodes[j])
+    diff = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(diff, 1.0)
+    bw = 1.0 / np.prod(diff, axis=1)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = (bw[j] / bw[i]) / (nodes[i] - nodes[j])
+    np.fill_diagonal(D, -np.sum(D, axis=1))
+    return A, D
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
+def test_tables_equal_loop_reference(n):
+    # the array forms keep the loop's order of operations per entry, so the
+    # tables are equal, not merely close
+    rng = np.random.default_rng(n)
+    targets = np.concatenate([[-1.0, 1.0], rng.uniform(-1.2, 1.2, 9)])
+    for nodes in (gauss_legendre(n)[0], np.sort(rng.uniform(-1, 1, n))):
+        A, D = _loop_tables(nodes, targets)
+        assert np.array_equal(interp_matrix(nodes, targets), A)
+        assert np.array_equal(diff_matrix(nodes), D)

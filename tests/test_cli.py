@@ -162,6 +162,8 @@ def test_cli_unknown_case():
      ["exact.U0", "exact.period"]),
     (["pseudo.max_iters=1.5", "pseudo.drop_orders=true"],
      ["pseudo.max_iters", "pseudo.drop_orders"]),
+    # required keys are checked against their parameter's annotation too
+    (['mesh.nx="a"'], ["mesh.nx"]),
 ])
 def test_cli_bad_section_keys_exit_1(capsys, overrides, bad):
     args = ["run", "compare_sine_deform_p2"]
@@ -172,9 +174,64 @@ def test_cli_bad_section_keys_exit_1(capsys, overrides, bad):
     assert all(f"{name}:" in err for name in bad)
 
 
+@pytest.mark.parametrize("case, overrides, bad", [
+    ("wave1d_stationary_p2p2", ["k_s=true", "k_t=true", "t_final=0.0625"],
+     ["k_s", "k_t"]),
+    ("compare_sine_deform_p2", ["mesh.nx=true", "mesh.ny=true", "t_final=0.02"],
+     ["mesh.nx", "mesh.ny"]),
+    ("wave1d_stationary_p2p2", ["dt=true", "t_final=true"], ["dt", "t_final"]),
+    ("wave1d_stationary_p2p2", ["output_dir=3"], ["output_dir"]),
+    ("wave1d_stationary_p2p2", ["name=3", "dump_solution=1"],
+     ["name", "dump_solution"]),
+    # path 0 would read the mesh from standard input
+    ("wave1d_stationary_p2p2", ['mesh={"type": "file", "path": 0}'],
+     ["mesh.path"]),
+])
+def test_cli_wrong_kind_exits_1_before_solve(monkeypatch, capsys, case,
+                                             overrides, bad):
+    # a value of the wrong kind for its field or parameter stops the run in
+    # validate, before any mesh is read or any solver runs
+    import stfr.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    for name in ("march", "march_mol"):
+        monkeypatch.setattr(cli, name, no_solve)
+    args = ["run", case]
+    for pair in overrides:
+        args += ["--set", pair]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert all(f"\n  {name}: must be " in err for name in bad)
+
+
+@pytest.mark.parametrize("pair", ["dt=Infinity", "t_final=Infinity", "dt=NaN"])
+def test_non_finite_times_exit_1(capsys, pair):
+    assert main(["run", "wave1d_stationary_p2p2", "--set", pair]) == 1
+    err = capsys.readouterr().err
+    assert f"\n  {pair.partition('=')[0]}: must be finite and > 0" in err
+
+
+def test_every_settable_value_has_a_checked_kind():
+    import types
+
+    from stfr.cli import FIELD_KINDS, KINDS, SECTIONS
+
+    kinds = list(FIELD_KINDS.values())
+    for section in SECTIONS:
+        for kind in (TYPED[section] if section in TYPED else [None]):
+            kinds += _accepted_keys(section, kind)[2].values()
+    for kind in kinds:
+        if isinstance(kind, types.UnionType):
+            kind = kind.__args__[0]
+        assert kind in KINDS
+
+
 @pytest.mark.parametrize("case, overrides, section", [
     ("compare_sine_deform_p2", ["pseudo.drop_orders=0.5"], "pseudo"),
-    ("compare_sine_deform_p2", ['mesh.nx="a"'], "mesh"),
+    ("compare_sine_deform_p2", ["mesh.nx=0"], "mesh"),
     ("euler_vortex_p3", ["equation.gamma=1.0"], "equation"),
     ("compare_sine_deform_p2", ["bad mesh file"], "mesh"),
     ("compare_sine_deform_p2", ["missing mesh file"], "mesh"),

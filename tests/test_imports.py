@@ -37,3 +37,46 @@ def test_detector_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", list(MODULES.values()), ids=list(MODULES))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# module-level names of src/stfr that nothing in the package, its tools or
+# its benchmark reads, and why each stays
+UNREAD_BY_DESIGN = {
+    "write_mesh": "writes the mesh file format that read_mesh parses",
+}
+
+
+def unread_definitions(package: Path, readers: list) -> list:
+    """Module-level functions and classes of `package`/*.py that no file of
+    `readers` reads as a name or an attribute."""
+    defined = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{name} ({where})" for name, where in defined.items()
+                  if name not in read)
+
+
+def test_unread_detector(tmp_path):
+    (tmp_path / "a.py").write_text("class C:\n    pass\n\n\ndef f():\n"
+                                   "    return g\n\n\ndef h():\n    pass\n")
+    (tmp_path / "b.py").write_text("import a\n\nx = a.C()\n")
+    package = list(tmp_path.glob("*.py"))
+    assert unread_definitions(tmp_path, package) == ["f (a.py:5)", "h (a.py:9)"]
+
+
+def test_every_package_name_is_read_outside_the_tests():
+    # the allowed list holds exactly the names still unread
+    package = ROOT / "src" / "stfr"
+    readers = [p for d in (package, ROOT / "tools", ROOT / "stfrbench")
+               for p in sorted(d.glob("*.py"))]
+    unread = unread_definitions(package, readers)
+    assert [u.split()[0] for u in unread] == sorted(UNREAD_BY_DESIGN), unread

@@ -22,15 +22,22 @@ from stfr.physics import (
 )
 from stfr.mol_solver import (
     MolField,
+    MolOperator,
     grid_velocity_step,
     march_mol,
-    mol_residual,
     mol_stable_dt,
     rk3_physical_step,
     ssp_rk3_step,
 )
 from stfr.analysis import l2_error_nodal
 from stfr.st_solver import initial_condition
+
+
+def mol_residual(fld, mesh, vel, eq, bc=None):
+    """du/dt of `fld` with the nodes moving at `vel`, from the operator
+    built the way `rk3_physical_step` builds it, at one level."""
+    geom = spatial_geometry(mesh, fld.coords, vel, make_basis(fld.ks), fld.t)
+    return MolOperator(mesh, eq, bc).bind_degree(geom).residual(fld.values)
 
 
 def test_grid_velocity_trivia():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stfr.analysis import l2_error_final, observed_orders
+from stfr.analysis import ConvergenceReport, l2_error_final
 from stfr.basis import make_basis
 from stfr.cli import main
 from stfr.geometry import (
@@ -248,13 +248,13 @@ def test_temporal_superconvergence_moving_mesh(ks, kt, dts):
     m = interval_mesh(8)
     motion = RigidOscillation(amp=(0.05,), omega=(2 * np.pi,))
     sol = SineWave1D(1.0)
-    errs = []
+    report = ConvergenceReport()
     for dt in dts:
         res = march(m, motion, Advection1D(1.0), sol, ks, kt, dt,
                     int(round(0.5 / dt)))
-        errs.append(l2_error_final(res.field, res.geom, m, res.coords_final,
-                                   sol, 0.5))
-    assert abs(observed_orders(errs, dts)[-1] - (2 * kt + 1)) <= 0.3
+        e = l2_error_final(res.field, res.geom, m, res.coords_final, sol, 0.5)
+        report.add(dt, e, e)
+    assert abs(report.rows[-1].order_final - (2 * kt + 1)) <= 0.3
 
 
 @pytest.mark.parametrize("kt", [1, 2, 3])

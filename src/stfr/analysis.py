@@ -22,19 +22,25 @@ from stfr.physics import ExactSolution, exact_state
 from stfr.st_solver import StateField
 
 
+def _normalized_l2(values, sol, w, jac, x, t, interp):
+    """sqrt(integral of the squared error / integral of 1), first variable:
+    nodal values (nE, nP, nV) interpolated by interp onto quadrature points
+    at positions x (dim, nE, nq) and times t, with weights w and jacobian
+    jac (nE, nq), against the exact solution there."""
+    uq = np.einsum("qp,epv->eqv", interp, values)
+    diff2 = (uq[..., 0] - exact_state(sol, *x, t=t)[..., 0]) ** 2
+    num = float(np.einsum("q,eq->", w, jac * diff2))
+    vol = float(np.einsum("q,eq->", w, jac))
+    return math.sqrt(num / vol)
+
+
 def l2_error_nodal(values: np.ndarray, ks: int, mesh: Mesh,
                    coords: np.ndarray, sol: ExactSolution, t: float,
                    n_q: int | None = None) -> float:
     """Volume-normalized spatial L2 error of nodal values (nE, nS, nV) on
     the mesh at position `coords`; first conservative variable."""
-    n_q = n_q or ks + 2
-    w, js, xq, interp = spatial_quadrature_data(mesh, coords, ks, n_q)
-    uq = np.einsum("qs,esv->eqv", interp, values)
-    ue = exact_state(sol, *xq, t=t)
-    diff2 = (uq[..., 0] - ue[..., 0]) ** 2
-    num = float(np.einsum("q,eq->", w, js * diff2))
-    vol = float(np.einsum("q,eq->", w, js))
-    return math.sqrt(num / vol)
+    w, js, x, interp = spatial_quadrature_data(mesh, coords, ks, n_q or ks + 2)
+    return _normalized_l2(values, sol, w, js, x, t, interp)
 
 
 def l2_error_final(fld: StateField, geom: SlabGeometry, mesh: Mesh,
@@ -50,16 +56,9 @@ def l2_error_final(fld: StateField, geom: SlabGeometry, mesh: Mesh,
 def l2_error_slab(fld: StateField, geom: SlabGeometry, sol: ExactSolution,
                   n_q: int | None = None) -> float:
     """Volume-normalized L2 error over the space-time slab."""
-    n_q = n_q or max(fld.ks, fld.kt) + 2
-    w, jac, coords, interp = st_quadrature_data(geom, n_q)
-    nE = fld.values.shape[0]
-    uq = np.einsum("qp,epv->eqv",
-                   interp, fld.values.reshape(nE, -1, fld.values.shape[-1]))
-    ue = exact_state(sol, *np.moveaxis(coords[..., :-1], -1, 0), t=coords[..., -1])
-    diff2 = (uq[..., 0] - ue[..., 0]) ** 2
-    num = float(np.einsum("q,eq->", w, jac * diff2))
-    vol = float(np.einsum("q,eq->", w, jac))
-    return math.sqrt(num / vol)
+    nE, _, _, nV = fld.values.shape
+    data = st_quadrature_data(geom, n_q or max(fld.ks, fld.kt) + 2)
+    return _normalized_l2(fld.values.reshape(nE, -1, nV), sol, *data)
 
 
 def _order(e_prev, e, s_prev, s):

@@ -17,18 +17,20 @@ of products.  For the 2D spatial case:
     M_eta = (-y_xi  t_tau,  x_xi  t_tau, y_xi  x_tau - x_xi  y_tau)
     M_tau = (0, 0, Js),    Js = x_xi y_eta - x_eta y_xi,   |J| = t_tau Js
 
-One evaluator, `_evaluate`, returns only what its callers read: the
-positions, js and the metric rows (`eval_st_mapping` is its flat-point dict
-form).  A build is one evaluation over one cached point set: the solution
-points, every edge's flux points and, unless the levels start at tau = -1,
-the bottom trace.  `slab_geometry` builds at the Gauss levels of the
-temporal basis.  `spatial_geometry` builds the method-of-lines geometry of
-a whole step: all stages share one grid velocity V_g, so they are the
-levels tau = s - 1 of the slab of length dt = 2 from the step-start
-positions x_n to x_n + 2 V_g, at the stage time offsets s.  There t_tau = 1
-and x_tau = V_g, so the metric rows are exactly the ALE vectors
-(M, -V_g . M) at the positions x_n + s V_g, |J| = Js, and the face times
-are t_n + s, with no division by t_tau.
+One evaluator, `_evaluate`, returns only what its callers read, in the
+layouts every reader keeps: positions x (dim, nE, nP), js (nE, nP) and the
+metric rows stacked by direction, (dim, nE, nP, dim+1).  A build is one
+evaluation over one cached point set: the solution points, every edge's
+flux points and, unless the levels start at tau = -1, the bottom trace;
+the GCL check and the error norms evaluate on tensor grids (`_on_grid`).
+`slab_geometry` builds at the Gauss levels of the temporal basis.
+`spatial_geometry` builds the method-of-lines geometry of a whole step:
+all stages share one grid velocity V_g, so they are the levels tau = s - 1
+of the slab of length dt = 2 from the step-start positions x_n to
+x_n + 2 V_g, at the stage time offsets s.  There t_tau = 1 and x_tau = V_g,
+so the metric rows are exactly the ALE vectors (M, -V_g . M) at the
+positions x_n + s V_g, |J| = Js, and the level times are t_n + s, with no
+division by t_tau.
 """
 
 from dataclasses import dataclass
@@ -64,15 +66,6 @@ def corner_shapes(xi, eta=None):
     return (N, *dN)
 
 
-def st_points(basis_s: BasisSet, basis_t: BasisSet, dim: int):
-    """Flat reference coordinates of the space-time solution points.
-
-    C-order over (i_tau, i_eta, i_xi); returns (xi, eta, tau) with eta None
-    in 1D.  nS = (ks+1)**dim spatial points per temporal level.
-    """
-    return _over_tau(spatial_points(basis_s.nodes, dim), basis_t.nodes)
-
-
 def _over_tau(points, levels):
     """Repeat flat spatial reference points (xi, eta) at every tau level."""
     nT = len(levels)
@@ -82,10 +75,11 @@ def _over_tau(points, levels):
 
 
 def _evaluate(shapes, b1, corners_n, disp, dt):
-    """Positions x (dim, nE, nP), js (nE, nP) and metric rows [M_xi(, M_eta)],
-    each (nE, nP, dim+1), at points with corner shape functions `shapes` (N
-    and its derivatives, each (nP, nc)) and blend weights b1 = (1+tau)/2
-    (nP,), for corners_n and disp = corners_n1 - corners_n (nE, nc, dim)."""
+    """Positions x (dim, nE, nP), js (nE, nP) and metric rows (dim, nE, nP,
+    dim+1), M_xi first, filled one component at a time, at points with
+    corner shape functions `shapes` (N and its derivatives, each (nP, nc))
+    and blend weights b1 = (1+tau)/2 (nP,), for corners_n and disp, their
+    displacement over the slab (nE, nc, dim)."""
     N, *dN = shapes
     nE, _, dim = corners_n.shape
     cn, cd = _stacked(corners_n), _stacked(disp)
@@ -102,17 +96,22 @@ def _evaluate(shapes, b1, corners_n, disp, dt):
     x += b1 * d_tau
     d_tau *= 0.5
     grads = [blended(dNk) for dNk in dN]  # x_xi (and x_eta)
+    rows = np.empty((dim,) + x.shape[1:] + (dim + 1,))
     if dim == 1:
         js = grads[0][0]
-        return x, js, [np.stack([np.full_like(js, t_tau), -d_tau[0]], axis=-1)]
+        rows[0, ..., 0] = t_tau
+        np.negative(d_tau[0], out=rows[0, ..., 1])
+        return x, js, rows
     (x_xi, y_xi), (x_eta, y_eta) = grads
     x_tau, y_tau = d_tau
     js = x_xi * y_eta - x_eta * y_xi
-    m_xi = np.stack([y_eta * t_tau, x_eta * -t_tau,
-                     x_eta * y_tau - x_tau * y_eta], axis=-1)
-    m_eta = np.stack([y_xi * -t_tau, x_xi * t_tau,
-                      y_xi * x_tau - x_xi * y_tau], axis=-1)
-    return x, js, [m_xi, m_eta]
+    # in place, no stacked temporaries at the peak: M_xi from the eta
+    # tangent (u, v), M_eta from the xi tangent with the opposite sign
+    for M, (u, v), s in zip(rows, ((x_eta, y_eta), (x_xi, y_xi)), (1.0, -1.0)):
+        np.multiply(v, s * t_tau, out=M[..., 0])
+        np.multiply(u, -s * t_tau, out=M[..., 1])
+        np.multiply(u * y_tau - x_tau * v, s, out=M[..., 2])
+    return x, js, rows
 
 
 def _stacked(corners):
@@ -120,30 +119,11 @@ def _stacked(corners):
     return corners.transpose(2, 0, 1).reshape(-1, corners.shape[1])
 
 
-def _coords(x, b1, dt, t_n):
-    """Space-time coordinates (nE, nP, dim+1) of positions x (dim, nE, nP)
-    at blend weights b1 (nP,) of the slab from t_n of length dt."""
-    return np.stack([*x, np.broadcast_to(t_n + b1 * dt, x.shape[1:])], axis=-1)
-
-
-def eval_st_mapping(corners_n, corners_n1, dt, t_n, xi, eta, tau):
-    """Evaluate the slab mapping and metrics at flat reference points.
-
-    Args:
-        corners_n, corners_n1: (nE, nc, dim) element corner coordinates.
-        dt, t_n: slab extent and start time.
-        xi, eta, tau: flat (nP,) reference coordinates (eta None in 1D);
-            a scalar tau is taken at every point.
-
-    Returns:
-        dict with coords (nE, nP, dim+1), jac, js (nE, nP), and metric rows
-        m_xi (and m_eta in 2D) of shape (nE, nP, dim+1).
-    """
-    shapes = corner_shapes(xi, eta)
-    b1 = np.broadcast_to((1 + np.asarray(tau, dtype=float)) / 2, len(shapes[0]))
-    x, js, rows = _evaluate(shapes, b1, corners_n, corners_n1 - corners_n, dt)
-    return {"coords": _coords(x, b1, dt, t_n), "jac": (dt / 2.0) * js,
-            "js": js, **dict(zip(("m_xi", "m_eta"), rows))}
+def _on_grid(corners_n, disp, dt, nodes_s, nodes_t, dim):
+    """`_evaluate` on the tensor grid of the 1D points nodes_s in every
+    spatial direction and nodes_t in tau, C-order (i_tau, [i_eta,] i_xi)."""
+    xi, eta, tau = _over_tau(spatial_points(nodes_s, dim), nodes_t)
+    return _evaluate(corner_shapes(xi, eta), (1 + tau) / 2, corners_n, disp, dt)
 
 
 @lru_cache(maxsize=None)
@@ -176,14 +156,14 @@ class SlabGeometry:
     kt: int
     dt: float
     t_n: float
-    corners_n: np.ndarray       # (nE, nc, dim)
-    corners_n1: np.ndarray
+    corners_n: np.ndarray       # (nE, nc, dim) corners at tau = -1
+    disp: np.ndarray            # (nE, nc, dim) their displacement to tau = 1
     jac: np.ndarray             # (nE, nT, nS)
     js: np.ndarray              # (nE, nT, nS)
-    m_xi: np.ndarray            # (nE, nT, nS, dim+1)
-    m_eta: np.ndarray | None    # 2D only
+    rows: np.ndarray            # (dim, nE, nT, nS, dim+1), M_xi first
     face_m: np.ndarray          # (nE, n_edges, nT, nFs, dim+1), outward
-    face_coords: np.ndarray     # (nE, n_edges, nT, nFs, dim+1)
+    face_x: np.ndarray          # (dim, nE, n_edges, nT, nFs) face positions
+    times: np.ndarray           # (nT,) time of each level
     js_bot: np.ndarray          # (nE, nS) spatial jacobian at tau = -1
 
 
@@ -192,9 +172,9 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
     """Volume and face data of the slab from corners_n to corners_n + disp,
     at the temporal levels `levels`: one evaluation over the cached point
     set of `_point_sets`, sliced into the volume arrays (|J| = t_tau js),
-    the signed face vectors, space-time coordinates at the face points only,
-    and the bottom trace js_bot (the first level when it is tau = -1), each
-    copied contiguous.
+    the signed face vectors, the positions of the face points only, and the
+    bottom trace js_bot (the first level when it is tau = -1), each copied
+    contiguous.
 
     Raises:
         GeometryDegeneracyError: if |J| <= 1e-13 anywhere, naming the
@@ -206,10 +186,8 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
     shapes, b1 = _point_sets(ks, dim, levels)
     x, js_all, rows = _evaluate(shapes, b1, corners_n, disp, dt)
 
-    def volume(a):  # a contiguous copy: no view keeps the batched result
-        return a[:, :nV].copy().reshape((-1, nT, nS) + a.shape[2:])
-
-    js = volume(js_all)
+    # contiguous copies: no view keeps the batched result alive
+    js = js_all[:, :nV].copy().reshape(-1, nT, nS)
     jac = (dt / 2.0) * js
     if not jac.min() > JAC_FLOOR:  # also catches nan
         e, it, s = np.argwhere(~(jac > JAC_FLOOR))[0]
@@ -224,15 +202,15 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
     face_m = rows[0][:, face].reshape(fshape) * sides
     if dim == 2:  # the S and N edges are eta faces
         face_m[:, ::2] = rows[1][:, face].reshape(fshape)[:, ::2] * sides[::2]
-    face_coords = _coords(x[:, :, face], b1[face], dt, t_n).reshape(fshape)
     js_bot = (js[:, 0] if levels[0] == -1.0 else js_all[:, nV + nF:]).copy()
 
     return SlabGeometry(
-        dim=dim, ks=ks, kt=kt, dt=dt, t_n=t_n,
-        corners_n=corners_n, corners_n1=corners_n + disp,
-        jac=jac, js=js, m_xi=volume(rows[0]),
-        m_eta=volume(rows[1]) if dim == 2 else None,
-        face_m=face_m, face_coords=face_coords, js_bot=js_bot,
+        dim=dim, ks=ks, kt=kt, dt=dt, t_n=t_n, corners_n=corners_n, disp=disp,
+        jac=jac, js=js,
+        rows=rows[:, :, :nV].copy().reshape(dim, -1, nT, nS, dim + 1),
+        face_m=face_m,
+        face_x=x[:, :, face].copy().reshape(dim, -1, 2 * dim, nT, nFs),
+        times=t_n + (1 + np.array(levels)) / 2 * dt, js_bot=js_bot,
     )
 
 
@@ -263,10 +241,9 @@ def spatial_geometry(mesh: Mesh, coords: np.ndarray, vel_nodes: np.ndarray,
     It is the slab geometry at the levels tau = s - 1 (kt = 0) of the slab
     of length dt = 2 from coords to coords + 2 vel_nodes.  With t_tau = 1
     and x_tau = V_g at every level, level j holds the mesh at
-    coords + s_j vel_nodes: m_xi and m_eta are the ALE vectors
+    coords + s_j vel_nodes: its metric rows are the ALE vectors
     (M, -V_g . M) of the spatial metric rows M, the face vectors are the
-    outward (n, -V_g . n), jac = js, and the face coordinates carry the
-    time t + s_j.
+    outward (n, -V_g . n), jac = js, and its time is t + s_j.
 
     Raises:
         GeometryDegeneracyError: if the spatial Jacobian is <= 1e-13
@@ -297,16 +274,14 @@ def gcl_residual(geom: SlabGeometry) -> np.ndarray:
     is interpolated back to the solution points.  For linear space-time
     elements this identity cancels to round-off.
     """
-    basis_s, basis_t = make_basis(geom.ks), make_basis(geom.kt)
-    dim = geom.dim
-    es = make_basis(max(basis_s.degree, 2))
-    et = make_basis(max(basis_t.degree, 2))
-    v = eval_st_mapping(geom.corners_n, geom.corners_n1, geom.dt, geom.t_n,
-                        *st_points(es, et, dim))
+    dim, basis_s, basis_t = geom.dim, make_basis(geom.ks), make_basis(geom.kt)
+    es, et = make_basis(max(geom.ks, 2)), make_basis(max(geom.kt, 2))
+    _, js, rows = _on_grid(geom.corners_n, geom.disp, geom.dt, es.nodes,
+                           et.nodes, dim)
     shape = (-1, et.n) + (es.n,) * dim  # (nE, tau, [eta,] xi)
-    res = _along(et.diff, v["js"].reshape(shape), 1)
-    for axis, row in zip((-1, -2), ("m_xi", "m_eta")[:dim]):
-        res += _along(es.diff, v[row][..., dim].reshape(shape), axis)
+    res = _along(et.diff, js.reshape(shape), 1)
+    for axis, M in zip((-1, -2), rows):
+        res += _along(es.diff, M[..., dim].reshape(shape), axis)
     res = _along(interp_matrix(et.nodes, basis_t.nodes), res, 1)
     Is = interp_matrix(es.nodes, basis_s.nodes)
     for axis in range(2, dim + 2):
@@ -343,16 +318,16 @@ def spatial_face_points(basis_s: BasisSet, dim: int, edge: int):
 def st_quadrature_data(geom: SlabGeometry, n_q: int):
     """Mapping data at an n_q-per-direction space-time quadrature grid.
 
-    Returns (weights, jac, coords, interp) where interp maps nodal solution
-    values (nT, nS) onto the quadrature grid; weights are the tensor-product
-    Gauss weights.  Used by the slab error norm.
+    Returns (weights, jac, x (dim, nE, nq), t (nq,), interp) where interp
+    maps nodal solution values (nT, nS) onto the quadrature grid; weights
+    are the tensor-product Gauss weights.  Used by the slab error norm.
     """
     xq, wq = gauss_legendre(n_q)
-    v = eval_st_mapping(geom.corners_n, geom.corners_n1, geom.dt, geom.t_n,
-                        *_over_tau(spatial_points(xq, geom.dim), xq))
+    x, js, _ = _on_grid(geom.corners_n, geom.disp, geom.dt, xq, xq, geom.dim)
+    t = np.repeat(geom.t_n + (1 + xq) / 2 * geom.dt, len(xq) ** geom.dim)
     Is = interp_matrix(make_basis(geom.ks).nodes, xq)
     It = interp_matrix(make_basis(geom.kt).nodes, xq)
-    return (np.kron(wq, _tensor(wq, geom.dim)), v["jac"], v["coords"],
+    return (np.kron(wq, _tensor(wq, geom.dim)), (geom.dt / 2.0) * js, x, t,
             np.kron(It, _tensor(Is, geom.dim)))
 
 
@@ -370,6 +345,5 @@ def spatial_quadrature_data(mesh: Mesh, coords: np.ndarray, ks: int, n_q: int):
     xq, wq = gauss_legendre(n_q)
     Is = interp_matrix(make_basis(ks).nodes, xq)
     C = mesh.elem_corners(coords)
-    x, js, _ = _evaluate(corner_shapes(*spatial_points(xq, mesh.dim)),
-                         np.zeros(len(xq) ** mesh.dim), C, np.zeros_like(C), 2.0)
+    x, js, _ = _on_grid(C, np.zeros_like(C), 2.0, xq, np.array([-1.0]), mesh.dim)
     return _tensor(wq, mesh.dim), js, x, _tensor(Is, mesh.dim)

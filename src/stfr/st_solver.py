@@ -114,8 +114,10 @@ class PseudoControls:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if self.drop_orders < 1:
-            raise ValueError("drop_orders must be >= 1")
+        if not self.drop_orders >= 1:  # also catches nan
+            raise ValueError(f"drop_orders must be >= 1, got {self.drop_orders!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -208,9 +210,10 @@ class LevelPlan:
     (element, level, edge) rows of the traces.  M and d_M are the
     `_weights` of the outward vectors of each face's left element and of
     each Dirichlet face, d_ext the analytic states at the Dirichlet flux
-    points, weights the `_weights` of the metric rows M_dir (nE, nT, nS,
-    dim+1) per reference direction, which the chain-rule divergence
-    contracts, and jac the |J| that divides the residual.
+    points, weights the `_weights` of the metric rows (dim, nE, nT, nS,
+    dim+1), which the chain-rule divergence contracts (for Euler the
+    geometry's rows themselves, uncopied), and jac the |J| that divides
+    the residual.
     """
 
     def __init__(self, mesh: Mesh, geom: SlabGeometry, eq: EquationSet,
@@ -226,16 +229,9 @@ class LevelPlan:
         if len(d_e):
             if bc is None:
                 raise ValueError("mesh has dirichlet faces but no analytic bc")
-            fc = geom.face_coords[d_e, d_edge]
-            self.d_ext = exact_state(bc, *np.moveaxis(fc[..., :-1], -1, 0),
-                                     t=fc[..., -1])
-        rows = [geom.m_xi] if geom.dim == 1 else [geom.m_xi, geom.m_eta]
-        # the scalar divergence contracts every direction in one einsum over
-        # one array; Euler's takes one direction at a time, so the
-        # geometry's rows serve it uncopied
-        self.weights = [_weights(eq, M) for M in rows]
-        if eq.n_vars == 1:
-            self.weights = np.stack(self.weights)
+            self.d_ext = exact_state(bc, *geom.face_x[:, d_e, d_edge],
+                                     t=geom.times[:, None])
+        self.weights = _weights(eq, geom.rows)
         self.jac = geom.jac
 
     def level(self, j: int) -> "LevelPlan":
@@ -245,7 +241,7 @@ class LevelPlan:
         for name in ("M", "d_M", "d_ext", "jac"):
             a = getattr(self, name)
             setattr(out, name, None if a is None else a[:, j:j + 1].copy())
-        out.weights = np.stack([w[:, j:j + 1] for w in self.weights])
+        out.weights = self.weights[:, :, j:j + 1].copy()
         return out
 
 

@@ -9,7 +9,7 @@ from stfr.analysis import (
     l2_error_slab,
 )
 from stfr.basis import make_basis
-from stfr.geometry import eval_st_mapping, slab_geometry, st_points
+from stfr.geometry import _on_grid, slab_geometry
 from stfr.mesh import interval_mesh, rect_mesh
 from stfr.motion import SineDeformation
 from stfr.physics import Advection1D, SineWave1D, exact_state
@@ -17,10 +17,10 @@ from stfr.st_solver import StateField, march
 
 
 def _exact_field_1d(mesh, geom, ks, kt, sol):
-    x = eval_st_mapping(geom.corners_n, geom.corners_n1, geom.dt, geom.t_n,
-                        *st_points(make_basis(ks), make_basis(kt), 1))["coords"]
-    vals = exact_state(sol, x[..., 0], t=x[..., 1]).reshape(
-        geom.js.shape + (-1,))
+    bs, bt = make_basis(ks), make_basis(kt)
+    x, _, _ = _on_grid(geom.corners_n, geom.disp, geom.dt, bs.nodes, bt.nodes, 1)
+    t = geom.t_n + (1 + bt.nodes)[:, None] / 2 * geom.dt
+    vals = exact_state(sol, x[0].reshape(geom.js.shape), t=t)
     return StateField(vals, ks=ks, kt=kt)
 
 

@@ -214,6 +214,33 @@ def test_non_finite_times_exit_1(capsys, pair):
     assert f"\n  {pair.partition('=')[0]}: must be finite and > 0" in err
 
 
+@pytest.mark.parametrize("pair, message", [
+    # nan compared below 1 is False, and a nan drop target skipped every solve
+    ("pseudo.drop_orders=NaN", "error: pseudo: drop_orders must be >= 1"),
+    ("pseudo.max_iters=0", "error: pseudo: max_iters must be >= 1"),
+    # the basis tables of this degree would take terabytes
+    ("k_s=1000000", "\n  k_s: must be >= 0 and <= 20, got 1000000"),
+    ("k_t=21", "\n  k_t: must be >= 0 and <= 20, got 21"),
+])
+def test_out_of_range_controls_exit_1_before_solve(monkeypatch, capsys, pair,
+                                                  message):
+    import stfr.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    for name in ("march", "march_mol"):
+        monkeypatch.setattr(cli, name, no_solve)
+    assert main(["run", "wave1d_stationary_p2p2", "--set", pair]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_degree_bound_is_inclusive():
+    cfg = load_case("wave1d_stationary_p2p2")
+    cfg.k_s = cfg.k_t = 20
+    validate(cfg)
+
+
 def test_every_settable_value_has_a_checked_kind():
     import types
 
@@ -312,7 +339,7 @@ FUZZ_MUTATIONS = [
     "mesh.nx=-1", "mesh.level=-1", "mesh.xmax=0", "mesh.xmax=-2",
     "mesh.ymax=-3", "mesh.radius=0", "motion.t_max=0",
     "motion.amp=[3.0,3.0]", "motion.n=[0,0]", "dt=-1", "k_t=-1",
-    "equation.gamma=1", "equation.c=0", "exact.u_max=10",
+    "equation.gamma=1", "equation.c=0", "exact.u_max=10", "k_s=1000000",
 ]
 
 

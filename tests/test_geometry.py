@@ -4,7 +4,8 @@ import pytest
 from stfr.basis import make_basis
 from stfr.geometry import (
     GeometryDegeneracyError,
-    eval_st_mapping,
+    _evaluate,
+    corner_shapes,
     gcl_residual,
     slab_geometry,
     spatial_face_points,
@@ -43,8 +44,7 @@ def test_rigid_1d_face_normal():
 def test_stationary_2d_no_temporal_metrics():
     m = rect_mesh(3, 3)
     g = slab_geometry(m, m.nodes, m.nodes, 0.2, B2, B2)
-    assert np.abs(g.m_xi[..., 2]).max() <= 1e-14
-    assert np.abs(g.m_eta[..., 2]).max() <= 1e-14
+    assert np.abs(g.rows[..., 2]).max() <= 1e-14
     assert np.abs(g.jac - g.jac[:, :1]).max() <= 1e-14
 
 
@@ -58,26 +58,30 @@ def test_degenerate_geometry_raises():
         slab_geometry(m, m.nodes, coords1, 0.1, B1, B1)
 
 
+def _mapping_at(Cn, disp, dt, xi, eta, tau):
+    """Space-time position (x, y, t), metric rows [M_xi; M_eta; M_tau] and
+    |J| of the one-element slab from t = 0 at one reference point."""
+    b1 = (1 + tau) / 2
+    x, js, rows = _evaluate(corner_shapes([xi], [eta]), np.array([b1]),
+                            Cn, disp, dt)
+    M = np.vstack([rows[:, 0, 0], [0.0, 0.0, js[0, 0]]])
+    return np.append(x[:, 0, 0], b1 * dt), M, dt / 2 * js[0, 0]
+
+
 def _fd_metric_check(mesh, c0, c1, dt, seed):
     """Metric rows vs central finite differences of the inverse mapping."""
     rng = np.random.default_rng(seed)
     Cn = mesh.elem_corners(c0)
-    Cn1 = mesh.elem_corners(c1)
+    disp = mesh.elem_corners(c1) - Cn
     eps = 1e-5
     worst = 0.0
     for _ in range(20):
         e = int(rng.integers(0, mesh.n_elems))
         xi, eta, tau = rng.uniform(-0.9, 0.9, 3)
-        v = eval_st_mapping(Cn[e:e + 1], Cn1[e:e + 1], dt, 0.0,
-                            [xi], [eta], [tau])
-        m_rows = np.stack([v["m_xi"][0, 0], v["m_eta"][0, 0],
-                           np.array([0.0, 0.0, v["js"][0, 0]])])
-        jac = v["jac"][0, 0]
+        _, m_rows, jac = _mapping_at(Cn[e:e + 1], disp[e:e + 1], dt, xi, eta, tau)
 
         def xmap(a, b, c):
-            w = eval_st_mapping(Cn[e:e + 1], Cn1[e:e + 1], dt, 0.0,
-                                [a], [b], [c])
-            return w["coords"][0, 0]
+            return _mapping_at(Cn[e:e + 1], disp[e:e + 1], dt, a, b, c)[0]
 
         # forward jacobian by finite differences, then invert
         J = np.zeros((3, 3))
@@ -193,10 +197,10 @@ def test_spatial_geometry_matches_slab_bottom():
             sg = spatial_geometry(mesh, x_n + b1 * (x_n1 - x_n), vel, B2,
                                   t_n + b1 * dt)
             pairs = [(sg.js[:, 0], g.js[:, j]),
-                     (sg.m_xi[:, 0], g.m_xi[:, j] / (dt / 2)),
-                     (sg.m_eta[:, 0], g.m_eta[:, j] / (dt / 2)),
+                     (sg.rows[:, :, 0], g.rows[:, :, j] / (dt / 2)),
                      (sg.face_m[:, :, 0], g.face_m[:, :, j] / (dt / 2)),
-                     (sg.face_coords[:, :, 0], g.face_coords[:, :, j])]
+                     (sg.face_x[:, :, :, 0], g.face_x[:, :, :, j]),
+                     (sg.times[0], g.times[j])]
             for mol, slab in pairs:
                 assert np.abs(mol - slab).max() <= 1e-13
 
@@ -217,10 +221,10 @@ def test_spatial_geometry_levels_are_stage_geometries():
         for j, s in enumerate(offsets):
             sg = spatial_geometry(mesh, x_n + s * vel, vel, B2, t_n + s)
             pairs = [(g.js[:, j], sg.js[:, 0]),
-                     (g.m_xi[:, j], sg.m_xi[:, 0]),
-                     (g.m_eta[:, j], sg.m_eta[:, 0]),
+                     (g.rows[:, :, j], sg.rows[:, :, 0]),
                      (g.face_m[:, :, j], sg.face_m[:, :, 0]),
-                     (g.face_coords[:, :, j], sg.face_coords[:, :, 0])]
+                     (g.face_x[:, :, :, j], sg.face_x[:, :, :, 0]),
+                     (g.times[j], sg.times[0])]
             for level, single in pairs:
                 assert np.abs(level - single).max() <= 1e-13
 
@@ -241,34 +245,33 @@ def _owns_buffer(a):
     return base.nbytes == a.nbytes
 
 
-def _check_build(g, mesh, Cn, Cn1, dt, t_n, bs, levels):
-    """Every array of the one-evaluation build equals eval_st_mapping on
-    its own point set, is C-contiguous and owns its buffer."""
+def _check_build(g, mesh, Cn, disp, dt, t_n, bs, levels):
+    """Every array of the one-evaluation build equals `_evaluate` on its
+    own point set, is C-contiguous and owns its buffer."""
     dim, nT = mesh.dim, len(levels)
     shape = (mesh.n_elems, nT, -1)
-    vol = eval_st_mapping(Cn, Cn1, dt, t_n,
-                          *_at_levels(spatial_points(bs.nodes, dim), levels))
-    pairs = [(g.jac, vol["jac"].reshape(shape)),
-             (g.js, vol["js"].reshape(shape))]
-    for row in ("m_xi",) + (("m_eta",) if dim == 2 else ()):
-        pairs.append((getattr(g, row), vol[row].reshape(shape + (dim + 1,))))
+
+    def at(points, taus):  # x, js, rows on flat points at every tau level
+        xi, eta, tau = _at_levels(points, taus)
+        return _evaluate(corner_shapes(xi, eta), (1 + tau) / 2, Cn, disp, dt)
+
+    _, js, rows = at(spatial_points(bs.nodes, dim), levels)
+    pairs = [(g.jac, dt / 2 * js.reshape(shape)), (g.js, js.reshape(shape)),
+             (g.rows, rows.reshape((dim,) + shape + (dim + 1,))),
+             (g.times, t_n + (1 + np.asarray(levels)) * dt / 2)]
     for edge in range(2 * dim):
-        f = eval_st_mapping(Cn, Cn1, dt, t_n, *_at_levels(
-            spatial_face_points(bs, dim, edge), levels))
-        normal = f["m_xi"] if dim == 1 or edge % 2 else f["m_eta"]
+        x, _, rows = at(spatial_face_points(bs, dim, edge), levels)
+        normal = rows[0 if dim == 1 or edge % 2 else 1]
         sign = 1.0 if edge in (1, 2) else -1.0
         pairs.append((g.face_m[:, edge],
                       sign * normal.reshape(shape + (dim + 1,))))
-        pairs.append((g.face_coords[:, edge],
-                      f["coords"].reshape(shape + (dim + 1,))))
-    bot = eval_st_mapping(Cn, Cn1, dt, t_n,
-                          *_at_levels(spatial_points(bs.nodes, dim), [-1.0]))
-    pairs.append((g.js_bot, bot["js"]))
+        pairs.append((g.face_x[:, :, edge], x.reshape((dim,) + shape)))
+    pairs.append((g.js_bot, at(spatial_points(bs.nodes, dim), [-1.0])[1]))
     for built, ref in pairs:
         assert built.shape == ref.shape
         assert np.abs(built - ref).max() <= 1e-15
     arrays = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
-    assert len(arrays) == (9 if dim == 2 else 8)
+    assert len(arrays) == 9
     for name, a in arrays.items():
         assert a.flags.c_contiguous, name
         assert _owns_buffer(a), name
@@ -289,8 +292,9 @@ def test_slab_geometry_one_evaluation_layout(kt, moving_path):
     bt = make_basis(kt)
     for mesh, path in _moving_1d_2d(moving_path):
         g = slab_geometry(mesh, path[1], path[2], dt, B2, bt, t_n)
-        _check_build(g, mesh, mesh.elem_corners(path[1]),
-                     mesh.elem_corners(path[2]), dt, t_n, B2, bt.nodes)
+        Cn = mesh.elem_corners(path[1])
+        _check_build(g, mesh, Cn, mesh.elem_corners(path[2]) - Cn, dt, t_n,
+                     B2, bt.nodes)
 
 
 def test_spatial_geometry_one_evaluation_layout(moving_path):
@@ -300,5 +304,5 @@ def test_spatial_geometry_one_evaluation_layout(moving_path):
         vel = (path[2] - path[1]) / dt
         g = spatial_geometry(mesh, path[1], vel, B2, t_n, offsets)
         Cn = mesh.elem_corners(path[1])
-        _check_build(g, mesh, Cn, Cn + 2.0 * mesh.elem_corners(vel), 2.0, t_n,
+        _check_build(g, mesh, Cn, 2.0 * mesh.elem_corners(vel), 2.0, t_n,
                      B2, [s - 1.0 for s in offsets])

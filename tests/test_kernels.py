@@ -14,6 +14,7 @@ import pytest
 from stfr import cli
 from stfr.basis import make_basis
 from stfr.geometry import slab_geometry
+from stfr.mesh import rect_mesh
 from stfr.motion import motion_path
 from stfr.physics import Euler2D, exact_for, exact_state, flux
 from stfr.st_solver import (
@@ -117,8 +118,8 @@ def test_face_jumps(setup):
         ref[eR, :, gR] = dR[:, ::-1] if flip else dR
     for e, g in mesh.dirichlet:
         w = _weights(eq, geom.face_m[e, g, levels])
-        fc = geom.face_coords[e, g, levels]
-        ext = exact_state(sol, fc[..., 0], fc[..., 1], t=fc[..., 2])
+        ext = exact_state(sol, *geom.face_x[:, e, g, levels],
+                          t=geom.times[levels, None])
         ref[e, :, g] = (_transformed_common_flux(eq, tr[e, :, g], ext, w)
                         - _transformed_normal_flux(eq, tr[e, :, g], w))
     assert not np.isnan(ref).any()  # every edge is a face side
@@ -138,3 +139,13 @@ def test_lift(setup):
            + np.einsum("a,etbv->etabv", gr, delta[:, :, 2])
            - np.einsum("b,etav->etabv", gl, delta[:, :, 3]))
     _close(_lift(delta, ks, 2), ref.reshape(nE, nT, -1, nV))
+
+
+
+def test_euler_plan_keeps_the_geometry_rows_uncopied():
+    # Euler's divergence reads the metric rows as they are, so the plan
+    # holds the geometry's own array and adds no copy of it to the peak
+    mesh = rect_mesh(2, 2)
+    b = make_basis(2)
+    geom = slab_geometry(mesh, mesh.nodes, mesh.nodes + 0.01, 0.1, b, b)
+    assert LevelPlan(mesh, geom, Euler2D(), None).weights is geom.rows

@@ -3,13 +3,9 @@ import pytest
 
 from stfr.analysis import ConvergenceReport, l2_error_final
 from stfr.basis import make_basis
+from stfr import cli
 from stfr.cli import main
-from stfr.geometry import (
-    eval_st_mapping,
-    slab_geometry,
-    spatial_quadrature_data,
-    st_points,
-)
+from stfr.geometry import _on_grid, slab_geometry, spatial_quadrature_data
 from stfr.mesh import disk_mesh, interval_mesh, rect_mesh
 from stfr.motion import (
     CircleDeformation,
@@ -28,10 +24,14 @@ from stfr.physics import (
     SineWave2D,
 )
 from stfr.st_solver import (
+    LevelPlan,
     PseudoControls,
     PseudoConvergenceError,
     SlabOperator,
+    _traces_all_edges,
+    _transformed_common_flux,
     advance_slab,
+    initial_condition,
     march,
     temporal_amplification,
 )
@@ -86,10 +86,9 @@ def test_p1_exact_linear_solution_residual(monkeypatch):
     m = interval_mesh(1, periodic=False)
     bs = bt = make_basis(1)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.1, bs, bt)
-    x = eval_st_mapping(geom.corners_n, geom.corners_n1, geom.dt, geom.t_n,
-                        *st_points(bs, bt, 1))["coords"]
-    xs = x[..., 0].reshape(geom.js.shape)
-    ts = x[..., 1].reshape(geom.js.shape)
+    x, _, _ = _on_grid(geom.corners_n, geom.disp, geom.dt, bs.nodes, bt.nodes, 1)
+    xs = x[0].reshape(geom.js.shape)
+    ts = geom.t_n + (1 + bt.nodes)[:, None] / 2 * geom.dt
     vals = (xs - ts)[..., None]
     bot_x = 0.5 * (1 + bs.nodes)  # element [0,1] spatial points
     inflow = bot_x[None, :, None]
@@ -236,6 +235,41 @@ def test_conservation_periodic_advection_1d():
           ks=2, kt=2, dt=0.02, n_steps=5, slab_callback=cb)
     vals = np.array(vals)
     assert np.abs(vals - vals[0]).max() <= 1e-10
+
+
+def test_mass_balance_on_the_disk():
+    # every boundary face of the disk is Dirichlet: per slab, the change of
+    # mass equals minus the space-time integral of the common flux through
+    # the boundary, computed from the plan's Dirichlet states and vectors
+    cfg = cli.load_case("wave2d_circle_p2")
+    mesh, eq = cli.build_mesh(cfg), cli.build_equation(cfg)
+    motion, sol = cli.build_motion(cfg), cli.build_exact(cfg, eq)
+    bs, bt = make_basis(cfg.k_s), make_basis(cfg.k_t)
+    n_steps = 4
+    path = motion_path(motion, mesh, cfg.dt, n_steps)
+
+    def mass(values, coords):
+        w, js, _, interp = spatial_quadrature_data(mesh, coords, cfg.k_s,
+                                                   cfg.k_s + 2)
+        return float(np.einsum("q,eq,qs,es->", w, js, interp, values[..., 0]))
+
+    masses = [mass(initial_condition(mesh, path[0], bs, sol), path[0])]
+    defects = []
+
+    def balance(fld, geom, top):
+        plan = LevelPlan(mesh, geom, eq, sol)
+        tr = _traces_all_edges(fld.values, cfg.k_s, mesh.dim)
+        QB = tr.reshape((-1,) + tr.shape[3:]).take(plan.rows[2], axis=0)
+        flux = _transformed_common_flux(eq, QB, plan.d_ext, plan.d_M)
+        outflow = np.einsum("t,f,dtf->", bt.weights, bs.weights, flux[..., 0])
+        masses.append(mass(top, path[len(masses)]))
+        defects.append(masses[-1] - masses[-2] + outflow)
+
+    march(mesh, motion, eq, sol, cfg.k_s, cfg.k_t, cfg.dt, n_steps,
+          controls=cli.build_pseudo(cfg), slab_callback=balance)
+    assert len(defects) == n_steps
+    assert np.abs(np.diff(masses)).min() >= 1e-3  # the balance is not 0 = 0
+    assert np.abs(defects).max() <= 1e-12
 
 
 @pytest.mark.parametrize("ks, kt, dts", [

@@ -17,12 +17,14 @@ of products.  For the 2D spatial case:
     M_eta = (-y_xi  t_tau,  x_xi  t_tau, y_xi  x_tau - x_xi  y_tau)
     M_tau = (0, 0, Js),    Js = x_xi y_eta - x_eta y_xi,   |J| = t_tau Js
 
-One evaluator, `_evaluate`, returns only what its callers read, in the
-layouts every reader keeps: positions x (dim, nE, nP), js (nE, nP) and the
-metric rows stacked by direction, (dim, nE, nP, dim+1).  A build is one
-evaluation over one cached point set: the solution points, every edge's
-flux points and, unless the levels start at tau = -1, the bottom trace;
-the GCL check and the error norms evaluate on tensor grids (`_on_grid`).
+One evaluator, `_evaluate`, returns positions x (dim, nE, nP), js (nE, nP)
+and the mapping's tangents; `_metric_rows` turns the tangents into the
+metric rows stacked by direction, (dim, nE, nP, dim+1).  Only the geometry
+build and the GCL check build rows; the error norms read positions and js.
+A build is one evaluation over one cached point set: the solution points,
+every edge's flux points and, unless the levels start at tau = -1, the
+bottom trace; the GCL check and the error norms evaluate on tensor grids
+(`_on_grid`).
 `slab_geometry` builds at the Gauss levels of the temporal basis.
 `spatial_geometry` builds the method-of-lines geometry of a whole step:
 all stages share one grid velocity V_g, so they are the levels tau = s - 1
@@ -74,12 +76,12 @@ def _over_tau(points, levels):
             np.repeat(levels, xi.size))
 
 
-def _evaluate(shapes, b1, corners_n, disp, dt):
-    """Positions x (dim, nE, nP), js (nE, nP) and metric rows (dim, nE, nP,
-    dim+1), M_xi first, filled one component at a time, at points with
-    corner shape functions `shapes` (N and its derivatives, each (nP, nc))
-    and blend weights b1 = (1+tau)/2 (nP,), for corners_n and disp, their
-    displacement over the slab (nE, nc, dim)."""
+def _evaluate(shapes, b1, corners_n, disp):
+    """Positions x (dim, nE, nP), js (nE, nP) and the tangents (x_xi[,
+    x_eta], x_tau), each (dim, nE, nP), that `_metric_rows` builds the
+    rows from, at points with corner shape functions `shapes` (N and its
+    derivatives, each (nP, nc)) and blend weights b1 = (1+tau)/2 (nP,), for
+    corners_n and disp, their displacement over the slab (nE, nc, dim)."""
     N, *dN = shapes
     nE, _, dim = corners_n.shape
     cn, cd = _stacked(corners_n), _stacked(disp)
@@ -90,28 +92,36 @@ def _evaluate(shapes, b1, corners_n, disp, dt):
         f += cn @ S.T
         return f.reshape(dim, nE, -1)
 
-    t_tau = dt / 2.0
-    d_tau = (cd @ N.T).reshape(dim, nE, -1)
+    x_tau = (cd @ N.T).reshape(dim, nE, -1)
     x = (cn @ N.T).reshape(dim, nE, -1)
-    x += b1 * d_tau
-    d_tau *= 0.5
+    x += b1 * x_tau
+    x_tau *= 0.5
     grads = [blended(dNk) for dNk in dN]  # x_xi (and x_eta)
-    rows = np.empty((dim,) + x.shape[1:] + (dim + 1,))
     if dim == 1:
-        js = grads[0][0]
-        rows[0, ..., 0] = t_tau
-        np.negative(d_tau[0], out=rows[0, ..., 1])
-        return x, js, rows
+        return x, grads[0][0], (grads[0], x_tau)
     (x_xi, y_xi), (x_eta, y_eta) = grads
-    x_tau, y_tau = d_tau
-    js = x_xi * y_eta - x_eta * y_xi
+    return x, x_xi * y_eta - x_eta * y_xi, (*grads, x_tau)
+
+
+def _metric_rows(tangents, dt):
+    """Metric rows (dim, nE, nP, dim+1), M_xi first, from the tangents of
+    `_evaluate` and t_tau = dt/2, filled one component at a time."""
+    *grads, tau_tangent = tangents
+    dim = len(grads)
+    t_tau = dt / 2.0
+    rows = np.empty(tau_tangent.shape + (dim + 1,))
+    if dim == 1:
+        rows[0, ..., 0] = t_tau
+        np.negative(tau_tangent[0], out=rows[0, ..., 1])
+        return rows
+    x_tau, y_tau = tau_tangent
     # in place, no stacked temporaries at the peak: M_xi from the eta
     # tangent (u, v), M_eta from the xi tangent with the opposite sign
-    for M, (u, v), s in zip(rows, ((x_eta, y_eta), (x_xi, y_xi)), (1.0, -1.0)):
+    for M, (u, v), s in zip(rows, grads[::-1], (1.0, -1.0)):
         np.multiply(v, s * t_tau, out=M[..., 0])
         np.multiply(u, -s * t_tau, out=M[..., 1])
         np.multiply(u * y_tau - x_tau * v, s, out=M[..., 2])
-    return x, js, rows
+    return rows
 
 
 def _stacked(corners):
@@ -119,11 +129,11 @@ def _stacked(corners):
     return corners.transpose(2, 0, 1).reshape(-1, corners.shape[1])
 
 
-def _on_grid(corners_n, disp, dt, nodes_s, nodes_t, dim):
+def _on_grid(corners_n, disp, nodes_s, nodes_t, dim):
     """`_evaluate` on the tensor grid of the 1D points nodes_s in every
     spatial direction and nodes_t in tau, C-order (i_tau, [i_eta,] i_xi)."""
     xi, eta, tau = _over_tau(spatial_points(nodes_s, dim), nodes_t)
-    return _evaluate(corner_shapes(xi, eta), (1 + tau) / 2, corners_n, disp, dt)
+    return _evaluate(corner_shapes(xi, eta), (1 + tau) / 2, corners_n, disp)
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +194,9 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
     nT, nS, nFs = len(levels), basis_s.n ** dim, 1 if dim == 1 else basis_s.n
     nV, nF = nT * nS, 2 * dim * nT * nFs
     shapes, b1 = _point_sets(ks, dim, levels)
-    x, js_all, rows = _evaluate(shapes, b1, corners_n, disp, dt)
+    x, js_all, tangents = _evaluate(shapes, b1, corners_n, disp)
+    rows = _metric_rows(tangents, dt)
+    del tangents  # not held past the rows, at the peak of the build
 
     # contiguous copies: no view keeps the batched result alive
     js = js_all[:, :nV].copy().reshape(-1, nT, nS)
@@ -276,8 +288,9 @@ def gcl_residual(geom: SlabGeometry) -> np.ndarray:
     """
     dim, basis_s, basis_t = geom.dim, make_basis(geom.ks), make_basis(geom.kt)
     es, et = make_basis(max(geom.ks, 2)), make_basis(max(geom.kt, 2))
-    _, js, rows = _on_grid(geom.corners_n, geom.disp, geom.dt, es.nodes,
-                           et.nodes, dim)
+    _, js, tangents = _on_grid(geom.corners_n, geom.disp, es.nodes, et.nodes,
+                               dim)
+    rows = _metric_rows(tangents, geom.dt)
     shape = (-1, et.n) + (es.n,) * dim  # (nE, tau, [eta,] xi)
     res = _along(et.diff, js.reshape(shape), 1)
     for axis, M in zip((-1, -2), rows):
@@ -323,7 +336,7 @@ def st_quadrature_data(geom: SlabGeometry, n_q: int):
     are the tensor-product Gauss weights.  Used by the slab error norm.
     """
     xq, wq = gauss_legendre(n_q)
-    x, js, _ = _on_grid(geom.corners_n, geom.disp, geom.dt, xq, xq, geom.dim)
+    x, js, _ = _on_grid(geom.corners_n, geom.disp, xq, xq, geom.dim)
     t = np.repeat(geom.t_n + (1 + xq) / 2 * geom.dt, len(xq) ** geom.dim)
     Is = interp_matrix(make_basis(geom.ks).nodes, xq)
     It = interp_matrix(make_basis(geom.kt).nodes, xq)
@@ -345,5 +358,5 @@ def spatial_quadrature_data(mesh: Mesh, coords: np.ndarray, ks: int, n_q: int):
     xq, wq = gauss_legendre(n_q)
     Is = interp_matrix(make_basis(ks).nodes, xq)
     C = mesh.elem_corners(coords)
-    x, js, _ = _on_grid(C, np.zeros_like(C), 2.0, xq, np.array([-1.0]), mesh.dim)
+    x, js, _ = _on_grid(C, np.zeros_like(C), xq, np.array([-1.0]), mesh.dim)
     return _tensor(wq, mesh.dim), js, x, _tensor(Is, mesh.dim)

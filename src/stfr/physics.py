@@ -1,8 +1,13 @@
 """Equation sets, physical fluxes, the Roe-ALE Riemann solver, and exact
 solutions for error measurement.
 
-Space-time normal and common fluxes through unnormalized face vectors live
-with the FR kernels in `st_solver`.
+The Euler kernels are written in component form: `flux` scales Q by the
+velocity and adds the pressure terms in place, `_normal_flux` is the
+mesh-relative normal flux phi = Q (q_n - vgn) + p (0, mx, my, q_n) in one
+buffer, and `_roe_ale` assembles its dissipation one component at a time
+from the wave strengths, with no eigenvector columns stacked.  Space-time
+normal and common fluxes through unnormalized face vectors, which call
+these, live with the FR kernels in `st_solver`.
 
 All operations are pure functions over trailing state axes: arrays of shape
 (..., n_vars) go in, matching shapes come out.
@@ -48,16 +53,24 @@ class Euler2D:
 EquationSet = Advection1D | Advection2D | Euler2D
 
 
+def _require_positive(a, name):
+    """Raise NonPhysicalStateError unless every value of a is positive and
+    finite.  Two reductions and no temporaries: NaN fails both comparisons,
+    and -inf, zero and +inf fail one each."""
+    if a.size and not 0 < a.min() <= a.max() < np.inf:
+        lo, hi = a.min(), a.max()
+        kind = "non-positive" if lo <= 0 else "non-finite"
+        raise NonPhysicalStateError(f"{kind} {name} (min {lo:.3e}, max {hi:.3e})")
+
+
 def euler_primitives(eq: Euler2D, Q):
     """(rho, u, v, p) from conservative variables; validates admissibility."""
     rho = Q[..., 0]
-    if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
-        raise NonPhysicalStateError(f"non-positive density (min {rho.min():.3e})")
+    _require_positive(rho, "density")
     u = Q[..., 1] / rho
     v = Q[..., 2] / rho
     p = (eq.gamma - 1.0) * (Q[..., 3] - 0.5 * rho * (u * u + v * v))
-    if np.any(p <= 0) or not np.all(np.isfinite(p)):
-        raise NonPhysicalStateError(f"non-positive pressure (min {p.min():.3e})")
+    _require_positive(p, "pressure")
     return rho, u, v, p
 
 
@@ -68,18 +81,48 @@ def flux(eq: EquationSet, Q):
         return eq.c * Q
     if isinstance(eq, Advection2D):
         return eq.c1 * Q, eq.c2 * Q
-    rho, u, v, p = euler_primitives(eq, Q)
-    rhoE = Q[..., 3]
-    f = np.stack([rho * u, rho * u * u + p, rho * u * v, u * (rhoE + p)], axis=-1)
-    g = np.stack([rho * v, rho * u * v, rho * v * v + p, v * (rhoE + p)], axis=-1)
+    _, u, v, p = euler_primitives(eq, Q)
+    f = Q * u[..., None]
+    g = Q * v[..., None]
+    f[..., 1] += p
+    f[..., 3] += p * u
+    g[..., 2] += p
+    g[..., 3] += p * v
     return f, g
 
 
-def _roe_ale(eq: Euler2D, QL, QR, mx, my, vgn):
-    """Roe flux of the mesh-relative normal flux F.m - vgn Q.
+def _normal_flux(Q, u, v, p, mx, my, vgn):
+    """Mesh-relative normal flux phi = Q (q_n - vgn) + p (0, mx, my, q_n),
+    q_n = u mx + v my, of Euler states Q with primitives (u, v, p) through
+    the spatial vector (mx, my) of a face moving at normal speed vgn.
 
-    Face-normal grid speed vgn shifts the eigenvalues; eigenvectors are the
-    static ones.  No entropy fix (smooth test problems only).
+    (mx, my) need not be a unit vector: with (w0, w1, -w2) of an
+    unnormalized space-time vector w it is w . (f, g, Q).
+    """
+    qn = u * mx
+    qn += v * my
+    phi = Q * (qn - vgn)[..., None]
+    phi[..., 1] += p * mx
+    phi[..., 2] += p * my
+    phi[..., 3] += p * qn
+    return phi
+
+
+def _roe_ale(eq: Euler2D, QL, QR, mx, my, vgn):
+    """Roe flux of the mesh-relative normal flux phi = F.m - vgn Q, for a
+    unit spatial normal m = (mx, my): 1/2 (phi_L + phi_R - D).
+
+    The face-normal grid speed vgn shifts the eigenvalues; the eigenvectors
+    are the static ones (Roe, J Comput Phys 43 (1981) 357).  The dissipation
+    D = sum_k |lambda_k| alpha_k r_k is assembled component by component:
+    with b_k = |lambda_k| alpha_k for the acoustic waves (1, 3), the entropy
+    wave (2) and the shear wave (4), s = b_1 + b_3 and d = a (b_3 - b_1),
+
+        D = (s + b_2) (1, u, v, 0) + d (0, mx, my, q_n)
+            + b_4 (0, -my, mx, u_t) + (0, 0, 0, H s + b_2 |u|^2 / 2)
+
+    at the Roe average, u_t = v mx - u my.  No entropy fix (smooth test
+    problems only).
     """
     gm = eq.gamma
     rhoL, uL, vL, pL = euler_primitives(eq, QL)
@@ -93,52 +136,37 @@ def _roe_ale(eq: Euler2D, QL, QR, mx, my, vgn):
     u = wL * uL + wR * uR
     v = wL * vL + wR * vR
     H = wL * HL + wR * HR
-    a2 = (gm - 1.0) * (H - 0.5 * (u * u + v * v))
+    ke = 0.5 * (u * u + v * v)
+    a2 = (gm - 1.0) * (H - ke)
     if np.any(a2 <= 0):
         raise NonPhysicalStateError("Roe-average state has non-positive a^2")
     a = np.sqrt(a2)
     qn = u * mx + v * my
+    rel = qn - vgn
 
-    dQ = QR - QL
-    drho = dQ[..., 0]
     dp = pR - pL
     du = uR - uL
     dv = vR - vL
-    dqn = du * mx + dv * my
     rho_bar = np.sqrt(rhoL * rhoR)
-    # wave strengths
-    a1 = (dp - rho_bar * a * dqn) / (2 * a2)
-    a2w = drho - dp / a2
-    a3 = (dp + rho_bar * a * dqn) / (2 * a2)
-    # shear strength (tangential velocity jump)
-    dut = du * (-my) + dv * mx
+    # wave strengths times |lambda_k|
+    ra = rho_bar * a * (du * mx + dv * my)
+    b1 = np.abs(rel - a) * (dp - ra) / (2 * a2)
+    b3 = np.abs(rel + a) * (dp + ra) / (2 * a2)
+    lam2 = np.abs(rel)
+    b2 = lam2 * (QR[..., 0] - QL[..., 0] - dp / a2)
+    b4 = lam2 * rho_bar * (dv * mx - du * my)
+    s = b1 + b3
+    d = a * (b3 - b1)
+    d0 = s + b2
 
-    lam1 = np.abs(qn - vgn - a)
-    lam2 = np.abs(qn - vgn)
-    lam3 = np.abs(qn - vgn + a)
-
-    def col(*comps):
-        return np.stack(comps, axis=-1)
-
-    r1 = col(np.ones_like(u), u - a * mx, v - a * my, H - a * qn)
-    r2 = col(np.ones_like(u), u, v, 0.5 * (u * u + v * v))
-    r3 = col(np.ones_like(u), u + a * mx, v + a * my, H + a * qn)
-    r4 = col(np.zeros_like(u), -my, mx, u * (-my) + v * mx)
-
-    diss = (lam1[..., None] * a1[..., None] * r1
-            + lam2[..., None] * (a2w[..., None] * r2
-                                 + (rho_bar * dut)[..., None] * r4)
-            + lam3[..., None] * a3[..., None] * r3)
-
-    def phi(Q, rho, uu, vv, p):
-        qnl = uu * mx + vv * my
-        rel = qnl - vgn
-        return col(rho * rel,
-                   Q[..., 1] * rel + p * mx,
-                   Q[..., 2] * rel + p * my,
-                   Q[..., 3] * rel + p * qnl)
-
-    return 0.5 * (phi(QL, rhoL, uL, vL, pL) + phi(QR, rhoR, uR, vR, pR)) - 0.5 * diss
+    out = _normal_flux(QL, uL, vL, pL, mx, my, vgn)
+    out += _normal_flux(QR, uR, vR, pR, mx, my, vgn)
+    out[..., 0] -= d0
+    out[..., 1] -= d0 * u + d * mx - b4 * my
+    out[..., 2] -= d0 * v + d * my + b4 * mx
+    out[..., 3] -= H * s + b2 * ke + d * qn + b4 * (v * mx - u * my)
+    out *= 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from stfr.physics import (
     EquationSet,
     ExactSolution,
     NonPhysicalStateError,
+    _normal_flux,
     _roe_ale,
     euler_primitives,
     exact_state,
@@ -178,8 +179,8 @@ def _transformed_normal_flux(eq, Q, w):
     as its `_weights` w."""
     if isinstance(eq, (Advection1D, Advection2D)):
         return w[..., None] * Q
-    f, g = flux(eq, Q)
-    return w[..., 0:1] * f + w[..., 1:2] * g + w[..., 2:3] * Q
+    _, u, v, p = euler_primitives(eq, Q)
+    return _normal_flux(Q, u, v, p, w[..., 0], w[..., 1], -w[..., 2])
 
 
 def _transformed_common_flux(eq, QL, QR, w):

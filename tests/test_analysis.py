@@ -18,7 +18,7 @@ from stfr.st_solver import StateField, march
 
 def _exact_field_1d(mesh, geom, ks, kt, sol):
     bs, bt = make_basis(ks), make_basis(kt)
-    x, _, _ = _on_grid(geom.corners_n, geom.disp, geom.dt, bs.nodes, bt.nodes, 1)
+    x, _, _ = _on_grid(geom.corners_n, geom.disp, bs.nodes, bt.nodes, 1)
     t = geom.t_n + (1 + bt.nodes)[:, None] / 2 * geom.dt
     vals = exact_state(sol, x[0].reshape(geom.js.shape), t=t)
     return StateField(vals, ks=ks, kt=kt)

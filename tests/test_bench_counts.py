@@ -20,3 +20,5 @@ def test_measure_counts_wave1d():
     assert rec["evals_mean"] == 9.0 and rec["evals_max"] == 9
     assert rec["geometry_calls"] == 32
     assert rec["precond_applies_mean"] == 8.0 and rec["us_per_precond_apply"] > 0
+    for name in ("interior", "side_deltas", "lift", "temporal_correction"):
+        assert rec[f"us_{name}"] > 0

@@ -5,6 +5,7 @@ from stfr.basis import make_basis
 from stfr.geometry import (
     GeometryDegeneracyError,
     _evaluate,
+    _metric_rows,
     corner_shapes,
     gcl_residual,
     slab_geometry,
@@ -62,8 +63,9 @@ def _mapping_at(Cn, disp, dt, xi, eta, tau):
     """Space-time position (x, y, t), metric rows [M_xi; M_eta; M_tau] and
     |J| of the one-element slab from t = 0 at one reference point."""
     b1 = (1 + tau) / 2
-    x, js, rows = _evaluate(corner_shapes([xi], [eta]), np.array([b1]),
-                            Cn, disp, dt)
+    x, js, tangents = _evaluate(corner_shapes([xi], [eta]), np.array([b1]),
+                                Cn, disp)
+    rows = _metric_rows(tangents, dt)
     M = np.vstack([rows[:, 0, 0], [0.0, 0.0, js[0, 0]]])
     return np.append(x[:, 0, 0], b1 * dt), M, dt / 2 * js[0, 0]
 
@@ -253,7 +255,9 @@ def _check_build(g, mesh, Cn, disp, dt, t_n, bs, levels):
 
     def at(points, taus):  # x, js, rows on flat points at every tau level
         xi, eta, tau = _at_levels(points, taus)
-        return _evaluate(corner_shapes(xi, eta), (1 + tau) / 2, Cn, disp, dt)
+        x, js, tangents = _evaluate(corner_shapes(xi, eta), (1 + tau) / 2,
+                                    Cn, disp)
+        return x, js, _metric_rows(tangents, dt)
 
     _, js, rows = at(spatial_points(bs.nodes, dim), levels)
     pairs = [(g.jac, dt / 2 * js.reshape(shape)), (g.js, js.reshape(shape)),

@@ -10,6 +10,7 @@ from stfr.physics import (
     NonPhysicalStateError,
     SineWave1D,
     SineWave2D,
+    _roe_ale,
     exact_state,
     flux,
 )
@@ -26,6 +27,17 @@ def random_admissible_state(rng):
     p = rng.uniform(0.4, 2.0)
     return np.array([rho, rho * u, rho * v,
                      p / (GAMMA - 1) + 0.5 * rho * (u * u + v * v)])
+
+
+def random_admissible_states(rng, shape):
+    """Admissible states of shape shape + (4,), drawn like
+    `random_admissible_state`."""
+    rho = rng.uniform(0.4, 2.0, shape)
+    u = rng.uniform(-1.0, 1.0, shape)
+    v = rng.uniform(-1.0, 1.0, shape)
+    p = rng.uniform(0.4, 2.0, shape)
+    return np.stack([rho, rho * u, rho * v,
+                     p / (GAMMA - 1) + 0.5 * rho * (u * u + v * v)], axis=-1)
 
 
 def random_st_normal(rng, min_spatial=0.15):
@@ -50,10 +62,22 @@ def test_flux_euler_at_rest():
 
 
 def test_flux_rejects_nonphysical():
-    with pytest.raises(NonPhysicalStateError, match="density"):
-        flux(Euler2D(), np.array([-1.0, 0.0, 0.0, 1.0]))
-    with pytest.raises(NonPhysicalStateError, match="pressure"):
-        flux(Euler2D(), np.array([1.0, 10.0, 0.0, 1.0]))
+    """Negative, zero, NaN and infinite density or pressure (an infinite
+    energy makes an infinite pressure), alone and as one bad point among
+    admissible ones."""
+    good = random_admissible_states(np.random.default_rng(4), (3, 5))
+    for Q, quantity in [([-1.0, 0.0, 0.0, 1.0], "density"),
+                        ([1.0, 10.0, 0.0, 1.0], "pressure"),
+                        ([np.nan, 0.0, 0.0, 2.5], "density"),
+                        ([np.inf, 0.0, 0.0, 2.5], "density"),
+                        ([0.0, 0.0, 0.0, 2.5], "density"),
+                        ([1.0, 0.0, 0.0, np.nan], "pressure"),
+                        ([1.0, 0.0, 0.0, np.inf], "pressure")]:
+        states = good.copy()
+        states[1, 2] = Q
+        for bad in (np.array(Q), states):
+            with pytest.raises(NonPhysicalStateError, match=quantity):
+                flux(Euler2D(), bad)
 
 
 def test_st_normal_flux_pure_directions():
@@ -148,6 +172,125 @@ def test_upwind_monotone_bracketing():
         fl = _transformed_normal_flux(eq, np.array([uL]), w)[0]
         fr = _transformed_normal_flux(eq, np.array([uR]), w)[0]
         assert min(fl, fr) - 1e-12 <= com <= max(fl, fr) + 1e-12
+
+
+# -- oracles: the stacked forms the component-form kernels replaced ----------
+
+
+def _stacked_flux(Q):
+    """(f, g) of Euler states, stacked component by component."""
+    rho = Q[..., 0]
+    u, v = Q[..., 1] / rho, Q[..., 2] / rho
+    p = (GAMMA - 1.0) * (Q[..., 3] - 0.5 * rho * (u * u + v * v))
+    rhoE = Q[..., 3]
+    f = np.stack([rho * u, rho * u * u + p, rho * u * v, u * (rhoE + p)], axis=-1)
+    g = np.stack([rho * v, rho * u * v, rho * v * v + p, v * (rhoE + p)], axis=-1)
+    return f, g
+
+
+def _stacked_normal_flux(Q, w):
+    """w0 f + w1 g + w2 Q for an unnormalized space-time vector w."""
+    f, g = _stacked_flux(Q)
+    return w[..., 0:1] * f + w[..., 1:2] * g + w[..., 2:3] * Q
+
+
+def _stacked_roe_ale(QL, QR, mx, my, vgn):
+    """Roe-ALE flux from the stacked eigenvector columns r1..r4."""
+    def prims(Q):
+        rho = Q[..., 0]
+        u, v = Q[..., 1] / rho, Q[..., 2] / rho
+        return rho, u, v, (GAMMA - 1.0) * (Q[..., 3] - 0.5 * rho * (u * u + v * v))
+
+    rhoL, uL, vL, pL = prims(QL)
+    rhoR, uR, vR, pR = prims(QR)
+    HL = (QL[..., 3] + pL) / rhoL
+    HR = (QR[..., 3] + pR) / rhoR
+    sL, sR = np.sqrt(rhoL), np.sqrt(rhoR)
+    wL = sL / (sL + sR)
+    wR = 1.0 - wL
+    u = wL * uL + wR * uR
+    v = wL * vL + wR * vR
+    H = wL * HL + wR * HR
+    a2 = (GAMMA - 1.0) * (H - 0.5 * (u * u + v * v))
+    a = np.sqrt(a2)
+    qn = u * mx + v * my
+    drho = QR[..., 0] - QL[..., 0]
+    dp = pR - pL
+    du = uR - uL
+    dv = vR - vL
+    dqn = du * mx + dv * my
+    rho_bar = np.sqrt(rhoL * rhoR)
+    a1 = (dp - rho_bar * a * dqn) / (2 * a2)
+    a2w = drho - dp / a2
+    a3 = (dp + rho_bar * a * dqn) / (2 * a2)
+    dut = du * (-my) + dv * mx
+    lam1 = np.abs(qn - vgn - a)
+    lam2 = np.abs(qn - vgn)
+    lam3 = np.abs(qn - vgn + a)
+
+    def col(*comps):
+        return np.stack(comps, axis=-1)
+
+    r1 = col(np.ones_like(u), u - a * mx, v - a * my, H - a * qn)
+    r2 = col(np.ones_like(u), u, v, 0.5 * (u * u + v * v))
+    r3 = col(np.ones_like(u), u + a * mx, v + a * my, H + a * qn)
+    r4 = col(np.zeros_like(u), -my, mx, u * (-my) + v * mx)
+    diss = (lam1[..., None] * a1[..., None] * r1
+            + lam2[..., None] * (a2w[..., None] * r2
+                                 + (rho_bar * dut)[..., None] * r4)
+            + lam3[..., None] * a3[..., None] * r3)
+
+    def phi(Q, rho, uu, vv, p):
+        qnl = uu * mx + vv * my
+        rel = qnl - vgn
+        return col(rho * rel, Q[..., 1] * rel + p * mx,
+                   Q[..., 2] * rel + p * my, Q[..., 3] * rel + p * qnl)
+
+    return 0.5 * (phi(QL, rhoL, uL, vL, pL) + phi(QR, rhoR, uR, vR, pR)) - 0.5 * diss
+
+
+def random_st_vectors(rng, shape):
+    """Unnormalized space-time vectors (shape + (3,)) of lengths 0.1-10,
+    each with a spatial part and a time component of at least 0.15 of
+    its length, so the face moves (vgn != 0)."""
+    n = rng.standard_normal(shape + (3,))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    bad = (np.hypot(n[..., 0], n[..., 1]) < 0.15) | (np.abs(n[..., 2]) < 0.15)
+    while bad.any():
+        m = rng.standard_normal((bad.sum(), 3))
+        n[bad] = m / np.linalg.norm(m, axis=-1, keepdims=True)
+        bad = (np.hypot(n[..., 0], n[..., 1]) < 0.15) | (np.abs(n[..., 2]) < 0.15)
+    return n * 10.0 ** rng.uniform(-1.0, 1.0, shape + (1,))
+
+
+def _assert_close_rel(new, ref, rtol=1e-14):
+    scale = np.abs(ref).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(new - ref) <= rtol * scale)
+
+
+@pytest.mark.parametrize("shape", [(), (10, 5, 4)], ids=["single", "faces"])
+def test_component_kernels_match_stacked_forms(shape):
+    """200 random admissible states, one at a time and as one (nF, nT,
+    nFs, 4) array: the component-form Roe-ALE, normal flux and (f, g)
+    agree with the stacked forms to 1e-14 relative."""
+    eq = Euler2D()
+    rng = np.random.default_rng(200)
+    draws = 200 if shape == () else 1
+    for _ in range(draws):
+        QL = random_admissible_states(rng, shape)
+        QR = random_admissible_states(rng, shape)
+        w = random_st_vectors(rng, shape)
+        sig = np.hypot(w[..., 0], w[..., 1])
+        mx, my, vgn = w[..., 0] / sig, w[..., 1] / sig, -w[..., 2] / sig
+        assert np.all(vgn != 0)
+        _assert_close_rel(_roe_ale(eq, QL, QR, mx, my, vgn),
+                          _stacked_roe_ale(QL, QR, mx, my, vgn))
+        _assert_close_rel(_transformed_common_flux(eq, QL, QR, w),
+                          sig[..., None] * _stacked_roe_ale(QL, QR, mx, my, vgn))
+        _assert_close_rel(_transformed_normal_flux(eq, QL, w),
+                          _stacked_normal_flux(QL, w))
+        for new, ref in zip(flux(eq, QR), _stacked_flux(QR)):
+            _assert_close_rel(new, ref)
 
 
 def test_vortex_far_field():

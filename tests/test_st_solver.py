@@ -86,7 +86,7 @@ def test_p1_exact_linear_solution_residual(monkeypatch):
     m = interval_mesh(1, periodic=False)
     bs = bt = make_basis(1)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.1, bs, bt)
-    x, _, _ = _on_grid(geom.corners_n, geom.disp, geom.dt, bs.nodes, bt.nodes, 1)
+    x, _, _ = _on_grid(geom.corners_n, geom.disp, bs.nodes, bt.nodes, 1)
     xs = x[0].reshape(geom.js.shape)
     ts = geom.t_n + (1 + bt.nodes)[:, None] / 2 * geom.dt
     vals = (xs - ts)[..., None]

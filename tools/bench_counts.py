@@ -8,20 +8,25 @@ Each bundled case runs once at full length through `cli.run_case`, the path
 file records the solver, the slabs (space-time) or steps (method of lines,
 space-time FV), the DOF of one slab or step, the residual evaluations per
 slab or step (mean and max), the us per DOF per residual evaluation, the
-preconditioner applies per slab (mean) and the us per apply, the solve
-time, the errors, and the geometry layer: the calls to, and the time
-inside, the slab and MOL geometry builds.  Counts repeat exactly from
+preconditioner applies per slab (mean) and the us per apply, the us per
+call of each layer of a slab residual evaluation (interior divergence,
+side deltas, lift and temporal correction), the solve time, the errors,
+and the geometry layer: the calls to, and the time inside, the slab and
+MOL geometry builds.  Counts repeat exactly from
 run to run; the times come from this one run and move with the machine,
 whose description the file also holds.
 
 The counts are read from outside the package, by wrapping
 `SlabOperator.march` and `rk3_physical_step` (one call per slab or step),
-the two operators' `residual`, `KroneckerPreconditioner.__call__`, and
-`slab_geometry` and `spatial_geometry` under the names `st_solver` and
-`mol_solver` import them by.  A name that a checkout lacks is not wrapped,
+the two operators' `residual`, the `SlabOperator` layers `_interior`,
+`_side_deltas`, `_lift` and `_temporal_correction`,
+`KroneckerPreconditioner.__call__`, and `slab_geometry` and
+`spatial_geometry` under the names `st_solver` and `mol_solver` import
+them by.  A name that a checkout lacks is not wrapped,
 so the script runs unchanged on older checkouts.  The space-time FV scheme
 has no residual operator: its evaluation fields are null, as are the
-preconditioner fields of every solve without a preconditioner apply.
+preconditioner fields of every solve without a preconditioner apply and
+the layer fields of every solve without a slab residual.
 """
 
 import argparse
@@ -39,10 +44,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# SlabOperator methods timed per call: the layers of one residual evaluation
+LAYERS = ("_interior", "_side_deltas", "_lift", "_temporal_correction")
+
 
 class Counts:
     """Residual calls grouped by slab or step, and their total time;
-    likewise the preconditioner applies."""
+    likewise the preconditioner applies; calls and time of each layer."""
 
     def __init__(self):
         self.groups = []
@@ -53,6 +61,7 @@ class Counts:
         self.apply_s = 0.0
         self.geometry_calls = 0
         self.geometry_s = 0.0
+        self.layers = {name: [0, 0.0] for name in LAYERS}
 
     def unit(self, fn):
         def wrapped(*args, **kwargs):
@@ -82,6 +91,19 @@ class Counts:
             return out
         return wrapped
 
+    def layer(self, name):
+        entry = self.layers[name]
+
+        def wrap(fn):
+            def wrapped(*args, **kwargs):
+                t0 = time.perf_counter()
+                out = fn(*args, **kwargs)
+                entry[1] += time.perf_counter() - t0
+                entry[0] += 1
+                return out
+            return wrapped
+        return wrap
+
     def geometry(self, fn):
         def wrapped(*args, **kwargs):
             t0 = time.perf_counter()
@@ -110,6 +132,8 @@ def measure(case):
                 counts.apply),
                (st_solver, "slab_geometry", counts.geometry),
                (mol_solver, "spatial_geometry", counts.geometry)]
+    patches += [(st_solver.SlabOperator, name, counts.layer(name))
+                for name in LAYERS]
     patches = [p for p in patches if hasattr(p[0], p[1])]
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     try:
@@ -132,6 +156,8 @@ def measure(case):
         "precond_applies_mean": (applies / len(counts.applies)
                                  if applies else None),
         "us_per_precond_apply": 1e6 * counts.apply_s / applies if applies else None,
+        **{f"us{name}": 1e6 * s / calls if calls else None
+           for name, (calls, s) in counts.layers.items()},
         "solve_s": row.walltime_s,
         "geometry_calls": counts.geometry_calls,
         "geometry_s": counts.geometry_s,

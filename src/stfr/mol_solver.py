@@ -26,16 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from stfr.basis import make_basis
-from stfr.geometry import GeometryDegeneracyError, SlabGeometry, spatial_geometry
+from stfr.geometry import SlabGeometry, spatial_geometry
 from stfr.mesh import Mesh
-from stfr.motion import MotionPrescription, motion_path
-from stfr.physics import (
-    Advection1D,
-    Advection2D,
-    EquationSet,
-    ExactSolution,
-    NonPhysicalStateError,
-)
+from stfr.motion import MotionPrescription, march_path
+from stfr.physics import Advection1D, Advection2D, EquationSet, ExactSolution
 from stfr.st_solver import (
     LevelPlan,
     _face_jumps,
@@ -174,22 +168,20 @@ def march_mol(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,
               sol: ExactSolution, ks: int, dt: float, n_steps: int,
               step_callback=None) -> MolMarchResult:
     """March n_steps SSP-RK3 steps from the exact initial condition; `sol`
-    also gives the boundary states where the mesh has Dirichlet faces."""
+    also gives the boundary states where the mesh has Dirichlet faces.
+    step_callback(field) runs after each step, ahead of march_path's check
+    that its values are finite."""
     bs = make_basis(ks)
-    path = motion_path(motion, mesh, dt, n_steps)
-    u0 = initial_condition(mesh, path[0], bs, sol)
-    fld = MolField(values=u0, ks=ks, t=0.0, coords=path[0])
-    # an unstable run overflows; the finiteness check below names it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n_steps):
-            try:
-                fld = rk3_physical_step(fld, mesh, path[k + 1], dt, eq, bc=sol)
-            except (GeometryDegeneracyError, NonPhysicalStateError) as exc:
-                exc.args = (f"step {k} at t = {k * dt:.6g}: {exc}",)
-                raise
-            if not np.isfinite(fld.values).all():
-                raise NonPhysicalStateError(
-                    f"step {k} at t = {k * dt:.6g}: non-finite solution values")
-            if step_callback is not None:
-                step_callback(fld)
-    return MolMarchResult(field=fld, coords_final=path[n_steps])
+
+    def step(k, u, coords_n, coords_n1):
+        fld = rk3_physical_step(MolField(u, ks, k * dt, coords_n), mesh,
+                                coords_n1, dt, eq, bc=sol)
+        if step_callback is not None:
+            step_callback(fld)
+        return fld.values
+
+    u, coords = march_path(
+        motion, mesh, dt, n_steps,
+        lambda coords0: initial_condition(mesh, coords0, bs, sol), step)
+    return MolMarchResult(field=MolField(u, ks, n_steps * dt, coords),
+                          coords_final=coords)

@@ -5,6 +5,10 @@ node positions as pure functions of the reference coordinates and time.
 SineDeformation is incremental: each physical step displaces nodes by an
 explicit increment evaluated at the step's start, so node trajectories
 depend on the step size used to march them.
+
+`march_path` walks the node coordinates of `motion_path` step by step; the
+three solvers (space-time FR slabs, the method of lines and the space-time
+FV scheme) each march through it with a step function of their own.
 """
 
 import math
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stfr.mesh import Mesh
+from stfr.physics import NonPhysicalStateError
 
 
 @dataclass(frozen=True)
@@ -171,3 +176,28 @@ def motion_path(presc: MotionPrescription, mesh: Mesh, dt: float,
         return out
     return np.stack([node_positions(presc, mesh, k * dt)
                      for k in range(n_steps + 1)], axis=0)
+
+
+def march_path(presc: MotionPrescription, mesh: Mesh, dt: float, n_steps: int,
+               start, step, unit: str = "step"):
+    """March a solution along the motion path x_k = `motion_path`(...)[k].
+
+    Seeds u = start(x_0), then runs u = step(k, u, x_k, x_{k+1}) for
+    k = 0..n_steps-1.  Overflow is silenced: an unstable run ends in the
+    check that u is finite after each step.  Every solver error is a
+    RuntimeError; its message gets the prefix "<unit> k at t = <k dt>".
+    Returns (u, x_{n_steps}).
+    """
+    path = motion_path(presc, mesh, dt, n_steps)
+    u = start(path[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n_steps):
+            try:
+                u = step(k, u, path[k], path[k + 1])
+                if not np.isfinite(u).all():
+                    raise NonPhysicalStateError("non-finite solution values")
+            except RuntimeError as exc:
+                exc.args = (f"{unit} {k} at t = {k * dt:.6g}: {exc.args[0]}",
+                            *exc.args[1:])
+                raise
+    return u, path[n_steps]

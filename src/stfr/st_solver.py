@@ -44,20 +44,14 @@ from functools import lru_cache
 import numpy as np
 
 from stfr.basis import BasisSet, make_basis
-from stfr.geometry import (
-    GeometryDegeneracyError,
-    SlabGeometry,
-    slab_geometry,
-    solution_positions,
-)
+from stfr.geometry import SlabGeometry, slab_geometry, solution_positions
 from stfr.mesh import Mesh
-from stfr.motion import MotionPrescription, motion_path
+from stfr.motion import MotionPrescription, march_path
 from stfr.physics import (
     Advection1D,
     Advection2D,
     EquationSet,
     ExactSolution,
-    NonPhysicalStateError,
     _normal_flux,
     _roe_ale,
     euler_primitives,
@@ -75,6 +69,12 @@ KRYLOV_RESTART = 8
 # solves its linear system to this fraction of the current residual.
 NEWTON_FORCING = 1e-3
 
+# A slab solve has stalled once STALL_CYCLES successive steps each leave the
+# RMS residual above STALL_RATIO of its value before the step.  The bundled
+# cases cut it by at least half in every step.
+STALL_RATIO = 0.9
+STALL_CYCLES = 3
+
 # Round-off floor of the RMS slab residual, in units of the state's RMS times
 # the operator's fastest rate (`SlabOperator.march`): it short-circuits the
 # relative drop for slabs whose initial guess is exact.
@@ -85,10 +85,10 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
 class PseudoConvergenceError(RuntimeError):
-    """A slab solve diverged or ran out of residual evaluations.
+    """A slab solve diverged, stalled or ran out of residual evaluations.
 
     Carries the residual it reached; the message names it, and
-    `advance_slab` prefixes the slab index and start time.
+    `motion.march_path` prefixes the slab index and start time.
     """
 
     def __init__(self, reason, achieved_drop, iterations, residual):
@@ -598,8 +598,10 @@ class SlabOperator:
         adds nothing to the residual evaluations counted per slab.
 
         Returns (u, SlabStats).  Raises PseudoConvergenceError when the
-        residual turns non-finite or grows 1e8-fold, or when max_iters
-        residual evaluations do not reach the drop.
+        residual turns non-finite or grows 1e8-fold, when STALL_CYCLES
+        successive steps each leave it above STALL_RATIO of its value
+        before the step, or when max_iters residual evaluations do not
+        reach the drop.
         """
         affine = isinstance(self.eq, (Advection1D, Advection2D))
         u = u0.copy()
@@ -618,6 +620,7 @@ class SlabOperator:
             1.0, urms * float(np.max(rate / self.geom.jac)))
         target = max(r0 * 10.0 ** (-controls.drop_orders), floor)
         rnorm = r0
+        stalled = 0  # successive steps that cut the residual too little
         scale = np.sqrt(r.size)  # RMS to 2-norm
         if rnorm > target:  # a slab already at its floor needs no steps
             precond = KroneckerPreconditioner(self.geom, speeds, u0.shape)
@@ -642,9 +645,13 @@ class SlabOperator:
             u = u + du.reshape(u.shape)
             r = self.residual(u)
             evals += 1
-            rnorm = float(np.sqrt(np.mean(r * r)))
+            before, rnorm = rnorm, float(np.sqrt(np.mean(r * r)))
             if not rnorm <= 1e8 * r0:  # also catches nan and inf
                 raise PseudoConvergenceError("slab solve diverged",
+                                             _drop(r0, rnorm), evals, rnorm)
+            stalled = stalled + 1 if rnorm > STALL_RATIO * before else 0
+            if stalled == STALL_CYCLES:
+                raise PseudoConvergenceError("slab solve stalled",
                                              _drop(r0, rnorm), evals, rnorm)
         return u, SlabStats(evals, r0, rnorm)
 
@@ -658,19 +665,13 @@ def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
                  dt: float, t_n: float, eq: EquationSet,
                  basis_s: BasisSet, basis_t: BasisSet,
                  bc: ExactSolution | None = None,
-                 controls: PseudoControls | None = None,
-                 slab_index: int = 0):
+                 controls: PseudoControls | None = None):
     """Build one slab, seed it from the inflow, converge it, and hand back
     (StateField, SlabGeometry, top-face values, SlabStats)."""
     controls = controls or PseudoControls()
     u0 = np.repeat(inflow[:, None], basis_t.n, axis=1)
-    try:
-        geom = slab_geometry(mesh, coords_n, coords_n1, dt, basis_s, basis_t, t_n)
-        u, stats = SlabOperator(mesh, geom, eq, inflow, bc).march(u0, controls)
-    except (GeometryDegeneracyError, NonPhysicalStateError,
-            PseudoConvergenceError) as exc:
-        exc.args = (f"slab {slab_index} at t = {t_n:.6g}: {exc.args[0]}",)
-        raise
+    geom = slab_geometry(mesh, coords_n, coords_n1, dt, basis_s, basis_t, t_n)
+    u, stats = SlabOperator(mesh, geom, eq, inflow, bc).march(u0, controls)
     top = np.einsum("t,etsv->esv", basis_t.extrap_right, u)
     fld = StateField(values=u, ks=basis_s.degree, kt=basis_t.degree)
     return fld, geom, top, stats
@@ -704,36 +705,18 @@ def march(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,
     """
     controls = controls or PseudoControls()
     bs, bt = make_basis(ks), make_basis(kt)
-    path = motion_path(motion, mesh, dt, n_steps)
-    inflow = initial_condition(mesh, path[0], bs, sol)
-    result = MarchResult(field=None, geom=None, top=inflow)
-    for k in range(n_steps):
-        fld, geom, top, stats = advance_slab(
-            result.top, mesh, path[k], path[k + 1], dt, k * dt, eq,
-            bs, bt, bc=sol, controls=controls, slab_index=k)
-        result.field, result.geom, result.top = fld, geom, top
+    result = MarchResult(field=None, geom=None, top=None)
+
+    def slab(k, inflow, coords_n, coords_n1):
+        result.field, result.geom, top, stats = advance_slab(
+            inflow, mesh, coords_n, coords_n1, dt, k * dt, eq, bs, bt,
+            bc=sol, controls=controls)
         result.stats.append(stats)
         if slab_callback is not None:
-            slab_callback(fld, geom, top)
-    result.coords_final = path[n_steps]
+            slab_callback(result.field, result.geom, top)
+        return top
+
+    result.top, result.coords_final = march_path(
+        motion, mesh, dt, n_steps,
+        lambda coords0: initial_condition(mesh, coords0, bs, sol), slab, "slab")
     return result
-
-
-def temporal_amplification(kt: int, mu: complex) -> complex:
-    """Amplification factor of one slab of the temporal scheme for the
-    scalar ODE du/dtau = mu u on [-1, 1] (mu = lambda dt / 2).
-
-    Assembled from the same tables the slab residual uses in its temporal
-    direction (nodal derivative, causal bottom-face correction with g'_L,
-    endpoint extrapolation), solved directly as a dense linear system.
-    """
-    b = make_basis(kt)
-    n = b.n
-    D = b.diff.astype(complex)
-    gl = b.corr_deriv_left.astype(complex)
-    ell_m = b.extrap_left.astype(complex)
-    ell_p = b.extrap_right.astype(complex)
-    A = D - np.outer(gl, ell_m) - mu * np.eye(n)
-    rhs = -gl  # inflow value 1
-    u = np.linalg.solve(A, rhs)
-    return complex(ell_p @ u)

@@ -1,10 +1,9 @@
-"""Desk-scale 1D space-time finite-volume reference schemes.
+"""Desk-scale 1D space-time finite-volume reference scheme.
 
-The explicit 2nd-order space-time FV step on a moving 1D mesh, the
-finite-volume method-of-lines step (volumes from the discrete GCL) it must
-match to round-off, and the Crank-Nicolson defect check for the implicit
-midpoint-flux variant on stationary meshes.  Interfaces are periodic:
-interface i sits between cells i-1 and i (mod n).
+The explicit space-time FV step on a moving 1D mesh, and the finite-volume
+method-of-lines step (volumes from the discrete GCL) it must match to
+round-off.  Interfaces are periodic: interface i sits between cells i-1 and
+i (mod n).
 """
 
 from dataclasses import dataclass
@@ -85,46 +84,3 @@ def fvmol_step(state: Fv1dState, flux_rule=None) -> np.ndarray:
     F = _interface_fluxes(state, flux_rule)
     return (state.ubar * V_n - state.dt * (F[1:] - F[:-1])) / V_np1
 
-
-def crank_nicolson_check(u_n, u_np1, dx: float, dt: float, c: float) -> float:
-    """Defect of the stationary-mesh update with midpoint-averaged upwind
-    fluxes f^{n+1/2} = (f^n + f^{n+1}) / 2; zero exactly when (u_n, u_np1)
-    satisfy the Crank-Nicolson update of 1D upwind advection (periodic).
-
-    Returns the max-norm defect of
-    (u^{n+1} - u^n) dx + dt (F_{i+1}^{n+1/2} - F_i^{n+1/2}).
-    """
-    u_n = np.asarray(u_n, dtype=float)
-    u_np1 = np.asarray(u_np1, dtype=float)
-
-    def upwind(u):
-        # interface i between cells i-1 and i; c > 0 takes the left value
-        if c >= 0:
-            return c * np.concatenate([[u[-1]], u])
-        return c * np.concatenate([u, [u[0]]])
-
-    F_half = 0.5 * (upwind(u_n) + upwind(u_np1))
-    defect = (u_np1 - u_n) * dx + dt * (F_half[1:] - F_half[:-1])
-    return float(np.max(np.abs(defect)))
-
-
-def crank_nicolson_solve(u_n, dx: float, dt: float, c: float) -> np.ndarray:
-    """Independent dense Crank-Nicolson solve for 1D upwind advection
-    (periodic); oracle for crank_nicolson_check."""
-    u_n = np.asarray(u_n, dtype=float)
-    n = u_n.size
-    r = c * dt / (2 * dx)
-    A = np.eye(n)
-    B = np.eye(n)
-    for i in range(n):
-        if c >= 0:
-            A[i, i] += r
-            A[i, (i - 1) % n] -= r
-            B[i, i] -= r
-            B[i, (i - 1) % n] += r
-        else:
-            A[i, (i + 1) % n] += r
-            A[i, i] -= r
-            B[i, (i + 1) % n] -= r
-            B[i, i] += r
-    return np.linalg.solve(A, B @ u_n)

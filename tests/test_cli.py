@@ -137,6 +137,17 @@ def test_cli_main_run_exit_codes(tmp_path, capsys):
     assert "slab 0" in err and "t = 0" in err
 
 
+def test_stalled_slab_stops_early(capsys):
+    # a k_s = 7 vortex slab at dt = 0.25 cuts its residual by 3% in the
+    # first step and not at all after; it stops after three such steps
+    # instead of running to max_iters
+    assert main(["run", "euler_vortex_p3", "--set", "k_s=7", "--set",
+                 "dt=0.25", "--set", "t_final=0.25"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: slab 0 at t = 0: slab solve stalled: ")
+    assert int(err.split(" after ")[1].split()[0]) <= 40
+
+
 def test_cli_unknown_case():
     assert main(["run", "no_such_case_anywhere"]) == 1
 
@@ -293,12 +304,13 @@ def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
      "slab 2 at t = 0.04: non-positive space-time Jacobian"),
     ("euler_vortex_p3", ["t_final=0.0625", "exact.u_max=1.0"],
      "slab 0 at t = 0: non-positive pressure"),
-    ("stfv_moving_1d", ["motion.amp=[10.0]"], "interfaces must be strictly"),
+    ("stfv_moving_1d", ["motion.amp=[10.0]"],
+     "step 47 at t = 0.094: interfaces must be strictly"),
     ("mol_sine_deform_p2", ["motion.amp=[3.0,3.0]"],
      "step 204 at t = 0.0408: non-positive space-time Jacobian"),
     # unstable runs: the state overflows instead of failing a check
     ("stfv_moving_1d", ["motion.amp=[3.0]"],
-     "step 94 at t = 0.188: non-finite cell averages"),
+     "step 94 at t = 0.188: non-finite solution values"),
     ("mol_sine_deform_p2",
      ["dt=0.04", "t_final=24.0", "motion.amp=[0.01,0.01]"],
      "step 480 at t = 19.2: non-finite solution values"),
@@ -435,5 +447,10 @@ def test_mol_case_runs():
     assert math.isfinite(row.error_final)
 
 
-def test_run_checks_battery():
+def test_run_checks_battery(capsys):
     assert run_checks(verbose=False)
+    assert main(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("[PASS] ") for line in lines)
+    out = "\n".join(lines).lower()
+    assert not any(word in out for word in ("fail", "gauss", "crank", "dg "))

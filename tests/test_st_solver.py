@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stfr.analysis import ConvergenceReport, l2_error_final
-from stfr.basis import make_basis
+from stfr.basis import diff_matrix, gauss_legendre, interp_matrix, make_basis
 from stfr import cli
 from stfr.cli import main
 from stfr.geometry import _on_grid, slab_geometry, spatial_quadrature_data
@@ -33,7 +33,6 @@ from stfr.st_solver import (
     advance_slab,
     initial_condition,
     march,
-    temporal_amplification,
 )
 
 
@@ -291,36 +290,52 @@ def test_temporal_superconvergence_moving_mesh(ks, kt, dts):
     assert abs(report.rows[-1].order_final - (2 * kt + 1)) <= 0.3
 
 
-@pytest.mark.parametrize("kt", [1, 2, 3])
-def test_dg_gauss_amplification_match(kt):
-    from stfr.cli import _dg_in_time_amplification
+def _dg_in_time_amplification(kt: int, mu: complex) -> complex:
+    """Dense DG-in-time solve for du/dtau = mu u, independent assembly."""
+    b = make_basis(kt)
+    xq, wq = gauss_legendre(kt + 3)
+    L = interp_matrix(b.nodes, xq)
+    be = make_basis(kt + 2)
+    to_e = interp_matrix(b.nodes, be.nodes)
+    De = diff_matrix(be.nodes)
+    from_e = interp_matrix(be.nodes, xq)
+    dL = from_e @ (De @ to_e)
+    lp, lm = b.extrap_right, b.extrap_left
+    K = np.einsum("q,qi,qj->ij", wq, dL, L)   # K_ij = int L_i' L_j
+    M = np.einsum("q,qi,qj->ij", wq, L, L)
+    A = (-K + np.outer(lp, lp) - mu * M).astype(complex)
+    u = np.linalg.solve(A, lm.astype(complex))
+    return complex(lp @ u)
 
-    for mu in (0.25, -0.8, 1.5, 0.5j, 2.0j, -1.0 + 0.7j):
-        g_fr = temporal_amplification(kt, mu)
-        g_dg = _dg_in_time_amplification(kt, mu)
-        assert abs(g_fr - g_dg) <= 1e-12
+
+def _slab_temporal_operator(kt: int):
+    """A single stationary 1D element with c = 0 advection reduces the slab
+    residual to its temporal operator: R(u) = r0 + A u on tau == t."""
+    m = interval_mesh(1, periodic=True)
+    bs, b = make_basis(0), make_basis(kt)
+    geom = slab_geometry(m, m.nodes, m.nodes, 2.0, bs, b)  # tau == t
+    op = SlabOperator(m, geom, Advection1D(0.0), np.ones((1, 1, 1)))
+    n = kt + 1
+    r0 = op.residual(np.zeros((1, n, 1, 1)))[0, :, 0, 0]
+    A = np.stack([op.residual(e.reshape(1, n, 1, 1))[0, :, 0, 0] - r0
+                  for e in np.eye(n)], axis=1)
+    return A, r0, b
 
 
 def test_slab_operator_matches_temporal_amplification():
-    # a single stationary 1D element with c=0 advection: the slab residual
-    # reduces to the pure temporal operator used by temporal_amplification
-    kt = 2
-    m = interval_mesh(1, periodic=True)
-    bs, bt = make_basis(0), make_basis(kt)
-    dt = 2.0  # tau == t on [-1, 1]
-    geom = slab_geometry(m, m.nodes, m.nodes, dt, bs, bt)
-    eq = Advection1D(0.0)
-    inflow = np.ones((1, 1, 1))
-    op = SlabOperator(m, geom, eq, inflow)
-    n = kt + 1
-    A = np.zeros((n, n))
-    for j in range(n):
-        u = np.zeros((1, n, 1, 1))
-        u[0, j, 0, 0] = 1.0
-        A[:, j] = op.residual(u)[0, :, 0, 0]
-    rhs0 = op.residual(np.zeros((1, n, 1, 1)))[0, :, 0, 0]
-    # residual(u) = rhs0 + A u with A the homogeneous part
-    Ah = A - rhs0[:, None]
-    b = make_basis(kt)
+    # the homogeneous part of the slab residual is the temporal FR operator
+    # (nodal derivative with the causal bottom-face correction g'_L)
+    A, _, b = _slab_temporal_operator(2)
     expect = -(b.diff - np.outer(b.corr_deriv_left, b.extrap_left))
-    assert np.allclose(Ah, expect, atol=1e-13)
+    assert np.abs(A - expect).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kt", [1, 2, 3])
+def test_dg_gauss_amplification_match(kt):
+    # FR in time on Gauss points is the DG-Gauss scheme (Huynh 2023): the
+    # slab's amplification for du/dtau = mu u matches a dense DG-in-time solve
+    A, r0, b = _slab_temporal_operator(kt)
+    n = kt + 1
+    for mu in (0.25, -0.8, 1.5, 0.5j, 2.0j, -1.0 + 0.7j, 0.4, -1.0, 0.9j):
+        g_fr = b.extrap_right @ np.linalg.solve(A + mu * np.eye(n), -r0)
+        assert abs(g_fr - _dg_in_time_amplification(kt, mu)) <= 1e-12

@@ -4,8 +4,6 @@ import pytest
 from stfr.stfv import (
     CellInversionError,
     Fv1dState,
-    crank_nicolson_check,
-    crank_nicolson_solve,
     fvmol_step,
     stfv_step_explicit,
     upwind_flux_rule,
@@ -125,25 +123,6 @@ def test_first_order_convergence_moving_mesh():
     p = np.log(errs[0] / errs[1]) / np.log(2)
     q = np.log(errs[1] / errs[2]) / np.log(2)
     assert abs(p - 1.0) <= 0.2 and abs(q - 1.0) <= 0.2
-
-
-def test_cn_check_against_independent_solve():
-    n, dx, dt, c = 32, 1 / 32, 0.04, 1.0
-    x = (np.arange(n) + 0.5) * dx
-    u0 = np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
-    u1 = crank_nicolson_solve(u0, dx, dt, c)
-    assert crank_nicolson_check(u0, u1, dx, dt, c) <= 1e-13
-
-
-def test_cn_check_rejects_inconsistent_pair():
-    n, dx, dt, c = 16, 1 / 16, 0.05, 1.0
-    x = (np.arange(n) + 0.5) * dx
-    u0 = np.sin(2 * np.pi * x)
-    assert crank_nicolson_check(u0, u0, dx, dt, c) > 1e-6
-
-
-def test_cn_check_zero_field():
-    assert crank_nicolson_check(np.zeros(8), np.zeros(8), 0.1, 0.05, 1.0) == 0.0
 
 
 def test_cell_inversion_detected():

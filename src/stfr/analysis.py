@@ -47,17 +47,18 @@ def l2_error_final(fld: StateField, geom: SlabGeometry, mesh: Mesh,
                    coords_final: np.ndarray, sol: ExactSolution,
                    t_final: float, n_q: int | None = None) -> float:
     """Volume-normalized L2 error of the slab's top-face interpolant at
-    t_final, measured on the deformed mesh; first conservative variable."""
-    bt = make_basis(fld.kt)
+    t_final, measured on the deformed mesh; first conservative variable.
+    The degrees are the slab geometry's."""
+    bt = make_basis(geom.kt)
     top = np.einsum("t,etsv->esv", bt.extrap_right, fld.values)
-    return l2_error_nodal(top, fld.ks, mesh, coords_final, sol, t_final, n_q)
+    return l2_error_nodal(top, geom.ks, mesh, coords_final, sol, t_final, n_q)
 
 
 def l2_error_slab(fld: StateField, geom: SlabGeometry, sol: ExactSolution,
                   n_q: int | None = None) -> float:
     """Volume-normalized L2 error over the space-time slab."""
     nE, _, _, nV = fld.values.shape
-    data = st_quadrature_data(geom, n_q or max(fld.ks, fld.kt) + 2)
+    data = st_quadrature_data(geom, n_q or max(geom.ks, geom.kt) + 2)
     return _normalized_l2(fld.values.reshape(nE, -1, nV), sol, *data)
 
 

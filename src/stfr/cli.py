@@ -31,7 +31,7 @@ from stfr.geometry import GeometryDegeneracyError
 from stfr.mol_solver import march_mol, mol_stable_dt
 from stfr.motion import march_path, motion_path
 from stfr.st_solver import PseudoControls, PseudoConvergenceError, march
-from stfr.stfv import Fv1dState, stfv_step_explicit, upwind_flux_rule
+from stfr.stfv import Fv1dState, stfv_step_explicit
 
 
 class ConfigError(ValueError):
@@ -269,7 +269,7 @@ def _stfv_run(cfg: CaseConfig, eq, sol, mesh, presc, n_steps):
 
     def step(k, ubar, coords_n, coords_n1):
         st = Fv1dState(ubar, coords_n[order, 0], coords_n1[order, 0], cfg.dt)
-        return stfv_step_explicit(st, upwind_flux_rule(eq.c))
+        return stfv_step_explicit(st, eq.c)
 
     ubar, coords = march_path(
         presc, mesh, cfg.dt, n_steps,

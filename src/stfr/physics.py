@@ -1,13 +1,16 @@
-"""Equation sets, physical fluxes, the Roe-ALE Riemann solver, and exact
+"""Equation sets, the Euler flux, the Roe-ALE Riemann solver, and exact
 solutions for error measurement.
 
-The Euler kernels are written in component form: `flux` scales Q by the
-velocity and adds the pressure terms in place, `_normal_flux` is the
-mesh-relative normal flux phi = Q (q_n - vgn) + p (0, mx, my, q_n) in one
-buffer, and `_roe_ale` assembles its dissipation one component at a time
-from the wave strengths, with no eigenvector columns stacked.  Space-time
-normal and common fluxes through unnormalized face vectors, which call
-these, live with the FR kernels in `st_solver`.
+Which module owns which flux: this one holds the Euler kernels, written in
+component form.  `flux` scales Q by the velocity and adds the pressure
+terms in place, `_normal_flux` is the mesh-relative normal flux
+phi = Q (q_n - vgn) + p (0, mx, my, q_n) in one buffer, and `_roe_ale`
+assembles its dissipation one component at a time from the wave strengths,
+with no eigenvector columns stacked.  The advection flux has no function
+of its own: `st_solver._weights` contracts the speed with each metric or
+face vector once (c . M_x + M_t), and the FR kernels there scale Q by it.
+The space-time normal and common fluxes through unnormalized face vectors,
+which call the Euler kernels, live with those FR kernels in `st_solver`.
 
 All operations are pure functions over trailing state axes: arrays of shape
 (..., n_vars) go in, matching shapes come out.
@@ -74,13 +77,9 @@ def euler_primitives(eq: Euler2D, Q):
     return rho, u, v, p
 
 
-def flux(eq: EquationSet, Q):
-    """Spatial flux components: f in 1D, (f, g) in 2D; shapes match Q."""
+def flux(eq: Euler2D, Q):
+    """Euler flux components (f, g); shapes match Q."""
     Q = np.asarray(Q, dtype=float)
-    if isinstance(eq, Advection1D):
-        return eq.c * Q
-    if isinstance(eq, Advection2D):
-        return eq.c1 * Q, eq.c2 * Q
     _, u, v, p = euler_primitives(eq, Q)
     f = Q * u[..., None]
     g = Q * v[..., None]

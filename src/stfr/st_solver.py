@@ -126,12 +126,11 @@ class StateField:
     """Space-time nodal coefficients of one slab.
 
     values has shape (n_elems, k_t+1, (k_s+1)^dim, n_vars), C-ordered over
-    (tau level, spatial point); spatial points are x-fastest.
+    (tau level, spatial point); spatial points are x-fastest.  The degrees
+    k_s and k_t are those of the slab's `SlabGeometry`.
     """
 
     values: np.ndarray
-    ks: int
-    kt: int
 
 
 @dataclass
@@ -673,7 +672,7 @@ def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
     geom = slab_geometry(mesh, coords_n, coords_n1, dt, basis_s, basis_t, t_n)
     u, stats = SlabOperator(mesh, geom, eq, inflow, bc).march(u0, controls)
     top = np.einsum("t,etsv->esv", basis_t.extrap_right, u)
-    fld = StateField(values=u, ks=basis_s.degree, kt=basis_t.degree)
+    fld = StateField(values=u)
     return fld, geom, top, stats
 
 

@@ -35,52 +35,39 @@ class Fv1dState:
             raise ValueError("dt must be > 0")
 
 
-def upwind_flux_rule(c: float = 1.0):
-    """Explicit mesh-relative interface flux F = f(u*) - u* v_g for f = c u.
-
-    The upwind state u* follows the sign of the relative speed c - v_g.
-    """
-
-    def rule(u_left, u_right, v_g):
-        rel = c - v_g
-        ustar = np.where(rel >= 0, u_left, u_right)
-        return (c - v_g) * ustar
-
-    return rule
-
-
-def _interface_fluxes(state: Fv1dState, flux_rule):
-    """Common fluxes at the n+1 interfaces (periodic neighbors)."""
+def _interface_fluxes(state: Fv1dState, c: float):
+    """Explicit mesh-relative upwind fluxes F = (c - v_g) u* for f = c u at
+    the n+1 interfaces (periodic neighbors); the upwind state u* follows
+    the sign of the relative speed c - v_g."""
     u = state.ubar
     v_g = (state.x_np1 - state.x_n) / state.dt
     u_left = np.concatenate([[u[-1]], u])     # cell left of interface i
     u_right = np.concatenate([u, [u[0]]])
-    return flux_rule(u_left, u_right, v_g)
+    rel = c - v_g
+    return rel * np.where(rel >= 0, u_left, u_right)
 
 
-def stfv_step_explicit(state: Fv1dState, flux_rule=None) -> np.ndarray:
-    """Explicit space-time FV update
+def stfv_step_explicit(state: Fv1dState, c: float = 1.0) -> np.ndarray:
+    """Explicit space-time FV update of u_t + c u_x = 0,
     ubar^{n+1} (x~_2 - x~_1) = ubar^n (x_2 - x_1) - dt (F_2 - F_1)."""
-    flux_rule = flux_rule or upwind_flux_rule()
     vol_new = np.diff(state.x_np1)
     if np.any(vol_new <= 0):
         raise CellInversionError("cell inversion at t + dt")
-    F = _interface_fluxes(state, flux_rule)
+    F = _interface_fluxes(state, c)
     return (state.ubar * np.diff(state.x_n)
             - state.dt * (F[1:] - F[:-1])) / vol_new
 
 
-def fvmol_step(state: Fv1dState, flux_rule=None) -> np.ndarray:
-    """Forward-Euler FV method of lines on the moving mesh:
+def fvmol_step(state: Fv1dState, c: float = 1.0) -> np.ndarray:
+    """Forward-Euler FV method of lines of u_t + c u_x = 0 on the moving mesh:
     d(ubar V)/dt + (F_2 - F_1) = 0, with the new cell volume V^{n+1} taken
     from the discrete GCL dV/dt = v_g,2 - v_g,1, not from the new
     interface positions."""
-    flux_rule = flux_rule or upwind_flux_rule()
     V_n = np.diff(state.x_n)
     v_g = (state.x_np1 - state.x_n) / state.dt
     V_np1 = V_n + state.dt * np.diff(v_g)
     if np.any(V_np1 <= 0):
         raise CellInversionError("cell inversion at t + dt")
-    F = _interface_fluxes(state, flux_rule)
+    F = _interface_fluxes(state, c)
     return (state.ubar * V_n - state.dt * (F[1:] - F[:-1])) / V_np1
 

@@ -21,7 +21,7 @@ def _exact_field_1d(mesh, geom, ks, kt, sol):
     x, _, _ = _on_grid(geom.corners_n, geom.disp, bs.nodes, bt.nodes, 1)
     t = geom.t_n + (1 + bt.nodes)[:, None] / 2 * geom.dt
     vals = exact_state(sol, x[0].reshape(geom.js.shape), t=t)
-    return StateField(vals, ks=ks, kt=kt)
+    return StateField(vals)
 
 
 def test_exact_resolvable_field_error_machine_zero(moving_path):
@@ -35,7 +35,7 @@ def test_exact_resolvable_field_error_machine_zero(moving_path):
     geom = slab_geometry(m, path[1], path[2], 0.05, bs, bt, t_n=0.05)
     sol = Constant((1.7,))
     vals = np.full((16, 2, 9, 1), 1.7)
-    fld = StateField(vals, ks=2, kt=1)
+    fld = StateField(vals)
     assert l2_error_final(fld, geom, m, path[2], sol, 0.15) <= 1e-14
     assert l2_error_slab(fld, geom, sol) <= 1e-14
 
@@ -59,7 +59,7 @@ def test_constant_offset_exactly_measured(moving_path):
     path = moving_path(SineDeformation(), m, 0.04, 2)
     geom = slab_geometry(m, path[1], path[2], 0.04, bs, bt, t_n=0.04)
     vals = np.full((9, 2, 9, 1), 0.01)
-    fld = StateField(vals, ks=2, kt=1)
+    fld = StateField(vals)
     from stfr.physics import Constant
 
     zero = Constant((0.0,))
@@ -85,7 +85,7 @@ def test_norm_element_relabel_invariance():
     geom = slab_geometry(m, m.nodes, m.nodes, 0.05, bs, bt)
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((8, 2, 3, 1))
-    fld = StateField(vals, ks=2, kt=1)
+    fld = StateField(vals)
     e1 = l2_error_final(fld, geom, m, m.nodes, sol, 0.05)
     # relabel: permute elements consistently in mesh and field
     perm = rng.permutation(8)
@@ -98,7 +98,7 @@ def test_norm_element_relabel_invariance():
 
     m2.faces, m2.dirichlet = _build_faces(1, m2.elems, [(np.where(perm == 7)[0][0], 1, np.where(perm == 0)[0][0], 0, False)], None)
     geom2 = slab_geometry(m2, m2.nodes, m2.nodes, 0.05, bs, bt)
-    fld2 = StateField(vals[perm], ks=2, kt=1)
+    fld2 = StateField(vals[perm])
     e2 = l2_error_final(fld2, geom2, m2, m2.nodes, sol, 0.05)
     assert abs(e1 - e2) <= 1e-13
 

@@ -6,19 +6,45 @@ import os
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
+from stfr import cli, st_solver
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_counts.py"
 
 
-def test_measure_counts_wave1d():
+@pytest.fixture(scope="module")
+def tool():
     spec = importlib.util.spec_from_file_location("bench_counts", TOOL)
-    tool = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     with mock.patch.dict(os.environ):  # the tool pins BLAS threads on import
-        spec.loader.exec_module(tool)
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_measure_counts_wave1d(tool):
     rec = tool.measure("wave1d_stationary_p2p2")
     assert rec["solver"] == "spacetime"
-    assert rec["steps"] == 32
+    assert rec["steps"] == 32 and rec["dof"] == 144
     assert rec["evals_mean"] == 9.0 and rec["evals_max"] == 9
     assert rec["geometry_calls"] == 32
     assert rec["precond_applies_mean"] == 8.0 and rec["us_per_precond_apply"] > 0
-    for name in ("interior", "side_deltas", "lift", "temporal_correction"):
+    for name in ("interior", "side_deltas", "lift", "temporal_correction",
+                 "traces", "common_flux", "normal_flux"):
         assert rec[f"us_{name}"] > 0
+
+
+def test_traced_counts_match_slab_stats(tool):
+    # the evaluations the tool gives each slab are those the slab solve
+    # counts itself; this case's slabs take 25 to 59 evaluations each,
+    # and one preconditioner apply fewer
+    cfg = cli.load_case("wave2d_circle_p2")
+    eq = cli.build_equation(cfg)
+    res, spans = tool.trace(lambda: st_solver.march(
+        cli.build_mesh(cfg), cli.build_motion(cfg), eq,
+        cli.build_exact(cfg, eq), cfg.k_s, cfg.k_t, cfg.dt,
+        round(cfg.t_final / cfg.dt), controls=cli.build_pseudo(cfg)))
+    evals, applies = tool.per_unit(spans)
+    assert evals == [s.iterations for s in res.stats]
+    assert len(set(evals)) > 1
+    assert applies == [n - 1 for n in evals]

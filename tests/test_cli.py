@@ -98,6 +98,15 @@ def test_space_sweep_orders(tmp_path):
         [f"{cfg.name}_space.csv", f"{cfg.name}_space.dat"]
 
 
+@pytest.mark.acceptance
+def test_space_sweep_order_on_deforming_mesh():
+    # spatial order k_s+1 = 3 on a sine-deforming mesh: four levels give
+    # orders of about 2.22, 2.68 and 2.83; the last must be within 0.3 of 3
+    rep = sweep(load_case("compare_sine_deform_p2"), "space", 4)
+    orders = [r.order_final for r in rep.rows[1:]]
+    assert orders[-1] >= 2.7, orders
+
+
 def test_overrides_dotted_paths():
     cfg = load_case("wave1d_stationary_p2p2")
     out = apply_overrides(cfg, ["mesh.n=32", "k_s=3", "pseudo.drop_orders=8",

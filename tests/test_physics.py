@@ -48,12 +48,6 @@ def random_st_normal(rng, min_spatial=0.15):
             return n
 
 
-def test_flux_advection():
-    assert flux(Advection1D(c=1.0), np.array([0.3]))[0] == pytest.approx(0.3)
-    f, g = flux(Advection2D(0.5, 0.5), np.array([1.0]))
-    assert f[0] == 0.5 and g[0] == 0.5
-
-
 def test_flux_euler_at_rest():
     Q = np.array([1.0, 0.0, 0.0, 1.0 / (GAMMA - 1)])
     f, g = flux(Euler2D(), Q)

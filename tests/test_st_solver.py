@@ -207,8 +207,8 @@ def test_conservation_periodic_advection():
 
     def cb2(fld, geom, top):
         k = len(vals["masses"]) + 1
-        w, js, _, interp = spatial_quadrature_data(m, path[k], fld.ks,
-                                                   fld.ks + 2)
+        w, js, _, interp = spatial_quadrature_data(m, path[k], geom.ks,
+                                                   geom.ks + 2)
         uq = np.einsum("qs,esv->eqv", interp, top)
         vals["masses"].append(float(np.einsum("q,eq->", w, js * uq[..., 0])))
 
@@ -226,7 +226,7 @@ def test_conservation_periodic_advection_1d():
 
     def cb(fld, geom, top):
         k = len(vals) + 1
-        w, js, _, interp = spatial_quadrature_data(m, path[k], fld.ks, fld.ks + 2)
+        w, js, _, interp = spatial_quadrature_data(m, path[k], geom.ks, geom.ks + 2)
         uq = np.einsum("qs,esv->eqv", interp, top)
         vals.append(float(np.einsum("q,eq->", w, js * uq[..., 0])))
 

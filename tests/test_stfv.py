@@ -6,7 +6,6 @@ from stfr.stfv import (
     Fv1dState,
     fvmol_step,
     stfv_step_explicit,
-    upwind_flux_rule,
 )
 
 
@@ -19,19 +18,16 @@ def test_state_validation():
                   np.array([0.0, 0.5, 1.0]), -0.1)
 
 
-def test_hand_checked_single_cell():
-    # x = (0, 1) -> (0.1, 1.05), dt = 0.1, c = 1; prescribed upwind values
-    # 1 at the left interface and 0 at the right
-    st = Fv1dState(np.array([1.0]), np.array([0.0, 1.0]),
-                   np.array([0.1, 1.05]), 0.1)
-
-    def rule(u_l, u_r, v_g):
-        ustar = np.array([1.0, 0.0])
-        return (1.0 - v_g) * ustar
-
-    out = stfv_step_explicit(st, rule)
-    expect = (1.0 * 1.0 - 0.1 * ((0 * 1 - 0 * 0.5) - (1 * 1 - 1 * 1))) / 0.95
-    assert out[0] == pytest.approx(expect, abs=1e-15)
+def test_hand_checked_two_cells():
+    # x = (0, 0.5, 1) -> (0, 0.55, 1), dt = 0.1: v_g = (0, 0.5, 0) at the
+    # interfaces; ubar = (1, 0).  c = 1 takes every upwind state from the
+    # left, u* = (0, 1, 0), F = (0, 0.5, 0); c = -1 from the right,
+    # u* = (1, 0, 1), F = (-1, 0, -1)
+    st = Fv1dState(np.array([1.0, 0.0]), np.array([0.0, 0.5, 1.0]),
+                   np.array([0.0, 0.55, 1.0]), 0.1)
+    for c, expect in [(1.0, [0.45 / 0.55, 0.05 / 0.45]),
+                      (-1.0, [0.4 / 0.55, 0.1 / 0.45])]:
+        assert np.allclose(stfv_step_explicit(st, c), expect, rtol=0, atol=1e-15)
 
 
 def test_stationary_reduces_to_forward_euler_upwind():
@@ -39,7 +35,7 @@ def test_stationary_reduces_to_forward_euler_upwind():
     x = np.linspace(0, 1, n + 1)
     u = np.sin(2 * np.pi * (x[:-1] + x[1:]) / 2)
     st = Fv1dState(u, x, x, dt)
-    out = stfv_step_explicit(st, upwind_flux_rule(c))
+    out = stfv_step_explicit(st, c)
     dx = 1.0 / n
     expect = u - (dt / dx) * (c * u - c * np.roll(u, 1))
     assert np.allclose(out, expect, atol=1e-15)
@@ -69,9 +65,9 @@ def test_equivalence_200_random_cases():
         pert[0] = pert[-1] = 0.0
         st = Fv1dState(rng.standard_normal(n), x, x + pert,
                        float(rng.uniform(0.01, 0.2)))
-        rule = upwind_flux_rule(float(rng.uniform(-2, 2)))
-        a = stfv_step_explicit(st, rule)
-        b = fvmol_step(st, rule)
+        c = float(rng.uniform(-2, 2))
+        a = stfv_step_explicit(st, c)
+        b = fvmol_step(st, c)
         worst = max(worst, float(np.abs(a - b).max()))
         count += 1
     assert worst <= 1e-14

@@ -10,23 +10,31 @@ space-time FV), the DOF of one slab or step, the residual evaluations per
 slab or step (mean and max), the us per DOF per residual evaluation, the
 preconditioner applies per slab (mean) and the us per apply, the us per
 call of each layer of a slab residual evaluation (interior divergence,
-side deltas, lift and temporal correction), the solve time, the errors,
-and the geometry layer: the calls to, and the time inside, the slab and
-MOL geometry builds.  Counts repeat exactly from
-run to run; the times come from this one run and move with the machine,
-whose description the file also holds.
+side deltas, lift and temporal correction) and of the face kernels inside
+the side deltas (traces, common flux, normal flux), the solve time, the
+errors, and the geometry layer: the calls to, and the time inside, the
+slab and MOL geometry builds.  Counts repeat exactly from run to run; the
+times come from this one run and move with the machine, whose description
+the file also holds.
 
-The counts are read from outside the package, by wrapping
-`SlabOperator.march` and `rk3_physical_step` (one call per slab or step),
-the two operators' `residual`, the `SlabOperator` layers `_interior`,
-`_side_deltas`, `_lift` and `_temporal_correction`,
-`KroneckerPreconditioner.__call__`, and `slab_geometry` and
-`spatial_geometry` under the names `st_solver` and `mol_solver` import
-them by.  A name that a checkout lacks is not wrapped,
-so the script runs unchanged on older checkouts.  The space-time FV scheme
-has no residual operator: its evaluation fields are null, as are the
-preconditioner fields of every solve without a preconditioner apply and
-the layer fields of every solve without a slab residual.
+The counts and times come from the spans of the benchmark's tracer
+(`stfrbench/tracer.py`), installed around `cli.run_case`: `st_solver.march`
+and `mol_solver.bind_degree` (one per slab or step), the two operators'
+`residual`, the slab layers `st_solver.interior`, `side_deltas`, `lift` and
+`temporal_correction`, the face kernels `st_solver.traces`, `common_flux`
+and `normal_flux`, which both FR operators run, and
+`geometry.slab_geometry` and `spatial_geometry`.  The tool adds one span
+through the tracer's wrapper, `st_solver.precond` around
+`KroneckerPreconditioner.__call__`.  Each residual evaluation and
+preconditioner apply counts toward the last slab or step span that started
+before it.  Times are inclusive and include the tracer's wrappers of nested
+spans, so they read higher than untraced ones: on a shared 2-core x86_64
+VM, `mol_sine_deform_p2` solved in a median 0.97 s traced against 0.78 s
+with only the counted calls wrapped (9 runs each).  The DOF follow from the
+case: elements x temporal levels x (k_s+1)^dim x variables.  The space-time
+FV scheme has no residual operator: its DOF and evaluation fields are null,
+as are the preconditioner fields of every solve without a preconditioner
+apply and the layer fields of every solve without a span of that layer.
 """
 
 import argparse
@@ -35,7 +43,6 @@ import math
 import os
 import platform
 import sys
-import time
 from importlib import resources
 from pathlib import Path
 
@@ -43,124 +50,92 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # NumPy, imported in main, loads BLAS after this
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "stfrbench"))
+import tracer  # the benchmark's, found through the line above
 
-# SlabOperator methods timed per call: the layers of one residual evaluation
-LAYERS = ("_interior", "_side_deltas", "_lift", "_temporal_correction")
-
-
-class Counts:
-    """Residual calls grouped by slab or step, and their total time;
-    likewise the preconditioner applies; calls and time of each layer."""
-
-    def __init__(self):
-        self.groups = []
-        self.calls = 0
-        self.seconds = 0.0
-        self.dof = None
-        self.applies = []
-        self.apply_s = 0.0
-        self.geometry_calls = 0
-        self.geometry_s = 0.0
-        self.layers = {name: [0, 0.0] for name in LAYERS}
-
-    def unit(self, fn):
-        def wrapped(*args, **kwargs):
-            self.groups.append(0)
-            self.applies.append(0)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    def apply(self, fn):
-        def wrapped(*args, **kwargs):
-            t0 = time.perf_counter()
-            out = fn(*args, **kwargs)
-            self.apply_s += time.perf_counter() - t0
-            self.applies[-1] += 1
-            return out
-        return wrapped
-
-    def residual(self, fn):
-        def wrapped(op, u, *args, **kwargs):
-            t0 = time.perf_counter()
-            out = fn(op, u, *args, **kwargs)
-            self.seconds += time.perf_counter() - t0
-            self.calls += 1
-            self.dof = u.size
-            if self.groups:
-                self.groups[-1] += 1
-            return out
-        return wrapped
-
-    def layer(self, name):
-        entry = self.layers[name]
-
-        def wrap(fn):
-            def wrapped(*args, **kwargs):
-                t0 = time.perf_counter()
-                out = fn(*args, **kwargs)
-                entry[1] += time.perf_counter() - t0
-                entry[0] += 1
-                return out
-            return wrapped
-        return wrap
-
-    def geometry(self, fn):
-        def wrapped(*args, **kwargs):
-            t0 = time.perf_counter()
-            out = fn(*args, **kwargs)
-            self.geometry_s += time.perf_counter() - t0
-            self.geometry_calls += 1
-            return out
-        return wrapped
+UNITS = ("st_solver.march", "mol_solver.bind_degree")  # one per slab or step
+PRECOND = "st_solver.precond"
+# spans timed per call: the slab residual's layers, then the face kernels
+LAYERS = ("interior", "side_deltas", "lift", "temporal_correction",
+          "traces", "common_flux", "normal_flux")
 
 
 def _finite(x):
-    return None if x is None or math.isnan(x) else x
+    return None if math.isnan(x) else x
+
+
+def trace(run):
+    """Call `run()` under the benchmark's tracer, with the preconditioner
+    apply spanned as well; returns its value and the spans."""
+    from stfr import st_solver
+
+    tr = tracer.Tracer()
+    tr.install()
+    pre = st_solver.KroneckerPreconditioner
+    tr._saved.append((pre, "__call__", pre.__call__))  # `remove` restores it
+    pre.__call__ = tr._wrap(PRECOND, pre.__call__)
+    try:
+        return run(), tr.spans
+    finally:
+        tr.remove()
+
+
+def per_unit(spans):
+    """Residual evaluations and preconditioner applies of each slab or step:
+    each counts toward the last slab or step span that started before it."""
+    evals, applies = [], []
+    for name, *_ in spans:
+        if name in UNITS:
+            evals.append(0)
+            applies.append(0)
+        elif name in tracer.RESIDUALS:
+            evals[-1] += 1
+        elif name == PRECOND:
+            applies[-1] += 1
+    return evals, applies
 
 
 def measure(case):
-    """Run one bundled case; returns its record."""
-    from stfr import cli, mol_solver, st_solver
+    """Run one bundled case under the tracer; returns its record."""
+    from stfr import cli
 
     cfg = cli.load_case(case)
-    counts = Counts()
-    patches = [(st_solver.SlabOperator, "march", counts.unit),
-               (st_solver.SlabOperator, "residual", counts.residual),
-               (mol_solver, "rk3_physical_step", counts.unit),
-               (mol_solver.MolOperator, "residual", counts.residual),
-               (getattr(st_solver, "KroneckerPreconditioner", None), "__call__",
-                counts.apply),
-               (st_solver, "slab_geometry", counts.geometry),
-               (mol_solver, "spatial_geometry", counts.geometry)]
-    patches += [(st_solver.SlabOperator, name, counts.layer(name))
-                for name in LAYERS]
-    patches = [p for p in patches if hasattr(p[0], p[1])]
-    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
-    try:
-        for owner, name, wrap in patches:
-            setattr(owner, name, wrap(getattr(owner, name)))
-        row = cli.run_case(cfg)
-    finally:
-        for owner, name, original in saved:
-            setattr(owner, name, original)
-    groups = counts.groups
-    applies = sum(counts.applies)
+    row, spans = trace(lambda: cli.run_case(cfg))
+    evals, applies = per_unit(spans)
+    stats = tracer.layer_stats(spans)
+
+    def total(*names):
+        """Calls and inclusive seconds of the spans `names`, summed."""
+        got = [stats.get(n, (0, 0.0, 0.0)) for n in names]
+        return sum(g[0] for g in got), sum(g[2] for g in got)
+
+    def us_per_call(*names):
+        calls, s = total(*names)
+        return 1e6 * s / calls if calls else None
+
+    calls, res_s = total(*tracer.RESIDUALS)
+    dof = None
+    if calls:
+        mesh = cli.build_mesh(cfg)
+        levels = cfg.k_t + 1 if cfg.solver == "spacetime" else 1
+        dof = (mesh.n_elems * levels * (cfg.k_s + 1) ** mesh.dim
+               * cli.build_equation(cfg).n_vars)
+    geometry_calls, geometry_s = total("geometry.slab_geometry",
+                                       "geometry.spatial_geometry")
     return {
         "solver": cfg.solver,
-        "steps": len(groups) or round(cfg.t_final / cfg.dt),
-        "dof": counts.dof,
-        "evals_mean": sum(groups) / len(groups) if counts.calls else None,
-        "evals_max": max(groups) if counts.calls else None,
-        "us_per_dof_residual": (1e6 * counts.seconds / counts.calls / counts.dof
-                                if counts.calls else None),
-        "precond_applies_mean": (applies / len(counts.applies)
-                                 if applies else None),
-        "us_per_precond_apply": 1e6 * counts.apply_s / applies if applies else None,
-        **{f"us{name}": 1e6 * s / calls if calls else None
-           for name, (calls, s) in counts.layers.items()},
+        "steps": len(evals) or round(cfg.t_final / cfg.dt),
+        "dof": dof,
+        "evals_mean": sum(evals) / len(evals) if calls else None,
+        "evals_max": max(evals) if calls else None,
+        "us_per_dof_residual": 1e6 * res_s / calls / dof if calls else None,
+        "precond_applies_mean": (sum(applies) / len(applies)
+                                 if sum(applies) else None),
+        "us_per_precond_apply": us_per_call(PRECOND),
+        **{f"us_{name}": us_per_call(f"st_solver.{name}") for name in LAYERS},
         "solve_s": row.walltime_s,
-        "geometry_calls": counts.geometry_calls,
-        "geometry_s": counts.geometry_s,
+        "geometry_calls": geometry_calls,
+        "geometry_s": geometry_s,
         "error_final": _finite(row.error_final),
         "error_slab": _finite(row.error_slab),
     }

@@ -13,6 +13,10 @@ products.  Both are right-preconditioned by `KroneckerPreconditioner`: each
 element's space-time Jacobian block approximated by a Kronecker sum of 1D
 upwind operators and inverted by fast diagonalization, built once per slab
 from element means of the metric and, for Euler, of the slab's inflow state.
+Advection's elements share their 1D eigenbases (at most three per
+direction), so its apply is one GEMM per shared basis on an element-last
+layout; Euler's elements have a basis each, and its apply keeps one
+transform per element.
 
 The interior divergence is evaluated in chain-rule form: reference-direction
 derivatives of the collocated physical flux components are contracted with
@@ -75,6 +79,9 @@ NEWTON_FORCING = 1e-3
 STALL_RATIO = 0.9
 STALL_CYCLES = 3
 
+# Step ratios of the RMS residual a PseudoConvergenceError carries.
+RATIO_TAIL = 5
+
 # Round-off floor of the RMS slab residual, in units of the state's RMS times
 # the operator's fastest rate (`SlabOperator.march`): it short-circuits the
 # relative drop for slabs whose initial guess is exact.
@@ -87,20 +94,26 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 class PseudoConvergenceError(RuntimeError):
     """A slab solve diverged, stalled or ran out of residual evaluations.
 
-    Carries the residual it reached; the message names it, and
-    `motion.march_path` prefixes the slab index and start time.
+    Carries the residual it reached and the ratios of the RMS residual
+    after to before each of the last (at most RATIO_TAIL) steps; the
+    message names both, and `motion.march_path` prefixes the slab index
+    and start time.
     """
 
-    def __init__(self, reason, achieved_drop, iterations, residual):
+    def __init__(self, reason, achieved_drop, iterations, residual, ratios):
         super().__init__(reason)
         self.achieved_drop = achieved_drop
         self.iterations = iterations
         self.residual = residual
+        self.ratios = tuple(ratios[-RATIO_TAIL:])
 
     def __str__(self):
+        tail = ""
+        if self.ratios:
+            tail = "; last step ratios " + ", ".join(f"{q:.3g}" for q in self.ratios)
         return (f"{self.args[0]}: residual {self.residual:.3e} "
                 f"(drop {self.achieved_drop:.2f} orders) after "
-                f"{self.iterations} residual evaluations")
+                f"{self.iterations} residual evaluations{tail}")
 
 
 @dataclass
@@ -409,11 +422,20 @@ def _kron_tables(k: int):
     return tables
 
 
-def _real_form(M):
+def _real_form(M, interleaved=False):
     """Real (..., 2n, 2n) form of complex M (..., n, n), acting on the real
-    and imaginary parts of a vector stacked as (re, im).  The inverse of
-    the real form is the real form of the inverse."""
-    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+    and imaginary parts of a vector stacked as (re, im), or, interleaved,
+    as one (re, im) pair per index.  The inverse of the real form is the
+    real form of the inverse."""
+    R = np.stack([np.stack([M.real, -M.imag]), np.stack([M.imag, M.real])])
+    R = np.moveaxis(R, (0, 1), (-3, -1) if interleaved else (-4, -2))
+    return R.reshape(M.shape[:-2] + (2 * M.shape[-2], 2 * M.shape[-1]))
+
+
+def _complex(R):
+    """The complex matrix whose real form is R, read from R's left columns."""
+    n = R.shape[-1] // 2
+    return R[..., :n, :n] + 1j * R[..., n:, :n]
 
 
 def _along(M, z, axis):
@@ -430,9 +452,22 @@ def _along(M, z, axis):
     return out.reshape((z.shape[0], -1) + z.shape[2:]).swapaxes(2, axis)
 
 
+def _shared_along(bases, z):
+    """Shared matrices applied to the (K, X) blocks of z, whose last axis,
+    viewed as (..., nE), is the element.  bases holds (B, mask) pairs: the
+    first B, whose mask is None, goes to every element, and each further B
+    (where a direction has two or three bases) replaces that product on
+    the elements its mask (nE,) selects."""
+    out = np.matmul(bases[0][0], z)
+    for B, mask in bases[1:]:
+        np.copyto(out.reshape(-1, mask.size), np.matmul(B, z).reshape(-1, mask.size),
+                  where=mask)
+    return out
+
+
 def _complex_scale(z, s_re, s_im):
-    """Multiply z (nE, 2, ...), (re, im) on axis 1, in place by s_re + i s,
-    where s_im holds (-s, s) stacked the same way."""
+    """Multiply z, whose axis 1 holds the (re, im) parts, in place by
+    s_re + i s, where s_im holds (-s, s) stacked the same way."""
     swapped = z[:, ::-1] * s_im
     z *= s_re
     z += swapped
@@ -457,9 +492,23 @@ class KroneckerPreconditioner:
 
         B_e^-1 = -|J|_e V diag(1 / (a_tau lam_tau + lam_eta + lam_xi)) V^-1
 
-    where V is the Kronecker product of the directions' eigenvectors,
-    applied as one batched matmul per direction.  Every variable gets the
-    same inverse.
+    where V is the Kronecker product of the directions' eigenvectors.
+    Every variable gets the same inverse.
+
+    A_dir = lam_e (rho C + S) with rho = v_e / lam_e, so a direction's
+    eigenvectors depend on rho alone.  Advection has rho in {-1, 0, 1}, and
+    its elements share at most three bases per direction.  Its apply then
+    runs on the element-last layout (nT, [n_eta,] re/im, n_xi, nV, nE),
+    one transpose in and one out, and each transform is one real matmul
+    per basis used along it, shared by every element (`_shared_along`):
+    xi in real form on (re/im, n_xi) merged, then tau (x) eta, the outer
+    transform (tau alone in 1D), in interleaved real form on (nT, [n_eta,]
+    re/im) merged.  Euler's acoustic part gives nearly every element a rho,
+    and so a basis, of its own (on `euler_vortex_p3`, 30 to 64 distinct
+    rho per direction among 64 elements); shared bases would take about
+    one matmul over all elements per element, so its apply keeps one
+    real-form transform per element and direction, on the layout (nE,
+    re/im, nV, nT, [n_eta,] n_xi) (`_along`).
     """
 
     def __init__(self, geom: SlabGeometry, speeds, shape):
@@ -471,9 +520,6 @@ class KroneckerPreconditioner:
         v_e = np.stack([v.mean(axis=(1, 2)) for v, _ in speeds], axis=1)
         lam_e = np.abs(v_e) + np.stack([s.mean(axis=(1, 2)) for _, s in speeds],
                                        axis=1)
-        # A_e = lam_e (rho C + S) with rho = v_e / lam_e in [-1, 1], so the
-        # eigenvectors depend on rho alone; advection has rho = +-1, and all
-        # its blocks share two eigendecompositions
         rho = np.divide(v_e, lam_e, out=np.zeros_like(v_e), where=lam_e > 0)
         rho, idx = np.unique(rho, return_inverse=True)
         idx = idx.reshape(v_e.shape)
@@ -487,13 +533,47 @@ class KroneckerPreconditioner:
             den = den[..., None] + lam[:, d].reshape(
                 (nE,) + (1,) * (den.ndim - 1) + (n,))
         jac = geom.jac.mean(axis=(1, 2)).reshape((nE,) + (1,) * (dim + 1))
+        s = -jac / den
+        self.shape = (nE, nT) + (n,) * dim + (nV,)
+        self.shared = bool(np.isin(rho, (-1.0, 0.0, 1.0)).all())
+        if self.shared:
+            # the scaling is on z (lead, re/im, n_xi nV nE), lead = nT
+            # [n_eta], with the (re, im) parts of s repeated over nV
+            lead = nT * n ** (dim - 1)
+            s = np.moveaxis(s, 0, -1).reshape(lead, 1, n, 1, nE)
+            s = s.repeat(nV, axis=3).reshape(lead, 1, -1)
+            self.scale_re = s.real.repeat(2, axis=1)
+            self.scale_im = np.concatenate([-s.imag, s.imag], axis=1)
+
+            def bases(d):
+                """(index, mask) of each basis the elements use along
+                direction d, the first for every element; eta is absent in
+                1D, and its one entry (None, None) leaves tau alone."""
+                used = np.unique(idx[:, d]) if d < dim else [None]
+                return [(j, None if i == 0 else idx[:, d] == j)
+                        for i, j in enumerate(used)]
+
+            def outer(T, E, j):
+                T = _complex(T)
+                if j is not None:  # T (x) E[j]
+                    E = _complex(E[j])
+                    T = (T[:, None, :, None] * E[:, None]).reshape(nT * n, -1)
+                return _real_form(T, interleaved=True)
+
+            # (forward, backward) bases of xi and of the outer transform;
+            # V^-1 starts from the real input, V ends with the real output
+            xi, eta = bases(0), bases(1)
+            self.inner = ([(Vi[j][:, :n], m) for j, m in xi],
+                          [(V[j][:n], m) for j, m in xi])
+            self.outer = ([(outer(Vi_t, Vi, j), m) for j, m in eta],
+                          [(outer(V_t, V, j), m) for j, m in eta])
+            return
         # the apply works on z (nE, 2, nV, nT, [n_eta,] n_xi) with axis 1 the
         # (re, im) parts: the variables sit outside the directions, so the
         # pointwise scaling runs over contiguous element blocks
-        s = (-jac / den)[:, None, None]
+        s = s[:, None, None]
         self.scale_re = s.real
         self.scale_im = np.concatenate([-s.imag, s.imag], axis=1)
-        self.shape = (nE, nT) + (n,) * dim + (nV,)
         # V^-1 starts from the real input, V ends with the real output
         axes = [3 + dim - d for d in range(dim)]
         spatial = [(Vi[idx[:, d]], V[idx[:, d]], ax)
@@ -503,6 +583,16 @@ class KroneckerPreconditioner:
 
     def __call__(self, v):
         """B^-1 v for a flat slab vector v."""
+        if self.shared:
+            nE, n = self.shape[0], self.shape[-2]
+            lead = self.scale_re.shape[0]
+            z = np.ascontiguousarray(v.reshape(nE, -1).T).reshape(lead, n, -1)
+            z = _shared_along(self.inner[0], z)
+            z = _shared_along(self.outer[0], z.reshape(2 * lead, -1))
+            _complex_scale(z.reshape(lead, 2, -1), self.scale_re, self.scale_im)
+            z = _shared_along(self.outer[1], z)
+            z = _shared_along(self.inner[1], z.reshape(lead, 2 * n, -1))
+            return z.reshape(-1, nE).T.ravel()
         z = np.moveaxis(v.reshape(self.shape), -1, 1)[:, None]
         for M, axis in self.forward:
             z = _along(M, z, axis)
@@ -619,6 +709,7 @@ class SlabOperator:
             1.0, urms * float(np.max(rate / self.geom.jac)))
         target = max(r0 * 10.0 ** (-controls.drop_orders), floor)
         rnorm = r0
+        ratios = []  # RMS residual after each step over before it
         stalled = 0  # successive steps that cut the residual too little
         scale = np.sqrt(r.size)  # RMS to 2-norm
         if rnorm > target:  # a slab already at its floor needs no steps
@@ -627,9 +718,11 @@ class SlabOperator:
         def jv(v):  # J v at the current (u, r), one residual evaluation
             nonlocal evals
             evals += 1
-            h = 1.0 if affine else \
-                _FD_STEP * (1.0 + np.linalg.norm(u)) / np.linalg.norm(v)
-            return ((self.residual(u + h * v.reshape(u.shape)) - r) / h).ravel()
+            v = v.reshape(u.shape)
+            if affine:
+                return (self.residual(u + v) - r).ravel()
+            h = _FD_STEP * (1.0 + np.linalg.norm(u)) / np.linalg.norm(v)
+            return ((self.residual(u + h * v) - r) / h).ravel()
 
         while rnorm > target:
             budget = min(KRYLOV_RESTART, controls.max_iters - evals - 1)
@@ -637,7 +730,7 @@ class SlabOperator:
                 raise PseudoConvergenceError(
                     f"max_iters={controls.max_iters} reached before a "
                     f"{controls.drop_orders:g}-order residual drop",
-                    _drop(r0, rnorm), evals, rnorm)
+                    _drop(r0, rnorm), evals, rnorm, ratios)
             tol = target if affine else max(NEWTON_FORCING * rnorm, target)
             du = precond(gmres(lambda v: jv(precond(v)), -r.ravel(),
                                tol * scale, budget))
@@ -645,13 +738,14 @@ class SlabOperator:
             r = self.residual(u)
             evals += 1
             before, rnorm = rnorm, float(np.sqrt(np.mean(r * r)))
+            ratios.append(rnorm / before)
             if not rnorm <= 1e8 * r0:  # also catches nan and inf
                 raise PseudoConvergenceError("slab solve diverged",
-                                             _drop(r0, rnorm), evals, rnorm)
+                                             _drop(r0, rnorm), evals, rnorm, ratios)
             stalled = stalled + 1 if rnorm > STALL_RATIO * before else 0
             if stalled == STALL_CYCLES:
                 raise PseudoConvergenceError("slab solve stalled",
-                                             _drop(r0, rnorm), evals, rnorm)
+                                             _drop(r0, rnorm), evals, rnorm, ratios)
         return u, SlabStats(evals, r0, rnorm)
 
 

@@ -25,6 +25,7 @@ from stfr.cli import (
     sweep,
     validate,
 )
+from stfr.st_solver import STALL_CYCLES, STALL_RATIO
 
 
 def test_bundled_case_loads_and_validates():
@@ -155,6 +156,9 @@ def test_stalled_slab_stops_early(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: slab 0 at t = 0: slab solve stalled: ")
     assert int(err.split(" after ")[1].split()[0]) <= 40
+    # the message shows the step ratios that stopped the solve
+    ratios = [float(q) for q in err.split("last step ratios ")[1].split(", ")]
+    assert sum(q > STALL_RATIO for q in ratios) >= STALL_CYCLES
 
 
 def test_cli_unknown_case():

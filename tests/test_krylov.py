@@ -45,6 +45,11 @@ def test_gmres_respects_product_budget():
 MEAN_EVALS = {"wave2d_sine_deform": 25, "wave2d_circle_p2": 50,
               "euler_vortex_p3": 40}
 
+# exact residual evaluations of the leading slabs: a preconditioner defect
+# that only slows convergence changes them
+LEADING_EVALS = {"wave2d_sine_deform": [13, 14], "wave2d_circle_p2": [25],
+                 "euler_vortex_p3": [32]}
+
 
 def _count_residuals(monkeypatch):
     calls = []
@@ -68,6 +73,7 @@ def test_slab_residual_evaluations_ceiling(case, monkeypatch):
                 cfg.k_s, cfg.k_t, cfg.dt, n_steps=n_steps)
     evals = [st.iterations for st in res.stats]
     assert sum(evals) == len(calls) and len(evals) == n_steps
+    assert evals[:len(LEADING_EVALS[case])] == LEADING_EVALS[case]
     assert np.mean(evals) <= MEAN_EVALS[case]
     for st in res.stats:
         assert st.final_residual <= st.initial_residual * 1e-10

@@ -7,9 +7,10 @@ import pytest
 
 from stfr.basis import make_basis
 from stfr.geometry import slab_geometry
-from stfr.mesh import interval_mesh, rect_mesh
+from stfr.mesh import disk_mesh, interval_mesh, rect_mesh
 from stfr.motion import SineDeformation
-from stfr.physics import Advection1D, Advection2D, Euler2D, IsentropicVortex
+from stfr.physics import (Advection1D, Advection2D, Euler2D, IsentropicVortex,
+                           SineWave2D)
 from stfr.st_solver import (KroneckerPreconditioner, SlabOperator, _kron_tables,
                             initial_condition)
 
@@ -68,27 +69,76 @@ def _kron_sum_dense(geom, speeds, e):
             + np.kron(eye_t, np.kron(eye_s, ops[0])))
 
 
-@pytest.mark.parametrize("equation", ["advection2d", "euler2d"])
-def test_fast_diagonalization_matches_dense_solve(equation, moving_path):
-    if equation == "advection2d":
-        eq = Advection2D(0.6, -0.4)
-        m, geom, op, inflow = _moving_operator(
-            eq, lambda m, c, bs: np.ones((m.n_elems, bs.n ** 2, 1)),
-            moving_path)
-    else:
-        eq = Euler2D()
-        sol = IsentropicVortex(period=2.0)
-        m, geom, op, inflow = _moving_operator(
-            eq, lambda m, c, bs: initial_condition(m, c, bs, sol),
-            moving_path)
+def _ones(m, coords, bs):
+    return np.ones((m.n_elems, bs.n ** m.dim, 1))
+
+
+def _still_operator(m, eq, ks=3, kt=2):
+    bs, bt = make_basis(ks), make_basis(kt)
+    geom = slab_geometry(m, m.nodes, m.nodes, 0.05, bs, bt)
+    inflow = _ones(m, m.nodes, bs)
+    return m, geom, SlabOperator(m, geom, eq, inflow, bc=SineWave2D()), inflow
+
+
+def _preconditioner_input(built):
+    """(geom, speeds, shape) of an operator built by one of the above, its
+    speeds at the inflow."""
+    m, geom, op, inflow = built
     u0 = np.repeat(inflow[:, None], geom.kt + 1, axis=1)
-    speeds = op._wave_speeds(u0)
-    P = KroneckerPreconditioner(geom, speeds, u0.shape)
-    r = np.random.default_rng(5).standard_normal(u0.shape)
+    return geom, op._wave_speeds(u0), u0.shape
+
+
+def _three_eta_bases(moving_path):
+    """A still rect mesh whose eta speeds are set by element to 0, +0.3 and
+    -0.3: rho takes all three values along eta.  Two variables, which get
+    the same inverse."""
+    geom, speeds, shape = _preconditioner_input(
+        _still_operator(rect_mesh(3, 3), Advection2D(0.5, 0.0)))
+    v, s = speeds[1]
+    v = np.repeat([0.0, 0.3, -0.3], 3)[:, None, None] * np.ones_like(v)
+    return geom, [speeds[0], (v, s)], shape[:-1] + (2,)
+
+
+def _vortex(m, coords, bs):
+    return initial_condition(m, coords, bs, IsentropicVortex(period=2.0))
+
+
+# case -> per reference direction (xi, eta), the number of bases its
+# elements share (None where every element has its own), and the
+# preconditioner's input
+CASES = {
+    "advection2d": ((1, 1), lambda mp: _preconditioner_input(
+        _moving_operator(Advection2D(0.6, -0.4), _ones, mp))),
+    "advection2d_kt0": ((1, 1), lambda mp: _preconditioner_input(
+        _moving_operator(Advection2D(0.6, -0.4), _ones, mp, kt=0))),
+    # the disk's blocks turn xi and eta both ways: rho = -1 and +1
+    "disk": ((2, 2), lambda mp: _preconditioner_input(
+        _still_operator(disk_mesh(1), Advection2D(0.5, 0.5)))),
+    # no flow along eta, but the metric's round-off (1e-20) gives the eta
+    # speed both signs, not zero
+    "still_rect_c2_0": ((1, 2), lambda mp: _preconditioner_input(
+        _still_operator(rect_mesh(3, 3), Advection2D(0.5, 0.0)))),
+    "three_eta_bases": ((1, 3), _three_eta_bases),
+    "interval": ((1,), lambda mp: _preconditioner_input(
+        _still_operator(interval_mesh(5), Advection1D(-0.8)))),
+    "euler2d": (None, lambda mp: _preconditioner_input(
+        _moving_operator(Euler2D(), _vortex, mp))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fast_diagonalization_matches_dense_solve(case, moving_path):
+    bases, build = CASES[case]
+    geom, speeds, shape = build(moving_path)
+    P = KroneckerPreconditioner(geom, speeds, shape)
+    assert P.shared == (bases is not None)
+    if P.shared:  # the outer transform is tau (x) eta, tau alone in 1D
+        assert (len(P.inner[0]), len(P.outer[0])) == (bases + (1,))[:2]
+    r = np.random.default_rng(5).standard_normal(shape)
     out = P(r.ravel()).reshape(r.shape)
-    for e in (0, 4, 7):
+    nE, nT, nS, nV = r.shape
+    for e in range(nE):
         K = _kron_sum_dense(geom, speeds, e)
-        nE, nT, nS, nV = r.shape
         ref = -geom.jac[e].mean() * np.linalg.solve(K, r[e].reshape(-1, nV))
         assert np.abs(out[e].reshape(-1, nV) - ref).max() <= 1e-10 * np.abs(ref).max()
 

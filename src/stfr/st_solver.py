@@ -29,7 +29,8 @@ inflow (previous slab or initial condition), the top face is left local.
 
 `LevelPlan` is the spatial operator both solvers share, its tables at every
 temporal level of a geometry; the FR kernels on nodal arrays (nE, nT, nS,
-nV) are `_spatial_divergence` (chain-rule sum_dir M_dir . d_dir F_st),
+nV) are `_spatial_divergence` (chain-rule sum_dir M_dir . d_dir F_st, for
+Euler one flux component of (f, g, Q) at a time, never stacked),
 `_face_jumps` (traces, face sides gathered by the mesh's `side_rows`, the
 right side of a flipped face reversed, Riemann and Dirichlet fluxes, the
 jumps gathered back in the traces' (nE, nT, n_edges, nFs, nV) layout) and
@@ -275,9 +276,10 @@ def _spatial_divergence(eq, u, ks, weights):
 
     Excludes the temporal-direction term, which only the space-time
     operator has.  Advection takes every reference derivative in one
-    contraction with `_derivative_table`; Euler stacks (f, g, Q) so each
-    direction is one contraction with D, whose output keeps the
-    contiguous (3, nV) blocks the metric einsum reads.
+    contraction with `_derivative_table`; Euler takes each flux component
+    F_c of (f, g, Q) in turn, contracts it with D along xi, then eta,
+    scales each derivative in place by its metric component M_dir[c] and
+    adds it to the output, so no stacked copy of the components is made.
     """
     nE, nT = u.shape[:2]
     dim = len(weights)
@@ -285,14 +287,13 @@ def _spatial_divergence(eq, u, ks, weights):
         du = _contract(_derivative_table(ks, dim), u.reshape(nE * nT, -1, 1))
         return np.einsum("dets,etds->ets", weights,
                          du.reshape(nE, nT, dim, -1))[..., None]
-    fx, gy = flux(eq, u)
-    F = np.stack([fx, gy, u], axis=-2)  # (nE, nT, nS, 3, nV)
     D = make_basis(ks).diff
-    n1 = ks + 1
-    dF = [_contract(D, F.reshape(nE * nT * n1, n1, -1)),  # xi
-          _contract(D, F.reshape(nE * nT, n1, -1))]       # eta
-    out = np.einsum("etsc,etscv->etsv", weights[0], dF[0].reshape(F.shape))
-    out += np.einsum("etsc,etscv->etsv", weights[1], dF[1].reshape(F.shape))
+    out = np.zeros_like(u)
+    for c, F in enumerate((*flux(eq, u), u)):
+        for M, rows in ((weights[0], nE * nT * len(D)), (weights[1], nE * nT)):
+            dF = _contract(D, F.reshape(rows, len(D), -1)).reshape(u.shape)
+            dF *= M[..., c, None]
+            out += dF
     return out
 
 
@@ -422,6 +423,45 @@ def _kron_tables(k: int):
     return tables
 
 
+def _rho_bases(C, S, rho):
+    """Eigenvalues mu (m, n) of rho_i C + S for each rho_i, with the real
+    forms of their eigenvectors V and of V^-1, each (m, 2n, 2n)."""
+    mu, V = np.linalg.eig(rho[:, None, None] * C + S)
+    V = _real_form(V)
+    return mu, V, np.linalg.inv(V)
+
+
+@lru_cache(maxsize=None)
+def _shared_bases(ks: int, kt: int, dim: int, rho: tuple):
+    """Tables of the shared-basis preconditioner apply for the distinct
+    rho (each -1, 0 or 1) of a slab, indexed like rho: mu, the real-form
+    (forward, backward) xi transforms and the interleaved real-form
+    (forward, backward) outer transforms T (x) E[j], tau (x) eta.  In 1D
+    the outer transform is tau alone, under the key None.  rho is a sorted
+    subset of (-1, 0, 1), so there are at most 7 keys per (ks, kt, dim)
+    and every one is cached; the arrays are read-only.
+    """
+    n = ks + 1
+    C, S = _kron_tables(ks)[:2]
+    _, V_t, Vi_t = _kron_tables(kt)[2:]
+    mu, V, Vi = _rho_bases(C, S, np.array(rho))
+
+    def outer(T, E, j):
+        T = _complex(T)
+        if j is not None:  # T (x) E[j]
+            E = _complex(E[j])
+            T = (T[:, None, :, None] * E[:, None]).reshape((kt + 1) * n, -1)
+        return _real_form(T, interleaved=True)
+
+    keys = range(len(rho)) if dim == 2 else [None]
+    outers = [{j: outer(T, E, j) for j in keys} for T, E in ((Vi_t, Vi), (V_t, V))]
+    for t in (mu, Vi, V, *outers[0].values(), *outers[1].values()):
+        t.setflags(write=False)  # before the views below, which inherit it
+    # V^-1 starts from the real input, V ends with the real output
+    return (mu, [Vi[j][:, :n] for j in range(len(rho))],
+            [V[j][:n] for j in range(len(rho))], *outers)
+
+
 def _real_form(M, interleaved=False):
     """Real (..., 2n, 2n) form of complex M (..., n, n), acting on the real
     and imaginary parts of a vector stacked as (re, im), or, interleaved,
@@ -497,8 +537,9 @@ class KroneckerPreconditioner:
 
     A_dir = lam_e (rho C + S) with rho = v_e / lam_e, so a direction's
     eigenvectors depend on rho alone.  Advection has rho in {-1, 0, 1}, and
-    its elements share at most three bases per direction.  Its apply then
-    runs on the element-last layout (nT, [n_eta,] re/im, n_xi, nV, nE),
+    its elements share at most three bases per direction, built once per
+    process for each (k_s, k_t, set of rho) by `_shared_bases`.  Its apply
+    then runs on the element-last layout (nT, [n_eta,] re/im, n_xi, nV, nE),
     one transpose in and one out, and each transform is one real matmul
     per basis used along it, shared by every element (`_shared_along`):
     xi in real form on (re/im, n_xi) merged, then tau (x) eta, the outer
@@ -515,7 +556,6 @@ class KroneckerPreconditioner:
         nE, nT, _, nV = shape
         dim = len(speeds)
         n = geom.ks + 1
-        C, S = _kron_tables(geom.ks)[:2]
         lam_t, V_t, Vi_t = _kron_tables(geom.kt)[2:]
         v_e = np.stack([v.mean(axis=(1, 2)) for v, _ in speeds], axis=1)
         lam_e = np.abs(v_e) + np.stack([s.mean(axis=(1, 2)) for _, s in speeds],
@@ -523,9 +563,12 @@ class KroneckerPreconditioner:
         rho = np.divide(v_e, lam_e, out=np.zeros_like(v_e), where=lam_e > 0)
         rho, idx = np.unique(rho, return_inverse=True)
         idx = idx.reshape(v_e.shape)
-        mu, V = np.linalg.eig(rho[:, None, None] * C + S)
-        V = _real_form(V)
-        Vi = np.linalg.inv(V)
+        self.shared = bool(np.isin(rho, (-1.0, 0.0, 1.0)).all())
+        if self.shared:
+            mu, fwd_xi, bwd_xi, fwd_outer, bwd_outer = _shared_bases(
+                geom.ks, geom.kt, dim, tuple(rho.tolist()))
+        else:  # a basis per element, uncached
+            mu, V, Vi = _rho_bases(*_kron_tables(geom.ks)[:2], rho)
         lam = lam_e[..., None] * mu[idx]  # (nE, dim, n), dim ordered (xi, eta)
         # a_tau lam_tau + lam_eta + lam_xi on (nE, nT, [n_eta,] n_xi)
         den = geom.js.mean(axis=(1, 2))[:, None] * lam_t
@@ -535,7 +578,6 @@ class KroneckerPreconditioner:
         jac = geom.jac.mean(axis=(1, 2)).reshape((nE,) + (1,) * (dim + 1))
         s = -jac / den
         self.shape = (nE, nT) + (n,) * dim + (nV,)
-        self.shared = bool(np.isin(rho, (-1.0, 0.0, 1.0)).all())
         if self.shared:
             # the scaling is on z (lead, re/im, n_xi nV nE), lead = nT
             # [n_eta], with the (re, im) parts of s repeated over nV
@@ -553,20 +595,12 @@ class KroneckerPreconditioner:
                 return [(j, None if i == 0 else idx[:, d] == j)
                         for i, j in enumerate(used)]
 
-            def outer(T, E, j):
-                T = _complex(T)
-                if j is not None:  # T (x) E[j]
-                    E = _complex(E[j])
-                    T = (T[:, None, :, None] * E[:, None]).reshape(nT * n, -1)
-                return _real_form(T, interleaved=True)
-
-            # (forward, backward) bases of xi and of the outer transform;
-            # V^-1 starts from the real input, V ends with the real output
+            # (forward, backward) bases of xi and of the outer transform
             xi, eta = bases(0), bases(1)
-            self.inner = ([(Vi[j][:, :n], m) for j, m in xi],
-                          [(V[j][:n], m) for j, m in xi])
-            self.outer = ([(outer(Vi_t, Vi, j), m) for j, m in eta],
-                          [(outer(V_t, V, j), m) for j, m in eta])
+            self.inner = ([(fwd_xi[j], m) for j, m in xi],
+                          [(bwd_xi[j], m) for j, m in xi])
+            self.outer = ([(fwd_outer[j], m) for j, m in eta],
+                          [(bwd_outer[j], m) for j, m in eta])
             return
         # the apply works on z (nE, 2, nV, nT, [n_eta,] n_xi) with axis 1 the
         # (re, im) parts: the variables sit outside the directions, so the

@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from stfr import cli
 from stfr.analysis import (
     ConvergenceReport,
     l2_error_final,
+    l2_error_nodal,
     l2_error_slab,
 )
 from stfr.basis import make_basis
-from stfr.geometry import _on_grid, slab_geometry
+from stfr.geometry import (
+    _on_grid,
+    slab_geometry,
+    spatial_quadrature_data,
+    st_quadrature_data,
+)
 from stfr.mesh import interval_mesh, rect_mesh
-from stfr.motion import SineDeformation
+from stfr.motion import SineDeformation, motion_path
 from stfr.physics import Advection1D, SineWave1D, exact_state
-from stfr.st_solver import StateField, march
+from stfr.st_solver import StateField, initial_condition, march
 
 
 def _exact_field_1d(mesh, geom, ks, kt, sol):
@@ -101,6 +108,49 @@ def test_norm_element_relabel_invariance():
     fld2 = StateField(vals[perm])
     e2 = l2_error_final(fld2, geom2, m2, m2.nodes, sol, 0.05)
     assert abs(e1 - e2) <= 1e-13
+
+
+def _einsum_l2(values, sol, w, jac, x, t, interp):
+    """The norms' reference: every variable interpolated by einsum, the
+    first measured."""
+    uq = np.einsum("qp,epv->eqv", interp, values)
+    diff2 = (uq[..., 0] - exact_state(sol, *x, t=t)[..., 0]) ** 2
+    return math.sqrt(np.einsum("q,eq->", w, jac * diff2)
+                     / np.einsum("q,eq->", w, jac))
+
+
+def test_norms_read_only_the_first_variable():
+    # the norms measure density alone: NaN momentum and energy change
+    # nothing, and the values match the einsum over every variable; on
+    # the first slab of `euler_vortex_p3`, perturbed off the exact field
+    cfg = cli.load_case("euler_vortex_p3")
+    m, eq = cli.build_mesh(cfg), cli.build_equation(cfg)
+    sol = cli.build_exact(cfg, eq)
+    ks, kt, dt = cfg.k_s, cfg.k_t, cfg.dt
+    bs, bt = make_basis(ks), make_basis(kt)
+    path = motion_path(cli.build_motion(cfg), m, dt, 1)
+    geom = slab_geometry(m, path[0], path[1], dt, bs, bt, t_n=0.0)
+    u = initial_condition(m, path[0], bs, sol)[:, None].repeat(bt.n, axis=1)
+    u = u * (1.0 + 0.01 * np.random.default_rng(19).standard_normal(u.shape))
+    poisoned = u.copy()
+    poisoned[..., 1:] = np.nan
+    nE, _, _, nV = u.shape
+    top = np.einsum("t,etsv->esv", bt.extrap_right, u)
+    w, js, x, interp = spatial_quadrature_data(m, path[1], ks, ks + 2)
+    w0, js0, x0, interp0 = spatial_quadrature_data(m, path[0], ks, ks + 2)
+    cases = [
+        (lambda v: l2_error_slab(StateField(v), geom, sol),
+         _einsum_l2(u.reshape(nE, -1, nV), sol, *st_quadrature_data(geom, ks + 2))),
+        (lambda v: l2_error_final(StateField(v), geom, m, path[1], sol, dt),
+         _einsum_l2(top, sol, w, js, x, dt, interp)),
+        (lambda v: l2_error_nodal(v[:, 0], ks, m, path[0], sol, 0.0),
+         _einsum_l2(u[:, 0], sol, w0, js0, x0, 0.0, interp0)),
+    ]
+    for norm, ref in cases:
+        got = norm(u)
+        assert 0 < got < 1
+        assert norm(poisoned) == got
+        assert abs(got - ref) <= 1e-14 * ref
 
 
 def _orders(errors, sizes):

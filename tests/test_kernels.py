@@ -8,6 +8,8 @@ and Dirichlet faces, for advection and Euler, on a slab plan (nT = 3) and
 on one of its levels (nT = 1, as the method of lines runs it).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,28 @@ def test_spatial_divergence(setup):
         ref = sum(np.einsum("etsc,etscv->etsv", M, dF) for M, dF in
                   zip(plan.weights, _reference_derivatives(D, F)))
     _close(_spatial_divergence(eq, u, ks, plan.weights), ref)
+
+
+def test_euler_divergence_allocates_no_stacked_flux():
+    # one flux component at a time: the divergence's peak allocation on
+    # the first slab of `euler_vortex_p3` stays within 6 state arrays
+    # (a stacked (f, g, Q) with its stacked derivatives took 13)
+    cfg = cli.load_case("euler_vortex_p3")
+    mesh, eq = cli.build_mesh(cfg), cli.build_equation(cfg)
+    sol = cli.build_exact(cfg, eq)
+    bs, bt = make_basis(cfg.k_s), make_basis(cfg.k_t)
+    path = motion_path(cli.build_motion(cfg), mesh, cfg.dt, 1)
+    geom = slab_geometry(mesh, path[0], path[1], cfg.dt, bs, bt, t_n=0.0)
+    plan = LevelPlan(mesh, geom, eq, sol)
+    u = initial_condition(mesh, path[0], bs, sol)[:, None].repeat(bt.n, axis=1)
+    _spatial_divergence(eq, u, cfg.k_s, plan.weights)  # warm the caches
+    tracemalloc.start()
+    try:
+        _spatial_divergence(eq, u, cfg.k_s, plan.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * u.nbytes
 
 
 def test_traces(setup):

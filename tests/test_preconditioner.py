@@ -12,7 +12,7 @@ from stfr.motion import SineDeformation
 from stfr.physics import (Advection1D, Advection2D, Euler2D, IsentropicVortex,
                            SineWave2D)
 from stfr.st_solver import (KroneckerPreconditioner, SlabOperator, _kron_tables,
-                            initial_condition)
+                            _shared_bases, initial_condition)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -141,6 +141,27 @@ def test_fast_diagonalization_matches_dense_solve(case, moving_path):
         K = _kron_sum_dense(geom, speeds, e)
         ref = -geom.jac[e].mean() * np.linalg.solve(K, r[e].reshape(-1, nV))
         assert np.abs(out[e].reshape(-1, nV) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rebuild_shares_cached_bases(case, moving_path):
+    # a second build on the same slab reuses the shared-basis matrices of
+    # the first, read-only, and applies bit-identically; Euler's
+    # per-element bases are never cached
+    geom, speeds, shape = CASES[case][1](moving_path)
+    first = KroneckerPreconditioner(geom, speeds, shape)
+    before = _shared_bases.cache_info()
+    second = KroneckerPreconditioner(geom, speeds, shape)
+    after = _shared_bases.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + first.shared
+    if first.shared:
+        pairs = [(a, b) for side in ("inner", "outer")
+                 for one, two in zip(getattr(first, side), getattr(second, side))
+                 for (a, _), (b, _) in zip(one, two)]
+        assert all(a is b and not a.flags.writeable for a, b in pairs)
+    r = np.random.default_rng(7).standard_normal(int(np.prod(shape)))
+    assert np.array_equal(first(r), second(r))
 
 
 def _element_block(op, shape, e):

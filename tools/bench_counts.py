@@ -12,10 +12,10 @@ preconditioner applies per slab (mean) and the us per apply, the us per
 call of each layer of a slab residual evaluation (interior divergence,
 side deltas, lift and temporal correction) and of the face kernels inside
 the side deltas (traces, common flux, normal flux), the solve time, the
-errors, and the geometry layer: the calls to, and the time inside, the
-slab and MOL geometry builds.  Counts repeat exactly from run to run; the
-times come from this one run and move with the machine, whose description
-the file also holds.
+errors, the time inside the error norms, and the geometry layer: the calls
+to, and the time inside, the slab and MOL geometry builds.  Counts repeat
+exactly from run to run; the times come from this one run and move with
+the machine, whose description the file also holds.
 
 The counts and times come from the spans of the benchmark's tracer
 (`stfrbench/tracer.py`), installed around `cli.run_case`: `st_solver.march`
@@ -23,9 +23,12 @@ and `mol_solver.bind_degree` (one per slab or step), the two operators'
 `residual`, the slab layers `st_solver.interior`, `side_deltas`, `lift` and
 `temporal_correction`, the face kernels `st_solver.traces`, `common_flux`
 and `normal_flux`, which both FR operators run, and
-`geometry.slab_geometry` and `spatial_geometry`.  The tool adds one span
-through the tracer's wrapper, `st_solver.precond` around
-`KroneckerPreconditioner.__call__`.  Each residual evaluation and
+`geometry.slab_geometry` and `spatial_geometry`.  The tool adds spans
+through the tracer's wrapper: `st_solver.precond` around
+`KroneckerPreconditioner.__call__`, and `analysis.l2_error_final`,
+`l2_error_slab` and `l2_error_nodal`, whose outermost spans sum to
+`error_norms_s` (the final-time norm calls the nodal one).  Each residual
+evaluation and
 preconditioner apply counts toward the last slab or step span that started
 before it.  Times are inclusive and include the tracer's wrappers of nested
 spans, so they read higher than untraced ones: on a shared 2-core x86_64
@@ -34,7 +37,8 @@ with only the counted calls wrapped (9 runs each).  The DOF follow from the
 case: elements x temporal levels x (k_s+1)^dim x variables.  The space-time
 FV scheme has no residual operator: its DOF and evaluation fields are null,
 as are the preconditioner fields of every solve without a preconditioner
-apply and the layer fields of every solve without a span of that layer.
+apply, the layer fields of every solve without a span of that layer, and
+`error_norms_s` of the FV scheme, which measures its own error.
 """
 
 import argparse
@@ -55,6 +59,7 @@ import tracer  # the benchmark's, found through the line above
 
 UNITS = ("st_solver.march", "mol_solver.bind_degree")  # one per slab or step
 PRECOND = "st_solver.precond"
+NORMS = ("l2_error_final", "l2_error_slab", "l2_error_nodal")  # in `analysis`
 # spans timed per call: the slab residual's layers, then the face kernels
 LAYERS = ("interior", "side_deltas", "lift", "temporal_correction",
           "traces", "common_flux", "normal_flux")
@@ -66,14 +71,18 @@ def _finite(x):
 
 def trace(run):
     """Call `run()` under the benchmark's tracer, with the preconditioner
-    apply spanned as well; returns its value and the spans."""
-    from stfr import st_solver
+    apply and the error norms spanned as well; returns its value and the
+    spans."""
+    from stfr import analysis, st_solver
 
     tr = tracer.Tracer()
     tr.install()
-    pre = st_solver.KroneckerPreconditioner
-    tr._saved.append((pre, "__call__", pre.__call__))  # `remove` restores it
-    pre.__call__ = tr._wrap(PRECOND, pre.__call__)
+    extra = [(st_solver.KroneckerPreconditioner, "__call__", PRECOND)]
+    extra += [(analysis, name, f"analysis.{name}") for name in NORMS]
+    for owner, attr, span in extra:
+        fn = getattr(owner, attr)
+        tr._saved.append((owner, attr, fn))  # `remove` restores it
+        setattr(owner, attr, tr._wrap(span, fn))
     try:
         return run(), tr.spans
     finally:
@@ -93,6 +102,15 @@ def per_unit(spans):
         elif name == PRECOND:
             applies[-1] += 1
     return evals, applies
+
+
+def norm_seconds(spans):
+    """Inclusive seconds of the error-norm spans not inside another one;
+    None if there is none."""
+    names = {f"analysis.{name}" for name in NORMS}
+    outer = [end - start for name, start, end, parent in spans
+             if name in names and (parent < 0 or spans[parent][0] not in names)]
+    return sum(outer) if outer else None
 
 
 def measure(case):
@@ -136,6 +154,7 @@ def measure(case):
         "solve_s": row.walltime_s,
         "geometry_calls": geometry_calls,
         "geometry_s": geometry_s,
+        "error_norms_s": norm_seconds(spans),
         "error_final": _finite(row.error_final),
         "error_slab": _finite(row.error_slab),
     }

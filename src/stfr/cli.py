@@ -27,7 +27,8 @@ import numpy as np
 
 from stfr import analysis, mesh as meshmod, motion as motionmod, physics, stfv
 from stfr.analysis import ConvergenceReport
-from stfr.geometry import GeometryDegeneracyError
+from stfr.basis import gauss_legendre, make_basis
+from stfr.geometry import GeometryDegeneracyError, gcl_residual, slab_geometry
 from stfr.mol_solver import march_mol, mol_stable_dt
 from stfr.motion import march_path, motion_path
 from stfr.st_solver import PseudoControls, PseudoConvergenceError, march
@@ -138,11 +139,9 @@ def validate(cfg: CaseConfig):
                         f"of dt={cfg.dt}")
     if cfg.solver == "stfv" and cfg.equation.get("type") != "advection1d":
         errs.append("solver: stfv requires equation.type == advection1d")
-    eq2d = cfg.equation.get("type") in ("advection2d", "euler2d")
-    mesh2d = cfg.mesh.get("type") in ("rect", "disk")
-    if cfg.mesh.get("type") != "file" and eq2d != mesh2d:
-        errs.append("mesh: dimension does not match equation dimension")
-    if cfg.motion.get("type") == "circle_deformation" and not mesh2d:
+    # build_mesh matches the mesh dimension to the equation's
+    if (eq_kind and kinds.get("motion") == "circle_deformation"
+            and EQUATIONS[eq_kind].dim != 2):
         errs.append("motion: circle_deformation requires a 2D mesh")
     if cfg.mesh.get("type") == "disk" and cfg.bc != "dirichlet":
         errs.append("bc: disk meshes require analytic dirichlet boundaries")
@@ -226,15 +225,19 @@ def build_mesh(cfg: CaseConfig) -> meshmod.Mesh:
     kind = d.pop("type")
     if kind in ("interval", "rect"):
         d["periodic"] = cfg.bc == "periodic"
-    return MESHES[kind](**d)
+    mesh = MESHES[kind](**d)
+    dim = EQUATIONS[cfg.equation["type"]].dim
+    if mesh.dim != dim:
+        raise ValueError(f"dimension {mesh.dim} does not match the equation's "
+                         f"dimension {dim}")
+    return mesh
 
 
 @_section_errors("motion")
 def build_motion(cfg: CaseConfig) -> motionmod.MotionPrescription:
     d = dict(cfg.motion)
     kind = d.pop("type")
-    # validate has matched the mesh dimension to the equation's
-    dim = 1 if cfg.equation.get("type") == "advection1d" else 2
+    dim = EQUATIONS[cfg.equation["type"]].dim  # the mesh's, by build_mesh
     for key in ("amp", "omega", "length", "n"):
         if key in d:
             if not isinstance(d[key], (list, tuple)) or len(d[key]) < dim:
@@ -282,8 +285,6 @@ def _stfv_run(cfg: CaseConfig, eq, sol, mesh, presc, n_steps):
 
 
 def _cell_averages(sol, interfaces, t):
-    from stfr.basis import gauss_legendre
-
     xq, wq = gauss_legendre(3)
     xl, xr = interfaces[:-1], interfaces[1:]
     mid = 0.5 * (xl + xr)
@@ -410,12 +411,6 @@ def run_checks(verbose: bool = True) -> bool:
     """Quick property battery of the package's solvers: the discrete GCL,
     free-stream preservation on both FR solvers, and the equivalence of the
     space-time FV step with the FV method of lines."""
-    from stfr.basis import make_basis
-    from stfr.geometry import gcl_residual, slab_geometry
-    from stfr.mesh import rect_mesh
-    from stfr.motion import SineDeformation
-    from stfr.stfv import fvmol_step
-
     results = []
 
     def check(name, ok, detail=""):
@@ -423,18 +418,18 @@ def run_checks(verbose: bool = True) -> bool:
         if verbose:
             print(f"[{'PASS' if ok else 'FAIL'}] {name} {detail}")
 
-    m = rect_mesh(8, 8)
-    path = motion_path(SineDeformation(), m, 0.02, 2)
+    m = meshmod.rect_mesh(8, 8)
+    path = motion_path(motionmod.SineDeformation(), m, 0.02, 2)
     g = slab_geometry(m, path[1], path[2], 0.02, make_basis(2), make_basis(2))
     r = float(np.abs(gcl_residual(g)).max())
     check("discrete GCL on deforming slab (k=2)", r < 1e-12, f"res={r:.1e}")
 
-    res = march(m, SineDeformation(), physics.Advection2D(),
+    res = march(m, motionmod.SineDeformation(), physics.Advection2D(),
                 physics.Constant((1.0,)), 2, 2, 0.04, 5)
     d = float(np.abs(res.top - 1.0).max())
     check("space-time free-stream preservation", d < 1e-11, f"drift={d:.1e}")
 
-    res2 = march_mol(m, SineDeformation(), physics.Advection2D(),
+    res2 = march_mol(m, motionmod.SineDeformation(), physics.Advection2D(),
                      physics.Constant((1.0,)), 2, 0.002, 50)
     d2 = float(np.abs(res2.field.values - 1.0).max())
     check("method-of-lines free-stream preservation", d2 < 1e-11, f"drift={d2:.1e}")
@@ -452,7 +447,7 @@ def run_checks(verbose: bool = True) -> bool:
         st = Fv1dState(rng.standard_normal(n), xx, xx + pert,
                        float(rng.uniform(0.01, 0.2)))
         worst = max(worst, float(np.abs(stfv_step_explicit(st)
-                                        - fvmol_step(st)).max()))
+                                        - stfv.fvmol_step(st)).max()))
     check("space-time FV == FV method of lines", worst <= 1e-14,
           f"maxdiff={worst:.1e}")
 

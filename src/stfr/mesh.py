@@ -1,8 +1,9 @@
 """Meshes: interval (1D), structured rectangle and butterfly disk (2D quads),
 plus the plain-text mesh file format.
 
-Local edge conventions for quads (element nodes CCW, mapped to reference
-corners (-1,-1), (1,-1), (1,1), (-1,1)):
+`EDGE_ENDS` is the one statement of the local edge convention, which face
+pairing, the file reader and the writer read.  For quads (element nodes
+CCW, mapped to reference corners (-1,-1), (1,-1), (1,1), (-1,1)):
 
     edge 0: eta = -1, nodes (n0, n1), parametrized by increasing xi
     edge 1: xi  = +1, nodes (n1, n2), parametrized by increasing eta
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-EDGE_NODES_2D = ((0, 1), (1, 2), (3, 2), (0, 3))
+# dim -> (local edge, end) -> local node
+EDGE_ENDS = {1: np.array([[0], [1]]), 2: np.array([[0, 1], [1, 2], [3, 2], [0, 3]])}
 
 
 class MeshFormatError(ValueError):
@@ -123,11 +125,15 @@ def refined_spec(spec: dict, levels: int = 1) -> dict:
     return s
 
 
-def _edge_pair(elem_nodes, edge: int, dim: int):
-    if dim == 1:
-        return (int(elem_nodes[edge]),)
-    a, b = EDGE_NODES_2D[edge]
-    return (int(elem_nodes[a]), int(elem_nodes[b]))
+def _edge_ends(elems, dim: int) -> np.ndarray:
+    """End nodes of every element edge, (n_elems, 2 * dim, dim)."""
+    return np.asarray(elems)[:, EDGE_ENDS[dim]]
+
+
+def _edge_keys(ends, n: int):
+    """One integer per node set of an edge (last axis); n > every node."""
+    lo, hi = ends[..., 0], ends[..., -1]
+    return np.minimum(lo, hi) * n + np.maximum(lo, hi)
 
 
 def _build_faces(dim, elems, periodic_pairs, dirichlet_keys):
@@ -143,45 +149,37 @@ def _build_faces(dim, elems, periodic_pairs, dirichlet_keys):
     dirichlet_keys: set of sorted node tuples tagged dirichlet, or None
     when every unpaired edge is.
     """
-    n_edges = 2 if dim == 1 else 4
-    if dim == 1:
-        a = b = elems.ravel()
-    else:  # EDGE_NODES_2D
-        a = elems[:, [0, 1, 3, 0]].ravel()
-        b = elems[:, [1, 2, 2, 3]].ravel()
+    n_edges = 2 * dim
+    ends = _edge_ends(elems, dim).reshape(-1, dim)
     n = int(elems.max()) + 1
-    key = np.minimum(a, b) * n + np.maximum(a, b)  # hit h = elem * n_edges + edge
+    key = _edge_keys(ends, n)  # hit h = elem * n_edges + edge
 
-    def nodes_of(k):
-        return (int(k // n),) if dim == 1 else (int(k // n), int(k % n))
+    def nodes_of(h):
+        return tuple(sorted(ends[h].tolist()))
 
     hits = np.argsort(key, kind="stable")  # grouped by key, in hit order
-    sk = key[hits]
-    new = np.ones(sk.size + 1, dtype=bool)
-    new[1:-1] = sk[1:] != sk[:-1]
-    start = np.flatnonzero(new)  # group starts, then the end
-    count = np.diff(start)
-    start = start[:-1]
-    if count.max() > 2:
-        k = sk[start[np.argmax(count > 2)]]
-        raise ValueError(f"edge {nodes_of(k)} shared by more than two elements")
-    pairs = start[count == 2]
+    same = np.diff(key[hits]) == 0  # hits[i] and hits[i + 1] share an edge
+    three = same[1:] & same[:-1]
+    if three.any():
+        raise ValueError(f"edge {nodes_of(hits[np.argmax(three)])} shared by "
+                         "more than two elements")
+    pairs = np.flatnonzero(same)
     order = np.argsort(hits[pairs])
     left, right = hits[pairs][order], hits[pairs + 1][order]
 
     per = np.asarray(periodic_pairs, dtype=int).reshape(-1, 5)
-    unpaired = np.zeros(key.size, dtype=bool)
-    unpaired[hits[start[count == 1]]] = True
+    unpaired = np.ones(key.size, dtype=bool)
+    unpaired[left] = unpaired[right] = False
     unpaired[per[:, [0, 2]] * n_edges + per[:, [1, 3]]] = False
     boundary = np.flatnonzero(unpaired)
     if dirichlet_keys is not None:
         tagged = [t[0] * n + t[-1] for t in dirichlet_keys if 0 <= t[0] and t[-1] < n]
         untagged = boundary[~np.isin(key[boundary], tagged)]
         if untagged.size:
-            raise ValueError(f"boundary edge {nodes_of(key[untagged[0]])} has no tag")
+            raise ValueError(f"boundary edge {nodes_of(untagged[0])} has no tag")
 
-    ids = np.concatenate([[left // n_edges, left % n_edges, right // n_edges,
-                           right % n_edges, a[left] != a[right]], per.T], axis=1)
+    ids = np.concatenate([[*divmod(left, n_edges), *divmod(right, n_edges),
+                           ends[left, 0] != ends[right, 0]], per.T], axis=1)
     faces = FaceList(*ids[:4], flip=ids[4] != 0)
     return faces, np.stack([boundary // n_edges, boundary % n_edges], axis=1)
 
@@ -217,9 +215,7 @@ def rect_mesh(nx: int, ny: int, xmin: float = 0.0, xmax: float = 1.0,
     nodes[..., 1] = ys[:, None]
     nodes = nodes.reshape(-1, 2)
 
-    # element (i, j) is j * nx + i, with lower left node (i, j)
-    n0 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
-    elems = n0[:, None] + [0, 1, nx + 2, nx + 1]
+    elems = _grid_quads(nx, ny)
 
     periodic_pairs = np.zeros((nx + ny if periodic else 0, 5), dtype=int)
     if periodic:  # east edges onto west edges, then north edges onto south
@@ -236,18 +232,12 @@ def rect_mesh(nx: int, ny: int, xmin: float = 0.0, xmax: float = 1.0,
     return Mesh(dim=2, nodes=nodes, elems=elems, faces=faces, dirichlet=diri)
 
 
-def _ccw_fix(nodes, elems):
-    """Reorder any clockwise quad to counter-clockwise in place."""
-    for q in elems:
-        p = nodes[q]
-        area2 = 0.0
-        for i in range(4):
-            x0, y0 = p[i]
-            x1, y1 = p[(i + 1) % 4]
-            area2 += x0 * y1 - x1 * y0
-        if area2 < 0:
-            q[1], q[3] = q[3], q[1]
-    return elems
+def _grid_quads(nx: int, ny: int) -> np.ndarray:
+    """The quads of a row-major grid of ny + 1 rows of nx + 1 points, point
+    (i, j) being j * (nx + 1) + i: quad (i, j) is j * nx + i, with first
+    node (i, j), and runs (i, j), (i+1, j), (i+1, j+1), (i, j+1)."""
+    n0 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    return n0[:, None] + [0, 1, nx + 2, nx + 1]
 
 
 def disk_mesh(level: int = 0, radius: float = 0.5) -> Mesh:
@@ -264,73 +254,46 @@ def disk_mesh(level: int = 0, radius: float = 0.5) -> Mesh:
     n = 2 * 2**level          # divisions per block edge
     a = 0.5 * radius          # half-width of the central square block
 
-    key2id: dict[tuple, int] = {}
-    coords: list[tuple] = []
-
-    def add_node(x, y):
-        key = (round(float(x), 12), round(float(y), 12))
-        if key not in key2id:
-            key2id[key] = len(coords)
-            coords.append((float(x), float(y)))
-        return key2id[key]
-
-    elems = []
-
-    # center block
+    # each block an (n+1)^2 point grid: the center square in (x, y) rows,
+    # then the ring blocks in (u, w) rows, u along the square edge and the
+    # arc, w from the inner curve (w = 0) to the outer one (w = 1)
     s = np.linspace(-1.0, 1.0, n + 1)
-    cid = [[add_node(a * si, a * sj) for si in s] for sj in s]
-    for j in range(n):
-        for i in range(n):
-            elems.append([cid[j][i], cid[j][i + 1], cid[j + 1][i + 1], cid[j + 1][i]])
+    blocks = [np.broadcast_arrays(a * s, a * s[:, None])]
+    u, w = s[:, None], np.linspace(0.0, 1.0, n + 1)
+    for (xi, yi), phi0 in [((a, a * u), 0.0),                # east
+                           ((-a * u, a), np.pi / 2),         # north
+                           ((-a, -a * u), np.pi),            # west
+                           ((a * u, -a), 3 * np.pi / 2)]:    # south
+        phi = phi0 + u * np.pi / 4
+        blocks.append(np.broadcast_arrays((1 - w) * xi + w * (radius * np.cos(phi)),
+                                          (1 - w) * yi + w * (radius * np.sin(phi))))
+    pts = np.moveaxis(np.array(blocks), 1, -1).reshape(-1, 2)  # block by block
 
-    # ring blocks: inner curve = square edge, outer curve = circular arc
-    def ring_block(inner_fn, phi0):
-        u = np.linspace(-1.0, 1.0, n + 1)
-        w = np.linspace(0.0, 1.0, n + 1)
-        ids = np.empty((n + 1, n + 1), dtype=int)
-        for iu, uu in enumerate(u):
-            xi, yi = inner_fn(uu)
-            phi = phi0 + uu * np.pi / 4
-            xo, yo = radius * np.cos(phi), radius * np.sin(phi)
-            for iw, ww in enumerate(w):
-                ids[iu, iw] = add_node((1 - ww) * xi + ww * xo,
-                                       (1 - ww) * yi + ww * yo)
-        for iu in range(n):
-            for iw in range(n):
-                elems.append([ids[iu, iw], ids[iu + 1, iw],
-                              ids[iu + 1, iw + 1], ids[iu, iw + 1]])
-
-    ring_block(lambda u: (a, a * u), 0.0)                 # east
-    ring_block(lambda u: (-a * u, a), np.pi / 2)          # north
-    ring_block(lambda u: (-a, -a * u), np.pi)             # west
-    ring_block(lambda u: (a * u, -a), 3 * np.pi / 2)      # south
-
-    nodes = np.asarray(coords)
-    elems = _ccw_fix(nodes, np.asarray(elems, dtype=int))
+    # points that coincide to 12 decimals are one node, numbered by first
+    # appearance
+    _, first, inverse = np.unique(pts.round(12), axis=0, return_index=True,
+                                  return_inverse=True)
+    number = np.argsort(np.argsort(first))
+    quads = np.arange(5)[:, None, None] * (n + 1) ** 2 + _grid_quads(n, n)
+    elems = number[inverse.ravel()][quads.reshape(-1, 4)]
 
     # all untagged boundary edges of this generator lie on the circle
     faces, diri = _build_faces(2, elems, [], dirichlet_keys=None)
-    return Mesh(dim=2, nodes=nodes, elems=elems, faces=faces, dirichlet=diri)
+    return Mesh(dim=2, nodes=pts[np.sort(first)], elems=elems, faces=faces,
+                dirichlet=diri)
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:
     """Serialize a mesh to the plain-text format (see read_mesh)."""
-    lines = []
-    # reconstruct boundary-face lines: dirichlet faces plus periodic pairs
-    bfaces = []
-    for e, g in mesh.dirichlet:
-        bfaces.append((_edge_pair(mesh.elems[e], g, mesh.dim), "dirichlet"))
-    pid = 0
-    for i in range(mesh.faces.n):
-        eL, gL = mesh.faces.elem_l[i], mesh.faces.edge_l[i]
-        eR, gR = mesh.faces.elem_r[i], mesh.faces.edge_r[i]
-        pL = _edge_pair(mesh.elems[eL], gL, mesh.dim)
-        pR = _edge_pair(mesh.elems[eR], gR, mesh.dim)
-        if tuple(sorted(pL)) != tuple(sorted(pR)):  # periodic, not interior
-            bfaces.append((pL, f"periodic:{pid}"))
-            bfaces.append((pR, f"periodic:{pid}"))
-            pid += 1
-    lines.append(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elems} {len(bfaces)}")
+    # boundary-face lines: the dirichlet faces, then both sides of every
+    # face whose two sides have different nodes (a periodic pair)
+    ends, f, n = _edge_ends(mesh.elems, mesh.dim), mesh.faces, mesh.n_nodes
+    left, right = ends[f.elem_l, f.edge_l], ends[f.elem_r, f.edge_r]
+    periodic = np.flatnonzero(_edge_keys(left, n) != _edge_keys(right, n))
+    bfaces = [(p, "dirichlet") for p in ends[tuple(mesh.dirichlet.T)]]
+    bfaces += [(side[i], f"periodic:{pid}") for pid, i in enumerate(periodic)
+               for side in (left, right)]
+    lines = [f"{mesh.dim} {mesh.n_nodes} {mesh.n_elems} {len(bfaces)}"]
     for p in mesh.nodes:
         lines.append(" ".join(repr(float(v)) for v in p))
     for en in mesh.elems:
@@ -380,7 +343,7 @@ def read_mesh(path: str) -> Mesh:
         except ValueError:
             fail(ln + 1, f"bad coordinate in {raw[ln]!r}")
 
-    npc = 2 if dim == 1 else 4
+    npc, n_edges = 2 ** dim, 2 * dim
     elems = np.zeros((n_elems, npc), dtype=int)
     for i in range(n_elems):
         ln = 1 + n_nodes + i
@@ -397,17 +360,18 @@ def read_mesh(path: str) -> Mesh:
     # boundary faces
     diri_keys = set()
     periodic_groups: dict[str, list] = {}
-    nk = 1 if dim == 1 else 2
     for i in range(n_bf):
         ln = 1 + n_nodes + n_elems + i
         parts = raw[ln].split()
-        if len(parts) != nk + 1:
-            fail(ln + 1, f"expected {nk} node indices and a tag")
+        if len(parts) != dim + 1:
+            fail(ln + 1, f"expected {dim} node indices and a tag")
         try:
-            ids = tuple(int(v) for v in parts[:nk])
+            ids = tuple(int(v) for v in parts[:dim])
         except ValueError:
             fail(ln + 1, f"bad node index in {raw[ln]!r}")
-        tag = parts[nk]
+        if min(ids) < 0 or max(ids) >= n_nodes:
+            fail(ln + 1, "node index out of range")
+        tag = parts[dim]
         if tag == "dirichlet":
             diri_keys.add(tuple(sorted(ids)))
         elif tag.startswith("periodic:"):
@@ -416,33 +380,26 @@ def read_mesh(path: str) -> Mesh:
         else:
             fail(ln + 1, f"unknown boundary tag {tag!r}")
 
-    # locate (elem, edge) owning each tagged boundary edge
-    owner = {}
-    n_edges = 2 if dim == 1 else 4
-    for e, en in enumerate(elems):
-        for edge in range(n_edges):
-            pair = _edge_pair(en, edge, dim)
-            owner.setdefault(tuple(sorted(pair)), []).append((e, edge, pair))
-
+    # each periodic face is the first element edge with its node set
+    ends = _edge_ends(elems, dim).reshape(-1, dim)
+    keys, first = np.unique(_edge_keys(ends, n_nodes), return_index=True)
     periodic_pairs = []
     for pid, group in periodic_groups.items():
         if len(group) != 2:
             fail(group[0][1], f"periodic pair {pid!r} has {len(group)} faces")
         (ids_a, ln_a), (ids_b, _) = group
-        hits_a = owner.get(tuple(sorted(ids_a)))
-        hits_b = owner.get(tuple(sorted(ids_b)))
-        if not hits_a or not hits_b:
+        k = _edge_keys(np.array([ids_a, ids_b]), n_nodes)
+        if not np.isin(k, keys).all():
             fail(ln_a, f"periodic face nodes {ids_a} or {ids_b} not on any element")
-        (ea, ga, pa), (eb, gb, pb) = hits_a[0], hits_b[0]
-        if dim == 1:
-            fp = False
-        else:
-            # orientation from the translation between the two faces
-            t = nodes[list(pb)].mean(axis=0) - nodes[list(pa)].mean(axis=0)
-            d_same = np.linalg.norm(nodes[pa[0]] + t - nodes[pb[0]])
-            d_flip = np.linalg.norm(nodes[pa[0]] + t - nodes[pb[1]])
-            fp = d_flip < d_same
-        periodic_pairs.append((ea, ga, eb, gb, fp))
+        ha, hb = first[np.searchsorted(keys, k)]  # elem * n_edges + edge
+        # orientation from the translation between the two faces (in 1D
+        # the two distances are both 0: never flipped)
+        pa, pb = ends[ha], ends[hb]
+        t = nodes[pb].mean(axis=0) - nodes[pa].mean(axis=0)
+        d_same = np.linalg.norm(nodes[pa[0]] + t - nodes[pb[0]])
+        d_flip = np.linalg.norm(nodes[pa[0]] + t - nodes[pb[-1]])
+        periodic_pairs.append((*divmod(ha, n_edges), *divmod(hb, n_edges),
+                               d_flip < d_same))
 
     faces, diri = _build_faces(dim, elems, periodic_pairs, diri_keys or None)
     return Mesh(dim=dim, nodes=nodes, elems=elems, faces=faces, dirichlet=diri)

@@ -183,14 +183,15 @@ def march_path(presc: MotionPrescription, mesh: Mesh, dt: float, n_steps: int,
     """March a solution along the motion path x_k = `motion_path`(...)[k].
 
     Seeds u = start(x_0), then runs u = step(k, u, x_k, x_{k+1}) for
-    k = 0..n_steps-1.  Overflow is silenced: an unstable run ends in the
-    check that u is finite after each step.  Every solver error is a
-    RuntimeError; its message gets the prefix "<unit> k at t = <k dt>".
+    k = 0..n_steps-1.  Overflow is silenced, in the seed as in the steps:
+    an unstable run ends in the check that u is finite after each step.
+    Every solver error is a RuntimeError; its message gets the prefix
+    "<unit> k at t = <k dt>".
     Returns (u, x_{n_steps}).
     """
     path = motion_path(presc, mesh, dt, n_steps)
-    u = start(path[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = start(path[0])
         for k in range(n_steps):
             try:
                 u = step(k, u, path[k], path[k + 1])

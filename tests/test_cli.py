@@ -25,6 +25,7 @@ from stfr.cli import (
     sweep,
     validate,
 )
+from stfr.mesh import disk_mesh, interval_mesh, rect_mesh, write_mesh
 from stfr.st_solver import STALL_CYCLES, STALL_RATIO
 
 
@@ -297,11 +298,17 @@ def test_every_settable_value_has_a_checked_kind():
     ("wave2d_stationary_p2p2", ["mesh.xmax=-2"], "mesh"),
     ("wave2d_stationary_p2p2", ["mesh.ymax=-3"], "mesh"),
     ("wave2d_circle_p2", ["mesh.radius=0"], "mesh"),
+    # the dimension of a file mesh is known once it is read
+    ("wave2d_stationary_p2p2", ["1D mesh file", "t_final=0.25"], "mesh"),
+    ("wave1d_stationary_p2p2", ["2D mesh file"], "mesh"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"
     bad.write_text("2 4 1 0\n0 0\n1 0\n")  # header promises more lines
-    files = {"bad mesh file": bad, "missing mesh file": tmp_path / "none.mesh"}
+    files = {"bad mesh file": bad, "missing mesh file": tmp_path / "none.mesh",
+             "1D mesh file": tmp_path / "1d.mesh", "2D mesh file": tmp_path / "2d.mesh"}
+    write_mesh(interval_mesh(8), files["1D mesh file"])
+    write_mesh(rect_mesh(4, 4), files["2D mesh file"])
     args = ["run", case]
     for pair in overrides:
         if pair in files:
@@ -310,6 +317,19 @@ def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert f"error: {section}:" in err and "Traceback" not in err
+
+
+def test_file_disk_runs_the_circle_deformation(tmp_path, capsys):
+    # a 2D file mesh takes a 2D motion, and the disk read back from its file
+    # gives the errors of the disk built in memory
+    path = tmp_path / "disk.mesh"
+    write_mesh(disk_mesh(1), path)
+    args = ["run", "wave2d_circle_p2", "--set", "t_final=0.125"]
+    assert main(args + ["--set", f'mesh={{"type": "file", "path": "{path}"}}']) == 0
+    from_file = capsys.readouterr().out
+    assert main(args) == 0
+    built = capsys.readouterr().out
+    assert from_file.split("walltime")[0] == built.split("walltime")[0]
 
 
 @pytest.mark.parametrize("case, overrides, message", [
@@ -341,6 +361,8 @@ def test_cli_solver_state_errors_exit_3(capsys, case, overrides, message):
     ("stfv_moving_1d", ["motion.amp=[3.0]"], "step 94"),
     ("mol_sine_deform_p2",
      ["dt=0.04", "t_final=24.0", "motion.amp=[0.01,0.01]"], "step 480"),
+    # the initial state overflows: warnings would come from its projection
+    ("euler_vortex_p3", ["exact.u_max=10", "t_final=0.0625"], "slab 0"),
 ])
 def test_cli_unstable_run_prints_one_line(case, overrides, step):
     # the overflow of an unstable run is reported by the named error only,

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from stfr import mesh as mesh_module
+from stfr.basis import make_basis
 from stfr.cli import MESHES
+from stfr.geometry import spatial_face_points
 from stfr.mesh import (
+    EDGE_ENDS,
     FaceList,
     MeshFormatError,
     disk_mesh,
@@ -12,13 +15,30 @@ from stfr.mesh import (
     rect_mesh,
     refined_spec,
     write_mesh,
-    _edge_pair,
 )
+
+
+def _edge_pair(elem_nodes, edge, dim):
+    """End nodes of one local edge of an element, as ints."""
+    return tuple(int(v) for v in np.asarray(elem_nodes)[EDGE_ENDS[dim][edge]])
 
 
 def quad_signed_area2(p):
     return sum(p[i][0] * p[(i + 1) % 4][1] - p[(i + 1) % 4][0] * p[i][1]
                for i in range(4))
+
+
+@pytest.mark.parametrize("edge", range(4))
+def test_edge_ends_run_along_the_face_points(edge):
+    # the two ends of a local edge are the reference corners at the first
+    # and at the last of the flux points the geometry puts on that edge
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    a, b = corners[EDGE_ENDS[2][edge]]
+    pts = np.stack(spatial_face_points(make_basis(3), 2, edge), axis=-1)
+    (tx, ty), (dx, dy) = b - a, (pts - a).T
+    along = (tx * dx + ty * dy) / 4
+    assert np.allclose(tx * dy - ty * dx, 0)
+    assert np.all(np.diff(along) > 0) and 0 < along[0] and along[-1] < 1
 
 
 def test_interval_periodic_faces():
@@ -89,10 +109,9 @@ def test_mesh_file_roundtrip(tmp_path):
         write_mesh(m, path)
         m2 = read_mesh(str(path))
         assert m2.dim == m.dim
-        assert np.allclose(m2.nodes, m.nodes)
-        assert np.array_equal(m2.elems, m.elems)
-        assert m2.faces.n == m.faces.n
-        assert len(m2.dirichlet) == len(m.dirichlet)
+        assert m2.nodes.dtype == m.nodes.dtype and np.array_equal(m2.nodes, m.nodes)
+        assert m2.elems.dtype == m.elems.dtype and np.array_equal(m2.elems, m.elems)
+        _assert_same_faces(m2, m.faces, m.dirichlet)
 
 
 def test_read_mesh_errors(tmp_path):
@@ -105,6 +124,31 @@ def test_read_mesh_errors(tmp_path):
         read_mesh(str(p))
     p.write_text("1 2 1 2\n0.0\n1.0\n0 1\n0 badtag\n1 badtag\n")
     with pytest.raises(MeshFormatError, match="unknown boundary tag"):
+        read_mesh(str(p))
+
+
+# the 2 x 1 rectangle of quads 0 1 4 3 and 1 2 5 4, then its boundary lines
+TWO_QUADS = "2 6 2 {}\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 1 4 3\n1 2 5 4\n"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (TWO_QUADS.format(1) + "0 6 dirichlet\n", MeshFormatError,
+     ":10: node index out of range"),
+    (TWO_QUADS.format(1) + "-1 0 dirichlet\n", MeshFormatError,
+     ":10: node index out of range"),
+    (TWO_QUADS.format(2) + "0 3 periodic:a\n2 4 periodic:a\n", MeshFormatError,
+     r":10: periodic face nodes \(0, 3\) or \(2, 4\) not on any element"),
+    (TWO_QUADS.format(1) + "0 3 periodic:a\n", MeshFormatError,
+     ":10: periodic pair 'a' has 1 faces"),
+    (TWO_QUADS.format(1) + "0 3 dirichlet\n", ValueError,
+     r"boundary edge \(0, 1\) has no tag"),
+    ("2 6 3 0\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 1 4 3\n1 2 5 4\n1 4 3 0\n",
+     ValueError, r"edge \(1, 4\) shared by more than two elements"),
+])
+def test_read_mesh_rejects_bad_boundaries(tmp_path, text, error, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(error, match=message):
         read_mesh(str(p))
 
 
@@ -190,6 +234,54 @@ def _reference_rect_inputs(nx, ny, periodic):
     return elems, [], keys
 
 
+def _reference_disk(level, radius=0.5):
+    """Nodes and elements of disk_mesh, by loops: nodes numbered through a
+    dict over rounded coordinates, clockwise ring quads reordered after."""
+    n = 2 * 2**level
+    a = 0.5 * radius
+    key2id, coords, elems = {}, [], []
+
+    def add_node(x, y):
+        key = (round(float(x), 12), round(float(y), 12))
+        if key not in key2id:
+            key2id[key] = len(coords)
+            coords.append((float(x), float(y)))
+        return key2id[key]
+
+    s = np.linspace(-1.0, 1.0, n + 1)
+    cid = [[add_node(a * si, a * sj) for si in s] for sj in s]
+    for j in range(n):
+        for i in range(n):
+            elems.append([cid[j][i], cid[j][i + 1], cid[j + 1][i + 1], cid[j + 1][i]])
+
+    def ring_block(inner_fn, phi0):
+        u = np.linspace(-1.0, 1.0, n + 1)
+        w = np.linspace(0.0, 1.0, n + 1)
+        ids = np.empty((n + 1, n + 1), dtype=int)
+        for iu, uu in enumerate(u):
+            xi, yi = inner_fn(uu)
+            phi = phi0 + uu * np.pi / 4
+            xo, yo = radius * np.cos(phi), radius * np.sin(phi)
+            for iw, ww in enumerate(w):
+                ids[iu, iw] = add_node((1 - ww) * xi + ww * xo,
+                                       (1 - ww) * yi + ww * yo)
+        for iu in range(n):
+            for iw in range(n):
+                elems.append([ids[iu, iw], ids[iu + 1, iw],
+                              ids[iu + 1, iw + 1], ids[iu, iw + 1]])
+
+    ring_block(lambda u: (a, a * u), 0.0)
+    ring_block(lambda u: (-a * u, a), np.pi / 2)
+    ring_block(lambda u: (-a, -a * u), np.pi)
+    ring_block(lambda u: (a * u, -a), 3 * np.pi / 2)
+    nodes = np.asarray(coords)
+    elems = np.asarray(elems, dtype=int)
+    for q in elems:  # clockwise quads to counter-clockwise
+        if quad_signed_area2(nodes[q]) < 0:
+            q[1], q[3] = q[3], q[1]
+    return nodes, elems
+
+
 def _assert_same_faces(mesh, faces, diri):
     for name in ("elem_l", "edge_l", "elem_r", "edge_r", "flip"):
         got, want = getattr(mesh.faces, name), getattr(faces, name)
@@ -205,6 +297,15 @@ def test_rect_faces_match_reference_loop(nx, ny, periodic):
     elems, pairs, keys = _reference_rect_inputs(nx, ny, periodic)
     assert m.elems.dtype == elems.dtype and np.array_equal(m.elems, elems)
     _assert_same_faces(m, *_reference_faces(2, elems, pairs, keys))
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_disk_matches_reference_loop(level):
+    m = disk_mesh(level)
+    nodes, elems = _reference_disk(level)
+    assert m.nodes.dtype == nodes.dtype and np.array_equal(m.nodes, nodes)
+    assert m.elems.dtype == elems.dtype and np.array_equal(m.elems, elems)
+    _assert_same_faces(m, *_reference_faces(2, elems, [], None))
 
 
 @pytest.mark.parametrize("build", [

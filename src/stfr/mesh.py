@@ -173,7 +173,7 @@ def _build_faces(dim, elems, periodic_pairs, dirichlet_keys):
     unpaired[per[:, [0, 2]] * n_edges + per[:, [1, 3]]] = False
     boundary = np.flatnonzero(unpaired)
     if dirichlet_keys is not None:
-        tagged = [t[0] * n + t[-1] for t in dirichlet_keys if 0 <= t[0] and t[-1] < n]
+        tagged = [t[0] * n + t[-1] for t in dirichlet_keys]
         untagged = boundary[~np.isin(key[boundary], tagged)]
         if untagged.size:
             raise ValueError(f"boundary edge {nodes_of(untagged[0])} has no tag")
@@ -357,9 +357,13 @@ def read_mesh(path: str) -> Mesh:
         if np.any(elems[i] < 0) or np.any(elems[i] >= n_nodes):
             fail(ln + 1, "node index out of range")
 
-    # boundary faces
+    # boundary faces, each on an element edge that no other element shares
+    ends = _edge_ends(elems, dim).reshape(-1, dim)
+    keys, first, count = np.unique(_edge_keys(ends, n_nodes), return_index=True,
+                                   return_counts=True)
     diri_keys = set()
     periodic_groups: dict[str, list] = {}
+    named = {}  # edge key -> the line that names it
     for i in range(n_bf):
         ln = 1 + n_nodes + n_elems + i
         parts = raw[ln].split()
@@ -371,27 +375,29 @@ def read_mesh(path: str) -> Mesh:
             fail(ln + 1, f"bad node index in {raw[ln]!r}")
         if min(ids) < 0 or max(ids) >= n_nodes:
             fail(ln + 1, "node index out of range")
+        k = _edge_keys(np.array(ids), n_nodes)
+        j = np.searchsorted(keys, k)
+        if j == keys.size or keys[j] != k:
+            fail(ln + 1, f"boundary face nodes {ids} are no element edge")
+        if count[j] != 1:
+            fail(ln + 1, f"boundary face nodes {ids} are an interior edge")
+        if k in named:
+            fail(ln + 1, f"boundary face nodes {ids} already on line {named[k]}")
+        named[k] = ln + 1
         tag = parts[dim]
         if tag == "dirichlet":
             diri_keys.add(tuple(sorted(ids)))
         elif tag.startswith("periodic:"):
             periodic_groups.setdefault(tag[len("periodic:"):], []).append(
-                (ids, ln + 1))
+                (first[j], ln + 1))  # elem * n_edges + edge
         else:
             fail(ln + 1, f"unknown boundary tag {tag!r}")
 
-    # each periodic face is the first element edge with its node set
-    ends = _edge_ends(elems, dim).reshape(-1, dim)
-    keys, first = np.unique(_edge_keys(ends, n_nodes), return_index=True)
     periodic_pairs = []
     for pid, group in periodic_groups.items():
         if len(group) != 2:
             fail(group[0][1], f"periodic pair {pid!r} has {len(group)} faces")
-        (ids_a, ln_a), (ids_b, _) = group
-        k = _edge_keys(np.array([ids_a, ids_b]), n_nodes)
-        if not np.isin(k, keys).all():
-            fail(ln_a, f"periodic face nodes {ids_a} or {ids_b} not on any element")
-        ha, hb = first[np.searchsorted(keys, k)]  # elem * n_edges + edge
+        (ha, _), (hb, _) = group
         # orientation from the translation between the two faces (in 1D
         # the two distances are both 0: never flipped)
         pa, pb = ends[ha], ends[hb]

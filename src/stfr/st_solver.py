@@ -423,28 +423,24 @@ def _kron_tables(k: int):
     return tables
 
 
-def _rho_bases(C, S, rho):
-    """Eigenvalues mu (m, n) of rho_i C + S for each rho_i, with the real
-    forms of their eigenvectors V and of V^-1, each (m, 2n, 2n)."""
-    mu, V = np.linalg.eig(rho[:, None, None] * C + S)
-    V = _real_form(V)
-    return mu, V, np.linalg.inv(V)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _shared_bases(ks: int, kt: int, dim: int, rho: tuple):
-    """Tables of the shared-basis preconditioner apply for the distinct
-    rho (each -1, 0 or 1) of a slab, indexed like rho: mu, the real-form
-    (forward, backward) xi transforms and the interleaved real-form
-    (forward, backward) outer transforms T (x) E[j], tau (x) eta.  In 1D
-    the outer transform is tau alone, under the key None.  rho is a sorted
-    subset of (-1, 0, 1), so there are at most 7 keys per (ks, kt, dim)
-    and every one is cached; the arrays are read-only.
+    """Tables of the preconditioner apply for the distinct rho of a slab,
+    indexed like rho: the eigenvalues mu (m, n) of rho_j C + S, the
+    real-form (forward, backward) xi transforms from the eigenvectors and
+    the interleaved real-form (forward, backward) outer transforms T (x)
+    E[j], tau (x) eta.  In 1D the outer transform is tau alone, under the
+    key None.  Advection repeats a few keys (rho in -1, 0, 1); every Euler
+    slab brings a key of its own, its median rho per direction.  The cache
+    keeps the 32 most recent keys, about 20 KB each at k_s = 3 and k_t = 2
+    in 2D; the arrays are read-only.
     """
     n = ks + 1
     C, S = _kron_tables(ks)[:2]
     _, V_t, Vi_t = _kron_tables(kt)[2:]
-    mu, V, Vi = _rho_bases(C, S, np.array(rho))
+    mu, V = np.linalg.eig(np.array(rho)[:, None, None] * C + S)
+    V = _real_form(V)
+    Vi = np.linalg.inv(V)
 
     def outer(T, E, j):
         T = _complex(T)
@@ -478,20 +474,6 @@ def _complex(R):
     return R[..., :n, :n] + 1j * R[..., n:, :n]
 
 
-def _along(M, z, axis):
-    """Real form M, or one per element, applied along `axis` of z (nE, k,
-    ...), whose axis 1 holds the real and imaginary parts (k = 2) or only
-    the real part (k = 1).  M is (m n, k n): its left half columns take a
-    real input, its top half rows give only the real part of the output.
-
-    Complex products run in real form: NumPy's batched complex matmul of
-    these small blocks is about 6x slower than the real one of twice the size.
-    """
-    z = z.swapaxes(axis, 2)  # not np.moveaxis: its overhead shows on small slabs
-    out = np.matmul(M, z.reshape(z.shape[0], z.shape[1] * z.shape[2], -1))
-    return out.reshape((z.shape[0], -1) + z.shape[2:]).swapaxes(2, axis)
-
-
 def _shared_along(bases, z):
     """Shared matrices applied to the (K, X) blocks of z, whose last axis,
     viewed as (..., nE), is the element.  bases holds (B, mask) pairs: the
@@ -522,119 +504,92 @@ class KroneckerPreconditioner:
         B_e = -(a_tau Dc (x) I (x) I + I (x) A_eta (x) I + I (x) I (x) A_xi) / |J|_e
 
     a_tau and |J|_e are the element means of js and jac, Dc = D - g'_L l_L^T
-    is the causal temporal operator, and A_dir = v_e C + lam_e S
-    (`_kron_tables`), with v_e the element mean of the convective speed
-    through M_dir and lam_e = |v_e| plus the element mean of the acoustic
-    part of the spectral radius (zero for advection).  For advection A_dir
-    is the upwind operator of the faces, so on a still, uniform mesh B_e is
-    the exact element block.  B_e is inverted by fast diagonalization (Lynch,
-    Rice & Thomas 1964): with A = V diag(lam) V^-1 in every direction,
+    is the causal temporal operator, and A_dir = lam_e (rho C + S)
+    (`_kron_tables`).  lam_e = |v_e| + s_e, with v_e the element mean of
+    the convective speed through M_dir and s_e that of the acoustic part of
+    the spectral radius.  Advection has s_e = 0 and rho = v_e / lam_e in
+    {-1, 0, 1}: A_dir = v_e C + |v_e| S is the upwind operator of the
+    faces, so on a still, uniform mesh B_e is the exact element block.
+    Where s_e > 0 (Euler), rho is the slab's median of v_e / lam_e along
+    the direction, one value for every element.  B_e is inverted by fast
+    diagonalization (Lynch, Rice & Thomas 1964): with A = V diag(lam) V^-1
+    in every direction,
 
         B_e^-1 = -|J|_e V diag(1 / (a_tau lam_tau + lam_eta + lam_xi)) V^-1
 
     where V is the Kronecker product of the directions' eigenvectors.
     Every variable gets the same inverse.
 
-    A_dir = lam_e (rho C + S) with rho = v_e / lam_e, so a direction's
-    eigenvectors depend on rho alone.  Advection has rho in {-1, 0, 1}, and
-    its elements share at most three bases per direction, built once per
-    process for each (k_s, k_t, set of rho) by `_shared_bases`.  Its apply
-    then runs on the element-last layout (nT, [n_eta,] re/im, n_xi, nV, nE),
-    one transpose in and one out, and each transform is one real matmul
-    per basis used along it, shared by every element (`_shared_along`):
-    xi in real form on (re/im, n_xi) merged, then tau (x) eta, the outer
-    transform (tau alone in 1D), in interleaved real form on (nT, [n_eta,]
-    re/im) merged.  Euler's acoustic part gives nearly every element a rho,
-    and so a basis, of its own (on `euler_vortex_p3`, 30 to 64 distinct
-    rho per direction among 64 elements); shared bases would take about
-    one matmul over all elements per element, so its apply keeps one
-    real-form transform per element and direction, on the layout (nE,
-    re/im, nV, nT, [n_eta,] n_xi) (`_along`).
+    A direction's eigenvectors depend on rho alone, so the elements share
+    at most three bases per direction (one for Euler), built by
+    `_shared_bases`.  The apply runs on the element-last layout (nT,
+    [n_eta,] re/im, n_xi, nV, nE), one transpose in and one out, and each
+    transform is one real matmul per basis used along it, shared by every
+    element (`_shared_along`): xi in real form on (re/im, n_xi) merged,
+    then tau (x) eta, the outer transform (tau alone in 1D), in interleaved
+    real form on (nT, [n_eta,] re/im) merged.  Real forms, because a
+    complex matmul of these shapes is about 3x slower than the real one of
+    twice the size.
     """
 
     def __init__(self, geom: SlabGeometry, speeds, shape):
         nE, nT, _, nV = shape
         dim = len(speeds)
         n = geom.ks + 1
-        lam_t, V_t, Vi_t = _kron_tables(geom.kt)[2:]
         v_e = np.stack([v.mean(axis=(1, 2)) for v, _ in speeds], axis=1)
-        lam_e = np.abs(v_e) + np.stack([s.mean(axis=(1, 2)) for _, s in speeds],
-                                       axis=1)
+        s_e = np.stack([s.mean(axis=(1, 2)) for _, s in speeds], axis=1)
+        lam_e = np.abs(v_e) + s_e
         rho = np.divide(v_e, lam_e, out=np.zeros_like(v_e), where=lam_e > 0)
+        # the median per direction; np.median, like np.unique without
+        # indices, imports numpy.ma on first use, 1.2 MB of resident memory
+        r = np.sort(rho, axis=0)
+        rho = np.where(s_e > 0, 0.5 * (r[(nE - 1) // 2] + r[nE // 2]), rho)
         rho, idx = np.unique(rho, return_inverse=True)
         idx = idx.reshape(v_e.shape)
-        self.shared = bool(np.isin(rho, (-1.0, 0.0, 1.0)).all())
-        if self.shared:
-            mu, fwd_xi, bwd_xi, fwd_outer, bwd_outer = _shared_bases(
-                geom.ks, geom.kt, dim, tuple(rho.tolist()))
-        else:  # a basis per element, uncached
-            mu, V, Vi = _rho_bases(*_kron_tables(geom.ks)[:2], rho)
+        mu, fwd_xi, bwd_xi, fwd_outer, bwd_outer = _shared_bases(
+            geom.ks, geom.kt, dim, tuple(rho.tolist()))
         lam = lam_e[..., None] * mu[idx]  # (nE, dim, n), dim ordered (xi, eta)
         # a_tau lam_tau + lam_eta + lam_xi on (nE, nT, [n_eta,] n_xi)
-        den = geom.js.mean(axis=(1, 2))[:, None] * lam_t
+        den = geom.js.mean(axis=(1, 2))[:, None] * _kron_tables(geom.kt)[2]
         for d in reversed(range(dim)):
             den = den[..., None] + lam[:, d].reshape(
                 (nE,) + (1,) * (den.ndim - 1) + (n,))
         jac = geom.jac.mean(axis=(1, 2)).reshape((nE,) + (1,) * (dim + 1))
-        s = -jac / den
-        self.shape = (nE, nT) + (n,) * dim + (nV,)
-        if self.shared:
-            # the scaling is on z (lead, re/im, n_xi nV nE), lead = nT
-            # [n_eta], with the (re, im) parts of s repeated over nV
-            lead = nT * n ** (dim - 1)
-            s = np.moveaxis(s, 0, -1).reshape(lead, 1, n, 1, nE)
-            s = s.repeat(nV, axis=3).reshape(lead, 1, -1)
-            self.scale_re = s.real.repeat(2, axis=1)
-            self.scale_im = np.concatenate([-s.imag, s.imag], axis=1)
-
-            def bases(d):
-                """(index, mask) of each basis the elements use along
-                direction d, the first for every element; eta is absent in
-                1D, and its one entry (None, None) leaves tau alone."""
-                used = np.unique(idx[:, d]) if d < dim else [None]
-                return [(j, None if i == 0 else idx[:, d] == j)
-                        for i, j in enumerate(used)]
-
-            # (forward, backward) bases of xi and of the outer transform
-            xi, eta = bases(0), bases(1)
-            self.inner = ([(fwd_xi[j], m) for j, m in xi],
-                          [(bwd_xi[j], m) for j, m in xi])
-            self.outer = ([(fwd_outer[j], m) for j, m in eta],
-                          [(bwd_outer[j], m) for j, m in eta])
-            return
-        # the apply works on z (nE, 2, nV, nT, [n_eta,] n_xi) with axis 1 the
-        # (re, im) parts: the variables sit outside the directions, so the
-        # pointwise scaling runs over contiguous element blocks
-        s = s[:, None, None]
-        self.scale_re = s.real
+        # the scaling is on z (lead, re/im, n_xi nV nE), lead = nT [n_eta],
+        # with the (re, im) parts of -|J|_e / den repeated over nV
+        lead = nT * n ** (dim - 1)
+        s = np.moveaxis(-jac / den, 0, -1).reshape(lead, 1, n, 1, nE)
+        s = s.repeat(nV, axis=3).reshape(lead, 1, -1)
+        self.scale_re = s.real.repeat(2, axis=1)
         self.scale_im = np.concatenate([-s.imag, s.imag], axis=1)
-        # V^-1 starts from the real input, V ends with the real output
-        axes = [3 + dim - d for d in range(dim)]
-        spatial = [(Vi[idx[:, d]], V[idx[:, d]], ax)
-                   for d, ax in enumerate(axes)]
-        self.forward = [(Vi_t[:, :nT], 3)] + [(M, ax) for M, _, ax in spatial]
-        self.backward = [(M, ax) for _, M, ax in spatial] + [(V_t[:nT], 3)]
+        self.shape = (nE, n)
+
+        def bases(d):
+            """(index, mask) of each basis the elements use along direction
+            d, the first for every element; eta is absent in 1D, and its one
+            entry (None, None) leaves tau alone."""
+            used = np.flatnonzero(np.bincount(idx[:, d])) if d < dim else [None]
+            return [(j, None if i == 0 else idx[:, d] == j)
+                    for i, j in enumerate(used)]
+
+        # (forward, backward) bases of xi and of the outer transform
+        xi, eta = bases(0), bases(1)
+        self.inner = ([(fwd_xi[j], m) for j, m in xi],
+                      [(bwd_xi[j], m) for j, m in xi])
+        self.outer = ([(fwd_outer[j], m) for j, m in eta],
+                      [(bwd_outer[j], m) for j, m in eta])
 
     def __call__(self, v):
         """B^-1 v for a flat slab vector v."""
-        if self.shared:
-            nE, n = self.shape[0], self.shape[-2]
-            lead = self.scale_re.shape[0]
-            z = np.ascontiguousarray(v.reshape(nE, -1).T).reshape(lead, n, -1)
-            z = _shared_along(self.inner[0], z)
-            z = _shared_along(self.outer[0], z.reshape(2 * lead, -1))
-            _complex_scale(z.reshape(lead, 2, -1), self.scale_re, self.scale_im)
-            z = _shared_along(self.outer[1], z)
-            z = _shared_along(self.inner[1], z.reshape(lead, 2 * n, -1))
-            return z.reshape(-1, nE).T.ravel()
-        z = np.moveaxis(v.reshape(self.shape), -1, 1)[:, None]
-        for M, axis in self.forward:
-            z = _along(M, z, axis)
-        z = np.ascontiguousarray(z)  # scaling a transposed view is slow
-        _complex_scale(z, self.scale_re, self.scale_im)
-        for M, axis in self.backward:
-            z = _along(M, z, axis)
-        return np.moveaxis(z[:, 0], 1, -1).ravel()
+        nE, n = self.shape
+        lead = self.scale_re.shape[0]
+        z = np.ascontiguousarray(v.reshape(nE, -1).T).reshape(lead, n, -1)
+        z = _shared_along(self.inner[0], z)
+        z = _shared_along(self.outer[0], z.reshape(2 * lead, -1))
+        _complex_scale(z.reshape(lead, 2, -1), self.scale_re, self.scale_im)
+        z = _shared_along(self.outer[1], z)
+        z = _shared_along(self.inner[1], z.reshape(lead, 2 * n, -1))
+        return z.reshape(-1, nE).T.ravel()
 
 
 class SlabOperator:

@@ -301,14 +301,26 @@ def test_every_settable_value_has_a_checked_kind():
     # the dimension of a file mesh is known once it is read
     ("wave2d_stationary_p2p2", ["1D mesh file", "t_final=0.25"], "mesh"),
     ("wave1d_stationary_p2p2", ["2D mesh file"], "mesh"),
+    # boundary lines on an interior edge or on no element edge are read
+    # errors, not a failure of the solver's face tables
+    ("wave2d_stationary_p2p2", ["interior-edge mesh file", "bc=dirichlet"], "mesh"),
+    ("wave2d_stationary_p2p2", ["diagonal mesh file", "bc=dirichlet"], "mesh"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"
     bad.write_text("2 4 1 0\n0 0\n1 0\n")  # header promises more lines
     files = {"bad mesh file": bad, "missing mesh file": tmp_path / "none.mesh",
-             "1D mesh file": tmp_path / "1d.mesh", "2D mesh file": tmp_path / "2d.mesh"}
+             "1D mesh file": tmp_path / "1d.mesh", "2D mesh file": tmp_path / "2d.mesh",
+             "interior-edge mesh file": tmp_path / "interior.mesh",
+             "diagonal mesh file": tmp_path / "diagonal.mesh"}
     write_mesh(interval_mesh(8), files["1D mesh file"])
     write_mesh(rect_mesh(4, 4), files["2D mesh file"])
+    # two quads side by side; their left edge 0 3 is the line added below
+    quads = ("2 6 2 7\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 1 4 3\n1 2 5 4\n"
+             + "".join(f"{a} {b} dirichlet\n" for a, b in [(0, 1), (1, 2), (2, 5),
+                                                         (5, 4), (4, 3)]))
+    files["interior-edge mesh file"].write_text(quads + "1 4 periodic:a\n0 3 periodic:a\n")
+    files["diagonal mesh file"].write_text(quads + "3 0 dirichlet\n0 4 dirichlet\n")
     args = ["run", case]
     for pair in overrides:
         if pair in files:

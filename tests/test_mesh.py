@@ -129,6 +129,14 @@ def test_read_mesh_errors(tmp_path):
 
 # the 2 x 1 rectangle of quads 0 1 4 3 and 1 2 5 4, then its boundary lines
 TWO_QUADS = "2 6 2 {}\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 1 4 3\n1 2 5 4\n"
+# its six boundary edges but the left one, each tagged dirichlet
+OUTER_DIRICHLET = "".join(f"{a} {b} dirichlet\n"
+                          for a, b in [(0, 1), (1, 2), (2, 5), (5, 4), (4, 3)])
+# lines on an interior edge and on no edge: the middle edge 1 4 is periodic,
+# or dirichlet, and the diagonal 0 4 of the left quad is dirichlet
+INTERIOR_PERIODIC = TWO_QUADS.format(7) + "1 4 periodic:a\n0 3 periodic:a\n" + OUTER_DIRICHLET
+INTERIOR_DIRICHLET = TWO_QUADS.format(7) + OUTER_DIRICHLET + "3 0 dirichlet\n1 4 dirichlet\n"
+DIAGONAL_DIRICHLET = TWO_QUADS.format(7) + OUTER_DIRICHLET + "3 0 dirichlet\n0 4 dirichlet\n"
 
 
 @pytest.mark.parametrize("text, error, message", [
@@ -137,13 +145,26 @@ TWO_QUADS = "2 6 2 {}\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 1 4 3\n1 2 5 4\n"
     (TWO_QUADS.format(1) + "-1 0 dirichlet\n", MeshFormatError,
      ":10: node index out of range"),
     (TWO_QUADS.format(2) + "0 3 periodic:a\n2 4 periodic:a\n", MeshFormatError,
-     r":10: periodic face nodes \(0, 3\) or \(2, 4\) not on any element"),
+     r":11: boundary face nodes \(2, 4\) are no element edge"),
     (TWO_QUADS.format(1) + "0 3 periodic:a\n", MeshFormatError,
      ":10: periodic pair 'a' has 1 faces"),
     (TWO_QUADS.format(1) + "0 3 dirichlet\n", ValueError,
      r"boundary edge \(0, 1\) has no tag"),
     ("2 6 3 0\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 1 4 3\n1 2 5 4\n1 4 3 0\n",
      ValueError, r"edge \(1, 4\) shared by more than two elements"),
+    (INTERIOR_PERIODIC, MeshFormatError,
+     r":10: boundary face nodes \(1, 4\) are an interior edge"),
+    (INTERIOR_DIRICHLET, MeshFormatError,
+     r":16: boundary face nodes \(1, 4\) are an interior edge"),
+    (DIAGONAL_DIRICHLET, MeshFormatError,
+     r":16: boundary face nodes \(0, 4\) are no element edge"),
+    # one edge on two lines: a periodic pair with itself, or an edge both
+    # dirichlet and periodic
+    (TWO_QUADS.format(7) + OUTER_DIRICHLET + "3 0 periodic:a\n0 3 periodic:a\n",
+     MeshFormatError, r":16: boundary face nodes \(0, 3\) already on line 15"),
+    (TWO_QUADS.format(8) + OUTER_DIRICHLET + "3 0 dirichlet\n2 5 periodic:a\n"
+     "0 3 periodic:a\n", MeshFormatError,
+     r":16: boundary face nodes \(2, 5\) already on line 12"),
 ])
 def test_read_mesh_rejects_bad_boundaries(tmp_path, text, error, message):
     p = tmp_path / "bad.txt"

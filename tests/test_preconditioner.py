@@ -52,15 +52,22 @@ def _moving_operator(eq, inflow_fn, moving_path, ks=3, kt=2):
 
 def _kron_sum_dense(geom, speeds, e):
     """The element's Kronecker sum a_tau Dc (x) I (x) I + I (x) A_eta (x) I
-    + I (x) I (x) A_xi, assembled densely from the 1D tables."""
+    + I (x) I (x) A_xi, assembled densely from the 1D tables.  A_dir is
+    v_e C + |v_e| S, or, where the element has an acoustic part s_e > 0,
+    lam_e (rho C + S) with lam_e = |v_e| + s_e and rho the median of
+    v / lam over the slab's elements."""
     C, S = _kron_tables(geom.ks)[:2]
     b = make_basis(geom.kt)
     causal = b.diff - np.outer(b.corr_deriv_left, b.extrap_left)
     dim = len(speeds)
     ops = []
     for v, s in speeds:  # xi, then eta
-        ve = v[e].mean()
-        ops.append(ve * C + (abs(ve) + s[e].mean()) * S)
+        v_all, s_all = v.mean(axis=(1, 2)), s.mean(axis=(1, 2))
+        lam = np.abs(v_all) + s_all
+        if s_all[e] > 0:
+            ops.append(lam[e] * (np.median(v_all / lam) * C + S))
+        else:
+            ops.append(v_all[e] * C + lam[e] * S)
     eye_s, eye_t = np.eye(geom.ks + 1), np.eye(geom.kt + 1)
     K = geom.js[e].mean() * np.kron(causal, np.eye((geom.ks + 1) ** dim))
     if dim == 1:
@@ -104,8 +111,7 @@ def _vortex(m, coords, bs):
 
 
 # case -> per reference direction (xi, eta), the number of bases its
-# elements share (None where every element has its own), and the
-# preconditioner's input
+# elements share, and the preconditioner's input
 CASES = {
     "advection2d": ((1, 1), lambda mp: _preconditioner_input(
         _moving_operator(Advection2D(0.6, -0.4), _ones, mp))),
@@ -121,7 +127,8 @@ CASES = {
     "three_eta_bases": ((1, 3), _three_eta_bases),
     "interval": ((1,), lambda mp: _preconditioner_input(
         _still_operator(interval_mesh(5), Advection1D(-0.8)))),
-    "euler2d": (None, lambda mp: _preconditioner_input(
+    # every element has an acoustic part: one median rho per direction
+    "euler2d": ((1, 1), lambda mp: _preconditioner_input(
         _moving_operator(Euler2D(), _vortex, mp))),
 }
 
@@ -131,9 +138,8 @@ def test_fast_diagonalization_matches_dense_solve(case, moving_path):
     bases, build = CASES[case]
     geom, speeds, shape = build(moving_path)
     P = KroneckerPreconditioner(geom, speeds, shape)
-    assert P.shared == (bases is not None)
-    if P.shared:  # the outer transform is tau (x) eta, tau alone in 1D
-        assert (len(P.inner[0]), len(P.outer[0])) == (bases + (1,))[:2]
+    # the outer transform is tau (x) eta, tau alone in 1D
+    assert (len(P.inner[0]), len(P.outer[0])) == (bases + (1,))[:2]
     r = np.random.default_rng(5).standard_normal(shape)
     out = P(r.ravel()).reshape(r.shape)
     nE, nT, nS, nV = r.shape
@@ -146,20 +152,18 @@ def test_fast_diagonalization_matches_dense_solve(case, moving_path):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_rebuild_shares_cached_bases(case, moving_path):
     # a second build on the same slab reuses the shared-basis matrices of
-    # the first, read-only, and applies bit-identically; Euler's
-    # per-element bases are never cached
+    # the first, read-only, and applies bit-identically
     geom, speeds, shape = CASES[case][1](moving_path)
     first = KroneckerPreconditioner(geom, speeds, shape)
     before = _shared_bases.cache_info()
     second = KroneckerPreconditioner(geom, speeds, shape)
     after = _shared_bases.cache_info()
     assert after.misses == before.misses
-    assert after.hits == before.hits + first.shared
-    if first.shared:
-        pairs = [(a, b) for side in ("inner", "outer")
-                 for one, two in zip(getattr(first, side), getattr(second, side))
-                 for (a, _), (b, _) in zip(one, two)]
-        assert all(a is b and not a.flags.writeable for a, b in pairs)
+    assert after.hits == before.hits + 1
+    pairs = [(a, b) for side in ("inner", "outer")
+             for one, two in zip(getattr(first, side), getattr(second, side))
+             for (a, _), (b, _) in zip(one, two)]
+    assert all(a is b and not a.flags.writeable for a, b in pairs)
     r = np.random.default_rng(7).standard_normal(int(np.prod(shape)))
     assert np.array_equal(first(r), second(r))
 

@@ -19,17 +19,24 @@ of products.  For the 2D spatial case:
 
 One evaluator, `_evaluate`, returns positions x (dim, nE, nP), js (nE, nP)
 and the mapping's tangents; `_metric_rows` turns the tangents into the
-metric rows stacked by direction, (dim, nE, nP, dim+1).  Only the geometry
-build and the GCL check build rows; the error norms read positions and js.
-A build is one evaluation over one cached point set: the solution points,
-every edge's flux points and, unless the levels start at tau = -1, the
-bottom trace; the GCL check and the error norms evaluate on tensor grids
-(`_on_grid`).
+metric rows stacked by direction, (dim, nE, nP, dim+1).  Only the GCL check
+and the volume part of a geometry build form rows; the error norms read
+positions and js.  A build evaluates no positions.  Its volume part is one
+evaluation over one cached point set (`_point_sets`): the solution points
+at the levels and, unless the levels start at tau = -1, the bottom trace,
+where only js is kept.  Its faces read only the outward vector of each
+flux point, formed from the cached face table (`_face_table`): the
+derivative along the edge with the outward sign folded in, so the vector
+is that tangent t rotated, (t_y t_tau, -t_x t_tau, t_x y_tau - x_tau t_y).
+Face positions are evaluated on demand (`face_points`), only where a
+Dirichlet face reads its analytic state.  The GCL check and the error
+norms evaluate on tensor grids (`_on_grid`).
 `slab_geometry` builds at the Gauss levels of the temporal basis.
-`spatial_geometry` builds the method-of-lines geometry of a whole step:
-all stages share one grid velocity V_g, so they are the levels tau = s - 1
-of the slab of length dt = 2 from the step-start positions x_n to
-x_n + 2 V_g, at the stage time offsets s.  There t_tau = 1 and x_tau = V_g,
+`spatial_geometry` builds the method-of-lines geometry of a whole step
+from its end positions: all stages share one grid velocity
+V_g = (x_{n+1} - x_n) / dt, so they are the levels tau = s - 1 of the slab
+of length 2 from the step-start positions x_n to x_n + 2 V_g, at the stage
+time offsets s = f dt.  There t_tau = 1 and x_tau = V_g,
 so the metric rows are exactly the ALE vectors (M, -V_g . M) at the
 positions x_n + s V_g, |J| = Js, and the level times are t_n + s, with no
 division by t_tau.
@@ -76,31 +83,37 @@ def _over_tau(points, levels):
             np.repeat(levels, xi.size))
 
 
-def _evaluate(shapes, b1, corners_n, disp):
+def _evaluate(shapes, b1, corners_n, disp, positions=True):
     """Positions x (dim, nE, nP), js (nE, nP) and the tangents (x_xi[,
     x_eta], x_tau), each (dim, nE, nP), that `_metric_rows` builds the
     rows from, at points with corner shape functions `shapes` (N and its
     derivatives, each (nP, nc)) and blend weights b1 = (1+tau)/2 (nP,), for
-    corners_n and disp, their displacement over the slab (nE, nc, dim)."""
+    corners_n and disp, their displacement over the slab (nE, nc, dim).
+    x is None unless `positions`."""
     N, *dN = shapes
     nE, _, dim = corners_n.shape
     cn, cd = _stacked(corners_n), _stacked(disp)
-
-    def blended(S):  # corners_n + b1 disp through the shape rows S
-        f = cd @ S.T
-        f *= b1
-        f += cn @ S.T
-        return f.reshape(dim, nE, -1)
-
     x_tau = (cd @ N.T).reshape(dim, nE, -1)
-    x = (cn @ N.T).reshape(dim, nE, -1)
-    x += b1 * x_tau
+    x = None
+    if positions:
+        x = (cn @ N.T).reshape(dim, nE, -1)
+        x += b1 * x_tau
     x_tau *= 0.5
-    grads = [blended(dNk) for dNk in dN]  # x_xi (and x_eta)
+    # x_xi (and x_eta)
+    grads = [_blended(cn, cd, dNk, b1).reshape(dim, nE, -1) for dNk in dN]
     if dim == 1:
         return x, grads[0][0], (grads[0], x_tau)
     (x_xi, y_xi), (x_eta, y_eta) = grads
     return x, x_xi * y_eta - x_eta * y_xi, (*grads, x_tau)
+
+
+def _blended(cn, cd, S, b1):
+    """The stacked corners cn + b1 cd (dim nE, nc) through the shape rows
+    S (nP, nc), as (dim nE, nP)."""
+    f = cd @ S.T
+    f *= b1
+    f += cn @ S.T
+    return f
 
 
 def _metric_rows(tangents, dt):
@@ -114,14 +127,20 @@ def _metric_rows(tangents, dt):
         rows[0, ..., 0] = t_tau
         np.negative(tau_tangent[0], out=rows[0, ..., 1])
         return rows
-    x_tau, y_tau = tau_tangent
-    # in place, no stacked temporaries at the peak: M_xi from the eta
-    # tangent (u, v), M_eta from the xi tangent with the opposite sign
-    for M, (u, v), s in zip(rows, grads[::-1], (1.0, -1.0)):
-        np.multiply(v, s * t_tau, out=M[..., 0])
-        np.multiply(u, -s * t_tau, out=M[..., 1])
-        np.multiply(u * y_tau - x_tau * v, s, out=M[..., 2])
+    # M_xi from the eta tangent, M_eta from the xi tangent, opposite sign
+    for M, tangent, s in zip(rows, grads[::-1], (1.0, -1.0)):
+        _rotated(M, tangent, tau_tangent, t_tau, s)
     return rows
+
+
+def _rotated(out, tangent, tau_tangent, t_tau, s=1.0):
+    """s (v t_tau, -u t_tau, u y_tau - x_tau v) of a 2D tangent (u, v) and
+    x_tau = (x_tau, y_tau), written into out (..., 3) one component at a
+    time, with no stacked temporaries at the peak of a build."""
+    (u, v), (x_tau, y_tau) = tangent, tau_tangent
+    np.multiply(v, s * t_tau, out=out[..., 0])
+    np.multiply(u, -s * t_tau, out=out[..., 1])
+    np.multiply(u * y_tau - x_tau * v, s, out=out[..., 2])
 
 
 def _stacked(corners):
@@ -138,14 +157,12 @@ def _on_grid(corners_n, disp, nodes_s, nodes_t, dim):
 
 @lru_cache(maxsize=None)
 def _point_sets(ks: int, dim: int, levels: tuple) -> tuple:
-    """(shapes, b1) of the one point set of a geometry build, read-only:
-    the solution points at the temporal levels `levels`, then each edge's
-    flux points at `levels`, then, unless levels[0] == -1, the solution
-    points at tau = -1 (the bottom trace); each part C-order (i_tau, j)."""
-    b = make_basis(ks)
-    vol = spatial_points(b.nodes, dim)
-    parts = [_over_tau(pts, np.array(levels)) for pts in [vol] + [
-        spatial_face_points(b, dim, edge) for edge in range(2 * dim)]]
+    """(shapes, b1) of the volume points of a geometry build, read-only:
+    the solution points at the temporal levels `levels`, then, unless
+    levels[0] == -1, the solution points at tau = -1 (the bottom trace);
+    each part C-order (i_tau, j)."""
+    vol = spatial_points(make_basis(ks).nodes, dim)
+    parts = [_over_tau(vol, np.array(levels))]
     if levels[0] != -1.0:
         parts.append(_over_tau(vol, np.array([-1.0])))
     xi, eta, tau = (None if p[0] is None else np.concatenate(p)
@@ -156,23 +173,72 @@ def _point_sets(ks: int, dim: int, levels: tuple) -> tuple:
     return arrays[:-1], arrays[-1]
 
 
+@lru_cache(maxsize=None)
+def _face_table(ks: int, dim: int, levels: tuple) -> tuple:
+    """(N, T, b1) at every edge's flux points at the temporal levels
+    `levels`, rows in (edge, level, flux point) order, read-only: the
+    corner shape functions N (nP, nc), the shape derivatives T (nP, nc)
+    along the edge, counter-clockwise (the outward sign folded in), and
+    b1 = (1+tau)/2 (nP,).  In 1D, where an edge is a point, T is the
+    outward sign itself (nP,)."""
+    b = make_basis(ks)
+    parts = []
+    for edge in range(2 * dim):
+        xi, eta, tau = _over_tau(spatial_face_points(b, dim, edge),
+                                 np.array(levels))
+        N, *dN = corner_shapes(xi, eta)
+        side = _side(edge)
+        if dim == 1:
+            T = np.full(len(N), side)
+        else:  # xi faces (odd edges) run along eta, eta faces against xi
+            T = side * dN[1] if edge % 2 else -side * dN[0]
+        parts.append((N, T, (1 + tau) / 2))
+    arrays = tuple(np.concatenate(a) for a in zip(*parts))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _face_vectors(table, corners_n, disp, dt):
+    """Outward face vectors (nE, nP, dim+1) at the rows of a `_face_table`:
+    with n the outward normal, the tangent t rotated to (t_y, -t_x) in 2D
+    and the sign in 1D, each is (n t_tau, -n . x_tau), the metric row of
+    the face's direction signed outward.  Three (dim nE, nc) GEMMs in 2D,
+    one in 1D."""
+    N, T, b1 = table
+    nE, _, dim = corners_n.shape
+    cn, cd = _stacked(corners_n), _stacked(disp)
+    t_tau = dt / 2.0
+    x_tau = (cd @ N.T).reshape(dim, nE, -1)
+    x_tau *= 0.5
+    out = np.empty((nE, len(N), dim + 1))
+    if dim == 1:
+        np.multiply(T, t_tau, out=out[..., 0])
+        np.multiply(x_tau[0], -T, out=out[..., 1])
+        return out
+    _rotated(out, _blended(cn, cd, T, b1).reshape(dim, nE, -1), x_tau, t_tau)
+    return out
+
+
 @dataclass
 class SlabGeometry:
     """Immutable mapping data of one slab, or of the stages of one MOL step
-    (one temporal level each), at solution and face points."""
+    (one temporal level each), at solution points and face flux points.
+    Face positions are not held: `face_points` evaluates them for the faces
+    that read them."""
 
     dim: int
     ks: int
     kt: int
     dt: float
     t_n: float
+    levels: tuple               # (nT,) tau of each temporal level
     corners_n: np.ndarray       # (nE, nc, dim) corners at tau = -1
     disp: np.ndarray            # (nE, nc, dim) their displacement to tau = 1
     jac: np.ndarray             # (nE, nT, nS)
     js: np.ndarray              # (nE, nT, nS)
     rows: np.ndarray            # (dim, nE, nT, nS, dim+1), M_xi first
     face_m: np.ndarray          # (nE, n_edges, nT, nFs, dim+1), outward
-    face_x: np.ndarray          # (dim, nE, n_edges, nT, nFs) face positions
     times: np.ndarray           # (nT,) time of each level
     js_bot: np.ndarray          # (nE, nS) spatial jacobian at tau = -1
 
@@ -180,11 +246,11 @@ class SlabGeometry:
 def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
               basis_s: BasisSet, kt: int, levels: tuple) -> SlabGeometry:
     """Volume and face data of the slab from corners_n to corners_n + disp,
-    at the temporal levels `levels`: one evaluation over the cached point
-    set of `_point_sets`, sliced into the volume arrays (|J| = t_tau js),
-    the signed face vectors, the positions of the face points only, and the
-    bottom trace js_bot (the first level when it is tau = -1), each copied
-    contiguous.
+    at the temporal levels `levels`: one evaluation without positions over
+    the cached volume points of `_point_sets`, sliced into the volume
+    arrays (|J| = t_tau js, the metric rows of the levels only) and the
+    bottom trace js_bot (the first level when it is tau = -1), each
+    contiguous, and the outward face vectors from `_face_table`.
 
     Raises:
         GeometryDegeneracyError: if |J| <= 1e-13 anywhere, naming the
@@ -192,10 +258,11 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
     """
     dim, ks = mesh.dim, basis_s.degree
     nT, nS, nFs = len(levels), basis_s.n ** dim, 1 if dim == 1 else basis_s.n
-    nV, nF = nT * nS, 2 * dim * nT * nFs
+    nV = nT * nS
     shapes, b1 = _point_sets(ks, dim, levels)
-    x, js_all, tangents = _evaluate(shapes, b1, corners_n, disp)
-    rows = _metric_rows(tangents, dt)
+    _, js_all, tangents = _evaluate(shapes, b1, corners_n, disp,
+                                    positions=False)
+    rows = _metric_rows([t[:, :, :nV] for t in tangents], dt)
     del tangents  # not held past the rows, at the peak of the build
 
     # contiguous copies: no view keeps the batched result alive
@@ -206,24 +273,26 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
         raise GeometryDegeneracyError(
             f"non-positive space-time Jacobian {jac[e, it, s]:.3e} in element "
             f"{e} at solution point (tau index {it}, spatial index {s})")
-
-    # outward face vectors: the metric row normal to each edge, signed
-    face = slice(nV, nV + nF)
-    fshape = (-1, 2 * dim, nT, nFs, dim + 1)
-    sides = np.array([_side(e) for e in range(2 * dim)]).reshape(-1, 1, 1, 1)
-    face_m = rows[0][:, face].reshape(fshape) * sides
-    if dim == 2:  # the S and N edges are eta faces
-        face_m[:, ::2] = rows[1][:, face].reshape(fshape)[:, ::2] * sides[::2]
-    js_bot = (js[:, 0] if levels[0] == -1.0 else js_all[:, nV + nF:]).copy()
+    js_bot = (js[:, 0] if levels[0] == -1.0 else js_all[:, nV:]).copy()
+    face_m = _face_vectors(_face_table(ks, dim, levels), corners_n, disp, dt)
 
     return SlabGeometry(
-        dim=dim, ks=ks, kt=kt, dt=dt, t_n=t_n, corners_n=corners_n, disp=disp,
-        jac=jac, js=js,
-        rows=rows[:, :, :nV].copy().reshape(dim, -1, nT, nS, dim + 1),
-        face_m=face_m,
-        face_x=x[:, :, face].copy().reshape(dim, -1, 2 * dim, nT, nFs),
+        dim=dim, ks=ks, kt=kt, dt=dt, t_n=t_n, levels=levels,
+        corners_n=corners_n, disp=disp, jac=jac, js=js,
+        rows=rows.reshape(dim, -1, nT, nS, dim + 1),
+        face_m=face_m.reshape(-1, 2 * dim, nT, nFs, dim + 1),
         times=t_n + (1 + np.array(levels)) / 2 * dt, js_bot=js_bot,
     )
+
+
+def face_points(geom: SlabGeometry, elem, edge) -> np.ndarray:
+    """Positions (dim, n, nT, nFs) of the flux points of the faces
+    (elem[i], edge[i]) at every temporal level of geom."""
+    N, _, b1 = _face_table(geom.ks, geom.dim, geom.levels)
+    x = _blended(_stacked(geom.corners_n[elem]), _stacked(geom.disp[elem]),
+                 N, b1).reshape(geom.dim, len(elem), 2 * geom.dim,
+                                len(geom.levels), -1)
+    return x[:, np.arange(len(elem)), edge]
 
 
 def slab_geometry(mesh: Mesh, coords_n: np.ndarray, coords_n1: np.ndarray,
@@ -243,27 +312,33 @@ def slab_geometry(mesh: Mesh, coords_n: np.ndarray, coords_n1: np.ndarray,
                      basis_s, basis_t.degree, tuple(basis_t.nodes))
 
 
-def spatial_geometry(mesh: Mesh, coords: np.ndarray, vel_nodes: np.ndarray,
-                     basis_s: BasisSet, t: float,
-                     offsets: tuple = (0.0,)) -> SlabGeometry:
-    """Geometry of method-of-lines stages: the mesh that is at `coords` at
-    time t and moves with the per-node grid velocity vel_nodes, taken at
-    the time offsets `offsets` (one temporal level each, in order).
+def spatial_geometry(mesh: Mesh, coords_n: np.ndarray, coords_n1: np.ndarray,
+                     dt: float, basis_s: BasisSet, t: float,
+                     fractions: tuple = (0.0,)) -> SlabGeometry:
+    """Geometry of the method-of-lines stages of the step of length dt from
+    node positions coords_n at time t to coords_n1: the mesh moves with
+    the grid velocity V_g = (coords_n1 - coords_n) / dt, held over the
+    step, and is taken at the time offsets s = f dt of the `fractions` f
+    (one temporal level each, in order).
 
     It is the slab geometry at the levels tau = s - 1 (kt = 0) of the slab
-    of length dt = 2 from coords to coords + 2 vel_nodes.  With t_tau = 1
-    and x_tau = V_g at every level, level j holds the mesh at
-    coords + s_j vel_nodes: its metric rows are the ALE vectors
-    (M, -V_g . M) of the spatial metric rows M, the face vectors are the
-    outward (n, -V_g . n), jac = js, and its time is t + s_j.
+    of length 2 from coords_n to coords_n + 2 V_g.  With t_tau = 1 and
+    x_tau = V_g at every level, level j holds the mesh at coords_n + s_j V_g:
+    its metric rows are the ALE vectors (M, -V_g . M) of the spatial metric
+    rows M, the face vectors are the outward (n, -V_g . n), jac = js, and
+    its time is t + s_j.
 
     Raises:
+        ValueError: if dt <= 0.
         GeometryDegeneracyError: if the spatial Jacobian is <= 1e-13
             anywhere, naming the element and point.
     """
-    return _geometry(mesh, mesh.elem_corners(coords),
-                     2.0 * mesh.elem_corners(vel_nodes), 2.0, t, basis_s, 0,
-                     tuple(s - 1.0 for s in offsets))
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    vel = (np.asarray(coords_n1) - np.asarray(coords_n)) / dt
+    return _geometry(mesh, mesh.elem_corners(coords_n),
+                     2.0 * mesh.elem_corners(vel), 2.0, t, basis_s, 0,
+                     tuple(f * dt - 1.0 for f in fractions))
 
 
 def _along(A, a, axis):

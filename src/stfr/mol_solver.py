@@ -9,12 +9,15 @@ is frozen per physical step, V_g = (x^{n+1} - x^n) / dt, and nodes move
 linearly within the step.
 
 All stages of a step share V_g, so `rk3_physical_step` builds the geometry
-of the whole step with one `geometry.spatial_geometry` call: the space-time
-mapping of the slab of length dt = 2 from the step-start positions x_n to
-x_n + 2 V_g, at the levels tau = s - 1 for the stage time offsets
-s = (0, dt, dt/2).  At every level t_tau = 1 and x_tau = V_g, so the metric
-rows and face vectors are the ALE vectors (M, -V_g . M) at the stage
-positions x_n + s V_g and |J| = Js; no separate MOL geometry exists.
+of the whole step with one `geometry.spatial_geometry` call on the step's
+end positions and its stage fractions `STAGE_OFFSETS`: the call forms V_g
+and the space-time mapping of the slab of length 2 from the step-start
+positions x_n to x_n + 2 V_g, at the levels tau = s - 1 for the stage time
+offsets s = (0, dt, dt/2).  At every level t_tau = 1 and x_tau = V_g, so
+the metric rows and face vectors are the ALE vectors (M, -V_g . M) at the
+stage positions x_n + s V_g and |J| = Js; no separate MOL geometry exists.
+The build forms only what the stages read: the volume rows and js, the
+outward face vectors, and positions at Dirichlet flux points alone.
 
 `MolOperator` binds that geometry.  Its tables are the slab operator's
 `LevelPlan`, one contiguous (nE, 1, ...) copy per stage level, run through
@@ -53,14 +56,6 @@ class MolField:
     ks: int
     t: float
     coords: np.ndarray  # node coordinates at time t
-
-
-def grid_velocity_step(coords_n: np.ndarray, coords_n1: np.ndarray,
-                       dt: float) -> np.ndarray:
-    """Per-node velocity (x^{n+1} - x^n) / dt, held constant over the step."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    return (np.asarray(coords_n1) - np.asarray(coords_n)) / dt
 
 
 class MolOperator:
@@ -127,9 +122,8 @@ def rk3_physical_step(field: MolField, mesh: Mesh, coords_n1: np.ndarray,
     states at the stage times field.t + s, s = (0, dt, dt/2), all from one
     geometry built at those three levels.
     """
-    vel = grid_velocity_step(field.coords, coords_n1, dt)
-    geom = spatial_geometry(mesh, field.coords, vel, make_basis(field.ks),
-                            field.t, tuple(c * dt for c in STAGE_OFFSETS))
+    geom = spatial_geometry(mesh, field.coords, coords_n1, dt,
+                            make_basis(field.ks), field.t, STAGE_OFFSETS)
     op = MolOperator(mesh, eq, bc).bind_degree(geom)
     u1 = ssp_rk3_step(field.values, op.residual, dt)
     return MolField(values=u1, ks=field.ks, t=field.t + dt, coords=coords_n1)

@@ -49,7 +49,12 @@ from functools import lru_cache
 import numpy as np
 
 from stfr.basis import BasisSet, make_basis
-from stfr.geometry import SlabGeometry, slab_geometry, solution_positions
+from stfr.geometry import (
+    SlabGeometry,
+    face_points,
+    slab_geometry,
+    solution_positions,
+)
 from stfr.mesh import Mesh
 from stfr.motion import MotionPrescription, march_path
 from stfr.physics import (
@@ -178,13 +183,15 @@ def _traces_all_edges(u, ks, dim):
 
 def _weights(eq, M):
     """What the flux kernels read of unnormalized space-time vectors M
-    (..., dim+1): for advection the speed c . M_x + M_t through them,
-    contracted once, for Euler M itself."""
+    (..., dim+1): for advection the speed (c, 1) . M through them, one
+    GEMV over the flattened last axis, for Euler M itself."""
     if isinstance(eq, Advection1D):
-        return eq.c * M[..., 0] + M[..., 1]
-    if isinstance(eq, Advection2D):
-        return eq.c1 * M[..., 0] + eq.c2 * M[..., 1] + M[..., 2]
-    return M
+        c = (eq.c, 1.0)
+    elif isinstance(eq, Advection2D):
+        c = (eq.c1, eq.c2, 1.0)
+    else:
+        return M
+    return (M.reshape(-1, len(c)) @ np.array(c)).reshape(M.shape[:-1])
 
 
 def _transformed_normal_flux(eq, Q, w):
@@ -243,7 +250,7 @@ class LevelPlan:
         if len(d_e):
             if bc is None:
                 raise ValueError("mesh has dirichlet faces but no analytic bc")
-            self.d_ext = exact_state(bc, *geom.face_x[:, d_e, d_edge],
+            self.d_ext = exact_state(bc, *face_points(geom, d_e, d_edge),
                                      t=geom.times[:, None])
         self.weights = _weights(eq, geom.rows)
         self.jac = geom.jac
@@ -363,19 +370,21 @@ def _lift(delta, ks, dim):
     return _contract(lift, delta.reshape(nE * nT, -1, nV)).reshape(nE, nT, -1, nV)
 
 
-def gmres(matvec, b, tol, m):
+def gmres(matvec, b, tol, V):
     """One GMRES cycle (Saad & Schultz 1986) for A x = b, from x = 0.
 
-    matvec(v) returns A v for a flat vector v.  The cycle builds at most m
-    Arnoldi vectors (modified Gram-Schmidt), one product each, and keeps the
+    matvec(v) returns A v for a flat vector v.  The cycle fills the
+    caller's buffer V (m + 1, b.size) with at most m = len(V) - 1 Arnoldi
+    vectors (modified Gram-Schmidt), one product each, and keeps the
     least-squares problem triangular with Givens rotations; it ends early
     once the residual estimate |b - A x| is at or below tol.  Restarts are
-    the caller's: `SlabOperator.march` runs one cycle per step.
+    the caller's: `SlabOperator.march` runs one cycle per step, all in one
+    buffer.
     """
     beta = np.linalg.norm(b)
     if beta <= tol:
         return np.zeros_like(b, dtype=float)
-    V = np.empty((m + 1, b.size))
+    m = len(V) - 1
     H = np.zeros((m + 1, m))
     cs, sn = np.zeros(m), np.zeros(m)
     g = np.zeros(m + 1)
@@ -703,6 +712,7 @@ class SlabOperator:
         scale = np.sqrt(r.size)  # RMS to 2-norm
         if rnorm > target:  # a slab already at its floor needs no steps
             precond = KroneckerPreconditioner(self.geom, speeds, u0.shape)
+            basis = np.empty((KRYLOV_RESTART + 1, u.size))  # all cycles fill it
 
         def jv(v):  # J v at the current (u, r), one residual evaluation
             nonlocal evals
@@ -722,7 +732,7 @@ class SlabOperator:
                     _drop(r0, rnorm), evals, rnorm, ratios)
             tol = target if affine else max(NEWTON_FORCING * rnorm, target)
             du = precond(gmres(lambda v: jv(precond(v)), -r.ravel(),
-                               tol * scale, budget))
+                               tol * scale, basis[:budget + 1]))
             u = u + du.reshape(u.shape)
             r = self.residual(u)
             evals += 1

@@ -28,6 +28,7 @@ def test_measure_counts_wave1d(tool):
     assert rec["steps"] == 32 and rec["dof"] == 144
     assert rec["evals_mean"] == 9.0 and rec["evals_max"] == 9
     assert rec["geometry_calls"] == 32
+    assert isinstance(rec["minor_faults"], int) and rec["minor_faults"] >= 0
     assert rec["precond_applies_mean"] == 8.0 and rec["us_per_precond_apply"] > 0
     for name in ("interior", "side_deltas", "lift", "temporal_correction",
                  "traces", "common_flux", "normal_flux"):

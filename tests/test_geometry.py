@@ -7,6 +7,7 @@ from stfr.geometry import (
     _evaluate,
     _metric_rows,
     corner_shapes,
+    face_points,
     gcl_residual,
     slab_geometry,
     spatial_face_points,
@@ -190,18 +191,19 @@ def test_spatial_geometry_matches_slab_bottom():
                          (disk_mesh(0), CircleDeformation())):
         path = motion_path(motion, mesh, dt, 2)
         x_n, x_n1 = path[1], path[2]
-        vel = (x_n1 - x_n) / dt
+        disp = x_n1 - x_n
         g = slab_geometry(mesh, x_n, x_n1, dt, B2, B2, t_n)
-        sg = spatial_geometry(mesh, x_n, vel, B2, t_n)
+        sg = spatial_geometry(mesh, x_n, x_n1, dt, B2, t_n)
         assert np.allclose(sg.js[:, 0], g.js_bot, atol=1e-14)
         for j, tau in enumerate(B2.nodes):
             b1 = (1 + tau) / 2
-            sg = spatial_geometry(mesh, x_n + b1 * (x_n1 - x_n), vel, B2,
-                                  t_n + b1 * dt)
+            x_j = x_n + b1 * disp
+            sg = spatial_geometry(mesh, x_j, x_j + disp, dt, B2, t_n + b1 * dt)
             pairs = [(sg.js[:, 0], g.js[:, j]),
                      (sg.rows[:, :, 0], g.rows[:, :, j] / (dt / 2)),
                      (sg.face_m[:, :, 0], g.face_m[:, :, j] / (dt / 2)),
-                     (sg.face_x[:, :, :, 0], g.face_x[:, :, :, j]),
+                     (_all_face_points(sg)[:, :, :, 0],
+                      _all_face_points(g)[:, :, :, j]),
                      (sg.times[0], g.times[j])]
             for mol, slab in pairs:
                 assert np.abs(mol - slab).max() <= 1e-13
@@ -212,23 +214,33 @@ def test_spatial_geometry_levels_are_stage_geometries():
     # tau = s - 1, equal the single-level geometry at x_n + s V_g, t_n + s;
     # n = 3, since the default n = 4 leaves every node of a 4 x 4 mesh still
     dt, t_n = 0.02, 0.02
-    offsets = (0.0, dt, dt / 2)
+    fractions = (0.0, 1.0, 0.5)
     for mesh, motion in ((rect_mesh(4, 4), SineDeformation(n=(3.0, 3.0))),
                          (disk_mesh(0), CircleDeformation())):
         path = motion_path(motion, mesh, dt, 2)
-        x_n = path[1]
-        vel = (path[2] - x_n) / dt
-        g = spatial_geometry(mesh, x_n, vel, B2, t_n, offsets)
-        assert g.js.shape[1] == len(offsets)
-        for j, s in enumerate(offsets):
-            sg = spatial_geometry(mesh, x_n + s * vel, vel, B2, t_n + s)
+        x_n, x_n1 = path[1], path[2]
+        g = spatial_geometry(mesh, x_n, x_n1, dt, B2, t_n, fractions)
+        assert g.js.shape[1] == len(fractions)
+        for j, f in enumerate(fractions):
+            x_s = x_n + f * (x_n1 - x_n)
+            sg = spatial_geometry(mesh, x_s, x_s + (x_n1 - x_n), dt, B2,
+                                  t_n + f * dt)
             pairs = [(g.js[:, j], sg.js[:, 0]),
                      (g.rows[:, :, j], sg.rows[:, :, 0]),
                      (g.face_m[:, :, j], sg.face_m[:, :, 0]),
-                     (g.face_x[:, :, :, j], sg.face_x[:, :, :, 0]),
+                     (_all_face_points(g)[:, :, :, j],
+                      _all_face_points(sg)[:, :, :, 0]),
                      (g.times[j], sg.times[0])]
             for level, single in pairs:
                 assert np.abs(level - single).max() <= 1e-13
+
+
+def _all_face_points(g):
+    """`face_points` of every (element, edge), (dim, nE, n_edges, nT, nFs)."""
+    nE, n_edges = g.face_m.shape[:2]
+    x = face_points(g, np.repeat(np.arange(nE), n_edges),
+                    np.tile(np.arange(n_edges), nE))
+    return x.reshape((g.dim, nE, n_edges) + x.shape[2:])
 
 
 def _at_levels(points, levels):
@@ -269,13 +281,14 @@ def _check_build(g, mesh, Cn, disp, dt, t_n, bs, levels):
         sign = 1.0 if edge in (1, 2) else -1.0
         pairs.append((g.face_m[:, edge],
                       sign * normal.reshape(shape + (dim + 1,))))
-        pairs.append((g.face_x[:, :, edge], x.reshape((dim,) + shape)))
+        pairs.append((_all_face_points(g)[:, :, edge],
+                      x.reshape((dim,) + shape)))
     pairs.append((g.js_bot, at(spatial_points(bs.nodes, dim), [-1.0])[1]))
     for built, ref in pairs:
         assert built.shape == ref.shape
         assert np.abs(built - ref).max() <= 1e-15
     arrays = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
-    assert len(arrays) == 9
+    assert len(arrays) == 8
     for name, a in arrays.items():
         assert a.flags.c_contiguous, name
         assert _owns_buffer(a), name
@@ -303,10 +316,36 @@ def test_slab_geometry_one_evaluation_layout(kt, moving_path):
 
 def test_spatial_geometry_one_evaluation_layout(moving_path):
     dt, t_n = 0.02, 0.02
-    offsets = (0.0, dt, dt / 2)  # the SSP-RK3 stage offsets
+    fractions = (0.0, 1.0, 0.5)  # the SSP-RK3 stage fractions
     for mesh, path in _moving_1d_2d(moving_path):
-        vel = (path[2] - path[1]) / dt
-        g = spatial_geometry(mesh, path[1], vel, B2, t_n, offsets)
+        g = spatial_geometry(mesh, path[1], path[2], dt, B2, t_n, fractions)
         Cn = mesh.elem_corners(path[1])
+        vel = (path[2] - path[1]) / dt
         _check_build(g, mesh, Cn, 2.0 * mesh.elem_corners(vel), 2.0, t_n,
-                     B2, [s - 1.0 for s in offsets])
+                     B2, [f * dt - 1.0 for f in fractions])
+
+
+@pytest.mark.parametrize("mol", [False, True], ids=["slab", "mol"])
+def test_face_points_match_evaluate(mol, moving_path):
+    # any faces, in any order and repeated: each (elem, edge) gets the
+    # `_evaluate` positions of its edge's flux points at every level
+    dt, t_n = 0.02, 0.02
+    rng = np.random.default_rng(22)
+    for mesh, path in _moving_1d_2d(moving_path):
+        dim = mesh.dim
+        if mol:
+            fractions = (0.0, 1.0, 0.5)
+            g = spatial_geometry(mesh, path[1], path[2], dt, B2, t_n, fractions)
+            levels = [f * dt - 1.0 for f in fractions]
+        else:
+            g = slab_geometry(mesh, path[1], path[2], dt, B2, B1, t_n)
+            levels = B1.nodes
+        elem = rng.integers(0, mesh.n_elems, 12)
+        edge = rng.integers(0, 2 * dim, 12)
+        x = face_points(g, elem, edge)
+        assert x.shape == (dim, 12, len(levels), 1 if dim == 1 else B2.n)
+        for i, (e, ed) in enumerate(zip(elem, edge)):
+            xi, eta, tau = _at_levels(spatial_face_points(B2, dim, ed), levels)
+            ref, _, _ = _evaluate(corner_shapes(xi, eta), (1 + tau) / 2,
+                                  g.corners_n[e:e + 1], g.disp[e:e + 1])
+            assert np.abs(x[:, i] - ref.reshape(x[:, i].shape)).max() <= 1e-15

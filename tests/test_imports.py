@@ -80,3 +80,23 @@ def test_every_package_name_is_read_outside_the_tests():
                for p in sorted(d.glob("*.py"))]
     unread = unread_definitions(package, readers)
     assert [u.split()[0] for u in unread] == sorted(UNREAD_BY_DESIGN), unread
+
+
+# names deleted from src/stfr, and what does their job now
+DELETED = {
+    "grid_velocity_step": "spatial_geometry forms V_g from the step's end "
+                          "positions, inside its own span",
+}
+
+
+def test_deleted_names_stay_gone():
+    found = set()
+    for path in sorted((ROOT / "src" / "stfr").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.add(node.name)
+            elif isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    assert sorted(found & set(DELETED)) == []

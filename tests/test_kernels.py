@@ -15,10 +15,17 @@ import pytest
 
 from stfr import cli
 from stfr.basis import make_basis
-from stfr.geometry import slab_geometry
+from stfr.geometry import face_points, slab_geometry
 from stfr.mesh import rect_mesh
 from stfr.motion import motion_path
-from stfr.physics import Euler2D, exact_for, exact_state, flux
+from stfr.physics import (
+    Advection1D,
+    Advection2D,
+    Euler2D,
+    exact_for,
+    exact_state,
+    flux,
+)
 from stfr.st_solver import (
     LevelPlan,
     _face_jumps,
@@ -142,7 +149,7 @@ def test_face_jumps(setup):
         ref[eR, :, gR] = dR[:, ::-1] if flip else dR
     for e, g in mesh.dirichlet:
         w = _weights(eq, geom.face_m[e, g, levels])
-        ext = exact_state(sol, *geom.face_x[:, e, g, levels],
+        ext = exact_state(sol, *face_points(geom, [e], [g])[:, 0, levels],
                           t=geom.times[levels, None])
         ref[e, :, g] = (_transformed_common_flux(eq, tr[e, :, g], ext, w)
                         - _transformed_normal_flux(eq, tr[e, :, g], w))
@@ -173,3 +180,22 @@ def test_euler_plan_keeps_the_geometry_rows_uncopied():
     b = make_basis(2)
     geom = slab_geometry(mesh, mesh.nodes, mesh.nodes + 0.01, 0.1, b, b)
     assert LevelPlan(mesh, geom, Euler2D(), None).weights is geom.rows
+
+
+@pytest.mark.parametrize("eq", [Advection1D(-0.7), Advection2D(0.5, -1.3)],
+                         ids=["1d", "2d"])
+def test_weights_is_the_speed_sum(eq):
+    # the one GEMV equals c . M_x + M_t term by term, to round-off relative
+    # to the terms, on contiguous arrays and on strided views alike
+    c = np.array([eq.c] if isinstance(eq, Advection1D) else [eq.c1, eq.c2])
+    rng = np.random.default_rng(14)
+    M = rng.standard_normal((5, 3, 7, len(c) + 1))
+    for a in (M, M[:, ::2], M.transpose(1, 0, 2, 3)):
+        terms = np.concatenate([c * a[..., :-1], a[..., -1:]], axis=-1)
+        ref = terms[..., 0].copy()
+        for k in range(1, len(c) + 1):
+            ref += terms[..., k]
+        w = _weights(eq, a)
+        assert w.shape == a.shape[:-1]
+        assert np.all(np.abs(w - ref) <= 1e-15 * np.abs(terms).sum(-1))
+    assert _weights(Euler2D(), M) is M

@@ -21,7 +21,8 @@ def test_gmres_dense_nonsymmetric(m):
     A = n * np.eye(n) + rng.standard_normal((n, n))
     assert np.abs(A - A.T).max() > 1.0
     b = rng.standard_normal(n)
-    x = gmres(lambda v: A @ v, b, tol=1e-14 * np.linalg.norm(b), m=m)
+    x = gmres(lambda v: A @ v, b, tol=1e-14 * np.linalg.norm(b),
+              V=np.empty((m + 1, n)))
     assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-10
 
 
@@ -35,7 +36,7 @@ def test_gmres_respects_product_budget():
         products.append(1)
         return A @ v
 
-    gmres(matvec, rng.standard_normal(8), tol=0.0, m=5)
+    gmres(matvec, rng.standard_normal(8), tol=0.0, V=np.empty((6, 8)))
     assert len(products) == 5
 
 

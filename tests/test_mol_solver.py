@@ -23,7 +23,6 @@ from stfr.physics import (
 from stfr.mol_solver import (
     MolField,
     MolOperator,
-    grid_velocity_step,
     march_mol,
     mol_stable_dt,
     rk3_physical_step,
@@ -33,21 +32,30 @@ from stfr.analysis import l2_error_nodal
 from stfr.st_solver import initial_condition
 
 
-def mol_residual(fld, mesh, vel, eq, bc=None):
-    """du/dt of `fld` with the nodes moving at `vel`, from the operator
-    built the way `rk3_physical_step` builds it, at one level."""
-    geom = spatial_geometry(mesh, fld.coords, vel, make_basis(fld.ks), fld.t)
+def mol_residual(fld, mesh, coords_n1, dt, eq, bc=None):
+    """du/dt of `fld` with the nodes moving to `coords_n1` over dt, from
+    the operator built the way `rk3_physical_step` builds it, at one
+    level."""
+    geom = spatial_geometry(mesh, fld.coords, coords_n1, dt,
+                            make_basis(fld.ks), fld.t)
     return MolOperator(mesh, eq, bc).bind_degree(geom).residual(fld.values)
 
 
 def test_grid_velocity_trivia():
-    c0 = np.array([[0.5], [1.0]])
-    c1 = np.array([[0.52], [1.02]])
-    v = grid_velocity_step(c0, c1, 0.1)
-    assert np.allclose(v, 0.2)
-    assert np.allclose(grid_velocity_step(c0, c0, 0.1), 0.0)
-    with pytest.raises(ValueError):
-        grid_velocity_step(c0, c1, 0.0)
+    # spatial_geometry forms V_g = (x_{n+1} - x_n) / dt from the step's end
+    # positions: the face vectors of one 1D element read (n, -V_g n)
+    m = interval_mesh(1, 0.5, 1.0)
+    c0 = m.nodes
+    bs = make_basis(2)
+    g = spatial_geometry(m, c0, c0 + 0.02, 0.1, bs, 0.0)
+    n = g.face_m[0, :, 0, 0, 0]
+    assert np.allclose(n, [-1.0, 1.0])
+    assert np.allclose(g.face_m[0, :, 0, 0, 1], -0.2 * n)
+    g = spatial_geometry(m, c0, c0, 0.1, bs, 0.0)
+    assert np.allclose(g.face_m[..., 1], 0.0)
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            spatial_geometry(m, c0, c0 + 0.02, dt, bs, 0.0)
 
 
 def test_freestream_any_velocity_field():
@@ -55,7 +63,7 @@ def test_freestream_any_velocity_field():
     rng = np.random.default_rng(2)
     vel = 0.3 * rng.standard_normal(m.nodes.shape)
     fld = MolField(np.full((25, 9, 1), 4.0), ks=2, t=0.0, coords=m.nodes)
-    r = mol_residual(fld, m, vel, Advection2D())
+    r = mol_residual(fld, m, m.nodes + vel, 1.0, Advection2D())
     assert np.abs(r).max() <= 1e-12
 
 
@@ -79,7 +87,7 @@ def test_static_mesh_matches_independent_fr_1d():
     rng = np.random.default_rng(8)
     u = rng.standard_normal((n, ks + 1, 1))
     fld = MolField(u, ks=ks, t=0.0, coords=m.nodes)
-    r = mol_residual(fld, m, np.zeros_like(m.nodes), Advection1D(c))
+    r = mol_residual(fld, m, m.nodes, 1.0, Advection1D(c))
     oracle = _static_fr_residual_1d(u[..., 0], ks, n, 1.0 / n, c)
     assert np.abs(r[..., 0] - oracle).max() <= 1e-13
 
@@ -121,7 +129,7 @@ def test_static_mesh_matches_independent_fr_2d():
     n1 = ks + 1
     u = rng.standard_normal((nx * ny, n1 * n1, 1))
     fld = MolField(u, ks=ks, t=0.0, coords=m.nodes)
-    r = mol_residual(fld, m, np.zeros_like(m.nodes), Advection2D(c1, c2))
+    r = mol_residual(fld, m, m.nodes, 1.0, Advection2D(c1, c2))
     u4 = u[..., 0].reshape(ny, nx, n1, n1)
     oracle = _static_fr_residual_2d(u4, ks, nx, ny, 1 / nx, 1 / ny, c1, c2)
     r4 = r[..., 0].reshape(ny, nx, n1, n1)
@@ -137,8 +145,8 @@ def test_galilean_frame_shift_identity():
     V = np.array([0.3, -0.2])
     vel = np.tile(V, (m.n_nodes, 1))
     fld = MolField(u, ks=2, t=0.0, coords=m.nodes)
-    r_ale = mol_residual(fld, m, vel, Advection2D(0.5, 0.5))
-    r_static = mol_residual(fld, m, np.zeros_like(vel),
+    r_ale = mol_residual(fld, m, m.nodes + vel, 1.0, Advection2D(0.5, 0.5))
+    r_static = mol_residual(fld, m, m.nodes, 1.0,
                             Advection2D(0.5 - 0.3, 0.5 + 0.2))
     assert np.abs(r_ale - r_static).max() <= 1e-12
 
@@ -235,17 +243,17 @@ def test_conservation_on_moving_mesh_2d():
 def test_one_geometry_build_per_step(monkeypatch):
     import stfr.mol_solver as mol
 
-    levels = []
+    fractions = []
 
     def counting(*args):
-        levels.append(args[5])
+        fractions.append(args[6])
         return spatial_geometry(*args)
 
     monkeypatch.setattr(mol, "spatial_geometry", counting)
     dt = 0.01
     march_mol(rect_mesh(4, 4), SineDeformation(n=(3.0, 3.0)), Advection2D(),
               SineWave2D(), ks=2, dt=dt, n_steps=4)
-    assert levels == [(0.0, dt, dt / 2)] * 4
+    assert fractions == [(0.0, 1.0, 0.5)] * 4
 
 
 def test_mol_stable_dt_reasonable():
@@ -286,8 +294,7 @@ def test_characterization_pins(mesh, presc, eq, sol, dt, n_steps, pins):
     path = motion_path(presc, mesh, dt, 2)
     u0 = initial_condition(mesh, path[1], make_basis(ks), sol)
     fld = MolField(u0, ks=ks, t=dt, coords=path[1])
-    r = mol_residual(fld, mesh, grid_velocity_step(path[1], path[2], dt), eq,
-                     bc=sol)
+    r = mol_residual(fld, mesh, path[2], dt, eq, bc=sol)
     res = march_mol(mesh, presc, eq, sol, ks=ks, dt=dt, n_steps=n_steps)
     pin_r, pin_u = pins
     assert _signature(r) == pytest.approx(pin_r, rel=1e-12)

@@ -17,7 +17,7 @@ import pytest
 from stfr import cli
 from stfr.basis import make_basis
 from stfr.geometry import slab_geometry, spatial_geometry
-from stfr.mol_solver import MolOperator, grid_velocity_step
+from stfr.mol_solver import MolOperator
 from stfr.motion import motion_path
 from stfr.st_solver import SlabOperator, initial_condition
 
@@ -44,10 +44,9 @@ def test_slab_residual_is_fr_in_time_over_mol_residual(case):
     geom = slab_geometry(mesh, path[1], path[2], dt, bs, bt, t_n=dt)
     r_st = SlabOperator(mesh, geom, eq, inflow, bc).residual(u)
 
-    offsets = tuple(dt * (bt.nodes + 1.0) / 2.0)
-    vel = grid_velocity_step(path[1], path[2], dt)
+    fractions = tuple((bt.nodes + 1.0) / 2.0)
     mol = MolOperator(mesh, eq, bc).bind_degree(
-        spatial_geometry(mesh, path[1], vel, bs, dt, offsets))
+        spatial_geometry(mesh, path[1], path[2], dt, bs, dt, fractions))
     L = np.stack([mol.residual(np.ascontiguousarray(u[:, i]), i)
                   for i in range(bt.n)], axis=1)
 

@@ -12,10 +12,12 @@ preconditioner applies per slab (mean) and the us per apply, the us per
 call of each layer of a slab residual evaluation (interior divergence,
 side deltas, lift and temporal correction) and of the face kernels inside
 the side deltas (traces, common flux, normal flux), the solve time, the
-errors, the time inside the error norms, and the geometry layer: the calls
-to, and the time inside, the slab and MOL geometry builds.  Counts repeat
-exactly from run to run; the times come from this one run and move with
-the machine, whose description the file also holds.
+errors, the time inside the error norms, the geometry layer (the calls to,
+and the time inside, the slab and MOL geometry builds) and the minor page
+faults of the solve (`minor_faults`: the process's `ru_minflt` over the
+`march` or `march_mol` call, null for the FV scheme).  Counts repeat
+exactly from run to run; the times and faults come from this one run and
+move with the machine, whose description the file also holds.
 
 The counts and times come from the spans of the benchmark's tracer
 (`stfrbench/tracer.py`), installed around `cli.run_case`: `st_solver.march`
@@ -46,6 +48,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 from importlib import resources
 from pathlib import Path
@@ -113,12 +116,37 @@ def norm_seconds(spans):
     return sum(outer) if outer else None
 
 
+def minor_faults():
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def counting_faults(fn, faults):
+    """`fn`, appending the minor page faults of each call to `faults`."""
+    def counted(*args, **kwargs):
+        before = minor_faults()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            faults.append(minor_faults() - before)
+
+    return counted
+
+
 def measure(case):
     """Run one bundled case under the tracer; returns its record."""
     from stfr import cli
 
     cfg = cli.load_case(case)
-    row, spans = trace(lambda: cli.run_case(cfg))
+    faults = []
+    solvers = [(name, getattr(cli, name)) for name in ("march", "march_mol")]
+    for name, fn in solvers:
+        setattr(cli, name, counting_faults(fn, faults))
+    try:
+        row, spans = trace(lambda: cli.run_case(cfg))
+    finally:
+        for name, fn in solvers:
+            setattr(cli, name, fn)
     evals, applies = per_unit(spans)
     stats = tracer.layer_stats(spans)
 
@@ -152,6 +180,7 @@ def measure(case):
         "us_per_precond_apply": us_per_call(PRECOND),
         **{f"us_{name}": us_per_call(f"st_solver.{name}") for name in LAYERS},
         "solve_s": row.walltime_s,
+        "minor_faults": sum(faults) if faults else None,
         "geometry_calls": geometry_calls,
         "geometry_s": geometry_s,
         "error_norms_s": norm_seconds(spans),

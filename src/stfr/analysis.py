@@ -6,20 +6,50 @@ slab to its top face and integrates the squared pointwise error over the
 deformed spatial domain; the slab norm integrates over the full space-time
 slab.  Quadrature uses k+2 Gauss points per direction, enough that the
 reported values are insensitive to further refinement for the smooth
-fields measured here.
+fields measured here.  Both integrate through `_quadrature`: a rule built
+once per process (`_rule`), and the mapping at its points from the cached
+corner shapes of the geometry build (`geometry._point_sets`).
 """
 
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from stfr.basis import make_basis
-from stfr.geometry import SlabGeometry, spatial_quadrature_data, st_quadrature_data
+from stfr.basis import interp_matrix, make_basis
+from stfr.geometry import SlabGeometry, _evaluate, _point_sets
 from stfr.mesh import Mesh
 from stfr.physics import ExactSolution, exact_state
 from stfr.st_solver import StateField
+
+
+@lru_cache(maxsize=None)
+def _rule(ks: int, kt: int | None, dim: int, n_q: int) -> tuple:
+    """(weights, interp, levels) of the tensor n_q-point Gauss rule,
+    read-only: interp maps nodal values of degrees ([kt,] ks) onto its
+    points, levels holds its tau points, (-1.0,) for a spatial rule."""
+    q = make_basis(n_q - 1)  # the points of `_point_sets(n_q - 1, ...)`
+    w, interp = q.weights, interp_matrix(make_basis(ks).nodes, q.nodes)
+    if dim == 2:
+        w, interp = np.kron(w, w), np.kron(interp, interp)
+    if kt is not None:
+        w = np.kron(q.weights, w)
+        interp = np.kron(interp_matrix(make_basis(kt).nodes, q.nodes), interp)
+    for a in (w, interp):
+        a.setflags(write=False)
+    return w, interp, (-1.0,) if kt is None else tuple(q.nodes)
+
+
+def _quadrature(ks: int, kt: int | None, n_q: int, corners_n, disp):
+    """The `_rule` (weights, interp) with x (dim, nE, nq), js (nE, nq) and
+    b1 = (1+tau)/2 (nq,) at its points, on the slab corners_n + b1 disp."""
+    dim = corners_n.shape[2]
+    w, interp, levels = _rule(ks, kt, dim, n_q)
+    shapes, b1 = _point_sets(n_q - 1, dim, levels)
+    x, js, _ = _evaluate(shapes, b1, corners_n, disp)
+    return w, interp, x, js, b1
 
 
 def _normalized_l2(values, sol, w, jac, x, t, interp):
@@ -40,7 +70,9 @@ def l2_error_nodal(values: np.ndarray, ks: int, mesh: Mesh,
                    n_q: int | None = None) -> float:
     """Volume-normalized spatial L2 error of nodal values (nE, nS, nV) on
     the mesh at position `coords`; first conservative variable."""
-    w, js, x, interp = spatial_quadrature_data(mesh, coords, ks, n_q or ks + 2)
+    C = mesh.elem_corners(coords)
+    w, interp, x, js, _ = _quadrature(ks, None, n_q or ks + 2, C,
+                                      np.zeros_like(C))
     return _normalized_l2(values, sol, w, js, x, t, interp)
 
 
@@ -59,8 +91,12 @@ def l2_error_slab(fld: StateField, geom: SlabGeometry, sol: ExactSolution,
                   n_q: int | None = None) -> float:
     """Volume-normalized L2 error over the space-time slab."""
     nE, _, _, nV = fld.values.shape
-    data = st_quadrature_data(geom, n_q or max(geom.ks, geom.kt) + 2)
-    return _normalized_l2(fld.values.reshape(nE, -1, nV), sol, *data)
+    n_q = n_q or max(geom.ks, geom.kt) + 2
+    w, interp, x, js, b1 = _quadrature(geom.ks, geom.kt, n_q, geom.corners_n,
+                                       geom.disp)
+    return _normalized_l2(fld.values.reshape(nE, -1, nV), sol, w,
+                          (geom.dt / 2.0) * js, x, geom.t_n + b1 * geom.dt,
+                          interp)
 
 
 def _order(e_prev, e, s_prev, s):

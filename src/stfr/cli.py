@@ -240,7 +240,7 @@ def build_motion(cfg: CaseConfig) -> motionmod.MotionPrescription:
     dim = EQUATIONS[cfg.equation["type"]].dim  # the mesh's, by build_mesh
     for key in ("amp", "omega", "length", "n"):
         if key in d:
-            if not isinstance(d[key], (list, tuple)) or len(d[key]) < dim:
+            if not isinstance(d[key], (list, tuple)) or len(d[key]) != dim:
                 raise ValueError(f"{key} needs one value per mesh dimension "
                                  f"({dim}), got {d[key]!r}")
             d[key] = tuple(d[key])

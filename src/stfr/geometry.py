@@ -20,17 +20,18 @@ of products.  For the 2D spatial case:
 One evaluator, `_evaluate`, returns positions x (dim, nE, nP), js (nE, nP)
 and the mapping's tangents; `_metric_rows` turns the tangents into the
 metric rows stacked by direction, (dim, nE, nP, dim+1).  Only the GCL check
-and the volume part of a geometry build form rows; the error norms read
-positions and js.  A build evaluates no positions.  Its volume part is one
-evaluation over one cached point set (`_point_sets`): the solution points
-at the levels and, unless the levels start at tau = -1, the bottom trace,
-where only js is kept.  Its faces read only the outward vector of each
-flux point, formed from the cached face table (`_face_table`): the
-derivative along the edge with the outward sign folded in, so the vector
-is that tangent t rotated, (t_y t_tau, -t_x t_tau, t_x y_tau - x_tau t_y).
-Face positions are evaluated on demand (`face_points`), only where a
-Dirichlet face reads its analytic state.  The GCL check and the error
-norms evaluate on tensor grids (`_on_grid`).
+and the volume part of a geometry build form rows; the error norms
+(`analysis`) read positions and js.  Every evaluation on a tensor grid of
+Gauss points reads its corner shapes from one cached table
+(`_point_sets`).  A build evaluates no positions.  Its volume part is one
+evaluation over the solution points at the levels and, unless the levels
+start at tau = -1, at the bottom trace, where only js is kept.  Its faces
+read only the outward vector of each flux point, formed from the cached
+face table (`_face_table`): the derivative along the edge with the
+outward sign folded in, so the vector is that tangent t rotated,
+(t_y t_tau, -t_x t_tau, t_x y_tau - x_tau t_y).  Face positions are
+evaluated on demand (`face_points`), only where a Dirichlet face reads
+its analytic state.
 `slab_geometry` builds at the Gauss levels of the temporal basis.
 `spatial_geometry` builds the method-of-lines geometry of a whole step
 from its end positions: all stages share one grid velocity
@@ -47,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from stfr.basis import BasisSet, gauss_legendre, interp_matrix, make_basis
+from stfr.basis import BasisSet, interp_matrix, make_basis
 from stfr.mesh import Mesh
 
 # reference corner coordinates per direction, counter-clockwise in 2D
@@ -148,25 +149,13 @@ def _stacked(corners):
     return corners.transpose(2, 0, 1).reshape(-1, corners.shape[1])
 
 
-def _on_grid(corners_n, disp, nodes_s, nodes_t, dim):
-    """`_evaluate` on the tensor grid of the 1D points nodes_s in every
-    spatial direction and nodes_t in tau, C-order (i_tau, [i_eta,] i_xi)."""
-    xi, eta, tau = _over_tau(spatial_points(nodes_s, dim), nodes_t)
-    return _evaluate(corner_shapes(xi, eta), (1 + tau) / 2, corners_n, disp)
-
-
 @lru_cache(maxsize=None)
-def _point_sets(ks: int, dim: int, levels: tuple) -> tuple:
-    """(shapes, b1) of the volume points of a geometry build, read-only:
-    the solution points at the temporal levels `levels`, then, unless
-    levels[0] == -1, the solution points at tau = -1 (the bottom trace);
-    each part C-order (i_tau, j)."""
-    vol = spatial_points(make_basis(ks).nodes, dim)
-    parts = [_over_tau(vol, np.array(levels))]
-    if levels[0] != -1.0:
-        parts.append(_over_tau(vol, np.array([-1.0])))
-    xi, eta, tau = (None if p[0] is None else np.concatenate(p)
-                    for p in zip(*parts))
+def _point_sets(k: int, dim: int, levels: tuple) -> tuple:
+    """(shapes, b1) for `_evaluate` on the tensor grid of the k+1 Gauss
+    points of degree k in every spatial direction, at each tau of
+    `levels`, C-order (i_tau, [i_eta,] i_xi), read-only."""
+    xi, eta, tau = _over_tau(spatial_points(make_basis(k).nodes, dim),
+                             np.array(levels))
     arrays = corner_shapes(xi, eta) + ((1 + tau) / 2,)
     for a in arrays:
         a.setflags(write=False)
@@ -246,11 +235,12 @@ class SlabGeometry:
 def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
               basis_s: BasisSet, kt: int, levels: tuple) -> SlabGeometry:
     """Volume and face data of the slab from corners_n to corners_n + disp,
-    at the temporal levels `levels`: one evaluation without positions over
-    the cached volume points of `_point_sets`, sliced into the volume
-    arrays (|J| = t_tau js, the metric rows of the levels only) and the
-    bottom trace js_bot (the first level when it is tau = -1), each
-    contiguous, and the outward face vectors from `_face_table`.
+    at the temporal levels `levels`: one evaluation without positions at
+    the cached solution points of `_point_sets` at the levels and, unless
+    the first is tau = -1, at tau = -1, sliced into the volume arrays
+    (|J| = t_tau js, the metric rows of the levels only) and the bottom
+    trace js_bot (the first level when it is tau = -1), each contiguous,
+    and the outward face vectors from `_face_table`.
 
     Raises:
         GeometryDegeneracyError: if |J| <= 1e-13 anywhere, naming the
@@ -259,7 +249,8 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
     dim, ks = mesh.dim, basis_s.degree
     nT, nS, nFs = len(levels), basis_s.n ** dim, 1 if dim == 1 else basis_s.n
     nV = nT * nS
-    shapes, b1 = _point_sets(ks, dim, levels)
+    bottom = levels[0] == -1.0
+    shapes, b1 = _point_sets(ks, dim, levels if bottom else levels + (-1.0,))
     _, js_all, tangents = _evaluate(shapes, b1, corners_n, disp,
                                     positions=False)
     rows = _metric_rows([t[:, :, :nV] for t in tangents], dt)
@@ -273,7 +264,7 @@ def _geometry(mesh: Mesh, corners_n, disp, dt: float, t_n: float,
         raise GeometryDegeneracyError(
             f"non-positive space-time Jacobian {jac[e, it, s]:.3e} in element "
             f"{e} at solution point (tau index {it}, spatial index {s})")
-    js_bot = (js[:, 0] if levels[0] == -1.0 else js_all[:, nV:]).copy()
+    js_bot = (js[:, 0] if bottom else js_all[:, nV:]).copy()
     face_m = _face_vectors(_face_table(ks, dim, levels), corners_n, disp, dt)
 
     return SlabGeometry(
@@ -346,11 +337,6 @@ def _along(A, a, axis):
     return np.moveaxis(np.tensordot(A, a, axes=(1, axis)), 0, axis)
 
 
-def _tensor(a, dim):
-    """Tensor product of a 1D weight vector or matrix over dim directions."""
-    return a if dim == 1 else np.kron(a, a)
-
-
 def gcl_residual(geom: SlabGeometry) -> np.ndarray:
     """Discrete GCL residual d(Js)/dtau + d(|J| xi_t)/dxi [+ d(|J| eta_t)/deta]
     at the solution points, (nE, nT, nS).
@@ -363,8 +349,8 @@ def gcl_residual(geom: SlabGeometry) -> np.ndarray:
     """
     dim, basis_s, basis_t = geom.dim, make_basis(geom.ks), make_basis(geom.kt)
     es, et = make_basis(max(geom.ks, 2)), make_basis(max(geom.kt, 2))
-    _, js, tangents = _on_grid(geom.corners_n, geom.disp, es.nodes, et.nodes,
-                               dim)
+    _, js, tangents = _evaluate(*_point_sets(es.degree, dim, tuple(et.nodes)),
+                                geom.corners_n, geom.disp, positions=False)
     rows = _metric_rows(tangents, geom.dt)
     shape = (-1, et.n) + (es.n,) * dim  # (nE, tau, [eta,] xi)
     res = _along(et.diff, js.reshape(shape), 1)
@@ -403,35 +389,9 @@ def spatial_face_points(basis_s: BasisSet, dim: int, edge: int):
     return (fixed, xs) if edge % 2 else (xs, fixed)
 
 
-def st_quadrature_data(geom: SlabGeometry, n_q: int):
-    """Mapping data at an n_q-per-direction space-time quadrature grid.
-
-    Returns (weights, jac, x (dim, nE, nq), t (nq,), interp) where interp
-    maps nodal solution values (nT, nS) onto the quadrature grid; weights
-    are the tensor-product Gauss weights.  Used by the slab error norm.
-    """
-    xq, wq = gauss_legendre(n_q)
-    x, js, _ = _on_grid(geom.corners_n, geom.disp, xq, xq, geom.dim)
-    t = np.repeat(geom.t_n + (1 + xq) / 2 * geom.dt, len(xq) ** geom.dim)
-    Is = interp_matrix(make_basis(geom.ks).nodes, xq)
-    It = interp_matrix(make_basis(geom.kt).nodes, xq)
-    return (np.kron(wq, _tensor(wq, geom.dim)), (geom.dt / 2.0) * js, x, t,
-            np.kron(It, _tensor(Is, geom.dim)))
-
-
 def solution_positions(mesh: Mesh, coords: np.ndarray, ks: int) -> np.ndarray:
     """Positions (dim, nE, nS) of the degree-ks solution points on the mesh
     at `coords`, from the cached shape functions of a geometry build."""
-    N = _point_sets(ks, mesh.dim, (-1.0,))[0][0][:(ks + 1) ** mesh.dim]
+    N = _point_sets(ks, mesh.dim, (-1.0,))[0][0]
     return (_stacked(mesh.elem_corners(coords)) @ N.T).reshape(
         mesh.dim, mesh.n_elems, -1)
-
-
-def spatial_quadrature_data(mesh: Mesh, coords: np.ndarray, ks: int, n_q: int):
-    """(weights, js, x (dim, nE, nq), interp) on an n_q-per-direction
-    spatial grid: the mapping of a resting slab at tau = -1."""
-    xq, wq = gauss_legendre(n_q)
-    Is = interp_matrix(make_basis(ks).nodes, xq)
-    C = mesh.elem_corners(coords)
-    x, js, _ = _on_grid(C, np.zeros_like(C), xq, np.array([-1.0]), mesh.dim)
-    return _tensor(wq, mesh.dim), js, x, _tensor(Is, mesh.dim)

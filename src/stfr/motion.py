@@ -47,8 +47,10 @@ class SineDeformation:
     t_max: float = 0.2
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be > 0")
+        if not self.t_max > 0:  # also catches nan
+            raise ValueError(f"t_max must be > 0, got {self.t_max!r}")
+        if not all(v > 0 for v in self.length):
+            raise ValueError(f"length must be > 0, got {self.length!r}")
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,9 @@ products.  Both are right-preconditioned by `KroneckerPreconditioner`: each
 element's space-time Jacobian block approximated by a Kronecker sum of 1D
 upwind operators and inverted by fast diagonalization, built once per slab
 from element means of the metric and, for Euler, of the slab's inflow state.
-Advection's elements share their 1D eigenbases (at most three per
-direction), so its apply is one GEMM per shared basis on an element-last
-layout; Euler's elements have a basis each, and its apply keeps one
-transform per element.
+The elements share their 1D eigenbases (at most three per direction, one
+for Euler), so each transform of the apply is one real GEMM per shared
+basis on an element-last layout, for both equations.
 
 The interior divergence is evaluated in chain-rule form: reference-direction
 derivatives of the collocated physical flux components are contracted with

@@ -6,26 +6,24 @@ import pytest
 from stfr import cli
 from stfr.analysis import (
     ConvergenceReport,
+    _quadrature,
+    _rule,
     l2_error_final,
     l2_error_nodal,
     l2_error_slab,
 )
 from stfr.basis import make_basis
-from stfr.geometry import (
-    _on_grid,
-    slab_geometry,
-    spatial_quadrature_data,
-    st_quadrature_data,
-)
+from stfr.geometry import _evaluate, _point_sets, slab_geometry
 from stfr.mesh import interval_mesh, rect_mesh
 from stfr.motion import SineDeformation, motion_path
-from stfr.physics import Advection1D, SineWave1D, exact_state
+from stfr.physics import Advection1D, SineWave1D, SineWave2D, exact_state
 from stfr.st_solver import StateField, initial_condition, march
 
 
 def _exact_field_1d(mesh, geom, ks, kt, sol):
     bs, bt = make_basis(ks), make_basis(kt)
-    x, _, _ = _on_grid(geom.corners_n, geom.disp, bs.nodes, bt.nodes, 1)
+    x, _, _ = _evaluate(*_point_sets(ks, 1, tuple(bt.nodes)), geom.corners_n,
+                        geom.disp)
     t = geom.t_n + (1 + bt.nodes)[:, None] / 2 * geom.dt
     vals = exact_state(sol, x[0].reshape(geom.js.shape), t=t)
     return StateField(vals)
@@ -136,11 +134,16 @@ def test_norms_read_only_the_first_variable():
     poisoned[..., 1:] = np.nan
     nE, _, _, nV = u.shape
     top = np.einsum("t,etsv->esv", bt.extrap_right, u)
-    w, js, x, interp = spatial_quadrature_data(m, path[1], ks, ks + 2)
-    w0, js0, x0, interp0 = spatial_quadrature_data(m, path[0], ks, ks + 2)
+    C0, C1 = m.elem_corners(path[0]), m.elem_corners(path[1])
+    w, interp, x, js, _ = _quadrature(ks, None, ks + 2, C1, np.zeros_like(C1))
+    w0, interp0, x0, js0, _ = _quadrature(ks, None, ks + 2, C0,
+                                          np.zeros_like(C0))
+    ws, interps, xs, jss, b1 = _quadrature(ks, kt, ks + 2, geom.corners_n,
+                                           geom.disp)
     cases = [
         (lambda v: l2_error_slab(StateField(v), geom, sol),
-         _einsum_l2(u.reshape(nE, -1, nV), sol, *st_quadrature_data(geom, ks + 2))),
+         _einsum_l2(u.reshape(nE, -1, nV), sol, ws, dt / 2 * jss, xs,
+                    b1 * dt, interps)),
         (lambda v: l2_error_final(StateField(v), geom, m, path[1], sol, dt),
          _einsum_l2(top, sol, w, js, x, dt, interp)),
         (lambda v: l2_error_nodal(v[:, 0], ks, m, path[0], sol, 0.0),
@@ -151,6 +154,28 @@ def test_norms_read_only_the_first_variable():
         assert 0 < got < 1
         assert norm(poisoned) == got
         assert abs(got - ref) <= 1e-14 * ref
+
+
+def test_second_norm_call_builds_no_table():
+    # the rules and point tables are cached per process: each norm, called
+    # again on a new field of the same slab, misses no cache
+    m = rect_mesh(4, 4)
+    bs, bt = make_basis(3), make_basis(2)
+    path = motion_path(SineDeformation(n=(3.0, 3.0)), m, 0.05, 2)
+    geom = slab_geometry(m, path[1], path[2], 0.05, bs, bt, t_n=0.05)
+    sol = SineWave2D()
+    caches = (_rule, _point_sets, make_basis)
+
+    def norms(scale):
+        fld = StateField(np.full((16, 3, 16, 1), scale))
+        l2_error_slab(fld, geom, sol)
+        l2_error_final(fld, geom, m, path[2], sol, 0.1)
+        l2_error_nodal(fld.values[:, 0], 3, m, path[1], sol, 0.05)
+
+    norms(1.0)
+    misses = [c.cache_info().misses for c in caches]
+    norms(2.0)
+    assert [c.cache_info().misses for c in caches] == misses
 
 
 def _orders(errors, sizes):

@@ -305,6 +305,11 @@ def test_every_settable_value_has_a_checked_kind():
     # errors, not a failure of the solver's face tables
     ("wave2d_stationary_p2p2", ["interior-edge mesh file", "bc=dirichlet"], "mesh"),
     ("wave2d_stationary_p2p2", ["diagonal mesh file", "bc=dirichlet"], "mesh"),
+    # one positive value per mesh dimension, no more
+    ("compare_sine_deform_p2", ["motion.amp=[0.1,0.1,0.1]"], "motion"),
+    ("compare_sine_deform_p2", ["motion.length=[0,0]"], "motion"),
+    ("stfv_moving_1d", ["motion.length=[0]"], "motion"),
+    ("compare_sine_deform_p2", ["motion.t_max=NaN"], "motion"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"

@@ -86,6 +86,11 @@ def test_every_package_name_is_read_outside_the_tests():
 DELETED = {
     "grid_velocity_step": "spatial_geometry forms V_g from the step's end "
                           "positions, inside its own span",
+    "_on_grid": "geometry._point_sets is the one cached table of corner "
+                "shapes on tensor Gauss grids",
+    "_tensor": "analysis._rule builds the tensor weights and interpolation",
+    "st_quadrature_data": "analysis._quadrature, for the slab rule",
+    "spatial_quadrature_data": "analysis._quadrature, for the spatial rule",
 }
 
 

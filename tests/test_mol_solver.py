@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stfr.basis import make_basis
-from stfr.geometry import spatial_geometry, spatial_quadrature_data
+from stfr.geometry import spatial_geometry
 from stfr.mesh import disk_mesh, interval_mesh, rect_mesh
 from stfr.motion import (
     CircleDeformation,
@@ -188,7 +188,7 @@ def test_temporal_order_three():
 
 
 @pytest.mark.parametrize("dt", [0.004, 0.002])
-def test_conservation_on_moving_mesh(dt):
+def test_conservation_on_moving_mesh(dt, mass):
     # stage-frozen velocities with per-stage metrics make the RK3 stage
     # quadrature (Simpson) exact for the linear-geometry flux balance, so
     # mass drift sits at round-off; asserting 1e-12 subsumes the nominal
@@ -201,11 +201,7 @@ def test_conservation_on_moving_mesh(dt):
     masses = []
 
     def cb(fld):
-        k = round(fld.t / dt)
-        w, js, _, interp = spatial_quadrature_data(m, path[k], fld.ks,
-                                                   fld.ks + 2)
-        uq = np.einsum("qs,esv->eqv", interp, fld.values)
-        masses.append(float(np.einsum("q,eq->", w, js * uq[..., 0])))
+        masses.append(mass(m, path[round(fld.t / dt)], fld.ks, fld.values))
 
     march_mol(m, presc, Advection1D(1.0), sol, ks=3, dt=dt, n_steps=n,
               step_callback=cb)
@@ -213,7 +209,7 @@ def test_conservation_on_moving_mesh(dt):
     assert drift <= 1e-12
 
 
-def test_conservation_on_moving_mesh_2d():
+def test_conservation_on_moving_mesh_2d(mass):
     # periodic sine-deforming 2D mesh (n = 3: the default n = 4 leaves every
     # node of a 4 x 4 mesh still); a mean of 1 makes the mass 1, not 0.
     # Unlike in 1D, the mass drifts as dt^3 (4.8e-8 at dt = 0.004 over 50
@@ -231,9 +227,7 @@ def test_conservation_on_moving_mesh_2d():
         for k in range(n + 1):
             if k:
                 fld = rk3_physical_step(fld, m, path[k], dt, Advection2D())
-            w, js, _, interp = spatial_quadrature_data(m, path[k], ks, ks + 2)
-            uq = np.einsum("qs,esv->eqv", interp, fld.values)
-            masses.append(float(np.einsum("q,eq->", w, js * uq[..., 0])))
+            masses.append(mass(m, path[k], ks, fld.values))
         assert masses[0] == pytest.approx(1.0, abs=1e-12)
         drifts.append(np.abs(np.array(masses) - masses[0]).max())
     assert drifts[0] <= 1e-7

@@ -104,6 +104,15 @@ def test_deform_step_rejects_bad_dt():
         deform_step(SineDeformation(), np.zeros((2, 2)), 0.1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [{"t_max": 0.0}, {"t_max": math.nan},
+                                 {"length": (1.0, 0.0)}, {"length": (-1.0,)},
+                                 {"length": (math.nan, 1.0)}])
+def test_sine_deformation_rejects_non_positive_scales(bad):
+    # t_max and each length divide the increment's frequencies
+    with pytest.raises(ValueError):
+        SineDeformation(**bad)
+
+
 def test_deform_half_step_consistency():
     # one full step vs two half steps differ at O(dt^2): ratio ~ 4 under halving
     m = rect_mesh(6, 6)

@@ -5,7 +5,7 @@ from stfr.analysis import ConvergenceReport, l2_error_final
 from stfr.basis import diff_matrix, gauss_legendre, interp_matrix, make_basis
 from stfr import cli
 from stfr.cli import main
-from stfr.geometry import _on_grid, slab_geometry, spatial_quadrature_data
+from stfr.geometry import _evaluate, _point_sets, slab_geometry
 from stfr.mesh import disk_mesh, interval_mesh, rect_mesh
 from stfr.motion import (
     CircleDeformation,
@@ -85,7 +85,8 @@ def test_p1_exact_linear_solution_residual(monkeypatch):
     m = interval_mesh(1, periodic=False)
     bs = bt = make_basis(1)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.1, bs, bt)
-    x, _, _ = _on_grid(geom.corners_n, geom.disp, bs.nodes, bt.nodes, 1)
+    x, _, _ = _evaluate(*_point_sets(1, 1, tuple(bt.nodes)), geom.corners_n,
+                        geom.disp)
     xs = x[0].reshape(geom.js.shape)
     ts = geom.t_n + (1 + bt.nodes)[:, None] / 2 * geom.dt
     vals = (xs - ts)[..., None]
@@ -196,7 +197,7 @@ def test_freestream_marching_all_prescriptions(ks, kt, moving_path):
         assert np.abs(res.top - 1.0).max() <= 1e-11, (presc, ks, kt)
 
 
-def test_conservation_periodic_advection():
+def test_conservation_periodic_advection(mass):
     # integral of u over the deformed domain is constant across slabs
     m = rect_mesh(6, 6)
     eq = Advection2D()
@@ -207,10 +208,7 @@ def test_conservation_periodic_advection():
 
     def cb2(fld, geom, top):
         k = len(vals["masses"]) + 1
-        w, js, _, interp = spatial_quadrature_data(m, path[k], geom.ks,
-                                                   geom.ks + 2)
-        uq = np.einsum("qs,esv->eqv", interp, top)
-        vals["masses"].append(float(np.einsum("q,eq->", w, js * uq[..., 0])))
+        vals["masses"].append(mass(m, path[k], geom.ks, top))
 
     march(m, SineDeformation(), eq, sol, ks=2, kt=2, dt=0.02, n_steps=4,
           slab_callback=cb2)
@@ -218,17 +216,14 @@ def test_conservation_periodic_advection():
     assert np.abs(masses - masses[0]).max() <= 1e-10
 
 
-def test_conservation_periodic_advection_1d():
+def test_conservation_periodic_advection_1d(mass):
     m = interval_mesh(12)
     sol = SineWave1D(1.0)
     path = motion_path(SineDeformation(amp=(0.1,), n=(4.0,)), m, 0.02, 5)
     vals = []
 
     def cb(fld, geom, top):
-        k = len(vals) + 1
-        w, js, _, interp = spatial_quadrature_data(m, path[k], geom.ks, geom.ks + 2)
-        uq = np.einsum("qs,esv->eqv", interp, top)
-        vals.append(float(np.einsum("q,eq->", w, js * uq[..., 0])))
+        vals.append(mass(m, path[len(vals) + 1], geom.ks, top))
 
     march(m, SineDeformation(amp=(0.1,), n=(4.0,)), Advection1D(1.0), sol,
           ks=2, kt=2, dt=0.02, n_steps=5, slab_callback=cb)
@@ -236,7 +231,7 @@ def test_conservation_periodic_advection_1d():
     assert np.abs(vals - vals[0]).max() <= 1e-10
 
 
-def test_mass_balance_on_the_disk():
+def test_mass_balance_on_the_disk(mass):
     # every boundary face of the disk is Dirichlet: per slab, the change of
     # mass equals minus the space-time integral of the common flux through
     # the boundary, computed from the plan's Dirichlet states and vectors
@@ -247,12 +242,8 @@ def test_mass_balance_on_the_disk():
     n_steps = 4
     path = motion_path(motion, mesh, cfg.dt, n_steps)
 
-    def mass(values, coords):
-        w, js, _, interp = spatial_quadrature_data(mesh, coords, cfg.k_s,
-                                                   cfg.k_s + 2)
-        return float(np.einsum("q,eq,qs,es->", w, js, interp, values[..., 0]))
-
-    masses = [mass(initial_condition(mesh, path[0], bs, sol), path[0])]
+    masses = [mass(mesh, path[0], cfg.k_s,
+                   initial_condition(mesh, path[0], bs, sol))]
     defects = []
 
     def balance(fld, geom, top):
@@ -261,7 +252,7 @@ def test_mass_balance_on_the_disk():
         QB = tr.reshape((-1,) + tr.shape[3:]).take(plan.rows[2], axis=0)
         flux = _transformed_common_flux(eq, QB, plan.d_ext, plan.d_M)
         outflow = np.einsum("t,f,dtf->", bt.weights, bs.weights, flux[..., 0])
-        masses.append(mass(top, path[len(masses)]))
+        masses.append(mass(mesh, path[len(masses)], cfg.k_s, top))
         defects.append(masses[-1] - masses[-2] + outflow)
 
     march(mesh, motion, eq, sol, cfg.k_s, cfg.k_t, cfg.dt, n_steps,

@@ -115,9 +115,10 @@ def validate(cfg: CaseConfig):
         what = f"for {section} type {kind!r}" if kind else f"in {section}"
         errs += [f"{section}.{k}: unknown key {what}" for k in sorted(d.keys() - names)]
         errs += [f"{section}.{k}: required {what}" for k in required if k not in d]
+        table = FINITE_KINDS if section in TYPED else KINDS
         errs += [f"{section}.{k}: must be {want}, got {d[k]!r}"
                  for k in sorted(d.keys() & annotations.keys())
-                 if (want := _misfit(d[k], annotations[k]))]
+                 if (want := _misfit(d[k], annotations[k], table))]
     eq_kind, ex_kind = kinds.get("equation"), kinds.get("exact")
     if eq_kind and ex_kind and not issubclass(EQUATIONS[eq_kind],
                                               physics.EXACT_KINDS[ex_kind]):
@@ -168,6 +169,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:  # False for nan, inf and ints beyond a double
+    return _is_number(v) and abs(v) <= sys.float_info.max
+
+
 # annotation of a config field or builder parameter -> (what a value must
 # be to set it, the test of that)
 KINDS = {
@@ -179,16 +184,24 @@ KINDS = {
     tuple: ("a list of numbers",
             lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
 }
+# KINDS for the sections whose builders take the numbers as they are: an
+# inf or nan there would only surface as a failed mesh or solve
+FINITE_KINDS = {
+    **KINDS,
+    float: ("a finite number", _is_finite),
+    tuple: ("a list of finite numbers",
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite, v))),
+}
 FIELD_KINDS = {f.name: f.type for f in fields(CaseConfig)}
 
 
-def _misfit(value, kind) -> str | None:
-    """What a value must be to set a field or parameter annotated `kind`
-    (`X | None` also takes null), or None when it is that."""
+def _misfit(value, kind, table=KINDS) -> str | None:
+    """What a value must be, by `table`, to set a field or parameter
+    annotated `kind` (`X | None` also takes null), or None when it is that."""
     if isinstance(kind, types.UnionType):  # X | None
-        want = _misfit(value, kind.__args__[0])
+        want = _misfit(value, kind.__args__[0], table)
         return None if value is None or want is None else f"{want} or null"
-    want, fits = KINDS[kind]
+    want, fits = table[kind]
     return None if fits(value) else want
 
 

@@ -19,9 +19,9 @@ stage positions x_n + s V_g and |J| = Js; no separate MOL geometry exists.
 The build forms only what the stages read: the volume rows and js, the
 outward face vectors, and positions at Dirichlet flux points alone.
 
-`MolOperator` binds that geometry.  Its tables are the slab operator's
-`LevelPlan`, one contiguous (nE, 1, ...) copy per stage level, run through
-the same FR kernels without the temporal-direction terms.
+`MolOperator` binds that geometry as one `LevelPlan`, the spatial operator
+the slab solver holds, and stage j runs its FR kernels at level j, reading
+the tables in place, without the temporal-direction terms.
 """
 
 from dataclasses import dataclass
@@ -33,13 +33,7 @@ from stfr.geometry import SlabGeometry, spatial_geometry
 from stfr.mesh import Mesh
 from stfr.motion import MotionPrescription, march_path
 from stfr.physics import Advection1D, Advection2D, EquationSet, ExactSolution
-from stfr.st_solver import (
-    LevelPlan,
-    _face_jumps,
-    _lift,
-    _spatial_divergence,
-    initial_condition,
-)
+from stfr.st_solver import LevelPlan, initial_condition
 
 # Fraction of the estimated stability limit that `mol_stable_dt` returns.
 CFL_SAFETY = 0.5
@@ -59,37 +53,31 @@ class MolField:
 
 
 class MolOperator:
-    """Residuals du/dt of the stages of one step, one temporal level each,
-    from the `LevelPlan` of the geometry it is bound to."""
+    """Residuals du/dt of the stages of one step, stage j read in place at
+    level j of the `LevelPlan` of the geometry it is bound to."""
 
     def __init__(self, mesh: Mesh, eq: EquationSet,
                  bc: ExactSolution | None = None):
         self.mesh = mesh
         self.eq = eq
         self.bc = bc
-        self.dim = mesh.dim
-        self.bs = None  # set by bind_degree
+        self.plan = None  # set by bind_degree
 
     def bind_degree(self, geom: SlabGeometry):
-        """Bind the stage geometry of one `spatial_geometry` call: build one
-        LevelPlan over all its levels and keep each level's contiguous
-        (nE, 1, ...) copy."""
-        self.bs = make_basis(geom.ks)
-        plan = LevelPlan(self.mesh, geom, self.eq, self.bc)
-        self.levels = [plan.level(j) for j in range(geom.js.shape[1])]
+        """Bind the stage geometry of one `spatial_geometry` call: one
+        LevelPlan over all its levels."""
+        self.plan = LevelPlan(self.mesh, geom, self.eq, self.bc)
         return self
 
     def _interior(self, u, level):
         """js * (div F - V_g . grad u) at solution points."""
-        return _spatial_divergence(self.eq, u, self.bs.degree,
-                                   self.levels[level].weights)
+        return self.plan.spatial_divergence(u, slice(level, level + 1))
 
     def _side_deltas(self, u, level):
-        return _face_jumps(self.eq, u, self.bs.degree, self.dim,
-                           self.levels[level])
+        return self.plan.face_jumps(u, slice(level, level + 1))
 
     def _lift(self, delta):
-        return _lift(delta, self.bs.degree, self.dim)
+        return self.plan.lift(delta)
 
     def residual(self, u, level: int = 0):
         """du/dt = -(div F - V_g . grad u + correction field) for nodal u
@@ -98,7 +86,7 @@ class MolOperator:
         u = u[:, None]
         total = self._interior(u, level)
         total += self._lift(self._side_deltas(u, level))
-        return -total[:, 0] / self.levels[level].jac[:, 0, :, None]
+        return -total[:, 0] / self.plan.jac[:, level, :, None]
 
 
 def ssp_rk3_step(u, rhs, dt):

@@ -26,21 +26,22 @@ exactly), which is what preserves uniform flow on deforming grids at every
 order.  Temporal faces are upwinded causally: the bottom face takes the
 inflow (previous slab or initial condition), the top face is left local.
 
-`LevelPlan` is the spatial operator both solvers share, its tables at every
-temporal level of a geometry; the FR kernels on nodal arrays (nE, nT, nS,
-nV) are `_spatial_divergence` (chain-rule sum_dir M_dir . d_dir F_st, for
-Euler one flux component of (f, g, Q) at a time, never stacked),
-`_face_jumps` (traces, face sides gathered by the mesh's `side_rows`, the
-right side of a flipped face reversed, Riemann and Dirichlet fluxes, the
-jumps gathered back in the traces' (nE, nT, n_edges, nFs, nV) layout) and
-`_lift` (one contraction with the lift of `_edge_tables`).  Every table
-contraction goes through `_contract`: one GEMM for a scalar equation, a
-batched matmul for Euler.  `SlabOperator` adds only the d_tau term and the
-causal temporal correction: the slab is FR in time over the method-of-lines
+`LevelPlan` is the one spatial operator both solvers hold: a geometry's
+tables at every temporal level, read in place, and the FR kernels on nodal
+arrays (nE, nT, nS, nV) at all levels or at the levels a slice picks:
+`spatial_divergence` (chain-rule sum_dir M_dir . d_dir F_st, for Euler one
+flux component of (f, g, Q) at a time, never stacked), `face_jumps`
+(traces, face sides gathered by the mesh's `side_rows`, the right side of
+a flipped face reversed, Riemann and Dirichlet fluxes, the jumps gathered
+back in the traces' (nE, nT, n_edges, nFs, nV) layout) and `lift` (one
+contraction with the lift of `_edge_tables`).  Every table contraction goes
+through `_contract`: one GEMM for a scalar equation, a batched matmul for
+Euler.  `SlabOperator` runs the kernels at all its levels and adds only the
+d_tau term and the causal temporal correction; `mol_solver.MolOperator`
+runs stage j at level j.  The slab is FR in time over the method-of-lines
 operator at the Gauss levels.
 """
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -223,24 +224,23 @@ def _transformed_common_flux(eq, QL, QR, w):
 
 
 class LevelPlan:
-    """Spatial-operator tables of a geometry at every temporal level (axis 1).
+    """The spatial operator of a geometry: its tables at every temporal
+    level (axis 1) and the three FR kernels that read them, run at all
+    levels or, given a slice `at`, at those levels alone, in place.
 
-    rows are the mesh's `side_rows` at the plan's level count: where the
-    left and right side of each face and each Dirichlet face sit among the
-    (element, level, edge) rows of the traces.  M and d_M are the
-    `_weights` of the outward vectors of each face's left element and of
-    each Dirichlet face, d_ext the analytic states at the Dirichlet flux
-    points, weights the `_weights` of the metric rows (dim, nE, nT, nS,
-    dim+1), which the chain-rule divergence contracts (for Euler the
-    geometry's rows themselves, uncopied), and jac the |J| that divides
-    the residual.
+    M and d_M are the `_weights` of the outward vectors of each face's left
+    element and of each Dirichlet face, d_ext the analytic states at the
+    Dirichlet flux points, weights the `_weights` of the metric rows (dim,
+    nE, nT, nS, dim+1), which the chain-rule divergence contracts (for
+    Euler the geometry's rows themselves, uncopied), and jac the |J| that
+    divides the residual.  eq, ks and dim are those of the equation, the
+    geometry and the mesh.
     """
 
     def __init__(self, mesh: Mesh, geom: SlabGeometry, eq: EquationSet,
                  bc: ExactSolution | None):
         f = mesh.faces
-        self.mesh = mesh
-        self.rows = mesh.side_rows(geom.js.shape[1])
+        self.mesh, self.eq, self.ks, self.dim = mesh, eq, geom.ks, mesh.dim
         self.flipped = np.flatnonzero(f.flip)  # right side runs reversed
         self.M = _weights(eq, geom.face_m[f.elem_l, f.edge_l])
         d_e, d_edge = np.asarray(mesh.dirichlet, int).reshape(-1, 2).T
@@ -254,15 +254,80 @@ class LevelPlan:
         self.weights = _weights(eq, geom.rows)
         self.jac = geom.jac
 
-    def level(self, j: int) -> "LevelPlan":
-        """Level j alone, each table copied out contiguous."""
-        out = copy.copy(self)
-        out.rows = self.mesh.side_rows(1)
-        for name in ("M", "d_M", "d_ext", "jac"):
-            a = getattr(self, name)
-            setattr(out, name, None if a is None else a[:, j:j + 1].copy())
-        out.weights = self.weights[:, :, j:j + 1].copy()
+    def spatial_divergence(self, u, at=slice(None)):
+        """sum_dir M_dir . d_dir F_st(u) at the solution points, chain-rule
+        form, for u (nE, nT, nS, nV) at the levels `at`.
+
+        Excludes the temporal-direction term, which only the space-time
+        operator has.  Advection takes every reference derivative in one
+        contraction with `_derivative_table`; Euler takes each flux
+        component F_c of (f, g, Q) in turn, contracts it with D along xi,
+        then eta, scales each derivative in place by its metric component
+        M_dir[c] and adds it to the output, so no stacked copy of the
+        components is made.
+        """
+        nE, nT = u.shape[:2]
+        weights = self.weights[:, :, at]
+        if isinstance(self.eq, (Advection1D, Advection2D)):
+            du = _contract(_derivative_table(self.ks, self.dim),
+                           u.reshape(nE * nT, -1, 1))
+            return np.einsum("dets,etds->ets", weights,
+                             du.reshape(nE, nT, self.dim, -1))[..., None]
+        D = make_basis(self.ks).diff
+        out = np.zeros_like(u)
+        for c, F in enumerate((*flux(self.eq, u), u)):
+            for M, rows in ((weights[0], nE * nT * len(D)), (weights[1], nE * nT)):
+                dF = _contract(D, F.reshape(rows, len(D), -1)).reshape(u.shape)
+                dF *= M[..., c, None]
+                out += dF
         return out
+
+    def face_jumps(self, u, at=slice(None)):
+        """Outward flux jumps (common minus local) on every element edge,
+        (nE, nT, n_edges, nFs, nV), the traces' layout, for u at the levels
+        `at`.
+
+        Each face side gathers its (nF, nT) rows of nFs flux points from the
+        traces, viewed as rows (element, level, edge), at the mesh's
+        `side_rows` for u's level count; the right side of a flipped face
+        runs its flux points in reverse, so it is reversed after the gather
+        and again before its jumps are stored.  The jumps of the left,
+        right and Dirichlet sides are stacked and gathered back into the
+        traces' rows by the `side_rows` order: one `take`, where a scatter
+        per side through fancy indexing cost ten times as much.
+        """
+        eq = self.eq
+        tr = _traces_all_edges(u, self.ks, self.dim)
+        rows = tr.reshape((-1,) + tr.shape[3:])
+        left, right, bound, order = self.mesh.side_rows(u.shape[1])
+        nF = len(left)
+        QL = rows.take(left, axis=0)
+        QR = rows.take(right, axis=0)
+        fl = self.flipped
+        if fl.size:
+            QR[fl] = QR[fl, :, ::-1]
+        M = self.M[:, at]
+        jumps = np.empty((2 * nF + len(bound),) + QL.shape[1:])
+        com = _transformed_common_flux(eq, QL, QR, M)
+        np.subtract(com, _transformed_normal_flux(eq, QL, M), out=jumps[:nF])
+        dR = jumps[nF:2 * nF]
+        np.subtract(_transformed_normal_flux(eq, QR, M), com, out=dR)
+        if fl.size:
+            dR[fl] = dR[fl, :, ::-1]
+        if bound.size:
+            QB = rows.take(bound, axis=0)
+            d_M = self.d_M[:, at]
+            com_b = _transformed_common_flux(eq, QB, self.d_ext[:, at], d_M)
+            np.subtract(com_b, _transformed_normal_flux(eq, QB, d_M),
+                        out=jumps[2 * nF:])
+        return jumps.reshape(rows.shape).take(order, axis=0).reshape(tr.shape)
+
+    def lift(self, delta):
+        """Correction field (nE, nT, nS, nV) from face jumps (nE, nT,
+        n_edges, nFs, nV): one contraction with the lift of `_edge_tables`."""
+        nE, nT, _, _, nV = delta.shape
+        _, lift = _edge_tables(self.ks, self.dim)
+        return _contract(lift, delta.reshape(nE * nT, -1, nV)).reshape(nE, nT, -1, nV)
 
 
 @lru_cache(maxsize=None)
@@ -275,68 +340,6 @@ def _derivative_table(ks: int, dim: int):
     table = D.copy() if dim == 1 else np.vstack([np.kron(eye, D), np.kron(D, eye)])
     table.setflags(write=False)
     return table
-
-
-def _spatial_divergence(eq, u, ks, weights):
-    """sum_dir M_dir . d_dir F_st(u) at the solution points, chain-rule form.
-
-    Excludes the temporal-direction term, which only the space-time
-    operator has.  Advection takes every reference derivative in one
-    contraction with `_derivative_table`; Euler takes each flux component
-    F_c of (f, g, Q) in turn, contracts it with D along xi, then eta,
-    scales each derivative in place by its metric component M_dir[c] and
-    adds it to the output, so no stacked copy of the components is made.
-    """
-    nE, nT = u.shape[:2]
-    dim = len(weights)
-    if isinstance(eq, (Advection1D, Advection2D)):
-        du = _contract(_derivative_table(ks, dim), u.reshape(nE * nT, -1, 1))
-        return np.einsum("dets,etds->ets", weights,
-                         du.reshape(nE, nT, dim, -1))[..., None]
-    D = make_basis(ks).diff
-    out = np.zeros_like(u)
-    for c, F in enumerate((*flux(eq, u), u)):
-        for M, rows in ((weights[0], nE * nT * len(D)), (weights[1], nE * nT)):
-            dF = _contract(D, F.reshape(rows, len(D), -1)).reshape(u.shape)
-            dF *= M[..., c, None]
-            out += dF
-    return out
-
-
-def _face_jumps(eq, u, ks, dim, plan: LevelPlan):
-    """Outward flux jumps (common minus local) on every element edge,
-    (nE, nT, n_edges, nFs, nV), the traces' layout.
-
-    Each face side gathers its (nF, nT) rows of nFs flux points from the
-    traces, viewed as rows (element, level, edge); the right side of a
-    flipped face runs its flux points in reverse, so it is reversed after
-    the gather and again before its jumps are stored.  The jumps of the
-    left, right and Dirichlet sides are stacked and gathered back into the
-    traces' rows by the mesh's `side_rows` order: one `take`, where a
-    scatter per side through fancy indexing cost ten times as much.
-    """
-    tr = _traces_all_edges(u, ks, dim)
-    rows = tr.reshape((-1,) + tr.shape[3:])
-    left, right, bound, order = plan.rows
-    nF = len(left)
-    QL = rows.take(left, axis=0)
-    QR = rows.take(right, axis=0)
-    fl = plan.flipped
-    if fl.size:
-        QR[fl] = QR[fl, :, ::-1]
-    jumps = np.empty((2 * nF + len(bound),) + QL.shape[1:])
-    com = _transformed_common_flux(eq, QL, QR, plan.M)
-    np.subtract(com, _transformed_normal_flux(eq, QL, plan.M), out=jumps[:nF])
-    dR = jumps[nF:2 * nF]
-    np.subtract(_transformed_normal_flux(eq, QR, plan.M), com, out=dR)
-    if fl.size:
-        dR[fl] = dR[fl, :, ::-1]
-    if bound.size:
-        QB = rows.take(bound, axis=0)
-        com_b = _transformed_common_flux(eq, QB, plan.d_ext, plan.d_M)
-        np.subtract(com_b, _transformed_normal_flux(eq, QB, plan.d_M),
-                    out=jumps[2 * nF:])
-    return jumps.reshape(rows.shape).take(order, axis=0).reshape(tr.shape)
 
 
 @lru_cache(maxsize=None)
@@ -360,13 +363,6 @@ def _edge_tables(ks: int, dim: int):
     for t in tables:
         t.setflags(write=False)
     return tables
-
-
-def _lift(delta, ks, dim):
-    """Correction field (nE, nT, nS, nV) from face jumps (nE, nT, n_edges, nFs, nV)."""
-    nE, nT, _, _, nV = delta.shape
-    _, lift = _edge_tables(ks, dim)
-    return _contract(lift, delta.reshape(nE * nT, -1, nV)).reshape(nE, nT, -1, nV)
 
 
 def gmres(matvec, b, tol, V):
@@ -613,22 +609,21 @@ class SlabOperator:
         self.geom = geom
         self.eq = eq
         self.inflow = inflow
-        self.dim = mesh.dim
         self.bt = make_basis(geom.kt)
         self.plan = LevelPlan(mesh, geom, eq, bc)
 
     def _interior(self, u):
         """|J| * div_st(F) at solution points, chain-rule form."""
-        out = _spatial_divergence(self.eq, u, self.geom.ks, self.plan.weights)
+        out = self.plan.spatial_divergence(u)
         du_tau = _contract(self.bt.diff, u.reshape(*u.shape[:2], -1))
         out += self.geom.js[..., None] * du_tau.reshape(u.shape)
         return out
 
     def _side_deltas(self, u):
-        return _face_jumps(self.eq, u, self.geom.ks, self.dim, self.plan)
+        return self.plan.face_jumps(u)
 
     def _lift(self, delta):
-        return _lift(delta, self.geom.ks, self.dim)
+        return self.plan.lift(delta)
 
     def _temporal_correction(self, u):
         """Causal bottom-face correction from the slab inflow."""

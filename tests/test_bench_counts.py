@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from stfr import cli, st_solver
+from stfr import analysis, cli, st_solver
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_counts.py"
 
@@ -33,6 +33,29 @@ def test_measure_counts_wave1d(tool):
     for name in ("interior", "side_deltas", "lift", "temporal_correction",
                  "traces", "common_flux", "normal_flux"):
         assert rec[f"us_{name}"] > 0
+
+
+def test_measure_reports_the_mol_layers(tool):
+    # the method of lines' residual layers come from the mol_solver spans;
+    # it has no temporal correction
+    rec = tool.measure("mol_sine_deform_p2")
+    assert rec["solver"] == "mol" and rec["precond_applies_mean"] is None
+    for name in ("interior", "side_deltas", "lift", "traces", "common_flux",
+                 "normal_flux"):
+        assert rec[f"us_{name}"] > 0
+    assert rec["us_temporal_correction"] is None
+
+
+def test_every_case_starts_from_cold_caches(tool):
+    # a case measured twice in one process builds its norm rule both times:
+    # the second run reads the first's cache statistics, misses and no hits
+    # carried over, as a fresh `stfr run` would (cache_clear also resets
+    # the statistics)
+    tool.measure("wave1d_stationary_p2p2")
+    first = analysis._rule.cache_info()
+    tool.measure("wave1d_stationary_p2p2")
+    assert first.misses >= 1
+    assert analysis._rule.cache_info() == first
 
 
 def test_traced_counts_match_slab_stats(tool):

@@ -239,6 +239,42 @@ def test_non_finite_times_exit_1(capsys, pair):
     assert f"\n  {pair.partition('=')[0]}: must be finite and > 0" in err
 
 
+@pytest.mark.parametrize("case, pair, key", [
+    ("wave2d_circle_p2", "mesh.radius=1e400", "mesh.radius"),
+    pytest.param("wave2d_circle_p2", "mesh.radius=1" + "0" * 400, "mesh.radius",
+                 id="wave2d_circle_p2-mesh.radius=10**400-mesh.radius"),
+    ("wave2d_stationary_p2p2", "mesh.xmax=1e400", "mesh.xmax"),
+    ("wave2d_stationary_p2p2", "mesh.ymin=-Infinity", "mesh.ymin"),
+    ("wave1d_stationary_p2p2", "equation.c=1e400", "equation.c"),
+    ("wave1d_stationary_p2p2", "equation.c=NaN", "equation.c"),
+    ("wave1d_stationary_p2p2", 'exact={"type": "constant", "value": [1e400]}',
+     "exact.value"),
+    ("wave2d_circle_p2", "motion.a_a=1e400", "motion.a_a"),
+    ("wave1d_stationary_p2p2",
+     'motion={"type": "sine_deformation", "amp": [1e400]}', "motion.amp"),
+    ("compare_sine_deform_p2", "motion.n=[2, NaN]", "motion.n"),
+    ("compare_sine_deform_p2", "motion.t_max=NaN", "motion.t_max"),
+])
+def test_non_finite_section_numbers_exit_1(monkeypatch, capsys, case, pair, key):
+    # a number the builders would take as inf or nan stops the run in
+    # validate, before any builder or solver runs and before NumPy warns
+    import warnings
+
+    import stfr.cli as cli
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("builder or solver reached")
+
+    for name in ("build_equation", "build_mesh", "march", "march_mol"):
+        monkeypatch.setattr(cli, name, not_reached)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", case, "--set", pair]) == 1
+    err = capsys.readouterr().err
+    assert f"\n  {key}: must be a " in err and "finite number" in err
+    assert not caught and "Warning" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("pair, message", [
     # nan compared below 1 is False, and a nan drop target skipped every solve
     ("pseudo.drop_orders=NaN", "error: pseudo: drop_orders must be >= 1"),
@@ -309,7 +345,7 @@ def test_every_settable_value_has_a_checked_kind():
     ("compare_sine_deform_p2", ["motion.amp=[0.1,0.1,0.1]"], "motion"),
     ("compare_sine_deform_p2", ["motion.length=[0,0]"], "motion"),
     ("stfv_moving_1d", ["motion.length=[0]"], "motion"),
-    ("compare_sine_deform_p2", ["motion.t_max=NaN"], "motion"),
+    ("compare_sine_deform_p2", ["motion.t_max=0"], "motion"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"

@@ -1,11 +1,12 @@
 """The shared FR kernels against plain einsum and per-face references.
 
-`_spatial_divergence`, `_traces_all_edges`, `_face_jumps` and `_lift` run
-their contractions as single GEMMs or batched matmuls over row-indexed
-gathers.  Here each is recomputed from the 1D basis tables with einsum,
-face by face, on the disk mesh of `wave2d_circle_p2`, which has flipped
-and Dirichlet faces, for advection and Euler, on a slab plan (nT = 3) and
-on one of its levels (nT = 1, as the method of lines runs it).
+`LevelPlan.spatial_divergence`, `_traces_all_edges`, `LevelPlan.face_jumps`
+and `LevelPlan.lift` run their contractions as single GEMMs or batched
+matmuls over row-indexed gathers.  Here each is recomputed from the 1D
+basis tables with einsum, face by face, on the disk mesh of
+`wave2d_circle_p2`, which has flipped and Dirichlet faces, for advection
+and Euler, on a slab plan at all its levels (nT = 3) and at one level
+picked by a slice (nT = 1, as the method of lines runs it).
 """
 
 import tracemalloc
@@ -28,9 +29,6 @@ from stfr.physics import (
 )
 from stfr.st_solver import (
     LevelPlan,
-    _face_jumps,
-    _lift,
-    _spatial_divergence,
     _traces_all_edges,
     _transformed_common_flux,
     _transformed_normal_flux,
@@ -64,9 +62,7 @@ def setup(request):
     path = motion_path(cli.build_motion(cfg), mesh, cfg.dt, 2)
     geom = slab_geometry(mesh, path[1], path[2], cfg.dt, bs, bt, t_n=cfg.dt)
     plan = LevelPlan(mesh, geom, eq, sol)
-    levels = slice(0, 3)
-    if nT == 1:
-        plan, levels = plan.level(1), slice(1, 2)
+    levels = slice(0, 3) if nT == 3 else slice(1, 2)
     rng = np.random.default_rng(2409)
     u = initial_condition(mesh, path[1], bs, sol)[:, None].repeat(nT, axis=1)
     u = u * (1.0 + 0.01 * rng.standard_normal(u.shape))
@@ -93,17 +89,18 @@ def _reference_traces(b, u):
 
 
 def test_spatial_divergence(setup):
-    eq, _, _, _, plan, _, ks, u = setup
+    eq, _, _, _, plan, levels, ks, u = setup
     D = make_basis(ks).diff
+    weights = plan.weights[:, :, levels]
     if eq.n_vars == 1:
         ref = sum(w[..., None] * du for w, du in
-                  zip(plan.weights, _reference_derivatives(D, u)))
+                  zip(weights, _reference_derivatives(D, u)))
     else:
         fx, gy = flux(eq, u)
         F = np.stack([fx, gy, u], axis=-2)
         ref = sum(np.einsum("etsc,etscv->etsv", M, dF) for M, dF in
-                  zip(plan.weights, _reference_derivatives(D, F)))
-    _close(_spatial_divergence(eq, u, ks, plan.weights), ref)
+                  zip(weights, _reference_derivatives(D, F)))
+    _close(plan.spatial_divergence(u, levels), ref)
 
 
 def test_euler_divergence_allocates_no_stacked_flux():
@@ -118,10 +115,10 @@ def test_euler_divergence_allocates_no_stacked_flux():
     geom = slab_geometry(mesh, path[0], path[1], cfg.dt, bs, bt, t_n=0.0)
     plan = LevelPlan(mesh, geom, eq, sol)
     u = initial_condition(mesh, path[0], bs, sol)[:, None].repeat(bt.n, axis=1)
-    _spatial_divergence(eq, u, cfg.k_s, plan.weights)  # warm the caches
+    plan.spatial_divergence(u)  # warm the caches
     tracemalloc.start()
     try:
-        _spatial_divergence(eq, u, cfg.k_s, plan.weights)
+        plan.spatial_divergence(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -154,11 +151,11 @@ def test_face_jumps(setup):
         ref[e, :, g] = (_transformed_common_flux(eq, tr[e, :, g], ext, w)
                         - _transformed_normal_flux(eq, tr[e, :, g], w))
     assert not np.isnan(ref).any()  # every edge is a face side
-    _close(_face_jumps(eq, u, ks, 2, plan), ref)
+    _close(plan.face_jumps(u, levels), ref)
 
 
 def test_lift(setup):
-    _, _, _, _, _, _, ks, u = setup
+    _, _, _, _, plan, _, ks, u = setup
     b = make_basis(ks)
     rng = np.random.default_rng(7)
     nE, nT, _, nV = u.shape
@@ -169,7 +166,7 @@ def test_lift(setup):
            + np.einsum("b,etav->etabv", gr, delta[:, :, 1])
            + np.einsum("a,etbv->etabv", gr, delta[:, :, 2])
            - np.einsum("b,etav->etabv", gl, delta[:, :, 3]))
-    _close(_lift(delta, ks, 2), ref.reshape(nE, nT, -1, nV))
+    _close(plan.lift(delta), ref.reshape(nE, nT, -1, nV))
 
 
 

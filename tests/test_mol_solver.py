@@ -21,6 +21,7 @@ from stfr.physics import (
     SineWave2D,
 )
 from stfr.mol_solver import (
+    STAGE_OFFSETS,
     MolField,
     MolOperator,
     march_mol,
@@ -248,6 +249,35 @@ def test_one_geometry_build_per_step(monkeypatch):
     march_mol(rect_mesh(4, 4), SineDeformation(n=(3.0, 3.0)), Advection2D(),
               SineWave2D(), ks=2, dt=dt, n_steps=4)
     assert fractions == [(0.0, 1.0, 0.5)] * 4
+
+
+def test_one_level_plan_per_step(monkeypatch):
+    # the three stages of a step read one LevelPlan, each at its own level;
+    # counted in __new__, which a copy of a plan calls as well
+    import stfr.mol_solver as mol
+
+    built = []
+
+    class Counted(mol.LevelPlan):
+        def __new__(cls, *args):
+            built.append(cls)
+            return super().__new__(cls)
+
+    monkeypatch.setattr(mol, "LevelPlan", Counted)
+    march_mol(rect_mesh(4, 4), SineDeformation(n=(3.0, 3.0)), Advection2D(),
+              SineWave2D(), ks=2, dt=0.01, n_steps=4)
+    assert len(built) == 4
+
+
+def test_stages_read_the_geometry_in_place():
+    # for Euler `_weights` returns the geometry's metric rows uncopied, and
+    # the bound operator reads them, and |J|, from the geometry itself
+    mesh = rect_mesh(2, 2)
+    geom = spatial_geometry(mesh, mesh.nodes, mesh.nodes + 0.01, 0.1,
+                            make_basis(2), 0.0, STAGE_OFFSETS)
+    op = MolOperator(mesh, Euler2D(), None).bind_degree(geom)
+    assert np.shares_memory(op.plan.weights, geom.rows)
+    assert np.shares_memory(op.plan.jac, geom.jac)
 
 
 def test_mol_stable_dt_reasonable():

@@ -249,7 +249,8 @@ def test_mass_balance_on_the_disk(mass):
     def balance(fld, geom, top):
         plan = LevelPlan(mesh, geom, eq, sol)
         tr = _traces_all_edges(fld.values, cfg.k_s, mesh.dim)
-        QB = tr.reshape((-1,) + tr.shape[3:]).take(plan.rows[2], axis=0)
+        bound = mesh.side_rows(tr.shape[1])[2]
+        QB = tr.reshape((-1,) + tr.shape[3:]).take(bound, axis=0)
         flux = _transformed_common_flux(eq, QB, plan.d_ext, plan.d_M)
         outflow = np.einsum("t,f,dtf->", bt.weights, bs.weights, flux[..., 0])
         masses.append(mass(mesh, path[len(masses)], cfg.k_s, top))

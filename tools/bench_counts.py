@@ -9,38 +9,43 @@ file records the solver, the slabs (space-time) or steps (method of lines,
 space-time FV), the DOF of one slab or step, the residual evaluations per
 slab or step (mean and max), the us per DOF per residual evaluation, the
 preconditioner applies per slab (mean) and the us per apply, the us per
-call of each layer of a slab residual evaluation (interior divergence,
-side deltas, lift and temporal correction) and of the face kernels inside
-the side deltas (traces, common flux, normal flux), the solve time, the
-errors, the time inside the error norms, the geometry layer (the calls to,
-and the time inside, the slab and MOL geometry builds) and the minor page
-faults of the solve (`minor_faults`: the process's `ru_minflt` over the
-`march` or `march_mol` call, null for the FV scheme).  Counts repeat
+call of each layer of a residual evaluation (interior divergence, side
+deltas, lift and, for a slab, temporal correction) and of the face kernels
+inside the side deltas (traces, common flux, normal flux), the solve time,
+the errors, the time inside the error norms, the geometry layer (the calls
+to, and the time inside, the slab and MOL geometry builds) and the minor
+page faults of the solve (`minor_faults`: the process's `ru_minflt` over
+the `march` or `march_mol` call, null for the FV scheme).  Counts repeat
 exactly from run to run; the times and faults come from this one run and
-move with the machine, whose description the file also holds.
+move with the machine, whose description the file also holds.  Every case
+starts cold: the package's `functools` caches (basis, kernel and norm
+tables) are emptied before it, as in a fresh `stfr run <case>`, so no case
+reads tables that an earlier one built.
 
 The counts and times come from the spans of the benchmark's tracer
 (`stfrbench/tracer.py`), installed around `cli.run_case`: `st_solver.march`
 and `mol_solver.bind_degree` (one per slab or step), the two operators'
-`residual`, the slab layers `st_solver.interior`, `side_deltas`, `lift` and
-`temporal_correction`, the face kernels `st_solver.traces`, `common_flux`
-and `normal_flux`, which both FR operators run, and
-`geometry.slab_geometry` and `spatial_geometry`.  The tool adds spans
-through the tracer's wrapper: `st_solver.precond` around
+`residual`, the layers `interior`, `side_deltas` and `lift` of the operator
+the case runs (`st_solver.*` for a slab, `mol_solver.*` for the method of
+lines) and the slab's `st_solver.temporal_correction`, the face kernels
+`st_solver.traces`, `common_flux` and `normal_flux`, which both FR
+operators run, and `geometry.slab_geometry` and `spatial_geometry`.  The
+tool adds spans through the tracer's wrapper: `st_solver.precond` around
 `KroneckerPreconditioner.__call__`, and `analysis.l2_error_final`,
 `l2_error_slab` and `l2_error_nodal`, whose outermost spans sum to
 `error_norms_s` (the final-time norm calls the nodal one).  Each residual
-evaluation and
-preconditioner apply counts toward the last slab or step span that started
-before it.  Times are inclusive and include the tracer's wrappers of nested
-spans, so they read higher than untraced ones: on a shared 2-core x86_64
-VM, `mol_sine_deform_p2` solved in a median 0.97 s traced against 0.78 s
-with only the counted calls wrapped (9 runs each).  The DOF follow from the
-case: elements x temporal levels x (k_s+1)^dim x variables.  The space-time
-FV scheme has no residual operator: its DOF and evaluation fields are null,
-as are the preconditioner fields of every solve without a preconditioner
-apply, the layer fields of every solve without a span of that layer, and
-`error_norms_s` of the FV scheme, which measures its own error.
+evaluation and preconditioner apply counts toward the last slab or step
+span that started before it.  Times are inclusive and include the tracer's
+wrappers of nested spans, so they read higher than untraced ones: on a
+shared 2-core x86_64 VM, `mol_sine_deform_p2` solved in a median 0.97 s
+traced against 0.78 s with only the counted calls wrapped (9 runs
+each).  The DOF follow from the case: elements x temporal levels x
+(k_s+1)^dim x variables.  The space-time FV scheme has no residual operator:
+its DOF and evaluation fields are null, as are the preconditioner fields of
+every solve without a preconditioner apply, the layer fields of every solve
+without a span of that layer (the method of lines has no temporal
+correction), and `error_norms_s` of the FV scheme, which measures its own
+error.
 """
 
 import argparse
@@ -63,7 +68,7 @@ import tracer  # the benchmark's, found through the line above
 UNITS = ("st_solver.march", "mol_solver.bind_degree")  # one per slab or step
 PRECOND = "st_solver.precond"
 NORMS = ("l2_error_final", "l2_error_slab", "l2_error_nodal")  # in `analysis`
-# spans timed per call: the slab residual's layers, then the face kernels
+# spans timed per call: the residual's layers, then the face kernels
 LAYERS = ("interior", "side_deltas", "lift", "temporal_correction",
           "traces", "common_flux", "normal_flux")
 
@@ -133,10 +138,21 @@ def counting_faults(fn, faults):
     return counted
 
 
+def clear_caches():
+    """Empty every `functools` cache of the imported stfr modules."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stfr":
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
 def measure(case):
-    """Run one bundled case under the tracer; returns its record."""
+    """Run one bundled case under the tracer, from cold caches; returns
+    its record."""
     from stfr import cli
 
+    clear_caches()
     cfg = cli.load_case(case)
     faults = []
     solvers = [(name, getattr(cli, name)) for name in ("march", "march_mol")]
@@ -178,7 +194,8 @@ def measure(case):
         "precond_applies_mean": (sum(applies) / len(applies)
                                  if sum(applies) else None),
         "us_per_precond_apply": us_per_call(PRECOND),
-        **{f"us_{name}": us_per_call(f"st_solver.{name}") for name in LAYERS},
+        **{f"us_{name}": us_per_call(f"st_solver.{name}", f"mol_solver.{name}")
+           for name in LAYERS},
         "solve_s": row.walltime_s,
         "minor_faults": sum(faults) if faults else None,
         "geometry_calls": geometry_calls,

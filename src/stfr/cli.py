@@ -307,6 +307,16 @@ def _cell_averages(sol, interfaces, t):
     return 0.5 * np.einsum("q,cq->c", wq, vals)
 
 
+@_section_errors("output_dir")
+def make_output_dir(cfg: CaseConfig) -> Path | None:
+    """Create the case's output_dir, if it has one, before any solve."""
+    if cfg.output_dir:
+        out = Path(cfg.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+    return None
+
+
 def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
              resolution: float | None = None):
     """Execute one case; returns the appended ReportRow.
@@ -319,6 +329,7 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
     mesh = build_mesh(cfg)
     presc = build_motion(cfg)
     controls = build_pseudo(cfg)
+    out = make_output_dir(cfg)
     n_steps = int(round(cfg.t_final / cfg.dt))
     if report is None:
         report = ConvergenceReport(case=cfg.to_dict())
@@ -349,9 +360,7 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
         dump = {"values": ubar}
     row = report.add(resolution, e_fin, e_slab,
                      walltime_s=time.perf_counter() - t0, evals_per_slab=evals)
-    if cfg.output_dir:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         report.to_csv(out / f"{cfg.name}.csv")
         if cfg.dump_solution and dump is not None:
             np.savez(out / f"{cfg.name}_solution.npz", **dump)
@@ -369,6 +378,7 @@ def sweep(cfg: CaseConfig, axis: str, levels: int) -> ConvergenceReport:
         raise ConfigError(f"levels: need at least 2, got {levels}")
     if axis == "space" and cfg.mesh["type"] == "file":
         raise ConfigError("mesh: file meshes cannot be swept in space")
+    make_output_dir(cfg)
     report = ConvergenceReport(case={**cfg.to_dict(), "axis": axis})
     for lv in range(levels):
         # the levels write nothing; the sweep's files are its report's
@@ -472,16 +482,23 @@ def run_checks(verbose: bool = True) -> bool:
 
 
 def load_case(spec: str) -> CaseConfig:
-    """Load a case from a path or a bundled case name."""
+    """Load a case from a path or a bundled case name; one that cannot be
+    read, is not UTF-8 JSON or is not an object is a ConfigError naming it."""
     p = Path(spec)
-    if p.exists():
-        data = json.loads(p.read_text())
-    else:
-        name = spec if spec.endswith(".json") else spec + ".json"
-        ref = resources.files("stfr").joinpath("cases", name)
-        if not ref.is_file():
+    if not p.exists():
+        p = resources.files("stfr").joinpath("cases", spec.removesuffix(".json") + ".json")
+        if not p.is_file():
             raise ConfigError(f"case {spec!r} is neither a file nor a bundled case")
-        data = json.loads(ref.read_text())
+    try:
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"case {spec!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"case {spec!r}: not a JSON text: {exc}") from exc
+    if not isinstance(data, dict):
+        got = {list: "an array", str: "a string", bool: "a boolean",
+               type(None): "null"}.get(type(data), "a number")
+        raise ConfigError(f"case {spec!r}: must be a JSON object, got {got}")
     return CaseConfig.from_dict(data)
 
 

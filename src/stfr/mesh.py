@@ -332,30 +332,30 @@ def read_mesh(path: str) -> Mesh:
     if len(raw) < need:
         fail(len(raw), f"expected {need} lines, found {len(raw)}")
 
-    nodes = np.zeros((n_nodes, dim))
-    for i in range(n_nodes):
-        ln = 1 + i
-        parts = raw[ln].split()
-        if len(parts) != dim:
-            fail(ln + 1, f"expected {dim} coordinates, got {len(parts)}")
-        try:
-            nodes[i] = [float(v) for v in parts]
-        except ValueError:
-            fail(ln + 1, f"bad coordinate in {raw[ln]!r}")
+    def block(start, count, kind, width, noun, word, valid, invalid):
+        """The `count` lines after line `start`, `width` values of `kind`
+        each, as an array; fails on the first line with another number of
+        values, a value `kind` does not parse, or a row not `valid`."""
+        out = np.zeros((count, width), dtype=kind)
+        for i, line in enumerate(raw[start:start + count]):
+            ln = start + i + 1
+            parts = line.split()
+            if len(parts) != width:
+                fail(ln, f"expected {width} {noun}, got {len(parts)}")
+            try:
+                out[i] = [kind(v) for v in parts]
+            except (ValueError, OverflowError):
+                fail(ln, f"bad {word} in {line!r}")
+            if not valid(out[i]):
+                fail(ln, invalid)
+        return out
 
+    nodes = block(1, n_nodes, float, dim, "coordinates", "coordinate",
+                  lambda x: np.isfinite(x).all(), "non-finite coordinate")
     npc, n_edges = 2 ** dim, 2 * dim
-    elems = np.zeros((n_elems, npc), dtype=int)
-    for i in range(n_elems):
-        ln = 1 + n_nodes + i
-        parts = raw[ln].split()
-        if len(parts) != npc:
-            fail(ln + 1, f"expected {npc} node indices, got {len(parts)}")
-        try:
-            elems[i] = [int(v) for v in parts]
-        except ValueError:
-            fail(ln + 1, f"bad node index in {raw[ln]!r}")
-        if np.any(elems[i] < 0) or np.any(elems[i] >= n_nodes):
-            fail(ln + 1, "node index out of range")
+    elems = block(1 + n_nodes, n_elems, int, npc, "node indices", "node index",
+                  lambda ids: 0 <= ids.min() and ids.max() < n_nodes,
+                  "node index out of range")
 
     # boundary faces, each on an element edge that no other element shares
     ends = _edge_ends(elems, dim).reshape(-1, dim)

@@ -411,15 +411,14 @@ def _kron_tables(k: int):
 
     C and S split the upwind FR operator of a scalar with speed v into
     v C + |v| S: v (D - g'_L l_L^T) for v > 0, v (D - g'_R l_R^T) for v < 0.
-    lam, V and V^-1 diagonalize the causal temporal operator D - g'_L l_L^T;
-    V and V^-1 are in real form (`_real_form`).  Built on first use, so a
-    process that solves no slab makes no eigendecomposition.
+    lam, V and V^-1 diagonalize the causal temporal operator D - g'_L l_L^T,
+    complex for k >= 1.  Built on first use, so a process that solves no
+    slab makes no eigendecomposition.
     """
     b = make_basis(k)
     left = np.outer(b.corr_deriv_left, b.extrap_left)
     right = np.outer(b.corr_deriv_right, b.extrap_right)
     lam, V = np.linalg.eig(b.diff - left)
-    V = _real_form(V)
     tables = (b.diff - 0.5 * (left + right), 0.5 * (right - left),
               lam, V, np.linalg.inv(V))
     for t in tables:
@@ -430,52 +429,34 @@ def _kron_tables(k: int):
 @lru_cache(maxsize=32)
 def _shared_bases(ks: int, kt: int, dim: int, rho: tuple):
     """Tables of the preconditioner apply for the distinct rho of a slab,
-    indexed like rho: the eigenvalues mu (m, n) of rho_j C + S, the
-    real-form (forward, backward) xi transforms from the eigenvectors and
-    the interleaved real-form (forward, backward) outer transforms T (x)
-    E[j], tau (x) eta.  In 1D the outer transform is tau alone, under the
-    key None.  Advection repeats a few keys (rho in -1, 0, 1); every Euler
-    slab brings a key of its own, its median rho per direction.  The cache
-    keeps the 32 most recent keys, about 20 KB each at k_s = 3 and k_t = 2
-    in 2D; the arrays are read-only.
+    lists indexed like rho: the eigenvalues mu (m, n) of rho_j C + S, the
+    (forward, backward) xi transforms (Vi_re; Vi_im) and (V_re, -V_im) of
+    the complex eigenvectors V = E[j], and the (forward, backward) outer
+    transforms, the interleaved `_real_form` of T (x) E[j], tau (x) eta, or
+    in 1D of T alone, at index 0.  Advection repeats a few keys (rho in -1,
+    0, 1); every Euler slab brings a key of its own, its median rho per
+    direction.  The cache keeps the 32 most recent keys, about 20 KB each
+    at k_s = 3 and k_t = 2 in 2D; the arrays are read-only.
     """
-    n = ks + 1
     C, S = _kron_tables(ks)[:2]
     _, V_t, Vi_t = _kron_tables(kt)[2:]
     mu, V = np.linalg.eig(np.array(rho)[:, None, None] * C + S)
-    V = _real_form(V)
     Vi = np.linalg.inv(V)
-
-    def outer(T, E, j):
-        T = _complex(T)
-        if j is not None:  # T (x) E[j]
-            E = _complex(E[j])
-            T = (T[:, None, :, None] * E[:, None]).reshape((kt + 1) * n, -1)
-        return _real_form(T, interleaved=True)
-
-    keys = range(len(rho)) if dim == 2 else [None]
-    outers = [{j: outer(T, E, j) for j in keys} for T, E in ((Vi_t, Vi), (V_t, V))]
-    for t in (mu, Vi, V, *outers[0].values(), *outers[1].values()):
+    outer = [_real_form(np.stack([np.kron(T, e) for e in E]) if dim == 2 else T[None])
+             for T, E in ((Vi_t, Vi), (V_t, V))]
+    tables = (np.concatenate([Vi.real, Vi.imag], axis=1),
+              np.concatenate([V.real, -V.imag], axis=2), *outer)
+    for t in (mu, *tables):
         t.setflags(write=False)  # before the views below, which inherit it
-    # V^-1 starts from the real input, V ends with the real output
-    return (mu, [Vi[j][:, :n] for j in range(len(rho))],
-            [V[j][:n] for j in range(len(rho))], *outers)
+    return (mu, *map(list, tables))
 
 
-def _real_form(M, interleaved=False):
-    """Real (..., 2n, 2n) form of complex M (..., n, n), acting on the real
-    and imaginary parts of a vector stacked as (re, im), or, interleaved,
-    as one (re, im) pair per index.  The inverse of the real form is the
-    real form of the inverse."""
+def _real_form(M):
+    """Interleaved real (..., 2n, 2n) form of complex M (..., n, n), acting
+    on a vector stored as one (re, im) pair per index."""
     R = np.stack([np.stack([M.real, -M.imag]), np.stack([M.imag, M.real])])
-    R = np.moveaxis(R, (0, 1), (-3, -1) if interleaved else (-4, -2))
+    R = np.moveaxis(R, (0, 1), (-3, -1))
     return R.reshape(M.shape[:-2] + (2 * M.shape[-2], 2 * M.shape[-1]))
-
-
-def _complex(R):
-    """The complex matrix whose real form is R, read from R's left columns."""
-    n = R.shape[-1] // 2
-    return R[..., :n, :n] + 1j * R[..., n:, :n]
 
 
 def _shared_along(bases, z):
@@ -531,9 +512,10 @@ class KroneckerPreconditioner:
     transform is one real matmul per basis used along it, shared by every
     element (`_shared_along`): xi in real form on (re/im, n_xi) merged,
     then tau (x) eta, the outer transform (tau alone in 1D), in interleaved
-    real form on (nT, [n_eta,] re/im) merged.  Real forms, because a
-    complex matmul of these shapes is about 3x slower than the real one of
-    twice the size.
+    real form on (nT, [n_eta,] re/im) merged, at index 0 in 1D.  The
+    eigenvectors stay complex until `_shared_bases` forms these real tables:
+    a complex matmul of these shapes is about 3x slower than the real one
+    of twice the size.
     """
 
     def __init__(self, geom: SlabGeometry, speeds, shape):
@@ -571,8 +553,8 @@ class KroneckerPreconditioner:
         def bases(d):
             """(index, mask) of each basis the elements use along direction
             d, the first for every element; eta is absent in 1D, and its one
-            entry (None, None) leaves tau alone."""
-            used = np.flatnonzero(np.bincount(idx[:, d])) if d < dim else [None]
+            entry (0, None) is tau alone."""
+            used = np.flatnonzero(np.bincount(idx[:, d])) if d < dim else [0]
             return [(j, None if i == 0 else idx[:, d] == j)
                     for i, j in enumerate(used)]
 

@@ -346,6 +346,16 @@ def test_every_settable_value_has_a_checked_kind():
     ("compare_sine_deform_p2", ["motion.length=[0,0]"], "motion"),
     ("stfv_moving_1d", ["motion.length=[0]"], "motion"),
     ("compare_sine_deform_p2", ["motion.t_max=0"], "motion"),
+    # a case file that cannot be read, is not UTF-8 JSON or is not an
+    # object: the error names the file
+    ("malformed case file", [], "case"),
+    ("case directory", [], "case"),
+    ("non-UTF-8 case file", [], "case"),
+    ("number case file", [], "case"),
+    ("null case file", [], "case"),
+    ("list case file", [], "case"),
+    # a non-finite node is a read error, not a degenerate Jacobian
+    ("wave2d_stationary_p2p2", ["non-finite mesh file", "bc=dirichlet"], "mesh"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"
@@ -362,6 +372,20 @@ def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
                                                          (5, 4), (4, 3)]))
     files["interior-edge mesh file"].write_text(quads + "1 4 periodic:a\n0 3 periodic:a\n")
     files["diagonal mesh file"].write_text(quads + "3 0 dirichlet\n0 4 dirichlet\n")
+    files["non-finite mesh file"] = tmp_path / "nan.mesh"
+    files["non-finite mesh file"].write_text(
+        quads.replace("2 6 2 7\n0 0\n1 0\n", "2 6 2 6\n0 0\n1 nan\n") + "3 0 dirichlet\n")
+    cases = {"malformed case file": b'{"name": ', "non-UTF-8 case file": b'{"name": "\xff"}',
+             "number case file": b"5", "null case file": b"null",
+             "list case file": b"[1, 2]"}
+    for name, text in cases.items():
+        files[name] = tmp_path / f"{name.replace(' ', '_')}.json"
+        files[name].write_bytes(text)
+    files["case directory"] = tmp_path / "case_dir"
+    files["case directory"].mkdir()
+    if case in files:
+        case = str(files[case])
+        section = f"case {case!r}"
     args = ["run", case]
     for pair in overrides:
         if pair in files:
@@ -370,6 +394,24 @@ def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert f"error: {section}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", [["run"], ["sweep", "--axis", "time", "--levels", "2"]])
+def test_unusable_output_dir_exits_1_before_solve(monkeypatch, tmp_path, capsys, verb):
+    import stfr.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    for name in ("march", "march_mol"):
+        monkeypatch.setattr(cli, name, no_solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = [verb[0], "wave1d_stationary_p2p2", *verb[1:], "--out", str(blocker / "x")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output_dir: ") and "Traceback" not in err
+    assert str(blocker / "x") in err
 
 
 def test_file_disk_runs_the_circle_deformation(tmp_path, capsys):

@@ -91,6 +91,8 @@ DELETED = {
     "_tensor": "analysis._rule builds the tensor weights and interpolation",
     "st_quadrature_data": "analysis._quadrature, for the slab rule",
     "spatial_quadrature_data": "analysis._quadrature, for the spatial rule",
+    "_complex": "the eigen-tables stay complex until _shared_bases forms the "
+                "real tables the apply reads",
 }
 
 

@@ -173,6 +173,20 @@ def test_read_mesh_rejects_bad_boundaries(tmp_path, text, error, message):
         read_mesh(str(p))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("\n2 1\n", "\n2 nan\n", ":7: non-finite coordinate"),
+    ("\n2 1\n", "\n2 -inf\n", ":7: non-finite coordinate"),
+    ("\n1 1\n", "\n1e400 1\n", ":6: non-finite coordinate"),
+    ("\n0 1 4 3\n", "\n0 1 4 99999999999999999999\n", ":8: bad node index"),
+], ids=["nan", "-inf", "1e400", "index beyond int64"])
+def test_read_mesh_rejects_unrepresentable_numbers(tmp_path, old, new, message):
+    # values that parse but are no finite coordinate or no index
+    p = tmp_path / "bad.txt"
+    p.write_text(TWO_QUADS.format(0).replace(old, new))
+    with pytest.raises(MeshFormatError, match=message):
+        read_mesh(str(p))
+
+
 def test_periodic_flip_from_file(tmp_path):
     # two quads side by side, periodic in x via tags, dirichlet in y
     text = """2 6 2 6

@@ -33,11 +33,41 @@ def test_temporal_eigendecomposition(k):
     lam, V, Vi = _kron_tables(k)[2:]
     n = k + 1
     causal = b.diff - np.outer(b.corr_deriv_left, b.extrap_left)
-    W = V[:n, :n] + 1j * V[n:, :n]  # complex eigenvectors from the real form
-    assert np.abs(causal @ W - W * lam).max() <= 1e-11
-    assert np.abs(V @ Vi - np.eye(2 * n)).max() <= 1e-12
+    assert np.abs(causal @ V - V * lam).max() <= 1e-11
+    assert np.abs(V @ Vi - np.eye(n)).max() <= 1e-12
     assert np.linalg.cond(V) <= 1e3
     assert lam.real.min() > 0  # causal: no zero divisor in the apply
+
+
+def _interleaved(M):
+    """Interleaved real form of complex M, built block by block: the (a, b)
+    entry becomes [[re, -im], [im, re]]."""
+    return np.kron(M.real, np.eye(2)) + np.kron(M.imag, [[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("dim,rho", [(1, (-1.0,)), (2, (0.25,)),
+                                     (2, (-1.0, 0.0, 1.0))])
+def test_shared_bases_real_forms(dim, rho):
+    # each table is the real form of the complex one it stands for: the xi
+    # transforms diagonalize rho_j C + S, and the outer transforms are
+    # T (x) E[j], T alone in 1D
+    ks, kt, n = 3, 2, 4
+    C, S = _kron_tables(ks)[:2]
+    _, V_t, Vi_t = _kron_tables(kt)[2:]
+    mu, fwd, bwd, fwd_outer, bwd_outer = _shared_bases(ks, kt, dim, rho)
+    assert len(fwd) == len(bwd) == len(rho)
+    assert len(fwd_outer) == len(bwd_outer) == (len(rho) if dim == 2 else 1)
+    for j, r in enumerate(rho):
+        assert fwd[j].shape == (2 * n, n) and bwd[j].shape == (n, 2 * n)
+        Vi = fwd[j][:n] + 1j * fwd[j][n:]
+        V = bwd[j][:, :n] - 1j * bwd[j][:, n:]
+        assert np.abs(V @ Vi - np.eye(n)).max() <= 1e-12
+        assert np.abs((V * mu[j]) @ Vi - (r * C + S)).max() <= 1e-12
+        E = (Vi, V) if dim == 2 else (np.ones((1, 1)),) * 2  # kron(T, 1) = T
+        for table, T, E in zip((fwd_outer, bwd_outer), (Vi_t, V_t), E):
+            assert np.abs(table[j] - _interleaved(np.kron(T, E))).max() <= 1e-12
+        eye = np.eye(len(fwd_outer[j]))
+        assert np.abs(fwd_outer[j] @ bwd_outer[j] - eye).max() <= 1e-12
 
 
 def _moving_operator(eq, inflow_fn, moving_path, ks=3, kt=2):

@@ -9,7 +9,7 @@ Subpackage layout:
     physics     equation sets, fluxes, Riemann solvers, exact solutions
     st_solver   space-time FR solver, Newton-Krylov solve per slab
     mol_solver  ALE-FR method-of-lines solver (SSP-RK3)
-    stfv        1D space-time finite-volume reference schemes
+    stfv        1D space-time finite-volume reference scheme
     analysis    error norms, convergence reports (orders between rows)
     cli         case configs, run/sweep orchestration, command line
 """

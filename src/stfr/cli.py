@@ -3,10 +3,9 @@
 Verbs:
     stfr run <case> [--set key.path=value ...] [--out DIR]
     stfr sweep <case> --axis space|time --levels N [--set ...] [--out DIR]
-    stfr check
 
 <case> is a JSON file path or the name of a bundled case (see `cases/`).
-Exit codes: 0 success, 1 validation error, 2 solver non-convergence,
+Exit codes: 0 success, 1 usage or validation error, 2 solver non-convergence,
 3 inadmissible solver state (a non-positive Jacobian, an inverted cell, a
 non-physical flow state or a non-finite solution).
 """
@@ -27,10 +26,10 @@ import numpy as np
 
 from stfr import analysis, mesh as meshmod, motion as motionmod, physics, stfv
 from stfr.analysis import ConvergenceReport
-from stfr.basis import gauss_legendre, make_basis
-from stfr.geometry import GeometryDegeneracyError, gcl_residual, slab_geometry
+from stfr.basis import gauss_legendre
+from stfr.geometry import GeometryDegeneracyError
 from stfr.mol_solver import march_mol, mol_stable_dt
-from stfr.motion import march_path, motion_path
+from stfr.motion import march_path
 from stfr.st_solver import PseudoControls, PseudoConvergenceError, march
 from stfr.stfv import Fv1dState, stfv_step_explicit
 
@@ -427,57 +426,6 @@ def emit_reports(report: ConvergenceReport, outdir: str,
 
 
 # ---------------------------------------------------------------------------
-# built-in verification battery (for `stfr check`)
-
-
-def run_checks(verbose: bool = True) -> bool:
-    """Quick property battery of the package's solvers: the discrete GCL,
-    free-stream preservation on both FR solvers, and the equivalence of the
-    space-time FV step with the FV method of lines."""
-    results = []
-
-    def check(name, ok, detail=""):
-        results.append(ok)
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name} {detail}")
-
-    m = meshmod.rect_mesh(8, 8)
-    path = motion_path(motionmod.SineDeformation(), m, 0.02, 2)
-    g = slab_geometry(m, path[1], path[2], 0.02, make_basis(2), make_basis(2))
-    r = float(np.abs(gcl_residual(g)).max())
-    check("discrete GCL on deforming slab (k=2)", r < 1e-12, f"res={r:.1e}")
-
-    res = march(m, motionmod.SineDeformation(), physics.Advection2D(),
-                physics.Constant((1.0,)), 2, 2, 0.04, 5)
-    d = float(np.abs(res.top - 1.0).max())
-    check("space-time free-stream preservation", d < 1e-11, f"drift={d:.1e}")
-
-    res2 = march_mol(m, motionmod.SineDeformation(), physics.Advection2D(),
-                     physics.Constant((1.0,)), 2, 0.002, 50)
-    d2 = float(np.abs(res2.field.values - 1.0).max())
-    check("method-of-lines free-stream preservation", d2 < 1e-11, f"drift={d2:.1e}")
-
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(3, 10))
-        xx = np.sort(rng.uniform(0, 1, n + 1))
-        xx[0], xx[-1] = 0.0, 1.0
-        if np.diff(xx).min() < 0.02:
-            continue
-        pert = 0.3 * np.diff(xx).min() * rng.uniform(-1, 1, n + 1)
-        pert[0] = pert[-1] = 0.0
-        st = Fv1dState(rng.standard_normal(n), xx, xx + pert,
-                       float(rng.uniform(0.01, 0.2)))
-        worst = max(worst, float(np.abs(stfv_step_explicit(st)
-                                        - stfv.fvmol_step(st)).max()))
-    check("space-time FV == FV method of lines", worst <= 1e-14,
-          f"maxdiff={worst:.1e}")
-
-    return all(results)
-
-
-# ---------------------------------------------------------------------------
 # command line
 
 
@@ -540,12 +488,11 @@ def main(argv=None) -> int:
     sweep_p.add_argument("--set", action="append", default=[], dest="overrides")
     sweep_p.add_argument("--out", default=None)
 
-    sub.add_parser("check", help="run the built-in property battery")
-
-    args = ap.parse_args(argv)
     try:
-        if args.verb == "check":
-            return 0 if run_checks() else 1
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse printed its message; usage is exit 1
+        return 0 if exc.code == 0 else 1
+    try:
         cfg = load_case(args.case)
         cfg = apply_overrides(cfg, args.overrides)
         if args.out:

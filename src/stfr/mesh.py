@@ -38,10 +38,6 @@ class FaceList:
     edge_r: np.ndarray
     flip: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.elem_l)
-
 
 @dataclass
 class Mesh:
@@ -328,6 +324,9 @@ def read_mesh(path: str) -> Mesh:
         fail(1, f"bad header {raw[0]!r}")
     if dim not in (1, 2):
         fail(1, f"unsupported dim {dim}")
+    if min(n_nodes, n_elems) < 1 or n_bf < 0:
+        fail(1, f"bad header {raw[0]!r}: need n_nodes >= 1, n_elems >= 1 "
+                "and n_bfaces >= 0")
     need = 1 + n_nodes + n_elems + n_bf
     if len(raw) < need:
         fail(len(raw), f"expected {need} lines, found {len(raw)}")

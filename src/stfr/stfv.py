@@ -1,9 +1,9 @@
 """Desk-scale 1D space-time finite-volume reference scheme.
 
-The explicit space-time FV step on a moving 1D mesh, and the finite-volume
-method-of-lines step (volumes from the discrete GCL) it must match to
-round-off.  Interfaces are periodic: interface i sits between cells i-1 and
-i (mod n).
+The explicit space-time FV step on a moving 1D mesh.  It must match the
+finite-volume method-of-lines step (volumes from the discrete GCL) to
+round-off; that step lives in `tests/test_stfv.py`.  Interfaces are
+periodic: interface i sits between cells i-1 and i (mod n).
 """
 
 from dataclasses import dataclass
@@ -56,18 +56,3 @@ def stfv_step_explicit(state: Fv1dState, c: float = 1.0) -> np.ndarray:
     F = _interface_fluxes(state, c)
     return (state.ubar * np.diff(state.x_n)
             - state.dt * (F[1:] - F[:-1])) / vol_new
-
-
-def fvmol_step(state: Fv1dState, c: float = 1.0) -> np.ndarray:
-    """Forward-Euler FV method of lines of u_t + c u_x = 0 on the moving mesh:
-    d(ubar V)/dt + (F_2 - F_1) = 0, with the new cell volume V^{n+1} taken
-    from the discrete GCL dV/dt = v_g,2 - v_g,1, not from the new
-    interface positions."""
-    V_n = np.diff(state.x_n)
-    v_g = (state.x_np1 - state.x_n) / state.dt
-    V_np1 = V_n + state.dt * np.diff(v_g)
-    if np.any(V_np1 <= 0):
-        raise CellInversionError("cell inversion at t + dt")
-    F = _interface_fluxes(state, c)
-    return (state.ubar * V_n - state.dt * (F[1:] - F[:-1])) / V_np1
-

@@ -21,7 +21,6 @@ from stfr.cli import (
     load_case,
     main,
     run_case,
-    run_checks,
     sweep,
     validate,
 )
@@ -356,6 +355,9 @@ def test_every_settable_value_has_a_checked_kind():
     ("list case file", [], "case"),
     # a non-finite node is a read error, not a degenerate Jacobian
     ("wave2d_stationary_p2p2", ["non-finite mesh file", "bc=dirichlet"], "mesh"),
+    # a negative boundary-face count, once read as a one-quad mesh with
+    # every edge dirichlet
+    ("wave2d_stationary_p2p2", ["negative-count mesh file", "bc=dirichlet"], "mesh"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"
@@ -375,6 +377,8 @@ def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     files["non-finite mesh file"] = tmp_path / "nan.mesh"
     files["non-finite mesh file"].write_text(
         quads.replace("2 6 2 7\n0 0\n1 0\n", "2 6 2 6\n0 0\n1 nan\n") + "3 0 dirichlet\n")
+    files["negative-count mesh file"] = tmp_path / "count.mesh"
+    files["negative-count mesh file"].write_text("2 4 1 -3\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n")
     cases = {"malformed case file": b'{"name": ', "non-UTF-8 case file": b'{"name": "\xff"}',
              "number case file": b"5", "null case file": b"null",
              "list case file": b"[1, 2]"}
@@ -412,6 +416,22 @@ def test_unusable_output_dir_exits_1_before_solve(monkeypatch, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: output_dir: ") and "Traceback" not in err
     assert str(blocker / "x") in err
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse's own message, exit 1 (exit 2 means a slab did not converge)
+    assert main(["check"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'check'" in err and "'run'" in err and "'sweep'" in err
+    assert main(["sweep", "wave1d_stationary_p2p2", "--axis", "space",
+                 "--levels", "abc"]) == 1
+    assert "--levels: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_help_exits_0_and_lists_run_and_sweep(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "{run,sweep}" in out and "check" not in out
 
 
 def test_file_disk_runs_the_circle_deformation(tmp_path, capsys):
@@ -575,12 +595,3 @@ def test_mol_case_runs():
     cfg.t_final = 0.02
     row = run_case(cfg)
     assert math.isfinite(row.error_final)
-
-
-def test_run_checks_battery(capsys):
-    assert run_checks(verbose=False)
-    assert main(["check"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4 and all(line.startswith("[PASS] ") for line in lines)
-    out = "\n".join(lines).lower()
-    assert not any(word in out for word in ("fail", "gauss", "crank", "dg "))

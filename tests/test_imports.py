@@ -43,6 +43,8 @@ def test_no_unused_imports(path):
 # its benchmark reads, and why each stays
 UNREAD_BY_DESIGN = {
     "write_mesh": "writes the mesh file format that read_mesh parses",
+    "gcl_residual": "GCL residual the geometry gates assert; ROADMAP item 8 "
+                    "reports it per slab",
 }
 
 
@@ -93,6 +95,13 @@ DELETED = {
     "spatial_quadrature_data": "analysis._quadrature, for the spatial rule",
     "_complex": "the eigen-tables stay complex until _shared_bases forms the "
                 "real tables the apply reads",
+    "run_checks": "tier-1 gates its four properties: the gcl_residual gates "
+                  "of test_geometry, test_freestream_marching_all_prescriptions, "
+                  "test_freestream_deforming_100_steps and "
+                  "test_equivalence_200_random_cases",
+    "fvmol_step": "the FV-MOL oracle of test_stfv.py, which "
+                  "test_equivalence_200_random_cases checks stfv_step_explicit "
+                  "against",
 }
 
 

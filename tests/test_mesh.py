@@ -43,23 +43,23 @@ def test_edge_ends_run_along_the_face_points(edge):
 
 def test_interval_periodic_faces():
     m = interval_mesh(4)
-    assert m.faces.n == 4 and len(m.dirichlet) == 0
+    assert len(m.faces.elem_l) == 4 and len(m.dirichlet) == 0
     m2 = interval_mesh(4, periodic=False)
-    assert m2.faces.n == 3 and len(m2.dirichlet) == 2
+    assert len(m2.faces.elem_l) == 3 and len(m2.dirichlet) == 2
 
 
 def test_rect_counts_and_pairing():
     m = rect_mesh(3, 2)
     assert m.n_elems == 6
     # interior: 4 x-faces + 3 y-faces; periodic: 2 + 3
-    assert m.faces.n == 12
+    assert len(m.faces.elem_l) == 12
     assert not np.any(m.faces.flip)  # structured mesh is orientation-aligned
 
 
 def test_rect_dirichlet():
     m = rect_mesh(3, 2, periodic=False)
     assert len(m.dirichlet) == 2 * 3 + 2 * 2
-    assert m.faces.n == 4 + 3
+    assert len(m.faces.elem_l) == 4 + 3
 
 
 def test_every_interior_face_two_elements():
@@ -71,7 +71,7 @@ def test_every_interior_face_two_elements():
             counts[key] = counts.get(key, 0) + 1
     assert set(counts.values()) <= {1, 2}
     n_interior = sum(1 for v in counts.values() if v == 2)
-    assert m.faces.n == n_interior
+    assert len(m.faces.elem_l) == n_interior
 
 
 @pytest.mark.parametrize("level,expected", [(0, 20), (1, 80), (2, 320)])
@@ -187,6 +187,18 @@ def test_read_mesh_rejects_unrepresentable_numbers(tmp_path, old, new, message):
         read_mesh(str(p))
 
 
+@pytest.mark.parametrize("header", ["2 -1 0 0", "2 4 -1 0", "2 4 1 -3",
+                                    "2 4 0 0", "1 0 0 0"])
+def test_read_mesh_rejects_bad_header_counts(tmp_path, header):
+    # no node or no element, or a negative boundary-face count, followed by
+    # the nodes and the element of a unit quad
+    p = tmp_path / "bad.txt"
+    p.write_text(header + "\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n")
+    with pytest.raises(MeshFormatError, match=f":1: bad header '{header}': "
+                       "need n_nodes >= 1, n_elems >= 1 and n_bfaces >= 0"):
+        read_mesh(str(p))
+
+
 def test_periodic_flip_from_file(tmp_path):
     # two quads side by side, periodic in x via tags, dirichlet in y
     text = """2 6 2 6
@@ -208,7 +220,7 @@ def test_periodic_flip_from_file(tmp_path):
     p = tmp_path / "two.txt"
     p.write_text(text)
     m = read_mesh(str(p))
-    assert m.faces.n == 2  # one interior + one periodic
+    assert len(m.faces.elem_l) == 2  # one interior + one periodic
     assert len(m.dirichlet) == 4
 
 

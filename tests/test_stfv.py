@@ -4,9 +4,23 @@ import pytest
 from stfr.stfv import (
     CellInversionError,
     Fv1dState,
-    fvmol_step,
+    _interface_fluxes,
     stfv_step_explicit,
 )
+
+
+def fvmol_step(state: Fv1dState, c: float = 1.0) -> np.ndarray:
+    """Oracle: forward-Euler FV method of lines of u_t + c u_x = 0 on the
+    moving mesh, d(ubar V)/dt + (F_2 - F_1) = 0, with the new cell volume
+    V^{n+1} taken from the discrete GCL dV/dt = v_g,2 - v_g,1, not from the
+    new interface positions."""
+    V_n = np.diff(state.x_n)
+    v_g = (state.x_np1 - state.x_n) / state.dt
+    V_np1 = V_n + state.dt * np.diff(v_g)
+    if np.any(V_np1 <= 0):
+        raise CellInversionError("cell inversion at t + dt")
+    F = _interface_fluxes(state, c)
+    return (state.ubar * V_n - state.dt * (F[1:] - F[:-1])) / V_np1
 
 
 def test_state_validation():

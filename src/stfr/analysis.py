@@ -121,9 +121,8 @@ class ReportRow:
 
 @dataclass
 class ConvergenceReport:
-    """Rows of a refinement sweep plus case metadata."""
+    """Rows of a refinement sweep."""
 
-    case: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
 
     def add(self, resolution, error_final, error_slab, walltime_s=0.0,

@@ -279,6 +279,10 @@ def mesh_resolution(cfg: CaseConfig) -> float:
 def _stfv_run(cfg: CaseConfig, eq, sol, mesh, presc, n_steps):
     """March the 1D space-time FV scheme; returns (error_final, nan, the
     final cell averages)."""
+    if len(mesh.dirichlet):
+        raise ConfigError(f"solver: stfv treats its interfaces as periodic, "
+                          f"but the mesh has {len(mesh.dirichlet)} dirichlet "
+                          f"faces")
     # interface coordinates from the mesh nodes (1D: nodes are interfaces)
     order = np.argsort(mesh.nodes[:, 0])
 
@@ -331,37 +335,35 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
     out = make_output_dir(cfg)
     n_steps = int(round(cfg.t_final / cfg.dt))
     if report is None:
-        report = ConvergenceReport(case=cfg.to_dict())
+        report = ConvergenceReport()
     if resolution is None:
         try:
             resolution = mesh_resolution(cfg)
         except ConfigError:
             resolution = cfg.dt
-    dump = None
-    evals = math.nan
+    e_slab = evals = math.nan
     t0 = time.perf_counter()
-    if cfg.solver == "spacetime":
-        res = march(mesh, presc, eq, sol, cfg.k_s, cfg.k_t, cfg.dt,
-                    n_steps, controls=controls)
-        e_fin = analysis.l2_error_final(res.field, res.geom, mesh,
-                                        res.coords_final, sol, cfg.t_final)
-        e_slab = analysis.l2_error_slab(res.field, res.geom, sol)
-        evals = float(np.mean([st.iterations for st in res.stats]))
-        dump = {"values": res.field.values, "coords": res.coords_final}
-    elif cfg.solver == "mol":
-        res = march_mol(mesh, presc, eq, sol, cfg.k_s, cfg.dt, n_steps)
-        e_fin = analysis.l2_error_nodal(res.field.values, cfg.k_s, mesh,
-                                        res.coords_final, sol, cfg.t_final)
-        e_slab = math.nan
-        dump = {"values": res.field.values, "coords": res.coords_final}
-    else:
+    if cfg.solver == "stfv":
         e_fin, e_slab, ubar = _stfv_run(cfg, eq, sol, mesh, presc, n_steps)
         dump = {"values": ubar}
+    else:
+        if cfg.solver == "spacetime":
+            res = march(mesh, presc, eq, sol, cfg.k_s, cfg.k_t, cfg.dt,
+                        n_steps, controls=controls)
+            e_fin = analysis.l2_error_final(res.field, res.geom, mesh,
+                                            res.coords_final, sol, cfg.t_final)
+            e_slab = analysis.l2_error_slab(res.field, res.geom, sol)
+            evals = float(np.mean([st.iterations for st in res.stats]))
+        else:
+            res = march_mol(mesh, presc, eq, sol, cfg.k_s, cfg.dt, n_steps)
+            e_fin = analysis.l2_error_nodal(res.field.values, cfg.k_s, mesh,
+                                            res.coords_final, sol, cfg.t_final)
+        dump = {"values": res.field.values, "coords": res.coords_final}
     row = report.add(resolution, e_fin, e_slab,
                      walltime_s=time.perf_counter() - t0, evals_per_slab=evals)
     if out:
         report.to_csv(out / f"{cfg.name}.csv")
-        if cfg.dump_solution and dump is not None:
+        if cfg.dump_solution:
             np.savez(out / f"{cfg.name}_solution.npz", **dump)
     return row
 
@@ -378,7 +380,7 @@ def sweep(cfg: CaseConfig, axis: str, levels: int) -> ConvergenceReport:
     if axis == "space" and cfg.mesh["type"] == "file":
         raise ConfigError("mesh: file meshes cannot be swept in space")
     make_output_dir(cfg)
-    report = ConvergenceReport(case={**cfg.to_dict(), "axis": axis})
+    report = ConvergenceReport()
     for lv in range(levels):
         # the levels write nothing; the sweep's files are its report's
         c = CaseConfig.from_dict({**cfg.to_dict(), "output_dir": None})
@@ -513,7 +515,7 @@ def main(argv=None) -> int:
             o = "" if math.isnan(r.order_final) else f"{r.order_final:.2f}"
             print(f"{r.resolution:>12.6g} {r.error_final:>14.6e} {o:>7}")
         return 0
-    except ConfigError as exc:
+    except (ConfigError, motionmod.PeriodicMotionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PseudoConvergenceError as exc:

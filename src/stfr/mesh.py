@@ -330,11 +330,15 @@ def read_mesh(path: str) -> Mesh:
     need = 1 + n_nodes + n_elems + n_bf
     if len(raw) < need:
         fail(len(raw), f"expected {need} lines, found {len(raw)}")
+    for ln, line in enumerate(raw[need:], need + 1):
+        if line.strip():
+            fail(ln, f"expected {need} lines, found more: {line!r}")
 
-    def block(start, count, kind, width, noun, word, valid, invalid):
+    def block(start, count, kind, width, noun, word, check):
         """The `count` lines after line `start`, `width` values of `kind`
         each, as an array; fails on the first line with another number of
-        values, a value `kind` does not parse, or a row not `valid`."""
+        values, a value `kind` does not parse, or a row for which `check`
+        returns a message."""
         out = np.zeros((count, width), dtype=kind)
         for i, line in enumerate(raw[start:start + count]):
             ln = start + i + 1
@@ -345,16 +349,23 @@ def read_mesh(path: str) -> Mesh:
                 out[i] = [kind(v) for v in parts]
             except (ValueError, OverflowError):
                 fail(ln, f"bad {word} in {line!r}")
-            if not valid(out[i]):
-                fail(ln, invalid)
+            msg = check(out[i])
+            if msg:
+                fail(ln, msg)
         return out
 
+    def elem_error(ids):
+        if not (0 <= ids.min() and ids.max() < n_nodes):
+            return "node index out of range"
+        s = sorted(ids.tolist())
+        twice = [a for a, b in zip(s, s[1:]) if a == b]
+        return f"element names node {twice[0]} twice" if twice else None
+
     nodes = block(1, n_nodes, float, dim, "coordinates", "coordinate",
-                  lambda x: np.isfinite(x).all(), "non-finite coordinate")
+                  lambda x: None if np.isfinite(x).all() else "non-finite coordinate")
     npc, n_edges = 2 ** dim, 2 * dim
     elems = block(1 + n_nodes, n_elems, int, npc, "node indices", "node index",
-                  lambda ids: 0 <= ids.min() and ids.max() < n_nodes,
-                  "node index out of range")
+                  elem_error)
 
     # boundary faces, each on an element edge that no other element shares
     ends = _edge_ends(elems, dim).reshape(-1, dim)

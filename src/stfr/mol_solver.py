@@ -24,32 +24,21 @@ the slab solver holds, and stage j runs its FR kernels at level j, reading
 the tables in place, without the temporal-direction terms.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from stfr.basis import make_basis
+from stfr.basis import BasisSet, make_basis
 from stfr.geometry import SlabGeometry, spatial_geometry
 from stfr.mesh import Mesh
 from stfr.motion import MotionPrescription, march_path
 from stfr.physics import Advection1D, Advection2D, EquationSet, ExactSolution
-from stfr.st_solver import LevelPlan, initial_condition
+from stfr.st_solver import (LevelPlan, MarchResult, StateField,
+                            initial_condition)
 
 # Fraction of the estimated stability limit that `mol_stable_dt` returns.
 CFL_SAFETY = 0.5
 
 # SSP-RK3 stage time offsets in units of dt, in the order the stages run
 STAGE_OFFSETS = (0.0, 1.0, 0.5)
-
-
-@dataclass
-class MolField:
-    """Spatial nodal coefficients, (n_elems, (k_s+1)^dim, n_vars)."""
-
-    values: np.ndarray
-    ks: int
-    t: float
-    coords: np.ndarray  # node coordinates at time t
 
 
 class MolOperator:
@@ -100,21 +89,19 @@ def ssp_rk3_step(u, rhs, dt):
     return u / 3.0 + 2.0 / 3.0 * u2 + 2.0 / 3.0 * dt * rhs(u2, 2)
 
 
-def rk3_physical_step(field: MolField, mesh: Mesh, coords_n1: np.ndarray,
-                      dt: float, eq: EquationSet,
-                      bc: ExactSolution | None = None) -> MolField:
-    """One SSP-RK3 step from field.t to field.t + dt.
-
-    The grid velocity is frozen from the step's endpoint positions; stage
-    residuals see the node positions x_n + s V_g and the analytic boundary
-    states at the stage times field.t + s, s = (0, dt, dt/2), all from one
-    geometry built at those three levels.
-    """
-    geom = spatial_geometry(mesh, field.coords, coords_n1, dt,
-                            make_basis(field.ks), field.t, STAGE_OFFSETS)
+def rk3_physical_step(u: np.ndarray, mesh: Mesh, coords_n, coords_n1,
+                      dt: float, t_n: float, eq: EquationSet,
+                      basis_s: BasisSet, bc: ExactSolution | None = None):
+    """One SSP-RK3 step of the nodal values u (nE, nS, nV) from t_n to
+    t_n + dt, the nodes moving from coords_n to coords_n1; returns the new
+    values.  The grid velocity is frozen from the step's end positions;
+    stage residuals see the node positions x_n + s V_g and the analytic
+    boundary states at the stage times t_n + s, s = (0, dt, dt/2), all
+    from one geometry built at those three levels."""
+    geom = spatial_geometry(mesh, coords_n, coords_n1, dt, basis_s, t_n,
+                            STAGE_OFFSETS)
     op = MolOperator(mesh, eq, bc).bind_degree(geom)
-    u1 = ssp_rk3_step(field.values, op.residual, dt)
-    return MolField(values=u1, ks=field.ks, t=field.t + dt, coords=coords_n1)
+    return ssp_rk3_step(u, op.residual, dt)
 
 
 def mol_stable_dt(mesh: Mesh, coords: np.ndarray, eq: EquationSet,
@@ -140,30 +127,24 @@ def mol_stable_dt(mesh: Mesh, coords: np.ndarray, eq: EquationSet,
     return CFL_SAFETY * h / (max(s, 1e-12) * (ks + 1) ** 2)
 
 
-@dataclass
-class MolMarchResult:
-    field: MolField
-    coords_final: np.ndarray
-
-
 def march_mol(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,
               sol: ExactSolution, ks: int, dt: float, n_steps: int,
-              step_callback=None) -> MolMarchResult:
+              step_callback=None) -> MarchResult:
     """March n_steps SSP-RK3 steps from the exact initial condition; `sol`
     also gives the boundary states where the mesh has Dirichlet faces.
-    step_callback(field) runs after each step, ahead of march_path's check
-    that its values are finite."""
+    Returns a `MarchResult` holding the final values (nE, nS, nV) and node
+    coordinates.  step_callback(u) runs on each step's new values, ahead
+    of march_path's check that they are finite."""
     bs = make_basis(ks)
 
     def step(k, u, coords_n, coords_n1):
-        fld = rk3_physical_step(MolField(u, ks, k * dt, coords_n), mesh,
-                                coords_n1, dt, eq, bc=sol)
+        u = rk3_physical_step(u, mesh, coords_n, coords_n1, dt, k * dt, eq,
+                              bs, bc=sol)
         if step_callback is not None:
-            step_callback(fld)
-        return fld.values
+            step_callback(u)
+        return u
 
     u, coords = march_path(
         motion, mesh, dt, n_steps,
         lambda coords0: initial_condition(mesh, coords0, bs, sol), step)
-    return MolMarchResult(field=MolField(u, ks, n_steps * dt, coords),
-                          coords_final=coords)
+    return MarchResult(field=StateField(u), coords_final=coords)

@@ -16,8 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stfr.mesh import Mesh
+from stfr.mesh import EDGE_ENDS, Mesh
 from stfr.physics import NonPhysicalStateError
+
+# the displacements of two periodic partners may differ by this much times
+# the coordinate scale of the mesh: round-off
+PERIODIC_TOL = 1e-10
+
+
+class PeriodicMotionError(ValueError):
+    """A motion that moves the two nodes of a periodic face pair apart."""
 
 
 @dataclass(frozen=True)
@@ -190,8 +198,13 @@ def march_path(presc: MotionPrescription, mesh: Mesh, dt: float, n_steps: int,
     Every solver error is a RuntimeError; its message gets the prefix
     "<unit> k at t = <k dt>".
     Returns (u, x_{n_steps}).
+
+    Raises:
+        PeriodicMotionError: before the first step, if the path moves the
+            two nodes of a periodic face pair apart.
     """
     path = motion_path(presc, mesh, dt, n_steps)
+    _check_periodic(presc, mesh, path, dt)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = start(path[0])
         for k in range(n_steps):
@@ -204,3 +217,21 @@ def march_path(presc: MotionPrescription, mesh: Mesh, dt: float, n_steps: int,
                             *exc.args[1:])
                 raise
     return u, path[n_steps]
+
+
+def _check_periodic(presc, mesh: Mesh, path, dt: float):
+    """Fail if the two nodes of some periodic face pair, the faces whose
+    sides name different nodes, get different displacements on `path`."""
+    f, ends = mesh.faces, EDGE_ENDS[mesh.dim]
+    left = mesh.elems[f.elem_l[:, None], ends[f.edge_l]]
+    right = mesh.elems[f.elem_r[:, None], ends[f.edge_r]]
+    right = np.where(f.flip[:, None], right[:, ::-1], right)
+    pair = left != right
+    a, b = left[pair], right[pair]
+    d = path.take(a, axis=1) - path.take(b, axis=1)
+    gap = np.abs(d - d[0])
+    if gap.size and gap.max() > PERIODIC_TOL * np.abs(mesh.nodes).max():
+        k, i, _ = np.unravel_index(gap.argmax(), gap.shape)
+        raise PeriodicMotionError(
+            f"motion: {presc!r} moves the periodic partner nodes {a[i]} and "
+            f"{b[i]} apart by {gap.max():.3e} at t = {k * dt:.6g}")

@@ -142,12 +142,9 @@ class PseudoControls:
 
 @dataclass
 class StateField:
-    """Space-time nodal coefficients of one slab.
-
-    values has shape (n_elems, k_t+1, (k_s+1)^dim, n_vars), C-ordered over
-    (tau level, spatial point); spatial points are x-fastest.  The degrees
-    k_s and k_t are those of the slab's `SlabGeometry`.
-    """
+    """Nodal coefficients: a slab's (n_elems, k_t+1, (k_s+1)^dim, n_vars),
+    C-ordered over (tau level, spatial point), or a MOL state's
+    (n_elems, (k_s+1)^dim, n_vars); spatial points are x-fastest."""
 
     values: np.ndarray
 
@@ -735,23 +732,27 @@ def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
                  bc: ExactSolution | None = None,
                  controls: PseudoControls | None = None):
     """Build one slab, seed it from the inflow, converge it, and hand back
-    (StateField, SlabGeometry, top-face values, SlabStats)."""
+    (slab values (nE, nT, nS, nV), SlabGeometry, top-face values,
+    SlabStats)."""
     controls = controls or PseudoControls()
     u0 = np.repeat(inflow[:, None], basis_t.n, axis=1)
     geom = slab_geometry(mesh, coords_n, coords_n1, dt, basis_s, basis_t, t_n)
     u, stats = SlabOperator(mesh, geom, eq, inflow, bc).march(u0, controls)
     top = np.einsum("t,etsv->esv", basis_t.extrap_right, u)
-    fld = StateField(values=u)
-    return fld, geom, top, stats
+    return u, geom, top, stats
 
 
 @dataclass
 class MarchResult:
+    """The final state and node coordinates of `march` or `march_mol`.
+    Only `march` fills geom (the last slab's geometry), top (its top-face
+    values) and stats (one SlabStats per slab)."""
+
     field: StateField
-    geom: SlabGeometry
-    top: np.ndarray
+    coords_final: np.ndarray
+    geom: SlabGeometry | None = None
+    top: np.ndarray | None = None
     stats: list = field(default_factory=list)
-    coords_final: np.ndarray | None = None
 
 
 def initial_condition(mesh: Mesh, coords0, basis_s: BasisSet,
@@ -768,20 +769,21 @@ def march(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,
     """March n_steps slabs from the exact initial condition at t = 0.
 
     `sol` also supplies the analytic boundary states where the mesh has
-    dirichlet faces.  slab_callback(field, geom, top) runs after each
-    converged slab.
+    dirichlet faces.  slab_callback(u, geom, top) runs after each
+    converged slab, on its values (nE, nT, nS, nV).
     """
     controls = controls or PseudoControls()
     bs, bt = make_basis(ks), make_basis(kt)
-    result = MarchResult(field=None, geom=None, top=None)
+    result = MarchResult(field=None, coords_final=None)
 
     def slab(k, inflow, coords_n, coords_n1):
-        result.field, result.geom, top, stats = advance_slab(
+        u, result.geom, top, stats = advance_slab(
             inflow, mesh, coords_n, coords_n1, dt, k * dt, eq, bs, bt,
             bc=sol, controls=controls)
+        result.field = StateField(u)
         result.stats.append(stats)
         if slab_callback is not None:
-            slab_callback(result.field, result.geom, top)
+            slab_callback(u, result.geom, top)
         return top
 
     result.top, result.coords_final = march_path(

@@ -212,7 +212,7 @@ def test_observed_orders_first_row_and_equal_resolution():
 
 
 def test_report_csv_and_plot(tmp_path):
-    rep = ConvergenceReport(case={"name": "demo"})
+    rep = ConvergenceReport()
     rep.add(0.125, 3.24e-3, 2.0e-3, walltime_s=0.5)
     rep.add(0.0625, 7.34e-4, 4.0e-4, walltime_s=1.0, evals_per_slab=17.4)
     p = tmp_path / "r.csv"

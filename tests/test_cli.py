@@ -358,6 +358,11 @@ def test_every_settable_value_has_a_checked_kind():
     # a negative boundary-face count, once read as a one-quad mesh with
     # every edge dirichlet
     ("wave2d_stationary_p2p2", ["negative-count mesh file", "bc=dirichlet"], "mesh"),
+    # stfv treats its interfaces as periodic: a dirichlet end is refused
+    ("stfv_moving_1d", ["bc=dirichlet"], "solver"),
+    # a line after the counted ones, and an element naming a node twice
+    ("wave2d_stationary_p2p2", ["extra-line mesh file", "bc=dirichlet"], "mesh"),
+    ("wave2d_stationary_p2p2", ["repeated-node mesh file", "bc=dirichlet"], "mesh"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"
@@ -379,6 +384,11 @@ def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
         quads.replace("2 6 2 7\n0 0\n1 0\n", "2 6 2 6\n0 0\n1 nan\n") + "3 0 dirichlet\n")
     files["negative-count mesh file"] = tmp_path / "count.mesh"
     files["negative-count mesh file"].write_text("2 4 1 -3\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n")
+    quad = "2 4 1 0\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n"
+    files["extra-line mesh file"] = tmp_path / "extra.mesh"
+    files["extra-line mesh file"].write_text(quad + "extra junk\n")
+    files["repeated-node mesh file"] = tmp_path / "twice.mesh"
+    files["repeated-node mesh file"].write_text(quad.replace("0 1 2 3", "0 1 2 2"))
     cases = {"malformed case file": b'{"name": ', "non-UTF-8 case file": b'{"name": "\xff"}',
              "number case file": b"5", "null case file": b"null",
              "list case file": b"[1, 2]"}
@@ -445,6 +455,18 @@ def test_file_disk_runs_the_circle_deformation(tmp_path, capsys):
     assert main(args) == 0
     built = capsys.readouterr().out
     assert from_file.split("walltime")[0] == built.split("walltime")[0]
+
+
+def test_motion_that_breaks_periodicity_exits_1(capsys):
+    # a length-4 sine deformation with n = 3 on the vortex's [-2, 2]^2
+    # moves the two sides of every periodic pair in opposite directions
+    motion = ('motion={"type": "sine_deformation", "amp": [0.1, 0.1], '
+              '"length": [4, 4], "n": [3, 3], "t_max": 0.5}')
+    assert main(["run", "euler_vortex_p3", "--set", "dt=0.125",
+                 "--set", motion]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: motion: SineDeformation(")
+    assert "periodic partner nodes" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case, overrides, message", [

@@ -102,6 +102,9 @@ DELETED = {
     "fvmol_step": "the FV-MOL oracle of test_stfv.py, which "
                   "test_equivalence_200_random_cases checks stfv_step_explicit "
                   "against",
+    "MolField": "march_mol's steps pass the bare nodal array; StateField "
+                "holds the final one",
+    "MolMarchResult": "march_mol returns st_solver.MarchResult",
 }
 
 

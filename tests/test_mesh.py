@@ -178,9 +178,11 @@ def test_read_mesh_rejects_bad_boundaries(tmp_path, text, error, message):
     ("\n2 1\n", "\n2 -inf\n", ":7: non-finite coordinate"),
     ("\n1 1\n", "\n1e400 1\n", ":6: non-finite coordinate"),
     ("\n0 1 4 3\n", "\n0 1 4 99999999999999999999\n", ":8: bad node index"),
-], ids=["nan", "-inf", "1e400", "index beyond int64"])
+    ("\n1 2 5 4\n", "\n1 2 5 5\n", ":9: element names node 5 twice"),
+], ids=["nan", "-inf", "1e400", "index beyond int64", "repeated node"])
 def test_read_mesh_rejects_unrepresentable_numbers(tmp_path, old, new, message):
-    # values that parse but are no finite coordinate or no index
+    # values that parse but are no finite coordinate, no index or no quad
+    # (two distinct nodes at one point would need a geometric check)
     p = tmp_path / "bad.txt"
     p.write_text(TWO_QUADS.format(0).replace(old, new))
     with pytest.raises(MeshFormatError, match=message):
@@ -197,6 +199,17 @@ def test_read_mesh_rejects_bad_header_counts(tmp_path, header):
     with pytest.raises(MeshFormatError, match=f":1: bad header '{header}': "
                        "need n_nodes >= 1, n_elems >= 1 and n_bfaces >= 0"):
         read_mesh(str(p))
+
+
+def test_read_mesh_rejects_lines_after_the_counted_ones(tmp_path):
+    # a boundary-face count that is too small would drop the lines after it
+    p = tmp_path / "extra.txt"
+    p.write_text(TWO_QUADS.format(0) + "\n  \nextra junk\n")
+    with pytest.raises(MeshFormatError,
+                       match=":12: expected 9 lines, found more: 'extra junk'"):
+        read_mesh(str(p))
+    p.write_text(TWO_QUADS.format(0) + "\n  \n\n")  # trailing blank lines
+    assert read_mesh(str(p)).n_elems == 2
 
 
 def test_periodic_flip_from_file(tmp_path):

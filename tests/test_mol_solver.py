@@ -22,7 +22,6 @@ from stfr.physics import (
 )
 from stfr.mol_solver import (
     STAGE_OFFSETS,
-    MolField,
     MolOperator,
     march_mol,
     mol_stable_dt,
@@ -33,13 +32,12 @@ from stfr.analysis import l2_error_nodal
 from stfr.st_solver import initial_condition
 
 
-def mol_residual(fld, mesh, coords_n1, dt, eq, bc=None):
-    """du/dt of `fld` with the nodes moving to `coords_n1` over dt, from
-    the operator built the way `rk3_physical_step` builds it, at one
-    level."""
-    geom = spatial_geometry(mesh, fld.coords, coords_n1, dt,
-                            make_basis(fld.ks), fld.t)
-    return MolOperator(mesh, eq, bc).bind_degree(geom).residual(fld.values)
+def mol_residual(u, ks, mesh, coords_n, coords_n1, dt, eq, t_n=0.0, bc=None):
+    """du/dt of the degree-ks values u at t_n with the nodes moving from
+    `coords_n` to `coords_n1` over dt, from the operator built the way
+    `rk3_physical_step` builds it, at one level."""
+    geom = spatial_geometry(mesh, coords_n, coords_n1, dt, make_basis(ks), t_n)
+    return MolOperator(mesh, eq, bc).bind_degree(geom).residual(u)
 
 
 def test_grid_velocity_trivia():
@@ -63,8 +61,8 @@ def test_freestream_any_velocity_field():
     m = rect_mesh(5, 5)
     rng = np.random.default_rng(2)
     vel = 0.3 * rng.standard_normal(m.nodes.shape)
-    fld = MolField(np.full((25, 9, 1), 4.0), ks=2, t=0.0, coords=m.nodes)
-    r = mol_residual(fld, m, m.nodes + vel, 1.0, Advection2D())
+    u = np.full((25, 9, 1), 4.0)
+    r = mol_residual(u, 2, m, m.nodes, m.nodes + vel, 1.0, Advection2D())
     assert np.abs(r).max() <= 1e-12
 
 
@@ -87,8 +85,7 @@ def test_static_mesh_matches_independent_fr_1d():
     m = interval_mesh(n)
     rng = np.random.default_rng(8)
     u = rng.standard_normal((n, ks + 1, 1))
-    fld = MolField(u, ks=ks, t=0.0, coords=m.nodes)
-    r = mol_residual(fld, m, m.nodes, 1.0, Advection1D(c))
+    r = mol_residual(u, ks, m, m.nodes, m.nodes, 1.0, Advection1D(c))
     oracle = _static_fr_residual_1d(u[..., 0], ks, n, 1.0 / n, c)
     assert np.abs(r[..., 0] - oracle).max() <= 1e-13
 
@@ -129,8 +126,7 @@ def test_static_mesh_matches_independent_fr_2d():
     rng = np.random.default_rng(12)
     n1 = ks + 1
     u = rng.standard_normal((nx * ny, n1 * n1, 1))
-    fld = MolField(u, ks=ks, t=0.0, coords=m.nodes)
-    r = mol_residual(fld, m, m.nodes, 1.0, Advection2D(c1, c2))
+    r = mol_residual(u, ks, m, m.nodes, m.nodes, 1.0, Advection2D(c1, c2))
     u4 = u[..., 0].reshape(ny, nx, n1, n1)
     oracle = _static_fr_residual_2d(u4, ks, nx, ny, 1 / nx, 1 / ny, c1, c2)
     r4 = r[..., 0].reshape(ny, nx, n1, n1)
@@ -145,9 +141,9 @@ def test_galilean_frame_shift_identity():
     u = rng.standard_normal((16, 9, 1))
     V = np.array([0.3, -0.2])
     vel = np.tile(V, (m.n_nodes, 1))
-    fld = MolField(u, ks=2, t=0.0, coords=m.nodes)
-    r_ale = mol_residual(fld, m, m.nodes + vel, 1.0, Advection2D(0.5, 0.5))
-    r_static = mol_residual(fld, m, m.nodes, 1.0,
+    r_ale = mol_residual(u, 2, m, m.nodes, m.nodes + vel, 1.0,
+                         Advection2D(0.5, 0.5))
+    r_static = mol_residual(u, 2, m, m.nodes, m.nodes, 1.0,
                             Advection2D(0.5 - 0.3, 0.5 + 0.2))
     assert np.abs(r_ale - r_static).max() <= 1e-12
 
@@ -201,8 +197,8 @@ def test_conservation_on_moving_mesh(dt, mass):
     path = motion_path(presc, m, dt, n)
     masses = []
 
-    def cb(fld):
-        masses.append(mass(m, path[round(fld.t / dt)], fld.ks, fld.values))
+    def cb(u):
+        masses.append(mass(m, path[len(masses) + 1], 3, u))
 
     march_mol(m, presc, Advection1D(1.0), sol, ks=3, dt=dt, n_steps=n,
               step_callback=cb)
@@ -223,12 +219,13 @@ def test_conservation_on_moving_mesh_2d(mass):
         n = int(round(t_end / dt))
         path = motion_path(presc, m, dt, n)
         u0 = initial_condition(m, path[0], make_basis(ks), SineWave2D()) + 1.0
-        fld = MolField(u0, ks=ks, t=0.0, coords=path[0])
-        masses = []
+        u, masses = u0, []
         for k in range(n + 1):
             if k:
-                fld = rk3_physical_step(fld, m, path[k], dt, Advection2D())
-            masses.append(mass(m, path[k], ks, fld.values))
+                u = rk3_physical_step(u, m, path[k - 1], path[k], dt,
+                                      (k - 1) * dt, Advection2D(),
+                                      make_basis(ks))
+            masses.append(mass(m, path[k], ks, u))
         assert masses[0] == pytest.approx(1.0, abs=1e-12)
         drifts.append(np.abs(np.array(masses) - masses[0]).max())
     assert drifts[0] <= 1e-7
@@ -288,9 +285,9 @@ def test_mol_stable_dt_reasonable():
 
 def test_rk3_rejects_bad_dt():
     m = interval_mesh(4)
-    fld = MolField(np.zeros((4, 3, 1)), ks=2, t=0.0, coords=m.nodes)
     with pytest.raises(ValueError):
-        rk3_physical_step(fld, m, m.nodes, 0.0, Advection1D(1.0))
+        rk3_physical_step(np.zeros((4, 3, 1)), m, m.nodes, m.nodes, 0.0, 0.0,
+                          Advection1D(1.0), make_basis(2))
 
 
 def _signature(a):
@@ -317,8 +314,7 @@ def test_characterization_pins(mesh, presc, eq, sol, dt, n_steps, pins):
     ks = 3
     path = motion_path(presc, mesh, dt, 2)
     u0 = initial_condition(mesh, path[1], make_basis(ks), sol)
-    fld = MolField(u0, ks=ks, t=dt, coords=path[1])
-    r = mol_residual(fld, mesh, path[2], dt, eq, bc=sol)
+    r = mol_residual(u0, ks, mesh, path[1], path[2], dt, eq, t_n=dt, bc=sol)
     res = march_mol(mesh, presc, eq, sol, ks=ks, dt=dt, n_steps=n_steps)
     pin_r, pin_u = pins
     assert _signature(r) == pytest.approx(pin_r, rel=1e-12)

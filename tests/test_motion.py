@@ -6,6 +6,7 @@ import pytest
 from stfr.mesh import disk_mesh, rect_mesh
 from stfr.motion import (
     CircleDeformation,
+    PeriodicMotionError,
     RigidOscillation,
     SineDeformation,
     Stationary,
@@ -15,6 +16,7 @@ from stfr.motion import (
     circle_theta,
     deform_step,
     eta_perturbation,
+    march_path,
     motion_path,
     node_positions,
 )
@@ -149,3 +151,21 @@ def test_negative_time_rejected():
     m = rect_mesh(2, 2)
     with pytest.raises(ValueError):
         node_positions(Stationary(), m, -0.5)
+
+
+def test_march_path_keeps_periodic_partners_together():
+    # on [-2, 2]^2, length 4 and n = 3 move the nodes x = -2 and x = 2 in
+    # opposite directions: refused before the seed, unless the mesh is not
+    # periodic; with length 1 on the unit square the partners move together
+    presc = SineDeformation(length=(4.0, 4.0), n=(3.0, 3.0), t_max=0.5)
+    seeded = []
+    with pytest.raises(PeriodicMotionError,
+                       match=r"SineDeformation\(.* apart by 3\.898e-01 at t = 0\.5"):
+        march_path(presc, rect_mesh(4, 4, -2, 2, -2, 2), 0.125, 4,
+                   seeded.append, None)
+    assert seeded == []
+    for mesh, motion in ((rect_mesh(4, 4, -2, 2, -2, 2, periodic=False), presc),
+                         (rect_mesh(4, 4), SineDeformation(n=(3.0, 3.0)))):
+        u, _ = march_path(motion, mesh, 0.125, 4, lambda x: 0.0,
+                          lambda k, u, x0, x1: u + 1.0)
+        assert u == 4.0

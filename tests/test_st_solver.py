@@ -160,7 +160,7 @@ def test_advance_slab_constant_top(moving_path):
     m = rect_mesh(4, 4)
     path = moving_path(SineDeformation(n=(3.0, 3.0)), m, 0.02, 2)
     inflow = np.full((16, 9, 1), 3.0)
-    fld, geom, top, stats = advance_slab(
+    u, geom, top, stats = advance_slab(
         inflow, m, path[1], path[2], 0.02, 0.02, Advection2D(),
         make_basis(2), make_basis(2))
     assert np.abs(top - 3.0).max() <= 1e-12
@@ -206,7 +206,7 @@ def test_conservation_periodic_advection(mass):
     path = motion_path(SineDeformation(), m, 0.02, 4)
     vals = {"masses": []}
 
-    def cb2(fld, geom, top):
+    def cb2(u, geom, top):
         k = len(vals["masses"]) + 1
         vals["masses"].append(mass(m, path[k], geom.ks, top))
 
@@ -222,7 +222,7 @@ def test_conservation_periodic_advection_1d(mass):
     path = motion_path(SineDeformation(amp=(0.1,), n=(4.0,)), m, 0.02, 5)
     vals = []
 
-    def cb(fld, geom, top):
+    def cb(u, geom, top):
         vals.append(mass(m, path[len(vals) + 1], geom.ks, top))
 
     march(m, SineDeformation(amp=(0.1,), n=(4.0,)), Advection1D(1.0), sol,
@@ -246,9 +246,9 @@ def test_mass_balance_on_the_disk(mass):
                    initial_condition(mesh, path[0], bs, sol))]
     defects = []
 
-    def balance(fld, geom, top):
+    def balance(u, geom, top):
         plan = LevelPlan(mesh, geom, eq, sol)
-        tr = _traces_all_edges(fld.values, cfg.k_s, mesh.dim)
+        tr = _traces_all_edges(u, cfg.k_s, mesh.dim)
         bound = mesh.side_rows(tr.shape[1])[2]
         QB = tr.reshape((-1,) + tr.shape[3:]).take(bound, axis=0)
         flux = _transformed_common_flux(eq, QB, plan.d_ext, plan.d_M)

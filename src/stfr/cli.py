@@ -283,8 +283,7 @@ def _stfv_run(cfg: CaseConfig, eq, sol, mesh, presc, n_steps):
         raise ConfigError(f"solver: stfv treats its interfaces as periodic, "
                           f"but the mesh has {len(mesh.dirichlet)} dirichlet "
                           f"faces")
-    # interface coordinates from the mesh nodes (1D: nodes are interfaces)
-    order = np.argsort(mesh.nodes[:, 0])
+    order = _stfv_interfaces(mesh)
 
     def step(k, ubar, coords_n, coords_n1):
         st = Fv1dState(ubar, coords_n[order, 0], coords_n1[order, 0], cfg.dt)
@@ -298,6 +297,23 @@ def _stfv_run(cfg: CaseConfig, eq, sol, mesh, presc, n_steps):
     vols = np.diff(x_fin)
     err = math.sqrt(float(np.sum(vols * (ubar - uex) ** 2) / np.sum(vols)))
     return err, math.nan, ubar
+
+
+def _stfv_interfaces(mesh):
+    """Node indices of the FV interfaces, left to right: the end nodes of
+    the mesh's elements, which must form one chain in x.  Nodes that no
+    element names are no interface."""
+    x = mesh.nodes[:, 0]
+    ends = mesh.elems
+    ends = np.where((x[ends[:, 0]] > x[ends[:, 1]])[:, None], ends[:, ::-1], ends)
+    ends = ends[np.argsort(x[ends[:, 0]])]
+    gaps = np.flatnonzero(ends[1:, 0] != ends[:-1, 1])
+    if gaps.size:
+        a, b = ends[gaps[0], 1], ends[gaps[0] + 1, 0]
+        raise ConfigError(f"mesh: stfv needs elements that form one chain, but "
+                          f"the element ending at node {a} (x={x[a]:g}) is "
+                          f"followed by one starting at node {b} (x={x[b]:g})")
+    return np.append(ends[:, 0], ends[-1, 1])
 
 
 def _cell_averages(sol, interfaces, t):

@@ -359,7 +359,15 @@ def read_mesh(path: str) -> Mesh:
             return "node index out of range"
         s = sorted(ids.tolist())
         twice = [a for a, b in zip(s, s[1:]) if a == b]
-        return f"element names node {twice[0]} twice" if twice else None
+        if twice:
+            return f"element names node {twice[0]} twice"
+        x = nodes[ids]
+        same = np.argwhere(np.triu((x[:, None] == x[None]).all(axis=-1), 1))
+        if same.size:
+            a, b = ids[same[0]]
+            return (f"element nodes {a} and {b} are at one point "
+                    f"{tuple(x[same[0, 0]].tolist())}")
+        return None
 
     nodes = block(1, n_nodes, float, dim, "coordinates", "coordinate",
                   lambda x: None if np.isfinite(x).all() else "non-finite coordinate")

@@ -34,12 +34,14 @@ flux component of (f, g, Q) at a time, never stacked), `face_jumps`
 (traces, face sides gathered by the mesh's `side_rows`, the right side of
 a flipped face reversed, Riemann and Dirichlet fluxes, the jumps gathered
 back in the traces' (nE, nT, n_edges, nFs, nV) layout) and `lift` (one
-contraction with the lift of `_edge_tables`).  Every table contraction goes
-through `_contract`: one GEMM for a scalar equation, a batched matmul for
-Euler.  `SlabOperator` runs the kernels at all its levels and adds only the
-d_tau term and the causal temporal correction; `mol_solver.MolOperator`
-runs stage j at level j.  The slab is FR in time over the method-of-lines
-operator at the Gauss levels.
+contraction with the lift of `_edge_tables`).  Table contractions go
+through `_contract`, one GEMM for a scalar equation and a batched matmul
+for Euler, except Euler's xi derivative: one GEMM with the Kronecker table
+kron(D, I_nV)^T of `_xi_table`, since its rows of n_xi * nV values are
+contiguous.  `SlabOperator` runs the kernels at all its levels and adds
+only the d_tau term and the causal temporal correction;
+`mol_solver.MolOperator` runs stage j at level j.  The slab is FR in time
+over the method-of-lines operator at the Gauss levels.
 """
 
 import math
@@ -228,10 +230,13 @@ class LevelPlan:
     M and d_M are the `_weights` of the outward vectors of each face's left
     element and of each Dirichlet face, d_ext the analytic states at the
     Dirichlet flux points, weights the `_weights` of the metric rows (dim,
-    nE, nT, nS, dim+1), which the chain-rule divergence contracts (for
-    Euler the geometry's rows themselves, uncopied), and jac the |J| that
-    divides the residual.  eq, ks and dim are those of the equation, the
-    geometry and the mesh.
+    nE, nT, nS, dim+1), which the advection divergence contracts (for
+    Euler the geometry's rows themselves, uncopied, which the wave speeds
+    read), and jac the |J| that divides the residual.  For Euler, metric
+    holds each metric component M_dir[c] repeated over the nV variables,
+    (dim, dim+1, nE, nT, nS, nV), read-only, so that every scaling of the
+    divergence is a same-shape multiply; it is None for advection.  eq, ks
+    and dim are those of the equation, the geometry and the mesh.
     """
 
     def __init__(self, mesh: Mesh, geom: SlabGeometry, eq: EquationSet,
@@ -249,6 +254,11 @@ class LevelPlan:
             self.d_ext = exact_state(bc, *face_points(geom, d_e, d_edge),
                                      t=geom.times[:, None])
         self.weights = _weights(eq, geom.rows)
+        self.metric = None
+        if not isinstance(eq, (Advection1D, Advection2D)):
+            self.metric = np.repeat(np.moveaxis(geom.rows, -1, 1)[..., None],
+                                    eq.n_vars, axis=-1)
+            self.metric.setflags(write=False)
         self.jac = geom.jac
 
     def spatial_divergence(self, u, at=slice(None)):
@@ -258,10 +268,11 @@ class LevelPlan:
         Excludes the temporal-direction term, which only the space-time
         operator has.  Advection takes every reference derivative in one
         contraction with `_derivative_table`; Euler takes each flux
-        component F_c of (f, g, Q) in turn, contracts it with D along xi,
-        then eta, scales each derivative in place by its metric component
-        M_dir[c] and adds it to the output, so no stacked copy of the
-        components is made.
+        component F_c of (f, g, Q) in turn, differentiates it along xi by
+        one GEMM with `_xi_table`, then along eta by `_contract`, scales
+        each derivative in place by its repeated metric component
+        M_dir[c] of `metric`, a same-shape multiply, and adds it to the
+        output, so no stacked copy of the components is made.
         """
         nE, nT = u.shape[:2]
         weights = self.weights[:, :, at]
@@ -271,12 +282,16 @@ class LevelPlan:
             return np.einsum("dets,etds->ets", weights,
                              du.reshape(nE, nT, self.dim, -1))[..., None]
         D = make_basis(self.ks).diff
+        xi = _xi_table(self.ks, u.shape[3])
+        metric = self.metric[:, :, :, at]
         out = np.zeros_like(u)
         for c, F in enumerate((*flux(self.eq, u), u)):
-            for M, rows in ((weights[0], nE * nT * len(D)), (weights[1], nE * nT)):
-                dF = _contract(D, F.reshape(rows, len(D), -1)).reshape(u.shape)
-                dF *= M[..., c, None]
-                out += dF
+            dF = (F.reshape(-1, xi.shape[0]) @ xi).reshape(u.shape)
+            dF *= metric[0, c]
+            out += dF
+            dF = _contract(D, F.reshape(nE * nT, len(D), -1)).reshape(u.shape)
+            dF *= metric[1, c]
+            out += dF
         return out
 
     def face_jumps(self, u, at=slice(None)):
@@ -335,6 +350,17 @@ def _derivative_table(ks: int, dim: int):
     D = make_basis(ks).diff
     eye = np.eye(ks + 1)
     table = D.copy() if dim == 1 else np.vstack([np.kron(eye, D), np.kron(D, eye)])
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _xi_table(ks: int, nV: int):
+    """kron(D, I_nV)^T (n nV, n nV): the xi derivative of a system's nodal
+    values, viewed as rows (element, level, eta) of n_xi * nV values, is
+    one GEMM with it, where a batched matmul would make one BLAS call per
+    row."""
+    table = np.kron(make_basis(ks).diff, np.eye(nV)).T.copy()
     table.setflags(write=False)
     return table
 

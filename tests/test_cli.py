@@ -363,6 +363,9 @@ def test_every_settable_value_has_a_checked_kind():
     # a line after the counted ones, and an element naming a node twice
     ("wave2d_stationary_p2p2", ["extra-line mesh file", "bc=dirichlet"], "mesh"),
     ("wave2d_stationary_p2p2", ["repeated-node mesh file", "bc=dirichlet"], "mesh"),
+    # two corners at one point; and stfv on elements that leave a gap
+    ("wave2d_stationary_p2p2", ["coincident-corner mesh file", "bc=dirichlet"], "mesh"),
+    ("stfv_moving_1d", ["gapped 1D mesh file"], "mesh"),
 ])
 def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     bad = tmp_path / "bad.mesh"
@@ -389,6 +392,13 @@ def test_cli_build_errors_exit_1(tmp_path, capsys, case, overrides, section):
     files["extra-line mesh file"].write_text(quad + "extra junk\n")
     files["repeated-node mesh file"] = tmp_path / "twice.mesh"
     files["repeated-node mesh file"].write_text(quad.replace("0 1 2 3", "0 1 2 2"))
+    files["coincident-corner mesh file"] = tmp_path / "coincident.mesh"
+    files["coincident-corner mesh file"].write_text(quad.replace("1 1", "1 0"))
+    # elements [0, 0.5] and [0.6, 1], every end tagged periodic
+    files["gapped 1D mesh file"] = tmp_path / "gap.mesh"
+    files["gapped 1D mesh file"].write_text(
+        "1 4 2 4\n0\n0.5\n0.6\n1\n0 1\n2 3\n"
+        "0 periodic:a\n3 periodic:a\n1 periodic:b\n2 periodic:b\n")
     cases = {"malformed case file": b'{"name": ', "non-UTF-8 case file": b'{"name": "\xff"}',
              "number case file": b"5", "null case file": b"null",
              "list case file": b"[1, 2]"}
@@ -608,6 +618,24 @@ def test_stfv_case_runs():
     row = run_case(cfg)
     assert math.isfinite(row.error_final)
     assert math.isnan(row.error_slab)
+
+
+def test_stfv_takes_its_cells_from_the_elements(tmp_path):
+    # a node that no element names is no interface: the run equals the
+    # one on the file without it, whatever the order of the node lines
+    texts = {"clean": "1 3 2 2\n0\n0.5\n1\n0 1\n1 2\n0 periodic:a\n2 periodic:a\n",
+             "stray": "1 4 2 2\n0\n0.5\n1\n5\n0 1\n1 2\n0 periodic:a\n2 periodic:a\n",
+             "reversed": "1 4 2 2\n1\n5\n0.5\n0\n2 3\n0 2\n3 periodic:a\n0 periodic:a\n"}
+    errors = []
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.mesh"
+        path.write_text(text)
+        cfg = load_case("stfv_moving_1d")
+        cfg.mesh = {"type": "file", "path": str(path)}
+        cfg.t_final = 0.1
+        errors.append(run_case(cfg).error_final)
+    assert errors[0] == pytest.approx(8.904491e-02, rel=1e-6)
+    assert errors[1] == errors[0] and errors[2] == errors[0]
 
 
 def test_mol_case_runs():

@@ -6,7 +6,9 @@ matmuls over row-indexed gathers.  Here each is recomputed from the 1D
 basis tables with einsum, face by face, on the disk mesh of
 `wave2d_circle_p2`, which has flipped and Dirichlet faces, for advection
 and Euler, on a slab plan at all its levels (nT = 3) and at one level
-picked by a slice (nT = 1, as the method of lines runs it).
+picked by a slice (nT = 1, as the method of lines runs it).  The Euler
+divergence is also checked against its batched-matmul form on the first
+slab of `euler_vortex_p3`.
 """
 
 import tracemalloc
@@ -33,6 +35,7 @@ from stfr.st_solver import (
     _transformed_common_flux,
     _transformed_normal_flux,
     _weights,
+    _xi_table,
     initial_condition,
 )
 
@@ -123,6 +126,60 @@ def test_euler_divergence_allocates_no_stacked_flux():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * u.nbytes
+
+
+@pytest.fixture(scope="module")
+def vortex():
+    """The plan of the first slab of `euler_vortex_p3`, its geometry and a
+    perturbed initial state at its levels."""
+    cfg = cli.load_case("euler_vortex_p3")
+    mesh, eq = cli.build_mesh(cfg), cli.build_equation(cfg)
+    sol = cli.build_exact(cfg, eq)
+    bs, bt = make_basis(cfg.k_s), make_basis(cfg.k_t)
+    path = motion_path(cli.build_motion(cfg), mesh, cfg.dt, 1)
+    geom = slab_geometry(mesh, path[0], path[1], cfg.dt, bs, bt, t_n=0.0)
+    u = initial_condition(mesh, path[0], bs, sol)[:, None].repeat(bt.n, axis=1)
+    u = u * (1.0 + 0.01 * np.random.default_rng(30).standard_normal(u.shape))
+    return LevelPlan(mesh, geom, eq, sol), geom, u
+
+
+def _batched_divergence(eq, D, rows, u):
+    """The Euler divergence with every derivative a batched matmul and
+    every scaling a broadcast of the metric rows (dim, nE, nT, nS, dim+1)."""
+    nE, nT = u.shape[:2]
+    out = np.zeros_like(u)
+    for c, F in enumerate((*flux(eq, u), u)):
+        for M, n_rows in ((rows[0], nE * nT * len(D)), (rows[1], nE * nT)):
+            dF = np.matmul(D, F.reshape(n_rows, len(D), -1)).reshape(u.shape)
+            out += dF * M[..., c, None]
+    return out
+
+
+def test_euler_divergence_equals_the_batched_form(vortex):
+    # at all levels, as a slab runs it, and at each level alone, as a MOL
+    # stage runs it
+    plan, geom, u = vortex
+    D = make_basis(plan.ks).diff
+    cases = [(u, slice(None))] + [(u[:, j:j + 1].copy(), slice(j, j + 1))
+                                  for j in range(u.shape[1])]
+    for v, at in cases:
+        ref = _batched_divergence(plan.eq, D, geom.rows[:, :, at], v)
+        got = plan.spatial_divergence(v, at)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_plan_repeats_the_metric_for_euler_only(vortex, setup):
+    # Euler holds each metric component repeated over the variables, and
+    # the cached xi table, read-only; advection holds no repeated array
+    plan, geom, u = vortex
+    M = plan.metric
+    assert M.shape == (2, 3) + u.shape and not M.flags.writeable
+    assert not _xi_table(plan.ks, 4).flags.writeable
+    for d, c in np.ndindex(2, 3):
+        assert np.array_equal(M[d, c], np.repeat(geom.rows[d][..., c, None], 4, axis=-1))
+    eq, plan = setup[0], setup[4]
+    assert (plan.metric is None) == (eq.n_vars == 1)
 
 
 def test_traces(setup):

@@ -179,13 +179,24 @@ def test_read_mesh_rejects_bad_boundaries(tmp_path, text, error, message):
     ("\n1 1\n", "\n1e400 1\n", ":6: non-finite coordinate"),
     ("\n0 1 4 3\n", "\n0 1 4 99999999999999999999\n", ":8: bad node index"),
     ("\n1 2 5 4\n", "\n1 2 5 5\n", ":9: element names node 5 twice"),
-], ids=["nan", "-inf", "1e400", "index beyond int64", "repeated node"])
+    ("\n2 1\n", "\n1 0\n", r":9: element nodes 1 and 5 are at one point \(1.0, 0.0\)"),
+], ids=["nan", "-inf", "1e400", "index beyond int64", "repeated node",
+        "coincident nodes"])
 def test_read_mesh_rejects_unrepresentable_numbers(tmp_path, old, new, message):
-    # values that parse but are no finite coordinate, no index or no quad
-    # (two distinct nodes at one point would need a geometric check)
+    # values that parse but are no finite coordinate, no index or no quad:
+    # the last moves node 5 onto node 1, a corner of the right quad only
     p = tmp_path / "bad.txt"
     p.write_text(TWO_QUADS.format(0).replace(old, new))
     with pytest.raises(MeshFormatError, match=message):
+        read_mesh(str(p))
+
+
+def test_read_mesh_rejects_a_zero_length_1d_element(tmp_path):
+    # its two end nodes are distinct but at one point
+    p = tmp_path / "bad.txt"
+    p.write_text("1 3 2 0\n0\n0.5\n0.5\n0 1\n1 2\n")
+    with pytest.raises(MeshFormatError,
+                       match=r":6: element nodes 1 and 2 are at one point \(0.5,\)"):
         read_mesh(str(p))
 
 

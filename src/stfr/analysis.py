@@ -117,6 +117,7 @@ class ReportRow:
     order_slab: float = math.nan
     walltime_s: float = 0.0
     evals_per_slab: float = math.nan  # mean residual evaluations per slab
+    jump_max: float = math.nan  # largest temporal jump J of a slab
 
 
 @dataclass
@@ -126,12 +127,13 @@ class ConvergenceReport:
     rows: list = field(default_factory=list)
 
     def add(self, resolution, error_final, error_slab, walltime_s=0.0,
-            evals_per_slab=math.nan):
+            evals_per_slab=math.nan, jump_max=math.nan):
         row = ReportRow(resolution=float(resolution),
                         error_final=float(error_final),
                         error_slab=float(error_slab),
                         walltime_s=float(walltime_s),
-                        evals_per_slab=float(evals_per_slab))
+                        evals_per_slab=float(evals_per_slab),
+                        jump_max=float(jump_max))
         if self.rows:
             prev = self.rows[-1]
             row.order_final = _order(prev.error_final, row.error_final,
@@ -152,7 +154,7 @@ class ConvergenceReport:
             w = csv.writer(fh)
             w.writerow(["resolution", "error_final", "error_slab",
                         "order_final", "order_slab", "walltime_s",
-                        "evals_per_slab"])
+                        "evals_per_slab", "jump_max"])
             for r in self.rows:
                 w.writerow([f"{r.resolution:.12g}",
                             fmt(r.error_final, ".12e"),
@@ -160,7 +162,8 @@ class ConvergenceReport:
                             fmt(r.order_final, ".4f"),
                             fmt(r.order_slab, ".4f"),
                             f"{r.walltime_s:.3f}",
-                            fmt(r.evals_per_slab, ".2f")])
+                            fmt(r.evals_per_slab, ".2f"),
+                            fmt(r.jump_max, ".6e")])
 
     def to_plot_data(self, path: str) -> None:
         """Two-column log10(resolution) vs log10(error_final) file."""

@@ -58,6 +58,10 @@ SECTIONS = ("equation", "exact", "mesh", "motion", "pseudo")
 # diagonalizes by have condition numbers 1.6e5 at k = 10, 7.7e10 at k = 20
 # and 5.6e13 at k = 25, and a huge degree would ask for huge basis tables
 MAX_DEGREE = 20
+# most steps t_final / dt of a run: the motion path holds (n_steps + 1)
+# n_nodes dim doubles, 130 MB for the 81 nodes of an 8x8 rect mesh at this
+# cap, and an absurdly small dt would ask for more memory than there is
+MAX_STEPS = 100_000
 # parameters that a builder fills in rather than the config
 FIXED = {"mesh": ("periodic",),                   # from bc
          "exact": ("c", "c1", "c2", "gamma")}     # from the equation
@@ -134,7 +138,10 @@ def validate(cfg: CaseConfig):
              for f in times if f not in finite]
     if len(finite) == 2:
         ratio = cfg.t_final / cfg.dt
-        if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
+        if ratio > MAX_STEPS:
+            errs.append(f"dt: t_final/dt = {ratio:.6g} steps, more than "
+                        f"MAX_STEPS = {MAX_STEPS}")
+        elif abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
             errs.append(f"dt: t_final={cfg.t_final} is not an integer multiple "
                         f"of dt={cfg.dt}")
     if cfg.solver == "stfv" and cfg.equation.get("type") != "advection1d":
@@ -357,7 +364,7 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
             resolution = mesh_resolution(cfg)
         except ConfigError:
             resolution = cfg.dt
-    e_slab = evals = math.nan
+    e_slab = evals = jump = math.nan
     t0 = time.perf_counter()
     if cfg.solver == "stfv":
         e_fin, e_slab, ubar = _stfv_run(cfg, eq, sol, mesh, presc, n_steps)
@@ -370,13 +377,15 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
                                             res.coords_final, sol, cfg.t_final)
             e_slab = analysis.l2_error_slab(res.field, res.geom, sol)
             evals = float(np.mean([st.iterations for st in res.stats]))
+            jump = max(st.jump for st in res.stats)
         else:
             res = march_mol(mesh, presc, eq, sol, cfg.k_s, cfg.dt, n_steps)
             e_fin = analysis.l2_error_nodal(res.field.values, cfg.k_s, mesh,
                                             res.coords_final, sol, cfg.t_final)
         dump = {"values": res.field.values, "coords": res.coords_final}
     row = report.add(resolution, e_fin, e_slab,
-                     walltime_s=time.perf_counter() - t0, evals_per_slab=evals)
+                     walltime_s=time.perf_counter() - t0, evals_per_slab=evals,
+                     jump_max=jump)
     if out:
         report.to_csv(out / f"{cfg.name}.csv")
         if cfg.dump_solution:
@@ -395,6 +404,12 @@ def sweep(cfg: CaseConfig, axis: str, levels: int) -> ConvergenceReport:
         raise ConfigError(f"levels: need at least 2, got {levels}")
     if axis == "space" and cfg.mesh["type"] == "file":
         raise ConfigError("mesh: file meshes cannot be swept in space")
+    if axis == "time":  # the finest level is checked before the first runs
+        finest = {**cfg.to_dict(), "dt": cfg.dt / 2.0 ** min(levels - 1, 1023)}
+        try:
+            validate(CaseConfig.from_dict(finest))
+        except ConfigError as exc:
+            raise ConfigError(f"finest time level {levels - 1}: {exc}") from exc
     make_output_dir(cfg)
     report = ConvergenceReport()
     for lv in range(levels):
@@ -522,6 +537,8 @@ def main(argv=None) -> int:
                      else f"error_slab={row.error_slab:.6e} ")
                   + ("" if math.isnan(row.evals_per_slab)
                      else f"evals_per_slab={row.evals_per_slab:.1f} ")
+                  + ("" if math.isnan(row.jump_max)
+                     else f"jump_max={row.jump_max:.3e} ")
                   + f"walltime={row.walltime_s:.2f}s")
             return 0
         report = sweep(cfg, args.axis, args.levels)

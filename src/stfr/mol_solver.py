@@ -31,8 +31,8 @@ from stfr.geometry import SlabGeometry, spatial_geometry
 from stfr.mesh import Mesh
 from stfr.motion import MotionPrescription, march_path
 from stfr.physics import Advection1D, Advection2D, EquationSet, ExactSolution
-from stfr.st_solver import (LevelPlan, MarchResult, StateField,
-                            initial_condition)
+from stfr.st_solver import (LevelPlan, MarchResult, StateField, _vars_first,
+                            _vars_last, initial_condition)
 
 # Fraction of the estimated stability limit that `mol_stable_dt` returns.
 CFL_SAFETY = 0.5
@@ -70,12 +70,12 @@ class MolOperator:
 
     def residual(self, u, level: int = 0):
         """du/dt = -(div F - V_g . grad u + correction field) for nodal u
-        (nE, nS, nV) at temporal level `level`, run through the kernels as
-        (nE, 1, nS, nV); |J| = Js at every level."""
-        u = u[:, None]
-        total = self._interior(u, level)
-        total += self._lift(self._side_deltas(u, level))
-        return -total[:, 0] / self.plan.jac[:, level, :, None]
+        (nE, nS, nV) at temporal level `level`, run through the kernels
+        variables-first as (nV, nE, 1, nS); |J| = Js at every level."""
+        v = _vars_first(u[:, None])
+        total = self._interior(v, level)
+        total += self._lift(self._side_deltas(v, level))
+        return _vars_last(total[:, :, 0], self.plan.jac[:, level])
 
 
 def ssp_rk3_step(u, rhs, dt):

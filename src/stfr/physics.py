@@ -12,8 +12,8 @@ face vector once (c . M_x + M_t), and the FR kernels there scale Q by it.
 The space-time normal and common fluxes through unnormalized face vectors,
 which call the Euler kernels, live with those FR kernels in `st_solver`.
 
-All operations are pure functions over trailing state axes: arrays of shape
-(..., n_vars) go in, matching shapes come out.
+The flux kernels take states variables-first, (n_vars, ...), and return
+matching shapes; the exact states stay (..., n_vars).
 """
 
 from dataclasses import dataclass
@@ -67,49 +67,49 @@ def _require_positive(a, name):
 
 
 def euler_primitives(eq: Euler2D, Q):
-    """(rho, u, v, p) from conservative variables; validates admissibility."""
-    rho = Q[..., 0]
+    """(rho, u, v, p) of states Q (4, ...); validates admissibility."""
+    rho = Q[0]
     _require_positive(rho, "density")
-    u = Q[..., 1] / rho
-    v = Q[..., 2] / rho
-    p = (eq.gamma - 1.0) * (Q[..., 3] - 0.5 * rho * (u * u + v * v))
+    u = Q[1] / rho
+    v = Q[2] / rho
+    p = (eq.gamma - 1.0) * (Q[3] - 0.5 * rho * (u * u + v * v))
     _require_positive(p, "pressure")
     return rho, u, v, p
 
 
 def flux(eq: Euler2D, Q):
-    """Euler flux components (f, g); shapes match Q."""
+    """Euler flux components (f, g) of states Q (4, ...); shapes match Q."""
     Q = np.asarray(Q, dtype=float)
     _, u, v, p = euler_primitives(eq, Q)
-    f = Q * u[..., None]
-    g = Q * v[..., None]
-    f[..., 1] += p
-    f[..., 3] += p * u
-    g[..., 2] += p
-    g[..., 3] += p * v
+    f = Q * u
+    g = Q * v
+    f[1] += p
+    f[3] += p * u
+    g[2] += p
+    g[3] += p * v
     return f, g
 
 
 def _normal_flux(Q, u, v, p, mx, my, vgn):
     """Mesh-relative normal flux phi = Q (q_n - vgn) + p (0, mx, my, q_n),
-    q_n = u mx + v my, of Euler states Q with primitives (u, v, p) through
-    the spatial vector (mx, my) of a face moving at normal speed vgn.
+    q_n = u mx + v my, of Euler states Q (4, ...) with primitives (u, v, p)
+    through the spatial vector (mx, my) of a face of normal speed vgn.
 
     (mx, my) need not be a unit vector: with (w0, w1, -w2) of an
     unnormalized space-time vector w it is w . (f, g, Q).
     """
     qn = u * mx
     qn += v * my
-    phi = Q * (qn - vgn)[..., None]
-    phi[..., 1] += p * mx
-    phi[..., 2] += p * my
-    phi[..., 3] += p * qn
+    phi = Q * (qn - vgn)
+    phi[1] += p * mx
+    phi[2] += p * my
+    phi[3] += p * qn
     return phi
 
 
 def _roe_ale(eq: Euler2D, QL, QR, mx, my, vgn):
-    """Roe flux of the mesh-relative normal flux phi = F.m - vgn Q, for a
-    unit spatial normal m = (mx, my): 1/2 (phi_L + phi_R - D).
+    """Roe flux of the mesh-relative normal flux phi = F.m - vgn Q, for
+    states (4, ...) and a unit normal m = (mx, my): 1/2 (phi_L + phi_R - D).
 
     The face-normal grid speed vgn shifts the eigenvalues; the eigenvectors
     are the static ones (Roe, J Comput Phys 43 (1981) 357).  The dissipation
@@ -126,8 +126,8 @@ def _roe_ale(eq: Euler2D, QL, QR, mx, my, vgn):
     gm = eq.gamma
     rhoL, uL, vL, pL = euler_primitives(eq, QL)
     rhoR, uR, vR, pR = euler_primitives(eq, QR)
-    HL = (QL[..., 3] + pL) / rhoL
-    HR = (QR[..., 3] + pR) / rhoR
+    HL = (QL[3] + pL) / rhoL
+    HR = (QR[3] + pR) / rhoR
 
     sL, sR = np.sqrt(rhoL), np.sqrt(rhoR)
     wL = sL / (sL + sR)
@@ -152,7 +152,7 @@ def _roe_ale(eq: Euler2D, QL, QR, mx, my, vgn):
     b1 = np.abs(rel - a) * (dp - ra) / (2 * a2)
     b3 = np.abs(rel + a) * (dp + ra) / (2 * a2)
     lam2 = np.abs(rel)
-    b2 = lam2 * (QR[..., 0] - QL[..., 0] - dp / a2)
+    b2 = lam2 * (QR[0] - QL[0] - dp / a2)
     b4 = lam2 * rho_bar * (dv * mx - du * my)
     s = b1 + b3
     d = a * (b3 - b1)
@@ -160,10 +160,10 @@ def _roe_ale(eq: Euler2D, QL, QR, mx, my, vgn):
 
     out = _normal_flux(QL, uL, vL, pL, mx, my, vgn)
     out += _normal_flux(QR, uR, vR, pR, mx, my, vgn)
-    out[..., 0] -= d0
-    out[..., 1] -= d0 * u + d * mx - b4 * my
-    out[..., 2] -= d0 * v + d * my + b4 * mx
-    out[..., 3] -= H * s + b2 * ke + d * qn + b4 * (v * mx - u * my)
+    out[0] -= d0
+    out[1] -= d0 * u + d * mx - b4 * my
+    out[2] -= d0 * v + d * my + b4 * mx
+    out[3] -= H * s + b2 * ke + d * qn + b4 * (v * mx - u * my)
     out *= 0.5
     return out
 

@@ -28,20 +28,20 @@ inflow (previous slab or initial condition), the top face is left local.
 
 `LevelPlan` is the one spatial operator both solvers hold: a geometry's
 tables at every temporal level, read in place, and the FR kernels on nodal
-arrays (nE, nT, nS, nV) at all levels or at the levels a slice picks:
-`spatial_divergence` (chain-rule sum_dir M_dir . d_dir F_st, for Euler one
-flux component of (f, g, Q) at a time, never stacked), `face_jumps`
-(traces, face sides gathered by the mesh's `side_rows`, the right side of
-a flipped face reversed, Riemann and Dirichlet fluxes, the jumps gathered
-back in the traces' (nE, nT, n_edges, nFs, nV) layout) and `lift` (one
-contraction with the lift of `_edge_tables`).  Table contractions go
-through `_contract`, one GEMM for a scalar equation and a batched matmul
-for Euler, except Euler's xi derivative: one GEMM with the Kronecker table
-kron(D, I_nV)^T of `_xi_table`, since its rows of n_xi * nV values are
-contiguous.  `SlabOperator` runs the kernels at all its levels and adds
-only the d_tau term and the causal temporal correction;
-`mol_solver.MolOperator` runs stage j at level j.  The slab is FR in time
-over the method-of-lines operator at the Gauss levels.
+arrays laid out variables-first, (nV, nE, nT, nS), so a system is nV scalar
+fields stacked, at all levels or at the levels a slice picks:
+`spatial_divergence` (chain-rule sum_dir M_dir . d_dir F_st, one flux
+component at a time, never stacked), `face_jumps` (traces, face sides
+gathered by the mesh's `side_rows`, the right side of a flipped face
+reversed, Riemann and Dirichlet fluxes, the jumps gathered back in the
+traces' layout) and `lift`.  Every table contraction but the d_tau term's
+batched matmul is one GEMM (`_contract`).  The residuals keep the public
+layouts, (nE, nT, nS, nV) and (nE, nS, nV), transposing once in
+(`_vars_first`, a view for nV = 1) and once out (`_vars_last`).
+`SlabOperator` runs the kernels at all its levels and adds only the d_tau
+term and the causal temporal correction; `mol_solver.MolOperator` runs
+stage j at level j.  The slab is FR in time over the method-of-lines
+operator at the Gauss levels.
 """
 
 import math
@@ -156,28 +156,36 @@ class SlabStats:
     iterations: int            # residual evaluations
     initial_residual: float
     final_residual: float
+    jump: float                # RMS(u_bot - inflow) of the converged slab
 
 
-def _contract(table, a):
-    """table (t, s) applied along axis 1 of a (B, s, R), giving (B, t, R).
+def _contract(a, table):
+    """table (t, s) applied to a (..., s) viewed as rows of s values: one
+    GEMM, (rows, s) @ table.T.  A C-contiguous right operand halved one
+    GEMM's time in isolation but made whole `mol_sine_deform_p2` runs 11%
+    slower (NumPy 2.4, OpenBLAS 0.3.31, AVX-512 x86_64 VM)."""
+    return a.reshape(-1, table.shape[1]) @ table.T
 
-    With one value per point (R = 1) this is one GEMM, (B, s) @ table.T:
-    NumPy's batched matmul would make one BLAS call per row of B, and those
-    calls, not the arithmetic, would take the time.  Systems (R > 1) keep
-    the batched matmul, whose output leaves the R values of a point
-    contiguous for the pointwise flux and metric arithmetic that follows.
-    """
-    if a.shape[2] == 1:
-        return (a.reshape(a.shape[0], -1) @ table.T)[..., None]
-    return np.matmul(table, a)
+
+def _vars_first(u):
+    """u (..., nV) in the kernels' C-contiguous (nV, ...) layout: a copy for
+    a system, a view of u for nV = 1, whose two layouts are one memory."""
+    return np.ascontiguousarray(u.transpose(-1, *range(u.ndim - 1)))
+
+
+def _vars_last(total, jac):
+    """-total / jac of a variables-first total (nV, ...) in the public
+    (..., nV) layout, written through a transposed view in one pass."""
+    out = np.empty(total.shape[1:] + total.shape[:1])
+    np.divide(total, -jac, out=out.transpose(-1, *range(jac.ndim)))
+    return out
 
 
 def _traces_all_edges(u, ks, dim):
-    """Solution traces on every side face, (nE, nT, n_edges, nFs, nV)."""
-    nE, nT, nS, nV = u.shape
+    """Solution traces of u (nV, nE, nT, nS) on every side face, (nV, nE,
+    nT, n_edges, nFs)."""
     extrap, _ = _edge_tables(ks, dim)
-    tr = _contract(extrap, u.reshape(nE * nT, nS, nV))
-    return tr.reshape(nE, nT, 2 * dim, -1, nV)
+    return _contract(u, extrap).reshape(u.shape[:3] + (2 * dim, -1))
 
 
 def _weights(eq, M):
@@ -194,29 +202,28 @@ def _weights(eq, M):
 
 
 def _transformed_normal_flux(eq, Q, w):
-    """M . F_st(Q) for an unnormalized outward space-time vector M, given
-    as its `_weights` w."""
+    """M . F_st(Q) of states Q (nV, ...) for an unnormalized outward
+    space-time vector M, given as its `_weights` w."""
     if isinstance(eq, (Advection1D, Advection2D)):
-        return w[..., None] * Q
+        return w * Q
     _, u, v, p = euler_primitives(eq, Q)
     return _normal_flux(Q, u, v, p, w[..., 0], w[..., 1], -w[..., 2])
 
 
 def _transformed_common_flux(eq, QL, QR, w):
-    """Common flux scaled by the face's unnormalized space-time vector M,
-    given as its `_weights` w.
+    """Common flux of the states QL, QR (nV, ...) scaled by the face's
+    unnormalized space-time vector M, given as its `_weights` w.
 
     Equals ||M|| times the unit-normal common flux; advection avoids the
     normalization entirely (the upwind sign is scale invariant).
     """
     if isinstance(eq, (Advection1D, Advection2D)):
-        return (np.maximum(w, 0.0)[..., None] * QL
-                + np.minimum(w, 0.0)[..., None] * QR)
+        return np.maximum(w, 0.0) * QL + np.minimum(w, 0.0) * QR
     sig = np.hypot(w[..., 0], w[..., 1])
     mx = w[..., 0] / sig
     my = w[..., 1] / sig
     vgn = -w[..., 2] / sig
-    return sig[..., None] * _roe_ale(eq, QL, QR, mx, my, vgn)
+    return sig * _roe_ale(eq, QL, QR, mx, my, vgn)
 
 
 # -- FR kernels shared by the space-time and method-of-lines operators ------
@@ -224,19 +231,20 @@ def _transformed_common_flux(eq, QL, QR, w):
 
 class LevelPlan:
     """The spatial operator of a geometry: its tables at every temporal
-    level (axis 1) and the three FR kernels that read them, run at all
-    levels or, given a slice `at`, at those levels alone, in place.
+    level (axis 1) and the three FR kernels that read them, on
+    variables-first states (nV, nE, nT, nS), run at all levels or, given a
+    slice `at`, at those levels alone, in place.
 
     M and d_M are the `_weights` of the outward vectors of each face's left
     element and of each Dirichlet face, d_ext the analytic states at the
-    Dirichlet flux points, weights the `_weights` of the metric rows (dim,
-    nE, nT, nS, dim+1), which the advection divergence contracts (for
-    Euler the geometry's rows themselves, uncopied, which the wave speeds
-    read), and jac the |J| that divides the residual.  For Euler, metric
-    holds each metric component M_dir[c] repeated over the nV variables,
-    (dim, dim+1, nE, nT, nS, nV), read-only, so that every scaling of the
-    divergence is a same-shape multiply; it is None for advection.  eq, ks
-    and dim are those of the equation, the geometry and the mesh.
+    Dirichlet flux points, variables-first, weights the `_weights` of the
+    metric rows, which the advection divergence contracts (for Euler the
+    rows themselves, uncopied, which the wave speeds read), and jac the |J|
+    that divides the residual.  For Euler, components holds the rows
+    component-major, (dim+1, dim, nE, nT, nS), read-only, so that each
+    component M_dir[c] is one plane the divergence broadcasts over the
+    variables; it is None for advection.  eq, ks and dim are those of the
+    equation, the geometry and the mesh.
     """
 
     def __init__(self, mesh: Mesh, geom: SlabGeometry, eq: EquationSet,
@@ -251,95 +259,86 @@ class LevelPlan:
         if len(d_e):
             if bc is None:
                 raise ValueError("mesh has dirichlet faces but no analytic bc")
-            self.d_ext = exact_state(bc, *face_points(geom, d_e, d_edge),
-                                     t=geom.times[:, None])
+            self.d_ext = _vars_first(exact_state(
+                bc, *face_points(geom, d_e, d_edge), t=geom.times[:, None]))
         self.weights = _weights(eq, geom.rows)
-        self.metric = None
+        self.components = None
         if not isinstance(eq, (Advection1D, Advection2D)):
-            self.metric = np.repeat(np.moveaxis(geom.rows, -1, 1)[..., None],
-                                    eq.n_vars, axis=-1)
-            self.metric.setflags(write=False)
+            self.components = np.ascontiguousarray(np.moveaxis(geom.rows, -1, 0))
+            self.components.setflags(write=False)
         self.jac = geom.jac
 
     def spatial_divergence(self, u, at=slice(None)):
         """sum_dir M_dir . d_dir F_st(u) at the solution points, chain-rule
-        form, for u (nE, nT, nS, nV) at the levels `at`.
+        form, for u (nV, nE, nT, nS) at the levels `at`.
 
         Excludes the temporal-direction term, which only the space-time
         operator has.  Advection takes every reference derivative in one
-        contraction with `_derivative_table`; Euler takes each flux
-        component F_c of (f, g, Q) in turn, differentiates it along xi by
-        one GEMM with `_xi_table`, then along eta by `_contract`, scales
-        each derivative in place by its repeated metric component
-        M_dir[c] of `metric`, a same-shape multiply, and adds it to the
-        output, so no stacked copy of the components is made.
+        GEMM with `_derivative_table`; Euler takes each flux component F_c
+        of (f, g, Q) in turn, differentiates it along each direction by one
+        GEMM with that direction's half of the table, scales the derivative
+        in place by its metric component M_dir[c], broadcast over the
+        variables, and adds it to the output, so no stacked copy of the
+        components is made.
         """
-        nE, nT = u.shape[:2]
-        weights = self.weights[:, :, at]
+        nS = u.shape[3]
+        table = _derivative_table(self.ks, self.dim)
         if isinstance(self.eq, (Advection1D, Advection2D)):
-            du = _contract(_derivative_table(self.ks, self.dim),
-                           u.reshape(nE * nT, -1, 1))
-            return np.einsum("dets,etds->ets", weights,
-                             du.reshape(nE, nT, self.dim, -1))[..., None]
-        D = make_basis(self.ks).diff
-        xi = _xi_table(self.ks, u.shape[3])
-        metric = self.metric[:, :, :, at]
+            du = _contract(u, table).reshape(u.shape[1:3] + (self.dim, nS))
+            return np.einsum("dets,etds->ets", self.weights[:, :, at], du)[None]
         out = np.zeros_like(u)
-        for c, F in enumerate((*flux(self.eq, u), u)):
-            dF = (F.reshape(-1, xi.shape[0]) @ xi).reshape(u.shape)
-            dF *= metric[0, c]
-            out += dF
-            dF = _contract(D, F.reshape(nE * nT, len(D), -1)).reshape(u.shape)
-            dF *= metric[1, c]
-            out += dF
+        for F, rows in zip((*flux(self.eq, u), u), self.components[:, :, :, at]):
+            for d, M in enumerate(rows):
+                dF = _contract(F, table[d * nS:(d + 1) * nS]).reshape(u.shape)
+                dF *= M
+                out += dF
         return out
 
     def face_jumps(self, u, at=slice(None)):
         """Outward flux jumps (common minus local) on every element edge,
-        (nE, nT, n_edges, nFs, nV), the traces' layout, for u at the levels
+        (nV, nE, nT, n_edges, nFs), the traces' layout, for u at the levels
         `at`.
 
         Each face side gathers its (nF, nT) rows of nFs flux points from the
-        traces, viewed as rows (element, level, edge), at the mesh's
-        `side_rows` for u's level count; the right side of a flipped face
-        runs its flux points in reverse, so it is reversed after the gather
-        and again before its jumps are stored.  The jumps of the left,
-        right and Dirichlet sides are stacked and gathered back into the
-        traces' rows by the `side_rows` order: one `take`, where a scatter
-        per side through fancy indexing cost ten times as much.
+        traces, viewed per variable as rows (element, level, edge), at the
+        mesh's `side_rows` for u's level count; the right side of a flipped
+        face runs its flux points in reverse, so it is reversed after the
+        gather and again before its jumps are stored.  The jumps of the
+        left, right and Dirichlet sides are stacked and gathered back into
+        the traces' rows by the `side_rows` order: one `take`, where a
+        scatter per side through fancy indexing cost ten times as much.
         """
         eq = self.eq
         tr = _traces_all_edges(u, self.ks, self.dim)
-        rows = tr.reshape((-1,) + tr.shape[3:])
-        left, right, bound, order = self.mesh.side_rows(u.shape[1])
+        rows = tr.reshape(len(tr), -1, tr.shape[-1])
+        left, right, bound, order = self.mesh.side_rows(u.shape[2])
         nF = len(left)
-        QL = rows.take(left, axis=0)
-        QR = rows.take(right, axis=0)
+        QL = rows.take(left, axis=1)
+        QR = rows.take(right, axis=1)
         fl = self.flipped
         if fl.size:
-            QR[fl] = QR[fl, :, ::-1]
+            QR[:, fl] = QR[:, fl, :, ::-1]
         M = self.M[:, at]
-        jumps = np.empty((2 * nF + len(bound),) + QL.shape[1:])
+        jumps = np.empty(QL.shape[:1] + (2 * nF + len(bound),) + QL.shape[2:])
         com = _transformed_common_flux(eq, QL, QR, M)
-        np.subtract(com, _transformed_normal_flux(eq, QL, M), out=jumps[:nF])
-        dR = jumps[nF:2 * nF]
+        np.subtract(com, _transformed_normal_flux(eq, QL, M), out=jumps[:, :nF])
+        dR = jumps[:, nF:2 * nF]
         np.subtract(_transformed_normal_flux(eq, QR, M), com, out=dR)
         if fl.size:
-            dR[fl] = dR[fl, :, ::-1]
+            dR[:, fl] = dR[:, fl, :, ::-1]
         if bound.size:
-            QB = rows.take(bound, axis=0)
+            QB = rows.take(bound, axis=1)
             d_M = self.d_M[:, at]
-            com_b = _transformed_common_flux(eq, QB, self.d_ext[:, at], d_M)
+            com_b = _transformed_common_flux(eq, QB, self.d_ext[:, :, at], d_M)
             np.subtract(com_b, _transformed_normal_flux(eq, QB, d_M),
-                        out=jumps[2 * nF:])
-        return jumps.reshape(rows.shape).take(order, axis=0).reshape(tr.shape)
+                        out=jumps[:, 2 * nF:])
+        return jumps.reshape(rows.shape).take(order, axis=1).reshape(tr.shape)
 
     def lift(self, delta):
-        """Correction field (nE, nT, nS, nV) from face jumps (nE, nT,
-        n_edges, nFs, nV): one contraction with the lift of `_edge_tables`."""
-        nE, nT, _, _, nV = delta.shape
+        """Correction field (nV, nE, nT, nS) from face jumps (nV, nE, nT,
+        n_edges, nFs): one GEMM with the lift of `_edge_tables`."""
         _, lift = _edge_tables(self.ks, self.dim)
-        return _contract(lift, delta.reshape(nE * nT, -1, nV)).reshape(nE, nT, -1, nV)
+        return _contract(delta, lift).reshape(delta.shape[:3] + (-1,))
 
 
 @lru_cache(maxsize=None)
@@ -350,17 +349,6 @@ def _derivative_table(ks: int, dim: int):
     D = make_basis(ks).diff
     eye = np.eye(ks + 1)
     table = D.copy() if dim == 1 else np.vstack([np.kron(eye, D), np.kron(D, eye)])
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _xi_table(ks: int, nV: int):
-    """kron(D, I_nV)^T (n nV, n nV): the xi derivative of a system's nodal
-    values, viewed as rows (element, level, eta) of n_xi * nV values, is
-    one GEMM with it, where a batched matmul would make one BLAS call per
-    row."""
-    table = np.kron(make_basis(ks).diff, np.eye(nV)).T.copy()
     table.setflags(write=False)
     return table
 
@@ -613,15 +601,20 @@ class SlabOperator:
                  inflow: np.ndarray, bc: ExactSolution | None = None):
         self.geom = geom
         self.eq = eq
-        self.inflow = inflow
+        self.inflow = _vars_first(inflow)  # (nV, nE, nS)
         self.bt = make_basis(geom.kt)
         self.plan = LevelPlan(mesh, geom, eq, bc)
+        # `_contract` tables on (nV nE, ...) rows: the bottom trace
+        # kron(l_L, I) and the correction's spread kron(-g'_L, I)
+        eye = np.eye(inflow.shape[1])
+        self.bottom = np.kron(self.bt.extrap_left, eye)
+        self.spread = np.kron(-self.bt.corr_deriv_left[:, None], eye)
 
     def _interior(self, u):
         """|J| * div_st(F) at solution points, chain-rule form."""
         out = self.plan.spatial_divergence(u)
-        du_tau = _contract(self.bt.diff, u.reshape(*u.shape[:2], -1))
-        out += self.geom.js[..., None] * du_tau.reshape(u.shape)
+        du_tau = np.matmul(self.bt.diff, u.reshape((-1,) + u.shape[2:]))
+        out += self.geom.js * du_tau.reshape(u.shape)
         return out
 
     def _side_deltas(self, u):
@@ -630,20 +623,23 @@ class SlabOperator:
     def _lift(self, delta):
         return self.plan.lift(delta)
 
+    def _bottom_jump(self, u):
+        """u_bot - inflow (nV, nE, nS) of a variables-first slab state u."""
+        return _contract(u, self.bottom).reshape(self.inflow.shape) - self.inflow
+
     def _temporal_correction(self, u):
         """Causal bottom-face correction from the slab inflow."""
-        nE, nT, nS, nV = u.shape
-        ubot = _contract(self.bt.extrap_left[None], u.reshape(nE, nT, nS * nV))
-        d_out = self.geom.js_bot[..., None] * (ubot.reshape(nE, nS, nV) - self.inflow)
-        gl = self.bt.corr_deriv_left
-        return -d_out[:, None] * gl[None, :, None, None]
+        d_out = self.geom.js_bot * self._bottom_jump(u)
+        return _contract(d_out, self.spread).reshape(u.shape)
 
     def residual(self, u):
-        """R_st = -(P(div_st F) + correction field) at the solution points."""
-        total = self._interior(u)
-        total += self._lift(self._side_deltas(u))
-        total += self._temporal_correction(u)
-        return -total / self.plan.jac[..., None]
+        """R_st = -(P(div_st F) + correction field) at the solution points
+        of u (nE, nT, nS, nV); the kernels run on its variables-first copy."""
+        v = _vars_first(u)
+        total = self._interior(v)
+        total += self._lift(self._side_deltas(v))
+        total += self._temporal_correction(v)
+        return _vars_last(total, self.plan.jac)
 
     # -- slab solve --------------------------------------------------------
 
@@ -655,7 +651,7 @@ class SlabOperator:
         eq = self.eq
         if isinstance(eq, (Advection1D, Advection2D)):  # s = 0, one per element
             return [(w, np.zeros_like(w[:, :1, :1])) for w in self.plan.weights]
-        rho, uu, vv, p = euler_primitives(eq, u)
+        rho, uu, vv, p = euler_primitives(eq, np.moveaxis(u, -1, 0))
         a = np.sqrt(eq.gamma * p / rho)
         return [(uu * M[..., 0] + vv * M[..., 1] + M[..., 2],
                  a * np.hypot(M[..., 0], M[..., 1])) for M in self.plan.weights]
@@ -683,11 +679,13 @@ class SlabOperator:
         rebuilt as Newton moves u.  P is applied outside `residual`, so it
         adds nothing to the residual evaluations counted per slab.
 
-        Returns (u, SlabStats).  Raises PseudoConvergenceError when the
-        residual turns non-finite or grows 1e8-fold, when STALL_CYCLES
-        successive steps each leave it above STALL_RATIO of its value
-        before the step, or when max_iters residual evaluations do not
-        reach the drop.
+        Returns (u, SlabStats).  The stats hold the temporal jump J =
+        RMS(u_bot - inflow) of the converged slab, the standard error
+        indicator of DG in time: it falls as dt^(k_t+1).  Raises
+        PseudoConvergenceError when the residual turns non-finite or grows
+        1e8-fold, when STALL_CYCLES successive steps each leave it above
+        STALL_RATIO of its value before the step, or when max_iters
+        residual evaluations do not reach the drop.
         """
         affine = isinstance(self.eq, (Advection1D, Advection2D))
         u = u0.copy()
@@ -744,7 +742,8 @@ class SlabOperator:
             if stalled == STALL_CYCLES:
                 raise PseudoConvergenceError("slab solve stalled",
                                              _drop(r0, rnorm), evals, rnorm, ratios)
-        return u, SlabStats(evals, r0, rnorm)
+        jump = self._bottom_jump(_vars_first(u))
+        return u, SlabStats(evals, r0, rnorm, float(np.sqrt(np.mean(jump * jump))))
 
 
 def _drop(r0, r):

@@ -214,17 +214,20 @@ def test_observed_orders_first_row_and_equal_resolution():
 def test_report_csv_and_plot(tmp_path):
     rep = ConvergenceReport()
     rep.add(0.125, 3.24e-3, 2.0e-3, walltime_s=0.5)
-    rep.add(0.0625, 7.34e-4, 4.0e-4, walltime_s=1.0, evals_per_slab=17.4)
+    rep.add(0.0625, 7.34e-4, 4.0e-4, walltime_s=1.0, evals_per_slab=17.4,
+            jump_max=2.5e-3)
     p = tmp_path / "r.csv"
     rep.to_csv(p)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == ("resolution,error_final,error_slab,order_final,"
-                        "order_slab,walltime_s,evals_per_slab")
+                        "order_slab,walltime_s,evals_per_slab,jump_max")
     assert len(lines) == 3
     assert lines[1].split(",")[3] == ""  # first row has no order
     assert float(lines[2].split(",")[3]) == pytest.approx(2.14, abs=0.01)
     assert lines[1].split(",")[6] == ""  # no slab solve recorded
     assert lines[2].split(",")[6] == "17.40"
+    assert lines[1].split(",")[7] == ""
+    assert float(lines[2].split(",")[7]) == 2.5e-3
     rep.to_plot_data(tmp_path / "r.dat")
     dat = (tmp_path / "r.dat").read_text().strip().splitlines()
     assert len(dat) == 2

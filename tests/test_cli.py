@@ -301,6 +301,61 @@ def test_degree_bound_is_inclusive():
     validate(cfg)
 
 
+@pytest.fixture
+def no_path(monkeypatch):
+    """Every motion path and solver raises: a step count that got past
+    validate would otherwise stack one node array per step until memory
+    runs out."""
+    import stfr.cli as cli
+    import stfr.motion as motion
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("motion path or solver reached")
+
+    for owner, name in ((motion, "motion_path"), (motion, "node_positions"),
+                        (cli, "march"), (cli, "march_mol")):
+        monkeypatch.setattr(owner, name, not_reached)
+    return not_reached
+
+
+@pytest.mark.parametrize("dt, steps", [
+    # t_final / dt is an integer in floating point
+    ("1e-300", "5e+299"),
+    # t_final / dt overflows to inf, which round() cannot take
+    ("5e-324", "inf"),
+])
+def test_absurd_step_count_exits_1(no_path, capsys, dt, steps):
+    assert main(["run", "euler_vortex_p3", "--set", f"dt={dt}"]) == 1
+    err = capsys.readouterr().err
+    assert f"\n  dt: t_final/dt = {steps} steps, more than MAX_STEPS = 100000" in err
+    assert "Traceback" not in err
+
+
+def test_step_bound_is_inclusive():
+    cfg = load_case("wave1d_stationary_p2p2")
+    cfg.dt = cfg.t_final / 100_000
+    validate(cfg)
+    cfg.dt = cfg.t_final / 100_001
+    with pytest.raises(ConfigError, match="100001 steps"):
+        validate(cfg)
+
+
+@pytest.mark.parametrize("levels", ["40", "100000"])
+def test_time_sweep_checks_its_finest_level_first(monkeypatch, no_path, capsys,
+                                                 levels):
+    # no level runs when the finest would take too many steps (or its dt
+    # underflows to zero)
+    import stfr.cli as cli
+
+    monkeypatch.setattr(cli, "run_case", no_path)
+    args = ["sweep", "wave1d_stationary_p2p2", "--axis", "time", "--levels", levels]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: finest time level {int(levels) - 1}: "
+                          "invalid configuration:\n  dt: ")
+    assert "Traceback" not in err
+
+
 def test_every_settable_value_has_a_checked_kind():
     import types
 

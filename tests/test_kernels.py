@@ -1,14 +1,16 @@
 """The shared FR kernels against plain einsum and per-face references.
 
 `LevelPlan.spatial_divergence`, `_traces_all_edges`, `LevelPlan.face_jumps`
-and `LevelPlan.lift` run their contractions as single GEMMs or batched
-matmuls over row-indexed gathers.  Here each is recomputed from the 1D
-basis tables with einsum, face by face, on the disk mesh of
-`wave2d_circle_p2`, which has flipped and Dirichlet faces, for advection
-and Euler, on a slab plan at all its levels (nT = 3) and at one level
-picked by a slice (nT = 1, as the method of lines runs it).  The Euler
-divergence is also checked against its batched-matmul form on the first
-slab of `euler_vortex_p3`.
+and `LevelPlan.lift` run variables-first, (nV, nE, nT, nS), their
+contractions single GEMMs over row-indexed gathers.  Here each is
+recomputed in the public layout (nE, nT, nS, nV) from the 1D basis tables
+with einsum, face by face, on the disk mesh of `wave2d_circle_p2`, which
+has flipped and Dirichlet faces, for advection and Euler, on a slab plan at
+all its levels (nT = 3) and at one level picked by a slice (nT = 1, as the
+method of lines runs it); `_first` and `_last` move the variable axis
+between the layouts.  The whole slab and MOL residuals are checked against
+the same references, and the Euler divergence against its batched-matmul
+form, also on the first slab of `euler_vortex_p3`.
 """
 
 import tracemalloc
@@ -29,13 +31,15 @@ from stfr.physics import (
     exact_state,
     flux,
 )
+from stfr.mol_solver import MolOperator
 from stfr.st_solver import (
     LevelPlan,
+    SlabOperator,
     _traces_all_edges,
     _transformed_common_flux,
     _transformed_normal_flux,
+    _vars_first,
     _weights,
-    _xi_table,
     initial_condition,
 )
 
@@ -45,6 +49,16 @@ RTOL = 1e-13
 def _close(got, ref):
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
+
+
+def _first(a):
+    """The variables-first view (nV, ...) of a (..., nV)."""
+    return np.moveaxis(a, -1, 0)
+
+
+def _last(a):
+    """The (..., nV) view of a variables-first a (nV, ...)."""
+    return np.moveaxis(a, 0, -1)
 
 
 @pytest.fixture(scope="module", params=[("advection", 3), ("advection", 1),
@@ -91,19 +105,91 @@ def _reference_traces(b, u):
                      np.einsum("j,etijv->etiv", b.extrap_left, u4)], axis=2)
 
 
+def _reference_divergence(eq, D, weights, u):
+    """sum_dir M_dir . d_dir F_st(u) from the metric rows' `_weights`."""
+    if eq.n_vars == 1:
+        return sum(w[..., None] * du for w, du in
+                   zip(weights, _reference_derivatives(D, u)))
+    fx, gy = (_last(F) for F in flux(eq, _first(u)))
+    F = np.stack([fx, gy, u], axis=-2)
+    return sum(np.einsum("etsc,etscv->etsv", M, dF) for M, dF in
+               zip(weights, _reference_derivatives(D, F)))
+
+
+def _reference_jumps(eq, sol, mesh, geom, levels, tr):
+    """Outward flux jumps on every edge, face by face, from traces tr
+    (nE, nT, n_edges, nFs, nV) at the levels `levels`."""
+    def common(QL, QR, w):
+        return _last(_transformed_common_flux(eq, _first(QL), _first(QR), w))
+
+    def normal(Q, w):
+        return _last(_transformed_normal_flux(eq, _first(Q), w))
+
+    ref = np.full_like(tr, np.nan)
+    f = mesh.faces
+    for eL, gL, eR, gR, flip in zip(f.elem_l, f.edge_l, f.elem_r, f.edge_r, f.flip):
+        w = _weights(eq, geom.face_m[eL, gL, levels])
+        QL, QR = tr[eL, :, gL], tr[eR, :, gR]
+        if flip:
+            QR = QR[:, ::-1]
+        com = common(QL, QR, w)
+        dR = normal(QR, w) - com
+        ref[eL, :, gL] = com - normal(QL, w)
+        ref[eR, :, gR] = dR[:, ::-1] if flip else dR
+    for e, g in mesh.dirichlet:
+        w = _weights(eq, geom.face_m[e, g, levels])
+        ext = exact_state(sol, *face_points(geom, [e], [g])[:, 0, levels],
+                          t=geom.times[levels, None])
+        ref[e, :, g] = common(tr[e, :, g], ext, w) - normal(tr[e, :, g], w)
+    assert not np.isnan(ref).any()  # every edge is a face side
+    return ref
+
+
+def _reference_lift(b, delta):
+    """Correction field (nE, nT, nS, nV) of edge jumps (nE, nT, 4, nFs, nV):
+    -g'_L on minus faces, +g'_R on plus faces, constant along the face."""
+    nE, nT, _, _, nV = delta.shape
+    gl, gr = b.corr_deriv_left, b.corr_deriv_right
+    ref = (-np.einsum("a,etbv->etabv", gl, delta[:, :, 0])
+           + np.einsum("b,etav->etabv", gr, delta[:, :, 1])
+           + np.einsum("a,etbv->etabv", gr, delta[:, :, 2])
+           - np.einsum("b,etav->etabv", gl, delta[:, :, 3]))
+    return ref.reshape(nE, nT, -1, nV)
+
+
+def _reference_spatial(eq, sol, mesh, geom, levels, u):
+    """Divergence plus correction field of the shared kernels, u at the
+    levels `levels`."""
+    b = make_basis(geom.ks)
+    jumps = _reference_jumps(eq, sol, mesh, geom, levels,
+                             _reference_traces(b, u))
+    return (_reference_divergence(eq, b.diff, _weights(eq, geom.rows)[:, :, levels], u)
+            + _reference_lift(b, jumps))
+
+
+def _check_residuals(eq, sol, mesh, geom, u):
+    """The slab residual at all levels of u and the MOL residual of each
+    level alone against the einsum references."""
+    bt = make_basis(geom.kt)
+    inflow = u[:, 0] * 1.01
+    total = _reference_spatial(eq, sol, mesh, geom, slice(None), u)
+    total += geom.js[..., None] * np.einsum("tj,ejsv->etsv", bt.diff, u)
+    ubot = np.einsum("t,etsv->esv", bt.extrap_left, u)
+    d_out = geom.js_bot[..., None] * (ubot - inflow)
+    total -= np.einsum("esv,t->etsv", d_out, bt.corr_deriv_left)
+    _close(SlabOperator(mesh, geom, eq, inflow, sol).residual(u),
+           -total / geom.jac[..., None])
+    op = MolOperator(mesh, eq, sol).bind_degree(geom)
+    for j in range(u.shape[1]):
+        total = _reference_spatial(eq, sol, mesh, geom, slice(j, j + 1), u[:, j:j + 1])
+        _close(op.residual(u[:, j], j), -total[:, 0] / geom.jac[:, j, :, None])
+
+
 def test_spatial_divergence(setup):
     eq, _, _, _, plan, levels, ks, u = setup
-    D = make_basis(ks).diff
-    weights = plan.weights[:, :, levels]
-    if eq.n_vars == 1:
-        ref = sum(w[..., None] * du for w, du in
-                  zip(weights, _reference_derivatives(D, u)))
-    else:
-        fx, gy = flux(eq, u)
-        F = np.stack([fx, gy, u], axis=-2)
-        ref = sum(np.einsum("etsc,etscv->etsv", M, dF) for M, dF in
-                  zip(weights, _reference_derivatives(D, F)))
-    _close(plan.spatial_divergence(u, levels), ref)
+    ref = _reference_divergence(eq, make_basis(ks).diff,
+                                plan.weights[:, :, levels], u)
+    _close(_last(plan.spatial_divergence(_first(u), levels)), ref)
 
 
 def test_euler_divergence_allocates_no_stacked_flux():
@@ -117,7 +203,7 @@ def test_euler_divergence_allocates_no_stacked_flux():
     path = motion_path(cli.build_motion(cfg), mesh, cfg.dt, 1)
     geom = slab_geometry(mesh, path[0], path[1], cfg.dt, bs, bt, t_n=0.0)
     plan = LevelPlan(mesh, geom, eq, sol)
-    u = initial_condition(mesh, path[0], bs, sol)[:, None].repeat(bt.n, axis=1)
+    u = _vars_first(initial_condition(mesh, path[0], bs, sol)[:, None].repeat(bt.n, axis=1))
     plan.spatial_divergence(u)  # warm the caches
     tracemalloc.start()
     try:
@@ -148,7 +234,7 @@ def _batched_divergence(eq, D, rows, u):
     every scaling a broadcast of the metric rows (dim, nE, nT, nS, dim+1)."""
     nE, nT = u.shape[:2]
     out = np.zeros_like(u)
-    for c, F in enumerate((*flux(eq, u), u)):
+    for c, F in enumerate((*(_last(F) for F in flux(eq, _first(u))), u)):
         for M, n_rows in ((rows[0], nE * nT * len(D)), (rows[1], nE * nT)):
             dF = np.matmul(D, F.reshape(n_rows, len(D), -1)).reshape(u.shape)
             out += dF * M[..., c, None]
@@ -164,51 +250,68 @@ def test_euler_divergence_equals_the_batched_form(vortex):
                                   for j in range(u.shape[1])]
     for v, at in cases:
         ref = _batched_divergence(plan.eq, D, geom.rows[:, :, at], v)
-        got = plan.spatial_divergence(v, at)
+        got = _last(plan.spatial_divergence(_first(v), at))
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_plan_repeats_the_metric_for_euler_only(vortex, setup):
-    # Euler holds each metric component repeated over the variables, and
-    # the cached xi table, read-only; advection holds no repeated array
+def test_plan_holds_no_array_repeated_over_the_variables(setup):
+    # the divergence broadcasts each metric component over the variables,
+    # so no table of the plan repeats one value per variable; Euler holds
+    # the metric rows component-major, read-only
+    eq, _, _, geom, plan, _, _, _ = setup
+    nV = eq.n_vars
+    tables = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+    assert tables
+    for a in tables:
+        for axis in np.flatnonzero(np.array(a.shape) == nV) if nV > 1 else []:
+            first = np.take(a, [0], axis=axis)
+            assert not np.array_equal(np.broadcast_to(first, a.shape), a)
+    if nV == 1:
+        assert plan.components is None
+    else:
+        assert not plan.components.flags.writeable
+        assert np.array_equal(plan.components, np.moveaxis(geom.rows, -1, 0))
+
+
+def test_vars_first_is_a_view_for_one_variable():
+    # for nV = 1 the two layouts are the same memory: the residuals'
+    # entry transpose copies nothing; a system gets a contiguous copy
+    u = np.random.default_rng(3).standard_normal((5, 3, 9, 1))
+    v = _vars_first(u)
+    assert v.shape == (1, 5, 3, 9) and v.flags.c_contiguous
+    assert np.shares_memory(v, u)
+    w = _vars_first(np.repeat(u, 4, axis=-1))
+    assert w.shape == (4, 5, 3, 9) and w.flags.c_contiguous
+    assert np.array_equal(w[2], u[..., 0])
+
+
+def test_residuals_equal_the_einsum_reference(setup):
+    # on the disk, with flipped and Dirichlet faces: the slab residual at
+    # all levels and the MOL residual at each level alone; the one-level
+    # setups run the slab from their level repeated
+    eq, sol, mesh, geom, _, _, _, u = setup
+    if u.shape[1] == 1:
+        u = u.repeat(3, axis=1) * np.array([0.99, 1.0, 1.01])[:, None, None]
+    _check_residuals(eq, sol, mesh, geom, u)
+
+
+def test_euler_residuals_equal_the_einsum_reference_on_the_vortex(vortex):
     plan, geom, u = vortex
-    M = plan.metric
-    assert M.shape == (2, 3) + u.shape and not M.flags.writeable
-    assert not _xi_table(plan.ks, 4).flags.writeable
-    for d, c in np.ndindex(2, 3):
-        assert np.array_equal(M[d, c], np.repeat(geom.rows[d][..., c, None], 4, axis=-1))
-    eq, plan = setup[0], setup[4]
-    assert (plan.metric is None) == (eq.n_vars == 1)
+    _check_residuals(plan.eq, None, plan.mesh, geom, u)
 
 
 def test_traces(setup):
     _, _, _, _, _, _, ks, u = setup
-    _close(_traces_all_edges(u, ks, 2), _reference_traces(make_basis(ks), u))
+    _close(_last(_traces_all_edges(_first(u), ks, 2)),
+           _reference_traces(make_basis(ks), u))
 
 
 def test_face_jumps(setup):
     eq, sol, mesh, geom, plan, levels, ks, u = setup
-    tr = _reference_traces(make_basis(ks), u)
-    ref = np.full_like(tr, np.nan)
-    f = mesh.faces
-    for eL, gL, eR, gR, flip in zip(f.elem_l, f.edge_l, f.elem_r, f.edge_r, f.flip):
-        w = _weights(eq, geom.face_m[eL, gL, levels])
-        QL, QR = tr[eL, :, gL], tr[eR, :, gR]
-        if flip:
-            QR = QR[:, ::-1]
-        com = _transformed_common_flux(eq, QL, QR, w)
-        dR = _transformed_normal_flux(eq, QR, w) - com
-        ref[eL, :, gL] = com - _transformed_normal_flux(eq, QL, w)
-        ref[eR, :, gR] = dR[:, ::-1] if flip else dR
-    for e, g in mesh.dirichlet:
-        w = _weights(eq, geom.face_m[e, g, levels])
-        ext = exact_state(sol, *face_points(geom, [e], [g])[:, 0, levels],
-                          t=geom.times[levels, None])
-        ref[e, :, g] = (_transformed_common_flux(eq, tr[e, :, g], ext, w)
-                        - _transformed_normal_flux(eq, tr[e, :, g], w))
-    assert not np.isnan(ref).any()  # every edge is a face side
-    _close(plan.face_jumps(u, levels), ref)
+    ref = _reference_jumps(eq, sol, mesh, geom, levels,
+                           _reference_traces(make_basis(ks), u))
+    _close(_last(plan.face_jumps(_first(u), levels)), ref)
 
 
 def test_lift(setup):
@@ -217,14 +320,7 @@ def test_lift(setup):
     rng = np.random.default_rng(7)
     nE, nT, _, nV = u.shape
     delta = rng.standard_normal((nE, nT, 4, b.n, nV))
-    gl, gr = b.corr_deriv_left, b.corr_deriv_right
-    # -g'_L on minus faces, +g'_R on plus faces, constant along the face
-    ref = (-np.einsum("a,etbv->etabv", gl, delta[:, :, 0])
-           + np.einsum("b,etav->etabv", gr, delta[:, :, 1])
-           + np.einsum("a,etbv->etabv", gr, delta[:, :, 2])
-           - np.einsum("b,etav->etabv", gl, delta[:, :, 3]))
-    _close(plan.lift(delta), ref.reshape(nE, nT, -1, nV))
-
+    _close(_last(plan.lift(_first(delta))), _reference_lift(b, delta))
 
 
 def test_euler_plan_keeps_the_geometry_rows_uncopied():

@@ -71,7 +71,7 @@ def test_flux_rejects_nonphysical():
         states[1, 2] = Q
         for bad in (np.array(Q), states):
             with pytest.raises(NonPhysicalStateError, match=quantity):
-                flux(Euler2D(), bad)
+                flux(Euler2D(), np.moveaxis(bad, -1, 0))
 
 
 def test_st_normal_flux_pure_directions():
@@ -265,8 +265,9 @@ def _assert_close_rel(new, ref, rtol=1e-14):
 @pytest.mark.parametrize("shape", [(), (10, 5, 4)], ids=["single", "faces"])
 def test_component_kernels_match_stacked_forms(shape):
     """200 random admissible states, one at a time and as one (nF, nT,
-    nFs, 4) array: the component-form Roe-ALE, normal flux and (f, g)
-    agree with the stacked forms to 1e-14 relative."""
+    nFs, 4) array: the component-form Roe-ALE, normal flux and (f, g),
+    which take and return states variables-first, agree with the stacked
+    forms to 1e-14 relative."""
     eq = Euler2D()
     rng = np.random.default_rng(200)
     draws = 200 if shape == () else 1
@@ -277,14 +278,15 @@ def test_component_kernels_match_stacked_forms(shape):
         sig = np.hypot(w[..., 0], w[..., 1])
         mx, my, vgn = w[..., 0] / sig, w[..., 1] / sig, -w[..., 2] / sig
         assert np.all(vgn != 0)
-        _assert_close_rel(_roe_ale(eq, QL, QR, mx, my, vgn),
+        qL, qR = np.moveaxis(QL, -1, 0), np.moveaxis(QR, -1, 0)
+        _assert_close_rel(np.moveaxis(_roe_ale(eq, qL, qR, mx, my, vgn), 0, -1),
                           _stacked_roe_ale(QL, QR, mx, my, vgn))
-        _assert_close_rel(_transformed_common_flux(eq, QL, QR, w),
+        _assert_close_rel(np.moveaxis(_transformed_common_flux(eq, qL, qR, w), 0, -1),
                           sig[..., None] * _stacked_roe_ale(QL, QR, mx, my, vgn))
-        _assert_close_rel(_transformed_normal_flux(eq, QL, w),
+        _assert_close_rel(np.moveaxis(_transformed_normal_flux(eq, qL, w), 0, -1),
                           _stacked_normal_flux(QL, w))
-        for new, ref in zip(flux(eq, QR), _stacked_flux(QR)):
-            _assert_close_rel(new, ref)
+        for new, ref in zip(flux(eq, qR), _stacked_flux(QR)):
+            _assert_close_rel(np.moveaxis(new, 0, -1), ref)
 
 
 def test_vortex_far_field():

@@ -248,11 +248,11 @@ def test_mass_balance_on_the_disk(mass):
 
     def balance(u, geom, top):
         plan = LevelPlan(mesh, geom, eq, sol)
-        tr = _traces_all_edges(u, cfg.k_s, mesh.dim)
-        bound = mesh.side_rows(tr.shape[1])[2]
-        QB = tr.reshape((-1,) + tr.shape[3:]).take(bound, axis=0)
+        tr = _traces_all_edges(np.moveaxis(u, -1, 0), cfg.k_s, mesh.dim)
+        bound = mesh.side_rows(tr.shape[2])[2]
+        QB = tr.reshape(len(tr), -1, tr.shape[-1]).take(bound, axis=1)
         flux = _transformed_common_flux(eq, QB, plan.d_ext, plan.d_M)
-        outflow = np.einsum("t,f,dtf->", bt.weights, bs.weights, flux[..., 0])
+        outflow = np.einsum("t,f,dtf->", bt.weights, bs.weights, flux[0])
         masses.append(mass(mesh, path[len(masses)], cfg.k_s, top))
         defects.append(masses[-1] - masses[-2] + outflow)
 
@@ -280,6 +280,39 @@ def test_temporal_superconvergence_moving_mesh(ks, kt, dts):
         e = l2_error_final(res.field, res.geom, m, res.coords_final, sol, 0.5)
         report.add(dt, e, e)
     assert abs(report.rows[-1].order_final - (2 * kt + 1)) <= 0.3
+
+
+@pytest.mark.parametrize("ks, kt", [(7, 1), (9, 2)])
+def test_temporal_jump_order(ks, kt):
+    # the largest slab jump J = RMS(u_bot - inflow) falls as dt^(kt + 1)
+    # on the oscillating 1D mesh above, over each halving of dt
+    m = interval_mesh(8)
+    motion = RigidOscillation(amp=(0.05,), omega=(2 * np.pi,))
+    jumps = []
+    for dt in (1 / 8, 1 / 16, 1 / 32):
+        res = march(m, motion, Advection1D(1.0), SineWave1D(1.0), ks, kt, dt,
+                    int(round(0.5 / dt)))
+        jumps.append(max(st.jump for st in res.stats))
+    orders = np.log2(np.array(jumps[:-1]) / jumps[1:])
+    assert np.all(np.abs(orders - (kt + 1)) <= 0.3), orders
+
+
+def test_run_reports_the_largest_jump(tmp_path, capsys):
+    # the result line and the CSV carry the largest slab jump of the run
+    cfg = cli.load_case("wave1d_stationary_p2p2")
+    cfg.t_final, cfg.output_dir = 0.125, str(tmp_path)
+    eq = cli.build_equation(cfg)
+    res = march(cli.build_mesh(cfg), cli.build_motion(cfg), eq,
+                cli.build_exact(cfg, eq), cfg.k_s, cfg.k_t, cfg.dt, 4)
+    jump = max(st.jump for st in res.stats)
+    assert jump > 0
+    row = cli.run_case(cfg)
+    assert row.jump_max == jump
+    lines = (tmp_path / f"{cfg.name}.csv").read_text().splitlines()
+    assert lines[0].endswith(",jump_max")
+    assert float(lines[1].split(",")[-1]) == pytest.approx(jump, rel=1e-6)
+    assert main(["run", "wave1d_stationary_p2p2", "--set", "t_final=0.125"]) == 0
+    assert f"jump_max={jump:.3e} " in capsys.readouterr().out
 
 
 def _dg_in_time_amplification(kt: int, mu: complex) -> complex:

@@ -73,9 +73,13 @@ from stfr.physics import (
 
 
 # Krylov vectors kept per GMRES cycle.  Each holds one slab state (12,288
-# doubles for euler_vortex_p3), so the restart length sets the memory the
-# solve holds beyond the residual's own; it stays small to keep peak RSS.
-KRYLOV_RESTART = 8
+# doubles for euler_vortex_p3 and wave2d_sine_deform), so a cycle holds
+# 13 x 12,288 x 8 B = 1.2 MiB beyond the residual's own memory, allocated
+# per slab.  At 12 the first wave2d_sine_deform slab converges in one cycle
+# and every slab of the k_s = 5 disk converges (one stalls at 8).  Longer
+# cycles make a stall dearer: a slab that stalls runs STALL_CYCLES cycles of
+# up to 12 products and one true residual each, 40 evaluations at 12.
+KRYLOV_RESTART = 12
 
 # Inexact-Newton forcing term for nonlinear (Euler) slabs: each Newton step
 # solves its linear system to this fraction of the current residual.
@@ -138,6 +142,8 @@ class PseudoControls:
     def __post_init__(self):
         if not self.drop_orders >= 1:  # also catches nan
             raise ValueError(f"drop_orders must be >= 1, got {self.drop_orders!r}")
+        if not math.isfinite(self.drop_orders):  # JSON reads 1e400 as inf
+            raise ValueError(f"drop_orders must be finite, got {self.drop_orders!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
@@ -717,7 +723,7 @@ class SlabOperator:
             v = v.reshape(u.shape)
             if affine:
                 return (self.residual(u + v) - r).ravel()
-            h = _FD_STEP * (1.0 + np.linalg.norm(u)) / np.linalg.norm(v)
+            h = _FD_STEP * u_scale / np.linalg.norm(v)
             return ((self.residual(u + h * v) - r) / h).ravel()
 
         while rnorm > target:
@@ -728,6 +734,7 @@ class SlabOperator:
                     f"{controls.drop_orders:g}-order residual drop",
                     _drop(r0, rnorm), evals, rnorm, ratios)
             tol = target if affine else max(NEWTON_FORCING * rnorm, target)
+            u_scale = 1.0 + np.linalg.norm(u)  # u is fixed over the cycle
             du = precond(gmres(lambda v: jv(precond(v)), -r.ravel(),
                                tol * scale, basis[:budget + 1]))
             u = u + du.reshape(u.shape)

@@ -1,14 +1,16 @@
 """Error norms and the convergence report: its rows, the order between
 each row and the one before it, and its serialization.
 
-Both L2 norms are volume-normalized: the final-time norm interpolates the
-slab to its top face and integrates the squared pointwise error over the
-deformed spatial domain; the slab norm integrates over the full space-time
-slab.  Quadrature uses k+2 Gauss points per direction, enough that the
-reported values are insensitive to further refinement for the smooth
-fields measured here.  Both integrate through `_quadrature`: a rule built
-once per process (`_rule`), and the mapping at its points from the cached
-corner shapes of the geometry build (`geometry._point_sets`).
+The three L2 norms, one per solver kind, are volume-normalized: the
+final-time norm interpolates the slab to its top face and integrates the
+squared pointwise error over the deformed spatial domain; the slab norm
+integrates over the full space-time slab; the cell norm weighs the error
+of the FV cell averages by the cell volumes.  The FR norms use k+2 Gauss
+points per direction, enough that the reported values are insensitive to
+further refinement for the smooth fields measured here, and integrate
+through `_quadrature`: a rule built once per process (`_rule`), and the
+mapping at its points from the cached corner shapes of the geometry build
+(`geometry._point_sets`).
 """
 
 import csv
@@ -23,6 +25,7 @@ from stfr.geometry import SlabGeometry, _evaluate, _point_sets
 from stfr.mesh import Mesh
 from stfr.physics import ExactSolution, exact_state
 from stfr.st_solver import StateField
+from stfr.stfv import cell_averages, interfaces
 
 
 @lru_cache(maxsize=None)
@@ -97,6 +100,16 @@ def l2_error_slab(fld: StateField, geom: SlabGeometry, sol: ExactSolution,
     return _normalized_l2(fld.values.reshape(nE, -1, nV), sol, w,
                           (geom.dt / 2.0) * js, x, geom.t_n + b1 * geom.dt,
                           interp)
+
+
+def l2_error_cells(ubar: np.ndarray, mesh: Mesh, coords: np.ndarray,
+                   sol: ExactSolution, t: float) -> float:
+    """Volume-normalized L2 error at time t of the FV cell averages ubar (n,)
+    against the exact ones, on the cells `stfv.interfaces` at `coords`."""
+    x = coords[interfaces(mesh), 0]
+    vols = np.diff(x)
+    diff2 = (ubar - cell_averages(sol, x, t)) ** 2
+    return math.sqrt(float(np.sum(vols * diff2) / np.sum(vols)))
 
 
 def _order(e_prev, e, s_prev, s):

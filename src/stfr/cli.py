@@ -5,6 +5,8 @@ Verbs:
     stfr sweep <case> --axis space|time --levels N [--set ...] [--out DIR]
 
 <case> is a JSON file path or the name of a bundled case (see `cases/`).
+A run marches one of three solvers (`march`, `march_mol`, `march_stfv`),
+each to a `MarchResult`, and measures it with its `analysis` norm.
 Exit codes: 0 success, 1 usage or validation error, 2 solver non-convergence,
 3 inadmissible solver state (a non-positive Jacobian, an inverted cell, a
 non-physical flow state or a non-finite solution).
@@ -26,12 +28,10 @@ import numpy as np
 
 from stfr import analysis, mesh as meshmod, motion as motionmod, physics, stfv
 from stfr.analysis import ConvergenceReport
-from stfr.basis import gauss_legendre
 from stfr.geometry import GeometryDegeneracyError
 from stfr.mol_solver import march_mol, mol_stable_dt
-from stfr.motion import march_path
 from stfr.st_solver import PseudoControls, PseudoConvergenceError, march
-from stfr.stfv import Fv1dState, stfv_step_explicit
+from stfr.stfv import march_stfv
 
 
 class ConfigError(ValueError):
@@ -141,6 +141,8 @@ def validate(cfg: CaseConfig):
         if ratio > MAX_STEPS:
             errs.append(f"dt: t_final/dt = {ratio:.6g} steps, more than "
                         f"MAX_STEPS = {MAX_STEPS}")
+        elif round(ratio) < 1:
+            errs.append(f"dt: t_final/dt = {ratio:.6g} is less than one step")
         elif abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
             errs.append(f"dt: t_final={cfg.t_final} is not an integer multiple "
                         f"of dt={cfg.dt}")
@@ -283,56 +285,6 @@ def mesh_resolution(cfg: CaseConfig) -> float:
     raise ConfigError("mesh: file meshes have no refinement rule")
 
 
-def _stfv_run(cfg: CaseConfig, eq, sol, mesh, presc, n_steps):
-    """March the 1D space-time FV scheme; returns (error_final, nan, the
-    final cell averages)."""
-    if len(mesh.dirichlet):
-        raise ConfigError(f"solver: stfv treats its interfaces as periodic, "
-                          f"but the mesh has {len(mesh.dirichlet)} dirichlet "
-                          f"faces")
-    order = _stfv_interfaces(mesh)
-
-    def step(k, ubar, coords_n, coords_n1):
-        st = Fv1dState(ubar, coords_n[order, 0], coords_n1[order, 0], cfg.dt)
-        return stfv_step_explicit(st, eq.c)
-
-    ubar, coords = march_path(
-        presc, mesh, cfg.dt, n_steps,
-        lambda coords0: _cell_averages(sol, coords0[order, 0], 0.0), step)
-    x_fin = coords[order, 0]
-    uex = _cell_averages(sol, x_fin, cfg.t_final)
-    vols = np.diff(x_fin)
-    err = math.sqrt(float(np.sum(vols * (ubar - uex) ** 2) / np.sum(vols)))
-    return err, math.nan, ubar
-
-
-def _stfv_interfaces(mesh):
-    """Node indices of the FV interfaces, left to right: the end nodes of
-    the mesh's elements, which must form one chain in x.  Nodes that no
-    element names are no interface."""
-    x = mesh.nodes[:, 0]
-    ends = mesh.elems
-    ends = np.where((x[ends[:, 0]] > x[ends[:, 1]])[:, None], ends[:, ::-1], ends)
-    ends = ends[np.argsort(x[ends[:, 0]])]
-    gaps = np.flatnonzero(ends[1:, 0] != ends[:-1, 1])
-    if gaps.size:
-        a, b = ends[gaps[0], 1], ends[gaps[0] + 1, 0]
-        raise ConfigError(f"mesh: stfv needs elements that form one chain, but "
-                          f"the element ending at node {a} (x={x[a]:g}) is "
-                          f"followed by one starting at node {b} (x={x[b]:g})")
-    return np.append(ends[:, 0], ends[-1, 1])
-
-
-def _cell_averages(sol, interfaces, t):
-    xq, wq = gauss_legendre(3)
-    xl, xr = interfaces[:-1], interfaces[1:]
-    mid = 0.5 * (xl + xr)
-    half = 0.5 * (xr - xl)
-    pts = mid[:, None] + half[:, None] * xq[None, :]
-    vals = physics.exact_state(sol, pts, t=t)[..., 0]
-    return 0.5 * np.einsum("q,cq->c", wq, vals)
-
-
 @_section_errors("output_dir")
 def make_output_dir(cfg: CaseConfig) -> Path | None:
     """Create the case's output_dir, if it has one, before any solve."""
@@ -353,6 +305,9 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
     eq = build_equation(cfg)
     sol = build_exact(cfg, eq)
     mesh = build_mesh(cfg)
+    if cfg.solver == "stfv":  # the meshes march_stfv refuses, before any step
+        _section_errors("solver")(stfv.check_mesh)(mesh)
+        _section_errors("mesh")(stfv.interfaces)(mesh)
     presc = build_motion(cfg)
     controls = build_pseudo(cfg)
     out = make_output_dir(cfg)
@@ -366,30 +321,30 @@ def run_case(cfg: CaseConfig, report: ConvergenceReport | None = None,
             resolution = cfg.dt
     e_slab = evals = jump = math.nan
     t0 = time.perf_counter()
-    if cfg.solver == "stfv":
-        e_fin, e_slab, ubar = _stfv_run(cfg, eq, sol, mesh, presc, n_steps)
-        dump = {"values": ubar}
+    if cfg.solver == "spacetime":
+        res = march(mesh, presc, eq, sol, cfg.k_s, cfg.k_t, cfg.dt, n_steps,
+                    controls=controls)
+        e_fin = analysis.l2_error_final(res.field, res.geom, mesh,
+                                        res.coords_final, sol, cfg.t_final)
+        e_slab = analysis.l2_error_slab(res.field, res.geom, sol)
+        evals = float(np.mean([st.iterations for st in res.stats]))
+        jump = max(st.jump for st in res.stats)
+    elif cfg.solver == "mol":
+        res = march_mol(mesh, presc, eq, sol, cfg.k_s, cfg.dt, n_steps)
+        e_fin = analysis.l2_error_nodal(res.field.values, cfg.k_s, mesh,
+                                        res.coords_final, sol, cfg.t_final)
     else:
-        if cfg.solver == "spacetime":
-            res = march(mesh, presc, eq, sol, cfg.k_s, cfg.k_t, cfg.dt,
-                        n_steps, controls=controls)
-            e_fin = analysis.l2_error_final(res.field, res.geom, mesh,
-                                            res.coords_final, sol, cfg.t_final)
-            e_slab = analysis.l2_error_slab(res.field, res.geom, sol)
-            evals = float(np.mean([st.iterations for st in res.stats]))
-            jump = max(st.jump for st in res.stats)
-        else:
-            res = march_mol(mesh, presc, eq, sol, cfg.k_s, cfg.dt, n_steps)
-            e_fin = analysis.l2_error_nodal(res.field.values, cfg.k_s, mesh,
-                                            res.coords_final, sol, cfg.t_final)
-        dump = {"values": res.field.values, "coords": res.coords_final}
+        res = march_stfv(mesh, presc, eq, sol, cfg.dt, n_steps)
+        e_fin = analysis.l2_error_cells(res.field.values, mesh,
+                                        res.coords_final, sol, cfg.t_final)
     row = report.add(resolution, e_fin, e_slab,
                      walltime_s=time.perf_counter() - t0, evals_per_slab=evals,
                      jump_max=jump)
     if out:
         report.to_csv(out / f"{cfg.name}.csv")
         if cfg.dump_solution:
-            np.savez(out / f"{cfg.name}_solution.npz", **dump)
+            np.savez(out / f"{cfg.name}_solution.npz", values=res.field.values,
+                     coords=res.coords_final)
     return row
 
 

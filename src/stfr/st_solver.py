@@ -776,9 +776,9 @@ def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
 
 @dataclass
 class MarchResult:
-    """The final state and node coordinates of `march` or `march_mol`.
-    Only `march` fills geom (the last slab's geometry), top (its top-face
-    values) and stats (one SlabStats per slab)."""
+    """The final state and node coordinates of `march`, `march_mol` or
+    `stfv.march_stfv`.  Only `march` fills geom (the last slab's geometry),
+    top (its top-face values) and stats (one SlabStats per slab)."""
 
     field: StateField
     coords_final: np.ndarray

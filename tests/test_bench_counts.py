@@ -46,6 +46,16 @@ def test_measure_reports_the_mol_layers(tool):
     assert rec["us_temporal_correction"] is None
 
 
+def test_measure_counts_the_fv_scheme_like_the_others(tool):
+    # the FV march is counted for page faults and its norm is timed; it has
+    # no residual operator
+    rec = tool.measure("stfv_moving_1d")
+    assert rec["solver"] == "stfv" and rec["steps"] == 100
+    assert isinstance(rec["minor_faults"], int) and rec["minor_faults"] >= 0
+    assert rec["error_norms_s"] > 0
+    assert rec["dof"] is None and rec["evals_mean"] is None
+
+
 def test_every_case_starts_from_cold_caches(tool):
     # a case measured twice in one process builds its norm rule both times:
     # the second run reads the first's cache statistics, misses and no hits

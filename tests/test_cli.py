@@ -8,6 +8,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stfr
@@ -17,6 +18,7 @@ from stfr.cli import (
     ConfigError,
     _accepted_keys,
     apply_overrides,
+    build_mesh,
     emit_reports,
     load_case,
     main,
@@ -313,7 +315,7 @@ def no_path(monkeypatch):
         raise AssertionError("motion path or solver reached")
 
     for owner, name in ((motion, "motion_path"), (motion, "node_positions"),
-                        (cli, "march"), (cli, "march_mol")):
+                        (cli, "march"), (cli, "march_mol"), (cli, "march_stfv")):
         monkeypatch.setattr(owner, name, not_reached)
     return not_reached
 
@@ -328,6 +330,20 @@ def test_absurd_step_count_exits_1(no_path, capsys, dt, steps):
     assert main(["run", "euler_vortex_p3", "--set", f"dt={dt}"]) == 1
     err = capsys.readouterr().err
     assert f"\n  dt: t_final/dt = {steps} steps, more than MAX_STEPS = 100000" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case, steps", [
+    ("wave1d_stationary_p2p2", "3.2e-19"),
+    ("mol_sine_deform_p2", "5e-17"),
+    ("stfv_moving_1d", "5e-18"),
+])
+def test_run_shorter_than_one_step_exits_1(no_path, capsys, case, steps):
+    # t_final/dt rounds to 0 steps: no solver reports the initial state's
+    # error as if it had solved
+    assert main(["run", case, "--set", "t_final=1e-20"]) == 1
+    err = capsys.readouterr().err
+    assert f"\n  dt: t_final/dt = {steps} is less than one step" in err
     assert "Traceback" not in err
 
 
@@ -658,14 +674,21 @@ def test_emit_reports(tmp_path):
 
 
 def test_run_case_writes_outputs(tmp_path):
-    cfg = load_case("wave1d_stationary_p2p2")
-    cfg.dt = 0.125
-    cfg.t_final = 0.25
-    cfg.output_dir = str(tmp_path)
-    cfg.dump_solution = True
-    run_case(cfg)
-    assert (tmp_path / f"{cfg.name}.csv").exists()
-    assert (tmp_path / f"{cfg.name}_solution.npz").exists()
+    # every solver writes its report and one dump: its final values (a
+    # slab, a MOL state, the FV cell averages) and node coordinates
+    for case, values in [("wave1d_stationary_p2p2", (16, 3, 3, 1)),
+                         ("mol_sine_deform_p2", (64, 9, 1)),
+                         ("stfv_moving_1d", (64,))]:
+        cfg = load_case(case)
+        cfg.t_final = 2 * cfg.dt
+        cfg.output_dir = str(tmp_path)
+        cfg.dump_solution = True
+        run_case(cfg)
+        assert (tmp_path / f"{cfg.name}.csv").exists()
+        with np.load(tmp_path / f"{cfg.name}_solution.npz") as dump:
+            assert sorted(dump) == ["coords", "values"]
+            assert dump["values"].shape == values
+            assert dump["coords"].shape == build_mesh(cfg).nodes.shape
 
 
 def test_stfv_case_runs():

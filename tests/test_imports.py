@@ -105,6 +105,11 @@ DELETED = {
     "MolField": "march_mol's steps pass the bare nodal array; StateField "
                 "holds the final one",
     "MolMarchResult": "march_mol returns st_solver.MarchResult",
+    "_stfv_run": "stfv.march_stfv marches the FV scheme and returns "
+                 "st_solver.MarchResult; analysis.l2_error_cells measures it",
+    "_stfv_interfaces": "stfv.interfaces, the one statement of the FV cells",
+    "_cell_averages": "stfv.cell_averages, the seed and the exact averages "
+                      "of the norm",
 }
 
 

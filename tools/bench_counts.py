@@ -15,7 +15,7 @@ inside the side deltas (traces, common flux, normal flux), the solve time,
 the errors, the time inside the error norms, the geometry layer (the calls
 to, and the time inside, the slab and MOL geometry builds) and the minor
 page faults of the solve (`minor_faults`: the process's `ru_minflt` over
-the `march` or `march_mol` call, null for the FV scheme).  Counts repeat
+the `march`, `march_mol` or `march_stfv` call).  Counts repeat
 exactly from run to run; the times and faults come from this one run and
 move with the machine, whose description the file also holds.  Every case
 starts cold: the package's `functools` caches (basis, kernel and norm
@@ -32,10 +32,10 @@ lines) and the slab's `st_solver.temporal_correction`, the face kernels
 operators run, and `geometry.slab_geometry` and `spatial_geometry`.  The
 tool adds spans through the tracer's wrapper: `st_solver.precond` around
 `KroneckerPreconditioner.__call__`, and `analysis.l2_error_final`,
-`l2_error_slab` and `l2_error_nodal`, whose outermost spans sum to
-`error_norms_s` (the final-time norm calls the nodal one).  Each residual
-evaluation and preconditioner apply counts toward the last slab or step
-span that started before it.  Times are inclusive and include the tracer's
+`l2_error_slab`, `l2_error_nodal` and `l2_error_cells`, whose outermost
+spans sum to `error_norms_s` (the final-time norm calls the nodal one).
+Each residual evaluation and preconditioner apply counts toward the last
+slab or step span that started before it.  Times are inclusive and include the tracer's
 wrappers of nested spans, so they read higher than untraced ones: on a
 shared 2-core x86_64 VM, `mol_sine_deform_p2` solved in a median 0.97 s
 traced against 0.78 s with only the counted calls wrapped (9 runs
@@ -44,8 +44,7 @@ each).  The DOF follow from the case: elements x temporal levels x
 its DOF and evaluation fields are null, as are the preconditioner fields of
 every solve without a preconditioner apply, the layer fields of every solve
 without a span of that layer (the method of lines has no temporal
-correction), and `error_norms_s` of the FV scheme, which measures its own
-error.
+correction).
 """
 
 import argparse
@@ -67,7 +66,8 @@ import tracer  # the benchmark's, found through the line above
 
 UNITS = ("st_solver.march", "mol_solver.bind_degree")  # one per slab or step
 PRECOND = "st_solver.precond"
-NORMS = ("l2_error_final", "l2_error_slab", "l2_error_nodal")  # in `analysis`
+NORMS = ("l2_error_final", "l2_error_slab", "l2_error_nodal",  # in `analysis`
+         "l2_error_cells")
 # spans timed per call: the residual's layers, then the face kernels
 LAYERS = ("interior", "side_deltas", "lift", "temporal_correction",
           "traces", "common_flux", "normal_flux")
@@ -155,7 +155,8 @@ def measure(case):
     clear_caches()
     cfg = cli.load_case(case)
     faults = []
-    solvers = [(name, getattr(cli, name)) for name in ("march", "march_mol")]
+    solvers = [(name, getattr(cli, name))
+               for name in ("march", "march_mol", "march_stfv")]
     for name, fn in solvers:
         setattr(cli, name, counting_faults(fn, faults))
     try:

@@ -52,8 +52,7 @@ class Mesh:
     elems: np.ndarray            # (n_elems, 2) or (n_elems, 4), CCW
     faces: FaceList
     dirichlet: np.ndarray        # (n_bf, 2): (elem, edge)
-    _side_rows: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)  # `side_rows` per level count
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_elems(self) -> int:
@@ -68,6 +67,20 @@ class Mesh:
         c = self.nodes if coords is None else coords
         return c[self.elems]
 
+    def _keep(self, key, build):
+        """build()'s arrays, read-only, kept until faces or dirichlet change."""
+        hit = self._kept.get(key)
+        if hit is None or hit[0] is not self.faces or hit[1] is not self.dirichlet:
+            hit = self._kept[key] = (self.faces, self.dirichlet, build())
+            for r in hit[2]:
+                r.setflags(write=False)
+        return hit[2]
+
+    def face_sides(self):
+        """(flipped faces, each dirichlet face's element, its edge), kept."""
+        return self._keep("sides", lambda: (np.flatnonzero(self.faces.flip), *np.asarray(
+            self.dirichlet, int).reshape(-1, 2).T.copy()))
+
     def side_rows(self, n_levels: int):
         """Rows of the face sides in an array whose rows run over (element,
         level, edge), n_levels levels per element.
@@ -76,33 +89,28 @@ class Mesh:
         right sides of the faces and of the dirichlet faces, each
         (n_sides, n_levels), and for every row its position among those
         three stacked and flattened, which gathers values computed per
-        side back into rows.  Built once per level count and kept with the
-        mesh until its faces or dirichlet faces are replaced.
+        side back into rows.  Kept with the mesh per level count (`_keep`).
         """
-        hit = self._side_rows.get(n_levels)
-        if hit is not None and hit[0] is self.faces and hit[1] is self.dirichlet:
-            return hit[2]
         n_edges = 2 * self.dim
         level = np.arange(n_levels)
 
         def side(elem, edge):
             return (elem[:, None] * n_levels + level) * n_edges + edge[:, None]
 
-        f = self.faces
-        d_e, d_edge = np.asarray(self.dirichlet, int).reshape(-1, 2).T
-        sides = [side(f.elem_l, f.edge_l), side(f.elem_r, f.edge_r), side(d_e, d_edge)]
-        flat = np.concatenate([r.ravel() for r in sides])
-        n = self.n_elems * n_levels * n_edges
-        if flat.size != n or np.bincount(flat, minlength=n).max() != 1:
-            raise ValueError("every element edge must be one face side or "
-                             "one dirichlet face")
-        order = np.empty(n, dtype=flat.dtype)
-        order[flat] = np.arange(n)
-        rows = (*sides, order)
-        for r in rows:
-            r.setflags(write=False)
-        self._side_rows[n_levels] = (self.faces, self.dirichlet, rows)
-        return rows
+        def build():
+            f = self.faces
+            sides = [side(f.elem_l, f.edge_l), side(f.elem_r, f.edge_r),
+                     side(*self.face_sides()[1:])]
+            flat = np.concatenate([r.ravel() for r in sides])
+            n = self.n_elems * n_levels * n_edges
+            if flat.size != n or np.bincount(flat, minlength=n).max() != 1:
+                raise ValueError("every element edge must be one face side or "
+                                 "one dirichlet face")
+            order = np.empty(n, dtype=flat.dtype)
+            order[flat] = np.arange(n)
+            return (*sides, order)
+
+        return self._keep(n_levels, build)
 
 
 def refined_spec(spec: dict, levels: int = 1) -> dict:

@@ -9,8 +9,8 @@ assembles its dissipation one component at a time from the wave strengths,
 with no eigenvector columns stacked.  The advection flux has no function
 of its own: `st_solver._weights` contracts the speed with each metric or
 face vector once (c . M_x + M_t), and the FR kernels there scale Q by it.
-The space-time normal and common fluxes through unnormalized face vectors,
-which call the Euler kernels, live with those FR kernels in `st_solver`.
+The Euler space-time normal and common fluxes through unnormalized face
+vectors, which call the kernels here, live with the FR kernels too.
 
 The flux kernels take states variables-first, (n_vars, ...), and return
 matching shapes; the exact states stay (..., n_vars).

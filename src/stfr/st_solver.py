@@ -33,15 +33,16 @@ fields stacked, at all levels or at the levels a slice picks:
 `spatial_divergence` (chain-rule sum_dir M_dir . d_dir F_st, one flux
 component at a time, never stacked), `face_jumps` (traces, face sides
 gathered by the mesh's `side_rows`, the right side of a flipped face
-reversed, Riemann and Dirichlet fluxes, the jumps gathered back in the
-traces' layout) and `lift`.  Every table contraction but the d_tau term's
-batched matmul is one GEMM (`_contract`).  The residuals keep the public
-layouts, (nE, nT, nS, nV) and (nE, nS, nV), transposing once in
-(`_vars_first`, a view for nV = 1) and once out (`_vars_last`).
-`SlabOperator` runs the kernels at all its levels and adds only the d_tau
-term and the causal temporal correction; `mol_solver.MolOperator` runs
-stage j at level j.  The slab is FR in time over the method-of-lines
-operator at the Gauss levels.
+reversed, one upwind product per side for advection, Riemann and normal
+fluxes for Euler, the jumps gathered back in the traces' layout) and
+`lift`.  Every table contraction but the d_tau term's batched matmul is
+one GEMM (`_contract`) on a table stored as the GEMM reads it.  The
+residuals keep the public layouts, (nE, nT, nS, nV) and (nE, nS, nV),
+transposing once in (`_vars_first`, a view for nV = 1) and once out
+(`_vars_last`).  `SlabOperator` runs the kernels at all its levels and
+adds only the d_tau term and the causal temporal correction;
+`mol_solver.MolOperator` runs stage j at level j.  The slab is FR in time
+over the method-of-lines operator at the Gauss levels.
 """
 
 import math
@@ -166,11 +167,10 @@ class SlabStats:
 
 
 def _contract(a, table):
-    """table (t, s) applied to a (..., s) viewed as rows of s values: one
-    GEMM, (rows, s) @ table.T.  A C-contiguous right operand halved one
-    GEMM's time in isolation but made whole `mol_sine_deform_p2` runs 11%
-    slower (NumPy 2.4, OpenBLAS 0.3.31, AVX-512 x86_64 VM)."""
-    return a.reshape(-1, table.shape[1]) @ table.T
+    """table (s, t), C-contiguous (Euler reads column blocks), on a (..., s)
+    viewed as rows of s values: one GEMM, (rows, s) @ table.  A transposed
+    table ran at half speed (21 vs 11 us, (768, 16) rows, OpenBLAS 0.3.31)."""
+    return a.reshape(-1, table.shape[0]) @ table
 
 
 def _vars_first(u):
@@ -208,23 +208,15 @@ def _weights(eq, M):
 
 
 def _transformed_normal_flux(eq, Q, w):
-    """M . F_st(Q) of states Q (nV, ...) for an unnormalized outward
-    space-time vector M, given as its `_weights` w."""
-    if isinstance(eq, (Advection1D, Advection2D)):
-        return w * Q
+    """M . F_st(Q) of Euler states Q (nV, ...) for an unnormalized outward
+    space-time vector M, given as its `_weights` w (M itself)."""
     _, u, v, p = euler_primitives(eq, Q)
     return _normal_flux(Q, u, v, p, w[..., 0], w[..., 1], -w[..., 2])
 
 
 def _transformed_common_flux(eq, QL, QR, w):
-    """Common flux of the states QL, QR (nV, ...) scaled by the face's
-    unnormalized space-time vector M, given as its `_weights` w.
-
-    Equals ||M|| times the unit-normal common flux; advection avoids the
-    normalization entirely (the upwind sign is scale invariant).
-    """
-    if isinstance(eq, (Advection1D, Advection2D)):
-        return np.maximum(w, 0.0) * QL + np.minimum(w, 0.0) * QR
+    """Roe-ALE common flux of Euler states QL, QR (nV, ...) through the
+    unnormalized space-time vector w = M: ||M|| times the unit-normal one."""
     sig = np.hypot(w[..., 0], w[..., 1])
     mx = w[..., 0] / sig
     my = w[..., 1] / sig
@@ -242,34 +234,37 @@ class LevelPlan:
     slice `at`, at those levels alone, in place.
 
     M and d_M are the `_weights` of the outward vectors of each face's left
-    element and of each Dirichlet face, d_ext the analytic states at the
-    Dirichlet flux points, variables-first, weights the `_weights` of the
-    metric rows, which the advection divergence contracts (for Euler the
-    rows themselves, uncopied, which the wave speeds read), and jac the |J|
-    that divides the residual.  For Euler, components holds the rows
-    component-major, (dim+1, dim, nE, nT, nS), read-only, so that each
-    component M_dir[c] is one plane the divergence broadcasts over the
-    variables; it is None for advection.  eq, ks and dim are those of the
-    equation, the geometry and the mesh.
+    element and of each Dirichlet face, for advection their speed w split
+    into (min(w, 0), max(w, 0)) and min(w, 0); d_ext the analytic states at
+    the Dirichlet flux points, variables-first (d_M and d_ext are None
+    without Dirichlet faces), weights the `_weights` of the metric rows,
+    which the advection divergence contracts (for Euler the rows themselves,
+    uncopied, which the wave speeds read), and jac the |J| that divides the
+    residual.  For Euler, components holds the rows component-major, (dim+1,
+    dim, nE, nT, nS), read-only, so that each component M_dir[c] is one
+    plane the divergence broadcasts over the variables; it is None for
+    advection.  eq, ks and dim are those of the equation, the geometry and
+    the mesh.
     """
 
     def __init__(self, mesh: Mesh, geom: SlabGeometry, eq: EquationSet,
                  bc: ExactSolution | None):
-        f = mesh.faces
         self.mesh, self.eq, self.ks, self.dim = mesh, eq, geom.ks, mesh.dim
-        self.flipped = np.flatnonzero(f.flip)  # right side runs reversed
-        self.M = _weights(eq, geom.face_m[f.elem_l, f.edge_l])
-        d_e, d_edge = np.asarray(mesh.dirichlet, int).reshape(-1, 2).T
-        self.d_M = _weights(eq, geom.face_m[d_e, d_edge])
-        self.d_ext = None
+        self.flipped, d_e, d_edge = mesh.face_sides()
+        advection = isinstance(eq, (Advection1D, Advection2D))
+        M = _weights(eq, geom.face_m[mesh.faces.elem_l, mesh.faces.edge_l])
+        self.M = np.stack([np.minimum(M, 0.0), np.maximum(M, 0.0)]) if advection else M
+        self.d_M = self.d_ext = None
         if len(d_e):
             if bc is None:
                 raise ValueError("mesh has dirichlet faces but no analytic bc")
             self.d_ext = _vars_first(exact_state(
                 bc, *face_points(geom, d_e, d_edge), t=geom.times[:, None]))
+            d_M = _weights(eq, geom.face_m[d_e, d_edge])
+            self.d_M = np.minimum(d_M, 0.0) if advection else d_M
         self.weights = _weights(eq, geom.rows)
         self.components = None
-        if not isinstance(eq, (Advection1D, Advection2D)):
+        if not advection:
             self.components = np.ascontiguousarray(np.moveaxis(geom.rows, -1, 0))
             self.components.setflags(write=False)
         self.jac = geom.jac
@@ -282,7 +277,7 @@ class LevelPlan:
         operator has.  Advection takes every reference derivative in one
         GEMM with `_derivative_table`; Euler takes each flux component F_c
         of (f, g, Q) in turn, differentiates it along each direction by one
-        GEMM with that direction's half of the table, scales the derivative
+        GEMM with that direction's columns of the table, scales the derivative
         in place by its metric component M_dir[c], broadcast over the
         variables, and adds it to the output, so no stacked copy of the
         components is made.
@@ -295,7 +290,7 @@ class LevelPlan:
         out = np.zeros_like(u)
         for F, rows in zip((*flux(self.eq, u), u), self.components[:, :, :, at]):
             for d, M in enumerate(rows):
-                dF = _contract(F, table[d * nS:(d + 1) * nS]).reshape(u.shape)
+                dF = _contract(F, table[:, d * nS:(d + 1) * nS]).reshape(u.shape)
                 dF *= M
                 out += dF
         return out
@@ -312,32 +307,39 @@ class LevelPlan:
         gather and again before its jumps are stored.  The jumps of the
         left, right and Dirichlet sides are stacked and gathered back into
         the traces' rows by the `side_rows` order: one `take`, where a
-        scatter per side through fancy indexing cost ten times as much.
+        scatter per side through fancy indexing cost ten times as much.  An
+        advection jump is one upwind product (Huynh, AIAA 2007-4079):
+        min(w, 0)(QR - QL), max(w, 0)(QR - QL) and min(w, 0)(ext - QB).
         """
-        eq = self.eq
         tr = _traces_all_edges(u, self.ks, self.dim)
         rows = tr.reshape(len(tr), -1, tr.shape[-1])
         left, right, bound, order = self.mesh.side_rows(u.shape[2])
         nF = len(left)
-        QL = rows.take(left, axis=1)
-        QR = rows.take(right, axis=1)
+        QL, QR = rows.take(left, axis=1), rows.take(right, axis=1)
         fl = self.flipped
         if fl.size:
             QR[:, fl] = QR[:, fl, :, ::-1]
-        M = self.M[:, at]
         jumps = np.empty(QL.shape[:1] + (2 * nF + len(bound),) + QL.shape[2:])
-        com = _transformed_common_flux(eq, QL, QR, M)
-        np.subtract(com, _transformed_normal_flux(eq, QL, M), out=jumps[:, :nF])
-        dR = jumps[:, nF:2 * nF]
-        np.subtract(_transformed_normal_flux(eq, QR, M), com, out=dR)
+        dL, dR, dB = jumps[:, :nF], jumps[:, nF:2 * nF], jumps[:, 2 * nF:]
+        if self.components is None:
+            QR -= QL
+            np.multiply(self.M[0, :, at], QR, out=dL)
+            np.multiply(self.M[1, :, at], QR, out=dR)
+        else:
+            M = self.M[:, at]
+            com = _transformed_common_flux(self.eq, QL, QR, M)
+            np.subtract(com, _transformed_normal_flux(self.eq, QL, M), out=dL)
+            np.subtract(_transformed_normal_flux(self.eq, QR, M), com, out=dR)
         if fl.size:
             dR[:, fl] = dR[:, fl, :, ::-1]
         if bound.size:
             QB = rows.take(bound, axis=1)
-            d_M = self.d_M[:, at]
-            com_b = _transformed_common_flux(eq, QB, self.d_ext[:, :, at], d_M)
-            np.subtract(com_b, _transformed_normal_flux(eq, QB, d_M),
-                        out=jumps[:, 2 * nF:])
+            d_M, ext = self.d_M[:, at], self.d_ext[:, :, at]
+            if self.components is None:
+                np.multiply(d_M, np.subtract(ext, QB, out=QB), out=dB)
+            else:
+                np.subtract(_transformed_common_flux(self.eq, QB, ext, d_M),
+                            _transformed_normal_flux(self.eq, QB, d_M), out=dB)
         return jumps.reshape(rows.shape).take(order, axis=1).reshape(tr.shape)
 
     def lift(self, delta):
@@ -349,22 +351,21 @@ class LevelPlan:
 
 @lru_cache(maxsize=None)
 def _derivative_table(ks: int, dim: int):
-    """Reference derivatives of nodal values, stacked by direction: D in
-    1D, [I (x) D; D (x) I] (2 nS, nS) in 2D, the xi rows first (spatial
-    points are (eta, xi), xi fastest)."""
-    D = make_basis(ks).diff
+    """Reference derivatives of nodal values as a `_contract` table, the
+    directions side by side: D^T in 1D, [I (x) D^T, D^T (x) I] (nS, 2 nS) in
+    2D, the xi columns first (spatial points are (eta, xi), xi fastest)."""
+    D = make_basis(ks).diff.T
     eye = np.eye(ks + 1)
-    table = D.copy() if dim == 1 else np.vstack([np.kron(eye, D), np.kron(D, eye)])
+    table = D.copy() if dim == 1 else np.hstack([np.kron(eye, D), np.kron(D, eye)])
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=None)
 def _edge_tables(ks: int, dim: int):
-    """Extrapolation E (n_edges * nFs, nS) of nodal values to every edge's
-    flux points, and lift L (nS, n_edges * nFs) of edge jumps into the
-    correction field: -g'_L on minus faces, +g'_R on plus faces, constant
-    along the face."""
+    """`_contract` tables: extrapolation (nS, n_edges * nFs) to every edge's
+    flux points, and lift (n_edges * nFs, nS) of edge jumps into the
+    correction field: -g'_L on minus, +g'_R on plus faces, constant along a face."""
     b = make_basis(ks)
 
     def per_edge(minus, plus):  # (nS, n_edges * nFs); edges W, E or S, E, N, W
@@ -375,8 +376,8 @@ def _edge_tables(ks: int, dim: int):
         cols = [np.kron(lo, eye), np.kron(eye, hi), np.kron(hi, eye), np.kron(eye, lo)]
         return np.stack(cols, axis=1).reshape(b.n ** 2, -1)
 
-    tables = (np.ascontiguousarray(per_edge(b.extrap_left, b.extrap_right).T),
-              per_edge(-b.corr_deriv_left, b.corr_deriv_right))
+    tables = (per_edge(b.extrap_left, b.extrap_right),
+              np.ascontiguousarray(per_edge(-b.corr_deriv_left, b.corr_deriv_right).T))
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -613,8 +614,9 @@ class SlabOperator:
         # `_contract` tables on (nV nE, ...) rows: the bottom trace
         # kron(l_L, I) and the correction's spread kron(-g'_L, I)
         eye = np.eye(inflow.shape[1])
-        self.bottom = np.kron(self.bt.extrap_left, eye)
-        self.spread = np.kron(-self.bt.corr_deriv_left[:, None], eye)
+        self.bottom = np.kron(self.bt.extrap_left[:, None], eye)
+        self.spread = np.kron(-self.bt.corr_deriv_left[None, :], eye)
+        self.bottom.flags.writeable = self.spread.flags.writeable = False
 
     def _interior(self, u):
         """|J| * div_st(F) at solution points, chain-rule form."""

@@ -31,8 +31,10 @@ def test_measure_counts_wave1d(tool):
     assert isinstance(rec["minor_faults"], int) and rec["minor_faults"] >= 0
     assert rec["precond_applies_mean"] == 8.0 and rec["us_per_precond_apply"] > 0
     for name in ("interior", "side_deltas", "lift", "temporal_correction",
-                 "traces", "common_flux", "normal_flux"):
+                 "traces"):
         assert rec[f"us_{name}"] > 0
+    # advection jumps are one upwind product: no flux helper runs
+    assert rec["us_common_flux"] is None and rec["us_normal_flux"] is None
 
 
 def test_measure_reports_the_mol_layers(tool):
@@ -40,10 +42,18 @@ def test_measure_reports_the_mol_layers(tool):
     # it has no temporal correction
     rec = tool.measure("mol_sine_deform_p2")
     assert rec["solver"] == "mol" and rec["precond_applies_mean"] is None
-    for name in ("interior", "side_deltas", "lift", "traces", "common_flux",
-                 "normal_flux"):
+    for name in ("interior", "side_deltas", "lift", "traces"):
         assert rec[f"us_{name}"] > 0
     assert rec["us_temporal_correction"] is None
+    assert rec["us_common_flux"] is None and rec["us_normal_flux"] is None
+
+
+def test_measure_reports_the_euler_flux_kernels(tool):
+    # Euler faces run the Roe-ALE common flux and the normal flux
+    rec = tool.measure("euler_vortex_p3")
+    assert rec["solver"] == "spacetime" and rec["evals_mean"] > 0
+    for name in ("traces", "common_flux", "normal_flux"):
+        assert rec[f"us_{name}"] > 0
 
 
 def test_measure_counts_the_fv_scheme_like_the_others(tool):

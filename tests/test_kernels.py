@@ -10,18 +10,22 @@ all its levels (nT = 3) and at one level picked by a slice (nT = 1, as the
 method of lines runs it); `_first` and `_last` move the variable axis
 between the layouts.  The whole slab and MOL residuals are checked against
 the same references, and the Euler divergence against its batched-matmul
-form, also on the first slab of `euler_vortex_p3`.
+form, also on the first slab of `euler_vortex_p3`.  Every table the
+residuals hand `_contract` is checked for the layout its GEMM reads: rows
+in, columns out, C-contiguous (or a column block of such a table), never a
+transposed view.
 """
 
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stfr import cli
+from stfr import cli, st_solver
 from stfr.basis import make_basis
 from stfr.geometry import face_points, slab_geometry
-from stfr.mesh import rect_mesh
+from stfr.mesh import interval_mesh, rect_mesh
 from stfr.motion import motion_path
 from stfr.physics import (
     Advection1D,
@@ -35,6 +39,8 @@ from stfr.mol_solver import MolOperator
 from stfr.st_solver import (
     LevelPlan,
     SlabOperator,
+    _derivative_table,
+    _edge_tables,
     _traces_all_edges,
     _transformed_common_flux,
     _transformed_normal_flux,
@@ -118,11 +124,17 @@ def _reference_divergence(eq, D, weights, u):
 
 def _reference_jumps(eq, sol, mesh, geom, levels, tr):
     """Outward flux jumps on every edge, face by face, from traces tr
-    (nE, nT, n_edges, nFs, nV) at the levels `levels`."""
+    (nE, nT, n_edges, nFs, nV) at the levels `levels`: the common flux
+    minus the local one, advection's the upwind max(w, 0) QL + min(w, 0) QR
+    and w Q of its outward speed w, Euler's the Roe-ALE flux and M . F_st."""
     def common(QL, QR, w):
+        if eq.n_vars == 1:
+            return np.maximum(w, 0.0)[..., None] * QL + np.minimum(w, 0.0)[..., None] * QR
         return _last(_transformed_common_flux(eq, _first(QL), _first(QR), w))
 
     def normal(Q, w):
+        if eq.n_vars == 1:
+            return w[..., None] * Q
         return _last(_transformed_normal_flux(eq, _first(Q), w))
 
     ref = np.full_like(tr, np.nan)
@@ -349,3 +361,71 @@ def test_weights_is_the_speed_sum(eq):
         assert w.shape == a.shape[:-1]
         assert np.all(np.abs(w - ref) <= 1e-15 * np.abs(terms).sum(-1))
     assert _weights(Euler2D(), M) is M
+
+
+def _assert_gemm_layout(table):
+    """A `_contract` table is read as stored: C-contiguous, or a column
+    block of a C-contiguous table, so its columns run at unit stride, which
+    a transposed view of a table of several columns never does; read-only."""
+    whole = table if table.base is None else table.base
+    assert whole.flags.c_contiguous and table.strides[-1] == table.itemsize
+    assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_contract_tables_are_stored_the_way_the_gemm_reads_them(dim):
+    # each cached table is (rows in, columns out): contracting the nodal
+    # values of xi gives its derivative 1 along xi and 0 along eta, and
+    # the constant 1 extrapolates to 1 on every flux point and on the slab
+    # bottom; the lift and the temporal spread take an edge's or a spatial
+    # point's values into the nS or nT nS solution points
+    ks, kt = 3, 2
+    b, bt = make_basis(ks), make_basis(kt)
+    nS, nFs = b.n ** dim, b.n ** (dim - 1)
+    xi = np.tile(b.nodes, nS // b.n)
+    table = _derivative_table(ks, dim)
+    assert table.shape == (nS, dim * nS)
+    assert np.allclose(xi @ table, np.repeat([1.0, 0.0][:dim], nS), atol=1e-12)
+    extrap, lift = _edge_tables(ks, dim)
+    assert extrap.shape == (nS, 2 * dim * nFs) and lift.shape == (2 * dim * nFs, nS)
+    assert np.allclose(np.ones(nS) @ extrap, 1.0)
+    mesh = rect_mesh(2, 2) if dim == 2 else interval_mesh(2)
+    geom = slab_geometry(mesh, mesh.nodes, mesh.nodes, 0.1, b, bt)
+    eq = Advection2D(0.5, 0.2) if dim == 2 else Advection1D(0.5)
+    op = SlabOperator(mesh, geom, eq, np.zeros((mesh.n_elems, nS, 1)))
+    assert op.bottom.shape == (bt.n * nS, nS) and op.spread.shape == (nS, bt.n * nS)
+    assert np.allclose(np.ones(bt.n * nS) @ op.bottom, 1.0)
+    for t in (table, extrap, lift, op.bottom, op.spread):
+        _assert_gemm_layout(t)
+
+
+def test_contract_is_one_gemm_on_the_stored_table():
+    # rows in, columns out, bit for bit the GEMM of the rows with the table
+    # as stored: no transposed view of it reaches the matmul
+    rng = np.random.default_rng(8)
+    a, table = rng.standard_normal((4, 6, 5)), rng.standard_normal((5, 3))
+    assert np.array_equal(st_solver._contract(a, table), a.reshape(-1, 5) @ table)
+    assert ".T" not in inspect.getsource(st_solver._contract).split('"""')[-1]
+
+
+def test_residuals_hand_contract_only_stored_tables(setup, monkeypatch):
+    # every table a slab or MOL residual contracts with, advection and
+    # Euler, is read in its stored layout, and its rows match a trailing
+    # block of the contracted array
+    eq, sol, mesh, geom, _, _, _, u = setup
+    seen = []
+    contract = st_solver._contract
+
+    def spy(a, table):
+        seen.append(table)
+        assert table.shape[0] in {int(np.prod(a.shape[k:])) for k in range(a.ndim)}
+        return contract(a, table)
+
+    monkeypatch.setattr(st_solver, "_contract", spy)
+    if u.shape[1] == 1:
+        MolOperator(mesh, eq, sol).bind_degree(geom).residual(u[:, 0], 1)
+    else:
+        SlabOperator(mesh, geom, eq, u[:, 0], sol).residual(u)
+    assert len(seen) >= 3
+    for table in seen:
+        _assert_gemm_layout(table)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from stfr.basis import make_basis
+from stfr.geometry import slab_geometry
+from stfr.mesh import interval_mesh, rect_mesh
+from stfr.motion import SineDeformation, motion_path
 from stfr.physics import (
     Advection1D,
     Advection2D,
@@ -14,8 +18,13 @@ from stfr.physics import (
     exact_state,
     flux,
 )
-from stfr.st_solver import (_transformed_common_flux, _transformed_normal_flux,
-                            _weights)
+from stfr.st_solver import (
+    LevelPlan,
+    _traces_all_edges,
+    _transformed_common_flux,
+    _transformed_normal_flux,
+    _weights,
+)
 
 GAMMA = 1.4
 
@@ -84,43 +93,67 @@ def test_st_normal_flux_pure_directions():
     assert np.allclose(nflux(eq, Q, np.array([0.0, 1.0, 0.0])), g)
 
 
+def _face_sides(eq, state):
+    """Advection on the second slab of a sine-deforming periodic mesh (5
+    intervals or 3 x 3 quads, k_s = 2, k_t = 1) at the variables-first
+    slab state state(shape): per face, at every level and flux point, the
+    outward speed w of its left element, the traces QL and QR and the left
+    and right jumps of `LevelPlan.face_jumps`, the right side's points in
+    the left side's order, each (nF, nT, nFs)."""
+    mesh = interval_mesh(5) if isinstance(eq, Advection1D) else rect_mesh(3, 3)
+    motion = SineDeformation(amp=(0.1,) * mesh.dim, n=(2.0,) * mesh.dim)
+    path = motion_path(motion, mesh, 0.1, 2)
+    geom = slab_geometry(mesh, path[1], path[2], 0.1, make_basis(2), make_basis(1),
+                         t_n=0.1)
+    u = state((1, mesh.n_elems, 2, 3 ** mesh.dim))
+    left, right = mesh.side_rows(2)[:2]
+    flipped = mesh.face_sides()[0]
+    sides = []
+    for a in (_traces_all_edges(u, 2, mesh.dim), LevelPlan(mesh, geom, eq, None).face_jumps(u)):
+        rows = a.reshape(-1, a.shape[-1])
+        L, R = rows[left], rows[right]
+        R[flipped] = R[flipped, :, ::-1]
+        sides += [L, R]
+    return (_weights(eq, geom.face_m[mesh.faces.elem_l, mesh.faces.edge_l]), *sides)
+
+
 def test_st_normal_flux_moving_1d_face():
+    # the local flux of the advection jumps is w Q, w = (c, 1) . M:
     # n = (-dt, dx)/l recovers -dt (f - u v_g)/l with v_g = dx/dt
     c, u, dt, dx = 1.0, 0.7, 0.1, 0.02
     ell = np.hypot(dt, dx)
     n = np.array([-dt, dx]) / ell
-    eq = Advection1D(c)
-    val = _transformed_normal_flux(eq, np.array([u]), _weights(eq, n))[0]
+    val = _weights(Advection1D(c), n) * u
     v_g = dx / dt
     assert val * ell == pytest.approx(-dt * (c * u - u * v_g), abs=1e-15)
 
 
 def test_upwind_basic():
-    eq = Advection1D(c=1.0)
-    out = _transformed_common_flux(eq, np.array([0.4]), np.array([-0.2]),
-                                   _weights(eq, np.array([1.0, 0.0])))
-    assert out[0] == pytest.approx(0.4)
-    out = _transformed_common_flux(eq, np.array([0.4]), np.array([-0.2]),
-                                   _weights(eq, np.array([-1.0, 0.0])))
-    assert out[0] == pytest.approx(0.2)  # upwind from the right, flux -(-0.2)
+    # w >= 0 takes the left state: a zero left jump and the right jump
+    # w (QR - QL); w <= 0 the mirror image.  The deforming faces outrun
+    # c = 0.2 in places, so the outward speeds take both signs
+    rng = np.random.default_rng(11)
+    w, QL, QR, dL, dR = _face_sides(Advection1D(c=0.2), rng.standard_normal)
+    assert (w > 0).any() and (w < 0).any()
+    pos, neg = w >= 0, w <= 0
+    assert np.all(dL[pos] == 0) and np.all(dR[neg] == 0)
+    assert np.allclose(dR[pos], (w * (QR - QL))[pos], rtol=1e-14, atol=1e-14)
+    assert np.allclose(dL[neg], (w * (QR - QL))[neg], rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("eq", [
     Advection1D(c=1.3), Advection2D(0.5, -0.7), Euler2D()])
 def test_flux_consistency_random(eq):
+    # equal states give the local flux: advection's face jumps vanish
     rng = np.random.default_rng(123)
+    if not isinstance(eq, Euler2D):
+        for q in rng.standard_normal(10):
+            _, _, _, dL, dR = _face_sides(eq, lambda shape: np.full(shape, q))
+            assert max(np.abs(dL).max(), np.abs(dR).max()) <= 1e-12 * abs(q)
+        return
     for _ in range(100):
-        if isinstance(eq, Euler2D):
-            Q = random_admissible_state(rng)
-            n = random_st_normal(rng)
-        elif isinstance(eq, Advection2D):
-            Q = rng.standard_normal(1)
-            n = rng.standard_normal(3)
-            n /= np.linalg.norm(n)
-        else:
-            Q = rng.standard_normal(1)
-            n = rng.standard_normal(2)
-            n /= np.linalg.norm(n)
+        Q = random_admissible_state(rng)
+        n = random_st_normal(rng)
         com = _transformed_common_flux(eq, Q, Q, _weights(eq, n))
         loc = _transformed_normal_flux(eq, Q, _weights(eq, n))
         assert np.abs(com - loc).max() <= 1e-12
@@ -154,18 +187,16 @@ def test_roe_static_reduction():
 
 
 def test_upwind_monotone_bracketing():
-    eq = Advection1D(c=1.0)
+    # the common flux the jumps imply, w QL + dL = w QR - dR, lies between
+    # the local fluxes of the two sides
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        uL, uR = rng.standard_normal(2)
-        n = rng.standard_normal(2)
-        n /= np.linalg.norm(n)
-        w = _weights(eq, n)
-        com = _transformed_common_flux(eq, np.array([uL]), np.array([uR]),
-                                       w)[0]
-        fl = _transformed_normal_flux(eq, np.array([uL]), w)[0]
-        fr = _transformed_normal_flux(eq, np.array([uR]), w)[0]
-        assert min(fl, fr) - 1e-12 <= com <= max(fl, fr) + 1e-12
+    for eq in (Advection1D(c=0.2), Advection2D(0.2, -0.1)):
+        w, QL, QR, dL, dR = _face_sides(eq, rng.standard_normal)
+        assert (w > 0).any() and (w < 0).any()
+        com = w * QL + dL
+        assert np.allclose(com, w * QR - dR, rtol=0, atol=1e-12)
+        assert np.all(np.minimum(w * QL, w * QR) - 1e-12 <= com)
+        assert np.all(com <= np.maximum(w * QL, w * QR) + 1e-12)
 
 
 # -- oracles: the stacked forms the component-form kernels replaced ----------

@@ -11,16 +11,16 @@ slab or step (mean and max), the us per DOF per residual evaluation, the
 preconditioner applies per slab (mean) and the us per apply, the us per
 call of each layer of a residual evaluation (interior divergence, side
 deltas, lift and, for a slab, temporal correction) and of the face kernels
-inside the side deltas (traces, common flux, normal flux), the solve time,
-the errors, the time inside the error norms, the geometry layer (the calls
-to, and the time inside, the slab and MOL geometry builds) and the minor
-page faults of the solve (`minor_faults`: the process's `ru_minflt` over
-the `march`, `march_mol` or `march_stfv` call).  Counts repeat
-exactly from run to run; the times and faults come from this one run and
-move with the machine, whose description the file also holds.  Every case
-starts cold: the package's `functools` caches (basis, kernel and norm
-tables) are emptied before it, as in a fresh `stfr run <case>`, so no case
-reads tables that an earlier one built.
+inside the side deltas (traces and, on Euler faces, the common and normal
+fluxes), the solve time, the errors, the time inside the error norms, the
+geometry layer (the calls to, and the time inside, the slab and MOL
+geometry builds) and the minor page faults of the solve (`minor_faults`:
+the process's `ru_minflt` over the `march`, `march_mol` or `march_stfv`
+call).  Counts repeat exactly from run to run; the times and faults come
+from this one run and move with the machine, whose description the file
+also holds.  Every case starts cold: the package's `functools` caches
+(basis, kernel and norm tables) are emptied before it, as in a fresh `stfr
+run <case>`, so no case reads tables that an earlier one built.
 
 The counts and times come from the spans of the benchmark's tracer
 (`stfrbench/tracer.py`), installed around `cli.run_case`: `st_solver.march`
@@ -28,9 +28,11 @@ and `mol_solver.bind_degree` (one per slab or step), the two operators'
 `residual`, the layers `interior`, `side_deltas` and `lift` of the operator
 the case runs (`st_solver.*` for a slab, `mol_solver.*` for the method of
 lines) and the slab's `st_solver.temporal_correction`, the face kernels
-`st_solver.traces`, `common_flux` and `normal_flux`, which both FR
-operators run, and `geometry.slab_geometry` and `spatial_geometry`.  The
-tool adds spans through the tracer's wrapper: `st_solver.precond` around
+`st_solver.traces`, which both FR operators run, `common_flux` and
+`normal_flux`, which only Euler faces call (an advection jump is one upwind
+product, so those two fields are null on advection cases), and
+`geometry.slab_geometry` and `spatial_geometry`.  The tool adds spans
+through the tracer's wrapper: `st_solver.precond` around
 `KroneckerPreconditioner.__call__`, and `analysis.l2_error_final`,
 `l2_error_slab`, `l2_error_nodal` and `l2_error_cells`, whose outermost
 spans sum to `error_norms_s` (the final-time norm calls the nodal one).

@@ -57,12 +57,12 @@ def _quadrature(ks: int, kt: int | None, n_q: int, corners_n, disp):
 
 def _normalized_l2(values, sol, w, jac, x, t, interp):
     """sqrt(integral of the squared error / integral of 1), first variable:
-    nodal values (nE, nP, nV) interpolated by interp onto quadrature points
+    nodal values (nV, nE, nP) interpolated by interp onto quadrature points
     at positions x (dim, nE, nq) and times t, with weights w and jacobian
     jac (nE, nq), against the exact solution there.  Only variable 0 is
     read, and interpolated with one GEMM; the others never enter."""
-    uq = values[..., 0] @ interp.T
-    diff2 = (uq - exact_state(sol, *x, t=t)[..., 0]) ** 2
+    uq = values[0] @ interp.T
+    diff2 = (uq - exact_state(sol, *x, t=t)[0]) ** 2
     num = float(np.einsum("q,eq->", w, jac * diff2))
     vol = float(np.einsum("q,eq->", w, jac))
     return math.sqrt(num / vol)
@@ -71,7 +71,7 @@ def _normalized_l2(values, sol, w, jac, x, t, interp):
 def l2_error_nodal(values: np.ndarray, ks: int, mesh: Mesh,
                    coords: np.ndarray, sol: ExactSolution, t: float,
                    n_q: int | None = None) -> float:
-    """Volume-normalized spatial L2 error of nodal values (nE, nS, nV) on
+    """Volume-normalized spatial L2 error of nodal values (nV, nE, nS) on
     the mesh at position `coords`; first conservative variable."""
     C = mesh.elem_corners(coords)
     w, interp, x, js, _ = _quadrature(ks, None, n_q or ks + 2, C,
@@ -82,22 +82,23 @@ def l2_error_nodal(values: np.ndarray, ks: int, mesh: Mesh,
 def l2_error_final(fld: StateField, geom: SlabGeometry, mesh: Mesh,
                    coords_final: np.ndarray, sol: ExactSolution,
                    t_final: float, n_q: int | None = None) -> float:
-    """Volume-normalized L2 error of the slab's top-face interpolant at
-    t_final, measured on the deformed mesh; first conservative variable.
-    The degrees are the slab geometry's."""
+    """Volume-normalized L2 error of the top-face interpolant of the slab
+    values (nV, nE, nT, nS) at t_final, measured on the deformed mesh; first
+    conservative variable.  The degrees are the slab geometry's."""
     bt = make_basis(geom.kt)
-    top = np.einsum("t,etsv->esv", bt.extrap_right, fld.values)
+    top = np.einsum("t,vets->ves", bt.extrap_right, fld.values)
     return l2_error_nodal(top, geom.ks, mesh, coords_final, sol, t_final, n_q)
 
 
 def l2_error_slab(fld: StateField, geom: SlabGeometry, sol: ExactSolution,
                   n_q: int | None = None) -> float:
-    """Volume-normalized L2 error over the space-time slab."""
-    nE, _, _, nV = fld.values.shape
+    """Volume-normalized L2 error over the space-time slab of the slab
+    values (nV, nE, nT, nS); first conservative variable."""
+    nV, nE = fld.values.shape[:2]
     n_q = n_q or max(geom.ks, geom.kt) + 2
     w, interp, x, js, b1 = _quadrature(geom.ks, geom.kt, n_q, geom.corners_n,
                                        geom.disp)
-    return _normalized_l2(fld.values.reshape(nE, -1, nV), sol, w,
+    return _normalized_l2(fld.values.reshape(nV, nE, -1), sol, w,
                           (geom.dt / 2.0) * js, x, geom.t_n + b1 * geom.dt,
                           interp)
 

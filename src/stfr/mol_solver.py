@@ -31,8 +31,7 @@ from stfr.geometry import SlabGeometry, spatial_geometry
 from stfr.mesh import Mesh
 from stfr.motion import MotionPrescription, march_path
 from stfr.physics import Advection1D, Advection2D, EquationSet, ExactSolution
-from stfr.st_solver import (LevelPlan, MarchResult, StateField, _vars_first,
-                            _vars_last, initial_condition)
+from stfr.st_solver import LevelPlan, MarchResult, StateField, initial_condition
 
 # Fraction of the estimated stability limit that `mol_stable_dt` returns.
 CFL_SAFETY = 0.5
@@ -69,13 +68,13 @@ class MolOperator:
         return self.plan.lift(delta)
 
     def residual(self, u, level: int = 0):
-        """du/dt = -(div F - V_g . grad u + correction field) for nodal u
-        (nE, nS, nV) at temporal level `level`, run through the kernels
-        variables-first as (nV, nE, 1, nS); |J| = Js at every level."""
-        v = _vars_first(u[:, None])
+        """du/dt = -(div F - V_g . grad u + correction field) / |J| for nodal
+        u (nV, nE, nS) at temporal level `level`, run through the kernels as
+        the view (nV, nE, 1, nS); |J| = Js at every level."""
+        v = u[:, :, None]
         total = self._interior(v, level)
         total += self._lift(self._side_deltas(v, level))
-        return _vars_last(total[:, :, 0], self.plan.jac[:, level])
+        return np.divide(total, -self.plan.jac[:, level:level + 1], out=total)[:, :, 0]
 
 
 def ssp_rk3_step(u, rhs, dt):
@@ -92,7 +91,7 @@ def ssp_rk3_step(u, rhs, dt):
 def rk3_physical_step(u: np.ndarray, mesh: Mesh, coords_n, coords_n1,
                       dt: float, t_n: float, eq: EquationSet,
                       basis_s: BasisSet, bc: ExactSolution | None = None):
-    """One SSP-RK3 step of the nodal values u (nE, nS, nV) from t_n to
+    """One SSP-RK3 step of the nodal values u (nV, nE, nS) from t_n to
     t_n + dt, the nodes moving from coords_n to coords_n1; returns the new
     values.  The grid velocity is frozen from the step's end positions;
     stage residuals see the node positions x_n + s V_g and the analytic
@@ -132,7 +131,7 @@ def march_mol(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,
               step_callback=None) -> MarchResult:
     """March n_steps SSP-RK3 steps from the exact initial condition; `sol`
     also gives the boundary states where the mesh has Dirichlet faces.
-    Returns a `MarchResult` holding the final values (nE, nS, nV) and node
+    Returns a `MarchResult` holding the final values (nV, nE, nS) and node
     coordinates.  step_callback(u) runs on each step's new values, ahead
     of march_path's check that they are finite."""
     bs = make_basis(ks)

@@ -12,10 +12,11 @@ face vector once (c . M_x + M_t), and the FR kernels there scale Q by it.
 The Euler space-time normal and common fluxes through unnormalized face
 vectors, which call the kernels here, live with the FR kernels too.
 
-The flux kernels take states variables-first, (n_vars, ...), and return
-matching shapes; the exact states stay (..., n_vars).
+States are variables-first, (n_vars, ...): the flux kernels take them so
+and return matching shapes, and `exact_state` returns them so.
 """
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -207,6 +208,9 @@ class IsentropicVortex:
             raise ValueError("IsentropicVortex requires b > 0")
         if self.period is not None and self.period <= 0:
             raise ValueError("IsentropicVortex requires period > 0")
+        if not 0.5 * (self.gamma - 1.0) * self.u_max**2 * math.e < 1:
+            raise ValueError("IsentropicVortex requires 0.5 (gamma - 1) u_max^2 e"
+                             " < 1, else the core has no positive density")
 
 
 @dataclass(frozen=True)
@@ -222,17 +226,17 @@ ExactSolution = SineWave1D | SineWave2D | IsentropicVortex | Constant
 def exact_state(sol: ExactSolution, x, y=None, t: float = 0.0):
     """Conservative variables of the exact solution at (x[, y], t).
 
-    Returns shape x.shape + (n_vars,).
+    Returns shape (n_vars,) + x.shape.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(sol, SineWave1D):
-        return np.sin(2 * np.pi * (x - sol.c * t))[..., None]
+        return np.sin(2 * np.pi * (x - sol.c * t))[None]
     if isinstance(sol, SineWave2D):
         return (np.sin(2 * np.pi * (x - sol.c1 * t))
-                * np.sin(2 * np.pi * (np.asarray(y, dtype=float) - sol.c2 * t)))[..., None]
+                * np.sin(2 * np.pi * (np.asarray(y, dtype=float) - sol.c2 * t)))[None]
     if isinstance(sol, Constant):
-        val = np.asarray(sol.value, dtype=float)
-        return np.broadcast_to(val, x.shape + (val.size,)).copy()
+        val = np.asarray(sol.value, dtype=float).reshape((-1,) + (1,) * x.ndim)
+        return np.broadcast_to(val, val.shape[:1] + x.shape).copy()
     y = np.asarray(y, dtype=float)
     dx = x - sol.U0 * t
     dy = y - sol.V0 * t
@@ -250,7 +254,7 @@ def exact_state(sol: ExactSolution, x, y=None, t: float = 0.0):
     u = sol.U0 - swirl * np.sin(theta)
     v = sol.V0 + swirl * np.cos(theta)
     rhoE = p / (gm - 1.0) + 0.5 * rho * (u * u + v * v)
-    return np.stack([rho, rho * u, rho * v, rhoE], axis=-1)
+    return np.stack([rho, rho * u, rho * v, rhoE], axis=0)
 
 
 # exact-solution kind -> the equation sets it solves
@@ -263,7 +267,8 @@ def exact_for(eq: EquationSet, kind: str = "sine_wave", **params) -> ExactSoluti
     """The exact solution of kind `kind` for the equation set eq.
 
     Raises ValueError when that kind does not solve eq, or when a constant
-    state does not have eq.n_vars values.
+    state does not have eq.n_vars values or, for Euler, a positive density
+    and pressure.
     """
     if not isinstance(eq, EXACT_KINDS.get(kind, ())):
         raise ValueError(f"exact solution {kind!r} does not solve "
@@ -274,6 +279,13 @@ def exact_for(eq: EquationSet, kind: str = "sine_wave", **params) -> ExactSoluti
         if len(value) != eq.n_vars:
             raise ValueError(f"a constant state of {type(eq).__name__} has "
                              f"{eq.n_vars} values, got {len(value)}")
+        if isinstance(eq, Euler2D):
+            rho, mx, my, energy = value
+            if not rho > 0:
+                raise ValueError(f"a constant Euler state needs density > 0, got {rho!r}")
+            p = (eq.gamma - 1.0) * (energy - 0.5 * (mx * mx + my * my) / rho)
+            if not p > 0:
+                raise ValueError(f"a constant Euler state needs pressure > 0, got {p:.6g}")
         return Constant(value)
     if isinstance(eq, Advection1D):
         return SineWave1D(c=eq.c)

@@ -37,10 +37,10 @@ reversed, one upwind product per side for advection, Riemann and normal
 fluxes for Euler, the jumps gathered back in the traces' layout) and
 `lift`.  Every table contraction but the d_tau term's batched matmul is
 one GEMM (`_contract`) on a table stored as the GEMM reads it.  The
-residuals keep the public layouts, (nE, nT, nS, nV) and (nE, nS, nV),
-transposing once in (`_vars_first`, a view for nV = 1) and once out
-(`_vars_last`).  `SlabOperator` runs the kernels at all its levels and
-adds only the d_tau term and the causal temporal correction;
+solvers hold their states in the same layout, slab (nV, nE, nT, nS) and
+MOL (nV, nE, nS), so the residuals run the kernels on them as they are.
+`SlabOperator` runs the kernels at all its levels and adds only the d_tau
+term and the causal temporal correction;
 `mol_solver.MolOperator` runs stage j at level j.  The slab is FR in time
 over the method-of-lines operator at the Gauss levels.
 """
@@ -151,9 +151,9 @@ class PseudoControls:
 
 @dataclass
 class StateField:
-    """Nodal coefficients: a slab's (n_elems, k_t+1, (k_s+1)^dim, n_vars),
-    C-ordered over (tau level, spatial point), or a MOL state's
-    (n_elems, (k_s+1)^dim, n_vars); spatial points are x-fastest."""
+    """Nodal coefficients, variables first: a slab's (n_vars, n_elems, k_t+1,
+    (k_s+1)^dim), C-ordered over (tau level, spatial point), or a MOL state's
+    (n_vars, n_elems, (k_s+1)^dim); spatial points are x-fastest."""
 
     values: np.ndarray
 
@@ -171,20 +171,6 @@ def _contract(a, table):
     viewed as rows of s values: one GEMM, (rows, s) @ table.  A transposed
     table ran at half speed (21 vs 11 us, (768, 16) rows, OpenBLAS 0.3.31)."""
     return a.reshape(-1, table.shape[0]) @ table
-
-
-def _vars_first(u):
-    """u (..., nV) in the kernels' C-contiguous (nV, ...) layout: a copy for
-    a system, a view of u for nV = 1, whose two layouts are one memory."""
-    return np.ascontiguousarray(u.transpose(-1, *range(u.ndim - 1)))
-
-
-def _vars_last(total, jac):
-    """-total / jac of a variables-first total (nV, ...) in the public
-    (..., nV) layout, written through a transposed view in one pass."""
-    out = np.empty(total.shape[1:] + total.shape[:1])
-    np.divide(total, -jac, out=out.transpose(-1, *range(jac.ndim)))
-    return out
 
 
 def _traces_all_edges(u, ks, dim):
@@ -258,8 +244,8 @@ class LevelPlan:
         if len(d_e):
             if bc is None:
                 raise ValueError("mesh has dirichlet faces but no analytic bc")
-            self.d_ext = _vars_first(exact_state(
-                bc, *face_points(geom, d_e, d_edge), t=geom.times[:, None]))
+            self.d_ext = exact_state(bc, *face_points(geom, d_e, d_edge),
+                                     t=geom.times[:, None])
             d_M = _weights(eq, geom.face_m[d_e, d_edge])
             self.d_M = np.minimum(d_M, 0.0) if advection else d_M
         self.weights = _weights(eq, geom.rows)
@@ -537,7 +523,7 @@ class KroneckerPreconditioner:
     """
 
     def __init__(self, geom: SlabGeometry, speeds, shape):
-        nE, nT, _, nV = shape
+        nV, nE, nT, _ = shape
         dim = len(speeds)
         n = geom.ks + 1
         v_e = np.stack([v.mean(axis=(1, 2)) for v, _ in speeds], axis=1)
@@ -566,7 +552,7 @@ class KroneckerPreconditioner:
         s = s.repeat(nV, axis=3).reshape(lead, 1, -1)
         self.scale_re = s.real.repeat(2, axis=1)
         self.scale_im = np.concatenate([-s.imag, s.imag], axis=1)
-        self.shape = (nE, n)
+        self.n = n
 
         def bases(d):
             """(index, mask) of each basis the elements use along direction
@@ -585,15 +571,14 @@ class KroneckerPreconditioner:
 
     def __call__(self, v):
         """B^-1 v for a flat slab vector v."""
-        nE, n = self.shape
-        lead = self.scale_re.shape[0]
-        z = np.ascontiguousarray(v.reshape(nE, -1).T).reshape(lead, n, -1)
+        n, lead = self.n, self.scale_re.shape[0]
+        z = np.ascontiguousarray(v.reshape(-1, lead * n).T).reshape(lead, n, -1)
         z = _shared_along(self.inner[0], z)
         z = _shared_along(self.outer[0], z.reshape(2 * lead, -1))
         _complex_scale(z.reshape(lead, 2, -1), self.scale_re, self.scale_im)
         z = _shared_along(self.outer[1], z)
         z = _shared_along(self.inner[1], z.reshape(lead, 2 * n, -1))
-        return z.reshape(-1, nE).T.ravel()
+        return z.reshape(lead * n, -1).T.ravel()
 
 
 class SlabOperator:
@@ -608,12 +593,12 @@ class SlabOperator:
                  inflow: np.ndarray, bc: ExactSolution | None = None):
         self.geom = geom
         self.eq = eq
-        self.inflow = _vars_first(inflow)  # (nV, nE, nS)
+        self.inflow = inflow  # (nV, nE, nS)
         self.bt = make_basis(geom.kt)
         self.plan = LevelPlan(mesh, geom, eq, bc)
         # `_contract` tables on (nV nE, ...) rows: the bottom trace
         # kron(l_L, I) and the correction's spread kron(-g'_L, I)
-        eye = np.eye(inflow.shape[1])
+        eye = np.eye(inflow.shape[2])
         self.bottom = np.kron(self.bt.extrap_left[:, None], eye)
         self.spread = np.kron(-self.bt.corr_deriv_left[None, :], eye)
         self.bottom.flags.writeable = self.spread.flags.writeable = False
@@ -632,7 +617,7 @@ class SlabOperator:
         return self.plan.lift(delta)
 
     def _bottom_jump(self, u):
-        """u_bot - inflow (nV, nE, nS) of a variables-first slab state u."""
+        """u_bot - inflow (nV, nE, nS) of a slab state u."""
         return _contract(u, self.bottom).reshape(self.inflow.shape) - self.inflow
 
     def _temporal_correction(self, u):
@@ -641,13 +626,12 @@ class SlabOperator:
         return _contract(d_out, self.spread).reshape(u.shape)
 
     def residual(self, u):
-        """R_st = -(P(div_st F) + correction field) at the solution points
-        of u (nE, nT, nS, nV); the kernels run on its variables-first copy."""
-        v = _vars_first(u)
-        total = self._interior(v)
-        total += self._lift(self._side_deltas(v))
-        total += self._temporal_correction(v)
-        return _vars_last(total, self.plan.jac)
+        """R_st = -(P(div_st F) + correction field) / |J| at the solution
+        points of u (nV, nE, nT, nS), in u's layout."""
+        total = self._interior(u)
+        total += self._lift(self._side_deltas(u))
+        total += self._temporal_correction(u)
+        return np.divide(total, -self.plan.jac, out=total)
 
     # -- slab solve --------------------------------------------------------
 
@@ -659,7 +643,7 @@ class SlabOperator:
         eq = self.eq
         if isinstance(eq, (Advection1D, Advection2D)):  # s = 0, one per element
             return [(w, np.zeros_like(w[:, :1, :1])) for w in self.plan.weights]
-        rho, uu, vv, p = euler_primitives(eq, np.moveaxis(u, -1, 0))
+        rho, uu, vv, p = euler_primitives(eq, u)
         a = np.sqrt(eq.gamma * p / rho)
         return [(uu * M[..., 0] + vv * M[..., 1] + M[..., 2],
                  a * np.hypot(M[..., 0], M[..., 1])) for M in self.plan.weights]
@@ -751,7 +735,7 @@ class SlabOperator:
             if stalled == STALL_CYCLES:
                 raise PseudoConvergenceError("slab solve stalled",
                                              _drop(r0, rnorm), evals, rnorm, ratios)
-        jump = self._bottom_jump(_vars_first(u))
+        jump = self._bottom_jump(u)
         return u, SlabStats(evals, r0, rnorm, float(np.sqrt(np.mean(jump * jump))))
 
 
@@ -765,14 +749,14 @@ def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
                  basis_s: BasisSet, basis_t: BasisSet,
                  bc: ExactSolution | None = None,
                  controls: PseudoControls | None = None):
-    """Build one slab, seed it from the inflow, converge it, and hand back
-    (slab values (nE, nT, nS, nV), SlabGeometry, top-face values,
-    SlabStats)."""
+    """Build one slab, seed it from the inflow (nV, nE, nS), converge it,
+    and hand back (slab values (nV, nE, nT, nS), SlabGeometry, top-face
+    values (nV, nE, nS), SlabStats)."""
     controls = controls or PseudoControls()
-    u0 = np.repeat(inflow[:, None], basis_t.n, axis=1)
+    u0 = np.repeat(inflow[:, :, None], basis_t.n, axis=2)
     geom = slab_geometry(mesh, coords_n, coords_n1, dt, basis_s, basis_t, t_n)
     u, stats = SlabOperator(mesh, geom, eq, inflow, bc).march(u0, controls)
-    top = np.einsum("t,etsv->esv", basis_t.extrap_right, u)
+    top = np.einsum("t,vets->ves", basis_t.extrap_right, u)
     return u, geom, top, stats
 
 
@@ -780,7 +764,7 @@ def advance_slab(inflow: np.ndarray, mesh: Mesh, coords_n, coords_n1,
 class MarchResult:
     """The final state and node coordinates of `march`, `march_mol` or
     `stfv.march_stfv`.  Only `march` fills geom (the last slab's geometry),
-    top (its top-face values) and stats (one SlabStats per slab)."""
+    top (its top face, (nV, nE, nS)) and stats (one SlabStats per slab)."""
 
     field: StateField
     coords_final: np.ndarray
@@ -791,7 +775,7 @@ class MarchResult:
 
 def initial_condition(mesh: Mesh, coords0, basis_s: BasisSet,
                       sol: ExactSolution) -> np.ndarray:
-    """Sample the exact solution at the spatial solution points at t = 0."""
+    """Exact solution (nV, nE, nS) at the spatial solution points at t = 0."""
     return exact_state(sol, *solution_positions(mesh, coords0, basis_s.degree),
                        t=0.0)
 
@@ -804,7 +788,7 @@ def march(mesh: Mesh, motion: MotionPrescription, eq: EquationSet,
 
     `sol` also supplies the analytic boundary states where the mesh has
     dirichlet faces.  slab_callback(u, geom, top) runs after each
-    converged slab, on its values (nE, nT, nS, nV).
+    converged slab, on its values (nV, nE, nT, nS).
     """
     controls = controls or PseudoControls()
     bs, bt = make_basis(ks), make_basis(kt)

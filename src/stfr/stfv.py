@@ -87,7 +87,7 @@ def cell_averages(sol: ExactSolution, x: np.ndarray, t: float) -> np.ndarray:
     between the interface positions x (n+1,); 3-point Gauss rule."""
     xq, wq = gauss_legendre(3)
     mid, half = 0.5 * (x[:-1] + x[1:]), 0.5 * (x[1:] - x[:-1])
-    vals = exact_state(sol, mid[:, None] + half[:, None] * xq, t=t)[..., 0]
+    vals = exact_state(sol, mid[:, None] + half[:, None] * xq, t=t)[0]
     return 0.5 * np.einsum("q,cq->c", wq, vals)
 
 

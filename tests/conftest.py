@@ -24,13 +24,13 @@ def moving_path():
 @pytest.fixture
 def mass():
     """The integral of the first variable of degree-ks nodal values
-    (nE, nS, nV) over the mesh at coords, on the spatial quadrature of the
+    (nV, nE, nS) over the mesh at coords, on the spatial quadrature of the
     error norms (ks + 2 Gauss points per direction)."""
 
     def integral(mesh, coords, ks, values):
         C = mesh.elem_corners(coords)
         w, interp, _, js, _ = _quadrature(ks, None, ks + 2, C,
                                           np.zeros_like(C))
-        return float(np.einsum("q,eq->", w, js * (values[..., 0] @ interp.T)))
+        return float(np.einsum("q,eq->", w, js * (values[0] @ interp.T)))
 
     return integral

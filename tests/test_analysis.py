@@ -39,7 +39,7 @@ def test_exact_resolvable_field_error_machine_zero(moving_path):
     path = moving_path(SineDeformation(n=(3.0, 3.0)), m, 0.05, 2)
     geom = slab_geometry(m, path[1], path[2], 0.05, bs, bt, t_n=0.05)
     sol = Constant((1.7,))
-    vals = np.full((16, 2, 9, 1), 1.7)
+    vals = np.full((1, 16, 2, 9), 1.7)
     fld = StateField(vals)
     assert l2_error_final(fld, geom, m, path[2], sol, 0.15) <= 1e-14
     assert l2_error_slab(fld, geom, sol) <= 1e-14
@@ -63,7 +63,7 @@ def test_constant_offset_exactly_measured(moving_path):
     bs, bt = make_basis(2), make_basis(1)
     path = moving_path(SineDeformation(), m, 0.04, 2)
     geom = slab_geometry(m, path[1], path[2], 0.04, bs, bt, t_n=0.04)
-    vals = np.full((9, 2, 9, 1), 0.01)
+    vals = np.full((1, 9, 2, 9), 0.01)
     fld = StateField(vals)
     from stfr.physics import Constant
 
@@ -89,7 +89,7 @@ def test_norm_element_relabel_invariance():
     bs, bt = make_basis(2), make_basis(1)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.05, bs, bt)
     rng = np.random.default_rng(0)
-    vals = rng.standard_normal((8, 2, 3, 1))
+    vals = rng.standard_normal((1, 8, 2, 3))
     fld = StateField(vals)
     e1 = l2_error_final(fld, geom, m, m.nodes, sol, 0.05)
     # relabel: permute elements consistently in mesh and field
@@ -103,7 +103,7 @@ def test_norm_element_relabel_invariance():
 
     m2.faces, m2.dirichlet = _build_faces(1, m2.elems, [(np.where(perm == 7)[0][0], 1, np.where(perm == 0)[0][0], 0, False)], None)
     geom2 = slab_geometry(m2, m2.nodes, m2.nodes, 0.05, bs, bt)
-    fld2 = StateField(vals[perm])
+    fld2 = StateField(vals[:, perm])
     e2 = l2_error_final(fld2, geom2, m2, m2.nodes, sol, 0.05)
     assert abs(e1 - e2) <= 1e-13
 
@@ -111,8 +111,8 @@ def test_norm_element_relabel_invariance():
 def _einsum_l2(values, sol, w, jac, x, t, interp):
     """The norms' reference: every variable interpolated by einsum, the
     first measured."""
-    uq = np.einsum("qp,epv->eqv", interp, values)
-    diff2 = (uq[..., 0] - exact_state(sol, *x, t=t)[..., 0]) ** 2
+    uq = np.einsum("qp,vep->veq", interp, values)
+    diff2 = (uq[0] - exact_state(sol, *x, t=t)[0]) ** 2
     return math.sqrt(np.einsum("q,eq->", w, jac * diff2)
                      / np.einsum("q,eq->", w, jac))
 
@@ -128,12 +128,12 @@ def test_norms_read_only_the_first_variable():
     bs, bt = make_basis(ks), make_basis(kt)
     path = motion_path(cli.build_motion(cfg), m, dt, 1)
     geom = slab_geometry(m, path[0], path[1], dt, bs, bt, t_n=0.0)
-    u = initial_condition(m, path[0], bs, sol)[:, None].repeat(bt.n, axis=1)
+    u = initial_condition(m, path[0], bs, sol)[:, :, None].repeat(bt.n, axis=2)
     u = u * (1.0 + 0.01 * np.random.default_rng(19).standard_normal(u.shape))
     poisoned = u.copy()
-    poisoned[..., 1:] = np.nan
-    nE, _, _, nV = u.shape
-    top = np.einsum("t,etsv->esv", bt.extrap_right, u)
+    poisoned[1:] = np.nan
+    nV, nE = u.shape[:2]
+    top = np.einsum("t,vets->ves", bt.extrap_right, u)
     C0, C1 = m.elem_corners(path[0]), m.elem_corners(path[1])
     w, interp, x, js, _ = _quadrature(ks, None, ks + 2, C1, np.zeros_like(C1))
     w0, interp0, x0, js0, _ = _quadrature(ks, None, ks + 2, C0,
@@ -142,12 +142,12 @@ def test_norms_read_only_the_first_variable():
                                            geom.disp)
     cases = [
         (lambda v: l2_error_slab(StateField(v), geom, sol),
-         _einsum_l2(u.reshape(nE, -1, nV), sol, ws, dt / 2 * jss, xs,
+         _einsum_l2(u.reshape(nV, nE, -1), sol, ws, dt / 2 * jss, xs,
                     b1 * dt, interps)),
         (lambda v: l2_error_final(StateField(v), geom, m, path[1], sol, dt),
          _einsum_l2(top, sol, w, js, x, dt, interp)),
-        (lambda v: l2_error_nodal(v[:, 0], ks, m, path[0], sol, 0.0),
-         _einsum_l2(u[:, 0], sol, w0, js0, x0, 0.0, interp0)),
+        (lambda v: l2_error_nodal(v[:, :, 0], ks, m, path[0], sol, 0.0),
+         _einsum_l2(u[:, :, 0], sol, w0, js0, x0, 0.0, interp0)),
     ]
     for norm, ref in cases:
         got = norm(u)
@@ -167,10 +167,10 @@ def test_second_norm_call_builds_no_table():
     caches = (_rule, _point_sets, make_basis)
 
     def norms(scale):
-        fld = StateField(np.full((16, 3, 16, 1), scale))
+        fld = StateField(np.full((1, 16, 3, 16), scale))
         l2_error_slab(fld, geom, sol)
         l2_error_final(fld, geom, m, path[2], sol, 0.1)
-        l2_error_nodal(fld.values[:, 0], 3, m, path[1], sol, 0.05)
+        l2_error_nodal(fld.values[:, :, 0], 3, m, path[1], sol, 0.05)
 
     norms(1.0)
     misses = [c.cache_info().misses for c in caches]

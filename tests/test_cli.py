@@ -581,8 +581,6 @@ def test_cli_solver_state_errors_exit_3(capsys, case, overrides, message):
     ("stfv_moving_1d", ["motion.amp=[3.0]"], "step 94"),
     ("mol_sine_deform_p2",
      ["dt=0.04", "t_final=24.0", "motion.amp=[0.01,0.01]"], "step 480"),
-    # the initial state overflows: warnings would come from its projection
-    ("euler_vortex_p3", ["exact.u_max=10", "t_final=0.0625"], "slab 0"),
 ])
 def test_cli_unstable_run_prints_one_line(case, overrides, step):
     # the overflow of an unstable run is reported by the named error only,
@@ -595,6 +593,34 @@ def test_cli_unstable_run_prints_one_line(case, overrides, step):
     assert proc.returncode == 3
     assert proc.stderr.startswith(f"error: {step} at t = ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("pair, message", [
+    # the vortex core would have no positive density
+    ("exact.u_max=10", "IsentropicVortex requires 0.5 (gamma - 1) u_max^2 e < 1"),
+    ('exact={"type":"constant","value":[1,0,0,-1]}',
+     "a constant Euler state needs pressure > 0, got -0.4"),
+    ('exact={"type":"constant","value":[-1,0,0,2.5]}',
+     "a constant Euler state needs density > 0, got -1"),
+], ids=["u_max=10", "constant-pressure", "constant-density"])
+def test_inadmissible_euler_exact_state_exits_1(monkeypatch, capsys, pair,
+                                                message):
+    # a state with no positive density or pressure is a config error, named
+    # on one line before any solver runs and before NumPy warns
+    import warnings
+
+    import stfr.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(cli, "march", no_solve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "euler_vortex_p3", "--set", pair]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: exact: {message}") and err.count("\n") == 1
+    assert not caught
 
 
 # config mutations the fuzz test draws from: each ends a run in exit 0-3
@@ -675,9 +701,10 @@ def test_emit_reports(tmp_path):
 
 def test_run_case_writes_outputs(tmp_path):
     # every solver writes its report and one dump: its final values (a
-    # slab, a MOL state, the FV cell averages) and node coordinates
-    for case, values in [("wave1d_stationary_p2p2", (16, 3, 3, 1)),
-                         ("mol_sine_deform_p2", (64, 9, 1)),
+    # slab, a MOL state, variables first, the FV cell averages) and node
+    # coordinates
+    for case, values in [("wave1d_stationary_p2p2", (1, 16, 3, 3)),
+                         ("mol_sine_deform_p2", (1, 64, 9)),
                          ("stfv_moving_1d", (64,))]:
         cfg = load_case(case)
         cfg.t_final = 2 * cfg.dt

@@ -110,6 +110,10 @@ DELETED = {
     "_stfv_interfaces": "stfv.interfaces, the one statement of the FV cells",
     "_cell_averages": "stfv.cell_averages, the seed and the exact averages "
                       "of the norm",
+    "_vars_first": "solver states are variables-first end to end, so the "
+                   "residuals run the kernels on them as they are",
+    "_vars_last": "the residuals divide by -|J| in place, in their input's "
+                  "layout",
 }
 
 

@@ -1,14 +1,13 @@
 """The shared FR kernels against plain einsum and per-face references.
 
 `LevelPlan.spatial_divergence`, `_traces_all_edges`, `LevelPlan.face_jumps`
-and `LevelPlan.lift` run variables-first, (nV, nE, nT, nS), their
+and `LevelPlan.lift` run on the solvers' states, (nV, nE, nT, nS), their
 contractions single GEMMs over row-indexed gathers.  Here each is
-recomputed in the public layout (nE, nT, nS, nV) from the 1D basis tables
-with einsum, face by face, on the disk mesh of `wave2d_circle_p2`, which
-has flipped and Dirichlet faces, for advection and Euler, on a slab plan at
-all its levels (nT = 3) and at one level picked by a slice (nT = 1, as the
-method of lines runs it); `_first` and `_last` move the variable axis
-between the layouts.  The whole slab and MOL residuals are checked against
+recomputed in the same layout from the 1D basis tables with einsum, face
+by face, on the disk mesh of `wave2d_circle_p2`, which has flipped and
+Dirichlet faces, for advection and Euler, on a slab plan at all its levels
+(nT = 3) and at one level picked by a slice (nT = 1, as the method of
+lines runs it).  The whole slab and MOL residuals are checked against
 the same references, and the Euler divergence against its batched-matmul
 form, also on the first slab of `euler_vortex_p3`.  Every table the
 residuals hand `_contract` is checked for the layout its GEMM reads: rows
@@ -44,7 +43,6 @@ from stfr.st_solver import (
     _traces_all_edges,
     _transformed_common_flux,
     _transformed_normal_flux,
-    _vars_first,
     _weights,
     initial_condition,
 )
@@ -55,16 +53,6 @@ RTOL = 1e-13
 def _close(got, ref):
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
-
-
-def _first(a):
-    """The variables-first view (nV, ...) of a (..., nV)."""
-    return np.moveaxis(a, -1, 0)
-
-
-def _last(a):
-    """The (..., nV) view of a variables-first a (nV, ...)."""
-    return np.moveaxis(a, 0, -1)
 
 
 @pytest.fixture(scope="module", params=[("advection", 3), ("advection", 1),
@@ -87,86 +75,81 @@ def setup(request):
     plan = LevelPlan(mesh, geom, eq, sol)
     levels = slice(0, 3) if nT == 3 else slice(1, 2)
     rng = np.random.default_rng(2409)
-    u = initial_condition(mesh, path[1], bs, sol)[:, None].repeat(nT, axis=1)
+    u = initial_condition(mesh, path[1], bs, sol)[:, :, None].repeat(nT, axis=2)
     u = u * (1.0 + 0.01 * rng.standard_normal(u.shape))
     return eq, sol, mesh, geom, plan, levels, cfg.k_s, u
 
 
 def _reference_derivatives(D, a):
-    """d/dxi and d/deta of nodal a (nE, nT, nS, ...), points (eta, xi)."""
+    """d/dxi and d/deta of nodal a (..., nS), points (eta, xi)."""
     n1 = D.shape[0]
-    a4 = a.reshape(a.shape[:2] + (n1, n1) + a.shape[3:])
-    dxi = np.einsum("ij,etaj...->etai...", D, a4)
-    deta = np.einsum("ij,etjb...->etib...", D, a4)
+    a4 = a.reshape(a.shape[:-1] + (n1, n1))
+    dxi = np.einsum("ij,...aj->...ai", D, a4)
+    deta = np.einsum("ij,...jb->...ib", D, a4)
     return [d.reshape(a.shape) for d in (dxi, deta)]
 
 
 def _reference_traces(b, u):
     """Traces on edges (S, E, N, W) = (eta -1, xi +1, eta +1, xi -1)."""
-    nE, nT, _, nV = u.shape
-    u4 = u.reshape(nE, nT, b.n, b.n, nV)
-    return np.stack([np.einsum("j,etjiv->etiv", b.extrap_left, u4),
-                     np.einsum("j,etijv->etiv", b.extrap_right, u4),
-                     np.einsum("j,etjiv->etiv", b.extrap_right, u4),
-                     np.einsum("j,etijv->etiv", b.extrap_left, u4)], axis=2)
+    u4 = u.reshape(u.shape[:-1] + (b.n, b.n))
+    return np.stack([np.einsum("j,...ji->...i", b.extrap_left, u4),
+                     np.einsum("j,...ij->...i", b.extrap_right, u4),
+                     np.einsum("j,...ji->...i", b.extrap_right, u4),
+                     np.einsum("j,...ij->...i", b.extrap_left, u4)], axis=-2)
 
 
 def _reference_divergence(eq, D, weights, u):
     """sum_dir M_dir . d_dir F_st(u) from the metric rows' `_weights`."""
     if eq.n_vars == 1:
-        return sum(w[..., None] * du for w, du in
-                   zip(weights, _reference_derivatives(D, u)))
-    fx, gy = (_last(F) for F in flux(eq, _first(u)))
-    F = np.stack([fx, gy, u], axis=-2)
-    return sum(np.einsum("etsc,etscv->etsv", M, dF) for M, dF in
+        return sum(w * du for w, du in zip(weights, _reference_derivatives(D, u)))
+    F = np.stack([*flux(eq, u), u])
+    return sum(np.einsum("etsc,cvets->vets", M, dF) for M, dF in
                zip(weights, _reference_derivatives(D, F)))
 
 
 def _reference_jumps(eq, sol, mesh, geom, levels, tr):
     """Outward flux jumps on every edge, face by face, from traces tr
-    (nE, nT, n_edges, nFs, nV) at the levels `levels`: the common flux
+    (nV, nE, nT, n_edges, nFs) at the levels `levels`: the common flux
     minus the local one, advection's the upwind max(w, 0) QL + min(w, 0) QR
     and w Q of its outward speed w, Euler's the Roe-ALE flux and M . F_st."""
     def common(QL, QR, w):
         if eq.n_vars == 1:
-            return np.maximum(w, 0.0)[..., None] * QL + np.minimum(w, 0.0)[..., None] * QR
-        return _last(_transformed_common_flux(eq, _first(QL), _first(QR), w))
+            return np.maximum(w, 0.0) * QL + np.minimum(w, 0.0) * QR
+        return _transformed_common_flux(eq, QL, QR, w)
 
     def normal(Q, w):
-        if eq.n_vars == 1:
-            return w[..., None] * Q
-        return _last(_transformed_normal_flux(eq, _first(Q), w))
+        return w * Q if eq.n_vars == 1 else _transformed_normal_flux(eq, Q, w)
 
     ref = np.full_like(tr, np.nan)
     f = mesh.faces
     for eL, gL, eR, gR, flip in zip(f.elem_l, f.edge_l, f.elem_r, f.edge_r, f.flip):
         w = _weights(eq, geom.face_m[eL, gL, levels])
-        QL, QR = tr[eL, :, gL], tr[eR, :, gR]
+        QL, QR = tr[:, eL, :, gL], tr[:, eR, :, gR]
         if flip:
-            QR = QR[:, ::-1]
+            QR = QR[..., ::-1]
         com = common(QL, QR, w)
         dR = normal(QR, w) - com
-        ref[eL, :, gL] = com - normal(QL, w)
-        ref[eR, :, gR] = dR[:, ::-1] if flip else dR
+        ref[:, eL, :, gL] = com - normal(QL, w)
+        ref[:, eR, :, gR] = dR[..., ::-1] if flip else dR
     for e, g in mesh.dirichlet:
         w = _weights(eq, geom.face_m[e, g, levels])
         ext = exact_state(sol, *face_points(geom, [e], [g])[:, 0, levels],
                           t=geom.times[levels, None])
-        ref[e, :, g] = common(tr[e, :, g], ext, w) - normal(tr[e, :, g], w)
+        QB = tr[:, e, :, g]
+        ref[:, e, :, g] = common(QB, ext, w) - normal(QB, w)
     assert not np.isnan(ref).any()  # every edge is a face side
     return ref
 
 
 def _reference_lift(b, delta):
-    """Correction field (nE, nT, nS, nV) of edge jumps (nE, nT, 4, nFs, nV):
+    """Correction field (nV, nE, nT, nS) of edge jumps (nV, nE, nT, 4, nFs):
     -g'_L on minus faces, +g'_R on plus faces, constant along the face."""
-    nE, nT, _, _, nV = delta.shape
     gl, gr = b.corr_deriv_left, b.corr_deriv_right
-    ref = (-np.einsum("a,etbv->etabv", gl, delta[:, :, 0])
-           + np.einsum("b,etav->etabv", gr, delta[:, :, 1])
-           + np.einsum("a,etbv->etabv", gr, delta[:, :, 2])
-           - np.einsum("b,etav->etabv", gl, delta[:, :, 3]))
-    return ref.reshape(nE, nT, -1, nV)
+    ref = (-np.einsum("a,...b->...ab", gl, delta[..., 0, :])
+           + np.einsum("b,...a->...ab", gr, delta[..., 1, :])
+           + np.einsum("a,...b->...ab", gr, delta[..., 2, :])
+           - np.einsum("b,...a->...ab", gl, delta[..., 3, :]))
+    return ref.reshape(delta.shape[:3] + (-1,))
 
 
 def _reference_spatial(eq, sol, mesh, geom, levels, u):
@@ -183,25 +166,26 @@ def _check_residuals(eq, sol, mesh, geom, u):
     """The slab residual at all levels of u and the MOL residual of each
     level alone against the einsum references."""
     bt = make_basis(geom.kt)
-    inflow = u[:, 0] * 1.01
+    inflow = u[:, :, 0] * 1.01
     total = _reference_spatial(eq, sol, mesh, geom, slice(None), u)
-    total += geom.js[..., None] * np.einsum("tj,ejsv->etsv", bt.diff, u)
-    ubot = np.einsum("t,etsv->esv", bt.extrap_left, u)
-    d_out = geom.js_bot[..., None] * (ubot - inflow)
-    total -= np.einsum("esv,t->etsv", d_out, bt.corr_deriv_left)
+    total += geom.js * np.einsum("tj,vejs->vets", bt.diff, u)
+    ubot = np.einsum("t,vets->ves", bt.extrap_left, u)
+    d_out = geom.js_bot * (ubot - inflow)
+    total -= np.einsum("ves,t->vets", d_out, bt.corr_deriv_left)
     _close(SlabOperator(mesh, geom, eq, inflow, sol).residual(u),
-           -total / geom.jac[..., None])
+           -total / geom.jac)
     op = MolOperator(mesh, eq, sol).bind_degree(geom)
-    for j in range(u.shape[1]):
-        total = _reference_spatial(eq, sol, mesh, geom, slice(j, j + 1), u[:, j:j + 1])
-        _close(op.residual(u[:, j], j), -total[:, 0] / geom.jac[:, j, :, None])
+    for j in range(u.shape[2]):
+        total = _reference_spatial(eq, sol, mesh, geom, slice(j, j + 1),
+                                   u[:, :, j:j + 1])
+        _close(op.residual(u[:, :, j], j), -total[:, :, 0] / geom.jac[:, j])
 
 
 def test_spatial_divergence(setup):
     eq, _, _, _, plan, levels, ks, u = setup
     ref = _reference_divergence(eq, make_basis(ks).diff,
                                 plan.weights[:, :, levels], u)
-    _close(_last(plan.spatial_divergence(_first(u), levels)), ref)
+    _close(plan.spatial_divergence(u, levels), ref)
 
 
 def test_euler_divergence_allocates_no_stacked_flux():
@@ -215,7 +199,7 @@ def test_euler_divergence_allocates_no_stacked_flux():
     path = motion_path(cli.build_motion(cfg), mesh, cfg.dt, 1)
     geom = slab_geometry(mesh, path[0], path[1], cfg.dt, bs, bt, t_n=0.0)
     plan = LevelPlan(mesh, geom, eq, sol)
-    u = _vars_first(initial_condition(mesh, path[0], bs, sol)[:, None].repeat(bt.n, axis=1))
+    u = initial_condition(mesh, path[0], bs, sol)[:, :, None].repeat(bt.n, axis=2)
     plan.spatial_divergence(u)  # warm the caches
     tracemalloc.start()
     try:
@@ -236,7 +220,7 @@ def vortex():
     bs, bt = make_basis(cfg.k_s), make_basis(cfg.k_t)
     path = motion_path(cli.build_motion(cfg), mesh, cfg.dt, 1)
     geom = slab_geometry(mesh, path[0], path[1], cfg.dt, bs, bt, t_n=0.0)
-    u = initial_condition(mesh, path[0], bs, sol)[:, None].repeat(bt.n, axis=1)
+    u = initial_condition(mesh, path[0], bs, sol)[:, :, None].repeat(bt.n, axis=2)
     u = u * (1.0 + 0.01 * np.random.default_rng(30).standard_normal(u.shape))
     return LevelPlan(mesh, geom, eq, sol), geom, u
 
@@ -244,12 +228,12 @@ def vortex():
 def _batched_divergence(eq, D, rows, u):
     """The Euler divergence with every derivative a batched matmul and
     every scaling a broadcast of the metric rows (dim, nE, nT, nS, dim+1)."""
-    nE, nT = u.shape[:2]
+    n = len(D)
     out = np.zeros_like(u)
-    for c, F in enumerate((*(_last(F) for F in flux(eq, _first(u))), u)):
-        for M, n_rows in ((rows[0], nE * nT * len(D)), (rows[1], nE * nT)):
-            dF = np.matmul(D, F.reshape(n_rows, len(D), -1)).reshape(u.shape)
-            out += dF * M[..., c, None]
+    for c, F in enumerate((*flux(eq, u), u)):
+        F3 = F.reshape(-1, n, n)  # (nV nE nT, eta, xi)
+        for M, dF in ((rows[0], np.matmul(F3, D.T)), (rows[1], np.matmul(D, F3))):
+            out += dF.reshape(u.shape) * M[..., c]
     return out
 
 
@@ -258,11 +242,11 @@ def test_euler_divergence_equals_the_batched_form(vortex):
     # stage runs it
     plan, geom, u = vortex
     D = make_basis(plan.ks).diff
-    cases = [(u, slice(None))] + [(u[:, j:j + 1].copy(), slice(j, j + 1))
-                                  for j in range(u.shape[1])]
+    cases = [(u, slice(None))] + [(u[:, :, j:j + 1].copy(), slice(j, j + 1))
+                                  for j in range(u.shape[2])]
     for v, at in cases:
         ref = _batched_divergence(plan.eq, D, geom.rows[:, :, at], v)
-        got = _last(plan.spatial_divergence(_first(v), at))
+        got = plan.spatial_divergence(v, at)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -286,25 +270,13 @@ def test_plan_holds_no_array_repeated_over_the_variables(setup):
         assert np.array_equal(plan.components, np.moveaxis(geom.rows, -1, 0))
 
 
-def test_vars_first_is_a_view_for_one_variable():
-    # for nV = 1 the two layouts are the same memory: the residuals'
-    # entry transpose copies nothing; a system gets a contiguous copy
-    u = np.random.default_rng(3).standard_normal((5, 3, 9, 1))
-    v = _vars_first(u)
-    assert v.shape == (1, 5, 3, 9) and v.flags.c_contiguous
-    assert np.shares_memory(v, u)
-    w = _vars_first(np.repeat(u, 4, axis=-1))
-    assert w.shape == (4, 5, 3, 9) and w.flags.c_contiguous
-    assert np.array_equal(w[2], u[..., 0])
-
-
 def test_residuals_equal_the_einsum_reference(setup):
     # on the disk, with flipped and Dirichlet faces: the slab residual at
     # all levels and the MOL residual at each level alone; the one-level
     # setups run the slab from their level repeated
     eq, sol, mesh, geom, _, _, _, u = setup
-    if u.shape[1] == 1:
-        u = u.repeat(3, axis=1) * np.array([0.99, 1.0, 1.01])[:, None, None]
+    if u.shape[2] == 1:
+        u = u.repeat(3, axis=2) * np.array([0.99, 1.0, 1.01])[:, None]
     _check_residuals(eq, sol, mesh, geom, u)
 
 
@@ -315,24 +287,22 @@ def test_euler_residuals_equal_the_einsum_reference_on_the_vortex(vortex):
 
 def test_traces(setup):
     _, _, _, _, _, _, ks, u = setup
-    _close(_last(_traces_all_edges(_first(u), ks, 2)),
-           _reference_traces(make_basis(ks), u))
+    _close(_traces_all_edges(u, ks, 2), _reference_traces(make_basis(ks), u))
 
 
 def test_face_jumps(setup):
     eq, sol, mesh, geom, plan, levels, ks, u = setup
     ref = _reference_jumps(eq, sol, mesh, geom, levels,
                            _reference_traces(make_basis(ks), u))
-    _close(_last(plan.face_jumps(_first(u), levels)), ref)
+    _close(plan.face_jumps(u, levels), ref)
 
 
 def test_lift(setup):
     _, _, _, _, plan, _, ks, u = setup
     b = make_basis(ks)
     rng = np.random.default_rng(7)
-    nE, nT, _, nV = u.shape
-    delta = rng.standard_normal((nE, nT, 4, b.n, nV))
-    _close(_last(plan.lift(_first(delta))), _reference_lift(b, delta))
+    delta = rng.standard_normal(u.shape[:3] + (4, b.n))
+    _close(plan.lift(delta), _reference_lift(b, delta))
 
 
 def test_euler_plan_keeps_the_geometry_rows_uncopied():
@@ -392,7 +362,7 @@ def test_contract_tables_are_stored_the_way_the_gemm_reads_them(dim):
     mesh = rect_mesh(2, 2) if dim == 2 else interval_mesh(2)
     geom = slab_geometry(mesh, mesh.nodes, mesh.nodes, 0.1, b, bt)
     eq = Advection2D(0.5, 0.2) if dim == 2 else Advection1D(0.5)
-    op = SlabOperator(mesh, geom, eq, np.zeros((mesh.n_elems, nS, 1)))
+    op = SlabOperator(mesh, geom, eq, np.zeros((1, mesh.n_elems, nS)))
     assert op.bottom.shape == (bt.n * nS, nS) and op.spread.shape == (nS, bt.n * nS)
     assert np.allclose(np.ones(bt.n * nS) @ op.bottom, 1.0)
     for t in (table, extrap, lift, op.bottom, op.spread):
@@ -422,10 +392,10 @@ def test_residuals_hand_contract_only_stored_tables(setup, monkeypatch):
         return contract(a, table)
 
     monkeypatch.setattr(st_solver, "_contract", spy)
-    if u.shape[1] == 1:
-        MolOperator(mesh, eq, sol).bind_degree(geom).residual(u[:, 0], 1)
+    if u.shape[2] == 1:
+        MolOperator(mesh, eq, sol).bind_degree(geom).residual(u[:, :, 0], 1)
     else:
-        SlabOperator(mesh, geom, eq, u[:, 0], sol).residual(u)
+        SlabOperator(mesh, geom, eq, u[:, :, 0], sol).residual(u)
     assert len(seen) >= 3
     for table in seen:
         _assert_gemm_layout(table)

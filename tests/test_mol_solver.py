@@ -61,7 +61,7 @@ def test_freestream_any_velocity_field():
     m = rect_mesh(5, 5)
     rng = np.random.default_rng(2)
     vel = 0.3 * rng.standard_normal(m.nodes.shape)
-    u = np.full((25, 9, 1), 4.0)
+    u = np.full((1, 25, 9), 4.0)
     r = mol_residual(u, 2, m, m.nodes, m.nodes + vel, 1.0, Advection2D())
     assert np.abs(r).max() <= 1e-12
 
@@ -84,10 +84,10 @@ def test_static_mesh_matches_independent_fr_1d():
     n, ks, c = 7, 3, 1.0
     m = interval_mesh(n)
     rng = np.random.default_rng(8)
-    u = rng.standard_normal((n, ks + 1, 1))
+    u = rng.standard_normal((1, n, ks + 1))
     r = mol_residual(u, ks, m, m.nodes, m.nodes, 1.0, Advection1D(c))
-    oracle = _static_fr_residual_1d(u[..., 0], ks, n, 1.0 / n, c)
-    assert np.abs(r[..., 0] - oracle).max() <= 1e-13
+    oracle = _static_fr_residual_1d(u[0], ks, n, 1.0 / n, c)
+    assert np.abs(r[0] - oracle).max() <= 1e-13
 
 
 def _static_fr_residual_2d(u4, ks, nx, ny, hx, hy, c1, c2):
@@ -125,11 +125,11 @@ def test_static_mesh_matches_independent_fr_2d():
     m = rect_mesh(nx, ny)
     rng = np.random.default_rng(12)
     n1 = ks + 1
-    u = rng.standard_normal((nx * ny, n1 * n1, 1))
+    u = rng.standard_normal((1, nx * ny, n1 * n1))
     r = mol_residual(u, ks, m, m.nodes, m.nodes, 1.0, Advection2D(c1, c2))
-    u4 = u[..., 0].reshape(ny, nx, n1, n1)
+    u4 = u[0].reshape(ny, nx, n1, n1)
     oracle = _static_fr_residual_2d(u4, ks, nx, ny, 1 / nx, 1 / ny, c1, c2)
-    r4 = r[..., 0].reshape(ny, nx, n1, n1)
+    r4 = r[0].reshape(ny, nx, n1, n1)
     assert np.abs(r4 - oracle).max() <= 1e-13
 
 
@@ -138,7 +138,7 @@ def test_galilean_frame_shift_identity():
     # with speed c - V on the same nodal data
     m = rect_mesh(4, 4)
     rng = np.random.default_rng(3)
-    u = rng.standard_normal((16, 9, 1))
+    u = rng.standard_normal((1, 16, 9))
     V = np.array([0.3, -0.2])
     vel = np.tile(V, (m.n_nodes, 1))
     r_ale = mol_residual(u, 2, m, m.nodes, m.nodes + vel, 1.0,
@@ -286,14 +286,16 @@ def test_mol_stable_dt_reasonable():
 def test_rk3_rejects_bad_dt():
     m = interval_mesh(4)
     with pytest.raises(ValueError):
-        rk3_physical_step(np.zeros((4, 3, 1)), m, m.nodes, m.nodes, 0.0, 0.0,
+        rk3_physical_step(np.zeros((1, 4, 3)), m, m.nodes, m.nodes, 0.0, 0.0,
                           Advection1D(1.0), make_basis(2))
 
 
 def _signature(a):
-    """(norm, fixed random projection): pins a whole array to round-off."""
-    w = np.random.default_rng(0).standard_normal(a.shape)
-    return [float(np.linalg.norm(a)), float(np.sum(w * a))]
+    """(norm, fixed random projection) of a state (nV, ...): pins a whole
+    array to round-off.  The weights are drawn variables-last, the order
+    in which the pins were taken."""
+    w = np.random.default_rng(0).standard_normal(a.shape[1:] + a.shape[:1])
+    return [float(np.linalg.norm(a)), float(np.sum(w * np.moveaxis(a, 0, -1)))]
 
 
 @pytest.mark.parametrize("mesh, presc, eq, sol, dt, n_steps, pins", [

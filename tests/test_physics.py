@@ -15,6 +15,7 @@ from stfr.physics import (
     SineWave1D,
     SineWave2D,
     _roe_ale,
+    exact_for,
     exact_state,
     flux,
 )
@@ -324,8 +325,8 @@ def test_vortex_far_field():
     v = IsentropicVortex()
     st = exact_state(v, np.array([100 * v.b]), np.array([0.0]), 0.0)
     rho = st[0, 0]
-    u, w = st[0, 1] / rho, st[0, 2] / rho
-    p = (GAMMA - 1) * (st[0, 3] - 0.5 * rho * (u * u + w * w))
+    u, w = st[1, 0] / rho, st[2, 0] / rho
+    p = (GAMMA - 1) * (st[3, 0] - 0.5 * rho * (u * u + w * w))
     assert abs(rho - 1.0) < 1e-10
     assert abs(u - 0.5) < 1e-10 and abs(w - 0.5) < 1e-10
     assert abs(p - 1 / GAMMA) < 1e-10
@@ -334,8 +335,8 @@ def test_vortex_far_field():
 def test_vortex_core_values():
     st = exact_state(IsentropicVortex(), np.array([0.0]), np.array([0.0]), 0.0)
     rho = st[0, 0]
-    u, w = st[0, 1] / rho, st[0, 2] / rho
-    p = (GAMMA - 1) * (st[0, 3] - 0.5 * rho * (u * u + w * w))
+    u, w = st[1, 0] / rho, st[2, 0] / rho
+    p = (GAMMA - 1) * (st[3, 0] - 0.5 * rho * (u * u + w * w))
     assert abs(rho - (1 - 0.2 * 0.0625 * np.e) ** 2.5) < 1e-12
     assert abs(p - (1 / 1.4) * (1 - 0.2 * 0.0625 * np.e) ** 3.5) < 1e-12
 
@@ -344,10 +345,10 @@ def test_vortex_isentropy():
     v = IsentropicVortex()
     r = np.linspace(0.0, 1.0, 20)
     st = exact_state(v, r, np.zeros_like(r), 0.0)
-    rho = st[..., 0]
-    u = st[..., 1] / rho
-    w = st[..., 2] / rho
-    p = (GAMMA - 1) * (st[..., 3] - 0.5 * rho * (u**2 + w**2))
+    rho = st[0]
+    u = st[1] / rho
+    w = st[2] / rho
+    p = (GAMMA - 1) * (st[3] - 0.5 * rho * (u**2 + w**2))
     s = p / rho**GAMMA
     assert np.abs(s - s[0]).max() < 1e-10
 
@@ -358,12 +359,12 @@ def test_vortex_energy_closure():
     x = rng.uniform(-1, 1, 30)
     y = rng.uniform(-1, 1, 30)
     st = exact_state(v, x, y, 0.3)
-    rho = st[..., 0]
-    u = st[..., 1] / rho
-    w = st[..., 2] / rho
-    p = (GAMMA - 1) * (st[..., 3] - 0.5 * rho * (u**2 + w**2))
+    rho = st[0]
+    u = st[1] / rho
+    w = st[2] / rho
+    p = (GAMMA - 1) * (st[3] - 0.5 * rho * (u**2 + w**2))
     rhoE = p / (GAMMA - 1) + 0.5 * rho * (u**2 + w**2)
-    assert np.abs(rhoE - st[..., 3]).max() < 1e-12
+    assert np.abs(rhoE - st[3]).max() < 1e-12
 
 
 def test_vortex_periodic_wrap():
@@ -372,6 +373,27 @@ def test_vortex_periodic_wrap():
     a = exact_state(v, np.array([-1.9]), np.array([-1.9]), 4.0)
     b = exact_state(IsentropicVortex(), np.array([2.1]), np.array([2.1]), 4.0)
     assert np.allclose(a, b, atol=1e-12)
+
+
+def test_inadmissible_euler_exact_states_are_rejected():
+    # the vortex core state at r = 0 has density (1 - 0.5 (gamma - 1)
+    # u_max^2 e)^(1 / (gamma - 1)): the largest u_max below the limit keeps
+    # it positive, the limit and anything above it are refused
+    limit = np.sqrt(2.0 / ((GAMMA - 1) * np.e))
+    below = np.nextafter(limit, 0.0)
+    core = exact_state(IsentropicVortex(u_max=below), np.zeros(1), np.zeros(1))
+    assert core[0, 0] > 0
+    for u_max in (limit, 10.0, np.nan):
+        with pytest.raises(ValueError, match="u_max"):
+            IsentropicVortex(u_max=u_max)
+    # a constant Euler state needs a positive density and pressure
+    for value, quantity in [((1.0, 0.0, 0.0, -1.0), "pressure"),
+                            ((1.0, 3.0, 0.0, 2.5), "pressure"),
+                            ((-1.0, 0.0, 0.0, 2.5), "density"),
+                            ((0.0, 0.0, 0.0, 2.5), "density")]:
+        with pytest.raises(ValueError, match=quantity):
+            exact_for(Euler2D(), "constant", value=value)
+    assert exact_for(Euler2D(), "constant", value=(1.0, 0.0, 0.0, 2.5))
 
 
 def test_sine_waves():
@@ -386,4 +408,6 @@ def test_sine_waves():
 def test_constant_state():
     c = Constant((2.5,))
     out = exact_state(c, np.zeros((3, 4)), t=1.0)
-    assert out.shape == (3, 4, 1) and np.all(out == 2.5)
+    assert out.shape == (1, 3, 4) and np.all(out == 2.5)
+    out = exact_state(Constant((1.0, 0.5, 0.25, 2.5)), np.zeros((3, 4)))
+    assert out.shape == (4, 3, 4) and np.array_equal(out[:, 1, 2], [1.0, 0.5, 0.25, 2.5])

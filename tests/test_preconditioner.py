@@ -107,7 +107,7 @@ def _kron_sum_dense(geom, speeds, e):
 
 
 def _ones(m, coords, bs):
-    return np.ones((m.n_elems, bs.n ** m.dim, 1))
+    return np.ones((1, m.n_elems, bs.n ** m.dim))
 
 
 def _still_operator(m, eq, ks=3, kt=2):
@@ -121,7 +121,7 @@ def _preconditioner_input(built):
     """(geom, speeds, shape) of an operator built by one of the above, its
     speeds at the inflow."""
     m, geom, op, inflow = built
-    u0 = np.repeat(inflow[:, None], geom.kt + 1, axis=1)
+    u0 = np.repeat(inflow[:, :, None], geom.kt + 1, axis=2)
     return geom, op._wave_speeds(u0), u0.shape
 
 
@@ -133,7 +133,7 @@ def _three_eta_bases(moving_path):
         _still_operator(rect_mesh(3, 3), Advection2D(0.5, 0.0)))
     v, s = speeds[1]
     v = np.repeat([0.0, 0.3, -0.3], 3)[:, None, None] * np.ones_like(v)
-    return geom, [speeds[0], (v, s)], shape[:-1] + (2,)
+    return geom, [speeds[0], (v, s)], (2,) + shape[1:]
 
 
 def _vortex(m, coords, bs):
@@ -172,11 +172,12 @@ def test_fast_diagonalization_matches_dense_solve(case, moving_path):
     assert (len(P.inner[0]), len(P.outer[0])) == (bases + (1,))[:2]
     r = np.random.default_rng(5).standard_normal(shape)
     out = P(r.ravel()).reshape(r.shape)
-    nE, nT, nS, nV = r.shape
+    nV, nE = r.shape[:2]
     for e in range(nE):
         K = _kron_sum_dense(geom, speeds, e)
-        ref = -geom.jac[e].mean() * np.linalg.solve(K, r[e].reshape(-1, nV))
-        assert np.abs(out[e].reshape(-1, nV) - ref).max() <= 1e-10 * np.abs(ref).max()
+        ref = -geom.jac[e].mean() * np.linalg.solve(K, r[:, e].reshape(nV, -1).T)
+        got = out[:, e].reshape(nV, -1).T
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -201,12 +202,12 @@ def test_rebuild_shares_cached_bases(case, moving_path):
 def _element_block(op, shape, e):
     """Jacobian of element e's residual with respect to its own values,
     probed one column at a time with every other value and the inflow zero."""
-    n = int(np.prod(shape[1:]))
+    n = int(np.prod(shape)) // shape[1]
     cols = []
     for j in range(n):
         u = np.zeros(shape)
-        u[e].flat[j] = 1.0
-        cols.append(op.residual(u)[e].ravel())
+        u[:, e].flat[j] = 1.0
+        cols.append(op.residual(u)[:, e].ravel())
     return np.stack(cols, axis=1)
 
 
@@ -218,14 +219,14 @@ def test_exact_inverse_on_still_uniform_mesh(dim):
         m, eq, nS = rect_mesh(3, 3), Advection2D(0.5, -0.3), 16
     bs, bt = make_basis(3), make_basis(2)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.05, bs, bt)
-    shape = (m.n_elems, bt.n, nS, 1)
-    op = SlabOperator(m, geom, eq, np.zeros((m.n_elems, nS, 1)))
+    shape = (1, m.n_elems, bt.n, nS)
+    op = SlabOperator(m, geom, eq, np.zeros((1, m.n_elems, nS)))
     P = KroneckerPreconditioner(geom, op._wave_speeds(np.zeros(shape)), shape)
     for e in (0, m.n_elems - 1):
         B = _element_block(op, shape, e)
         PB = np.empty_like(B)
         for j in range(B.shape[1]):
             v = np.zeros(shape)
-            v[e] = B[:, j].reshape(shape[1:])
-            PB[:, j] = P(v.ravel()).reshape(shape)[e].ravel()
+            v[:, e] = B[:, j].reshape(v[:, e].shape)
+            PB[:, j] = P(v.ravel()).reshape(shape)[:, e].ravel()
         assert np.abs(PB - np.eye(B.shape[0])).max() <= 1e-10

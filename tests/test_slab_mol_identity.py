@@ -38,7 +38,7 @@ def test_slab_residual_is_fr_in_time_over_mol_residual(case):
 
     inflow = initial_condition(mesh, path[1], bs, sol)
     rng = np.random.default_rng(14005)
-    u = np.repeat(inflow[:, None], bt.n, axis=1)
+    u = np.repeat(inflow[:, :, None], bt.n, axis=2)
     u *= 1.0 + 0.01 * rng.standard_normal(u.shape)
 
     geom = slab_geometry(mesh, path[1], path[2], dt, bs, bt, t_n=dt)
@@ -47,15 +47,14 @@ def test_slab_residual_is_fr_in_time_over_mol_residual(case):
     fractions = tuple((bt.nodes + 1.0) / 2.0)
     mol = MolOperator(mesh, eq, bc).bind_degree(
         spatial_geometry(mesh, path[1], path[2], dt, bs, dt, fractions))
-    L = np.stack([mol.residual(np.ascontiguousarray(u[:, i]), i)
-                  for i in range(bt.n)], axis=1)
+    L = np.stack([mol.residual(np.ascontiguousarray(u[:, :, i]), i)
+                  for i in range(bt.n)], axis=2)
 
-    nE, nT, nS, nV = u.shape
-    du_tau = np.matmul(bt.diff, u.reshape(nE, nT, -1)).reshape(u.shape)
-    u_bot = np.einsum("t,etsv->esv", bt.extrap_left, u)
+    du_tau = np.matmul(bt.diff, u.reshape((-1,) + u.shape[2:])).reshape(u.shape)
+    u_bot = np.einsum("t,vets->ves", bt.extrap_left, u)
     ratio = geom.js_bot[:, None] / geom.js
-    jump = ratio[..., None] * (u_bot - inflow)[:, None]
-    temporal = du_tau - bt.corr_deriv_left[:, None, None] * jump
+    jump = ratio * (u_bot - inflow)[:, :, None]
+    temporal = du_tau - bt.corr_deriv_left[:, None] * jump
     expected = L - (2.0 / dt) * temporal
 
     assert np.abs(r_st - expected).max() <= 1e-12 * np.abs(r_st).max()

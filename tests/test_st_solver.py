@@ -5,7 +5,7 @@ from stfr.analysis import ConvergenceReport, l2_error_final
 from stfr.basis import diff_matrix, gauss_legendre, interp_matrix, make_basis
 from stfr import cli
 from stfr.cli import main
-from stfr.geometry import _evaluate, _point_sets, slab_geometry
+from stfr.geometry import _evaluate, _point_sets, slab_geometry, spatial_geometry
 from stfr.mesh import disk_mesh, interval_mesh, rect_mesh
 from stfr.motion import (
     CircleDeformation,
@@ -20,9 +20,12 @@ from stfr.physics import (
     Advection2D,
     Constant,
     Euler2D,
+    IsentropicVortex,
     SineWave1D,
     SineWave2D,
+    exact_state,
 )
+from stfr.mol_solver import MolOperator, march_mol
 from stfr.st_solver import (
     LevelPlan,
     PseudoControls,
@@ -43,8 +46,8 @@ def test_constant_field_stationary_zero_residual():
     m = interval_mesh(8)
     bs = bt = make_basis(2)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.05, bs, bt)
-    inflow = np.full((8, 3, 1), 0.7)
-    u = np.full((8, 3, 3, 1), 0.7)
+    inflow = np.full((1, 8, 3), 0.7)
+    u = np.full((1, 8, 3, 3), 0.7)
     r = SlabOperator(m, geom, Advection1D(1.0), inflow).residual(u)
     assert np.abs(r).max() <= 1e-13
 
@@ -58,8 +61,8 @@ def test_freestream_residual_advection(presc):
         else np.stack([node_positions(presc, m, t) for t in (0.04, 0.06)])
     c0, c1 = path[-2], path[-1]
     geom = slab_geometry(m, c0, c1, 0.02, bs, bt)
-    inflow = np.full((36, 9, 1), 2.0)
-    u = np.full((36, 3, 9, 1), 2.0)
+    inflow = np.full((1, 36, 9), 2.0)
+    u = np.full((1, 36, 3, 9), 2.0)
     r = SlabOperator(m, geom, Advection2D(), inflow).residual(u)
     assert np.abs(r).max() <= 1e-12
 
@@ -69,18 +72,41 @@ def test_freestream_residual_euler_moving(moving_path):
     bs = bt = make_basis(2)
     path = moving_path(SineDeformation(n=(3.0, 3.0)), m, 0.02, 2)
     geom = slab_geometry(m, path[1], path[2], 0.02, bs, bt)
-    q = np.array(EULER_FREESTREAM)
-    inflow = np.tile(q, (16, 9, 1))
-    u = np.tile(q, (16, 3, 9, 1))
+    q = np.array(EULER_FREESTREAM)[:, None, None]
+    inflow = np.tile(q, (1, 16, 9))
+    u = np.tile(q[..., None], (1, 16, 3, 9))
     r = SlabOperator(m, geom, Euler2D(), inflow).residual(u)
     assert np.abs(r).max() <= 1e-11
+
+
+def test_states_lead_with_the_variable_axis():
+    # on Euler, where nV = 4 tells the layouts apart, every state the
+    # solvers take or return is (nV, nE, ...): the exact and initial states,
+    # a slab and its top face, a MOL state, and both residuals
+    m = rect_mesh(3, 2, -2.0, 2.0, -2.0, 2.0)
+    eq, sol = Euler2D(), IsentropicVortex(period=4.0)
+    bs, bt, dt = make_basis(2), make_basis(1), 0.05
+    x = np.zeros((6, 9))
+    assert exact_state(sol, x, x).shape == (4, 6, 9)
+    u0 = initial_condition(m, m.nodes, bs, sol)
+    assert u0.shape == (4, 6, 9)
+    assert np.all((0.8 < u0[0]) & (u0[0] <= 1.0)) and np.all(u0[3] > 1.5)
+    res = march(m, Stationary(), eq, sol, 2, 1, dt, 1)
+    assert res.field.values.shape == (4, 6, 2, 9)
+    assert res.top.shape == (4, 6, 9)
+    assert march_mol(m, Stationary(), eq, sol, 2, dt, 1).field.values.shape == (4, 6, 9)
+    u = res.field.values
+    geom = slab_geometry(m, m.nodes, m.nodes, dt, bs, bt)
+    assert SlabOperator(m, geom, eq, u0).residual(u).shape == u.shape
+    mol = MolOperator(m, eq).bind_degree(spatial_geometry(m, m.nodes, m.nodes, dt, bs, 0.0))
+    assert mol.residual(u0).shape == u0.shape
 
 
 def test_p1_exact_linear_solution_residual(monkeypatch):
     # u = x - c t solves the PDE; with analytic-boundary data the degree-1
     # space-time scheme must resolve it to round-off
     def linear_exact(sol, x, y=None, t=0.0):
-        return np.asarray(x - 1.0 * np.asarray(t))[..., None]
+        return np.asarray(x - 1.0 * np.asarray(t))[None]
 
     m = interval_mesh(1, periodic=False)
     bs = bt = make_basis(1)
@@ -89,9 +115,9 @@ def test_p1_exact_linear_solution_residual(monkeypatch):
                         geom.disp)
     xs = x[0].reshape(geom.js.shape)
     ts = geom.t_n + (1 + bt.nodes)[:, None] / 2 * geom.dt
-    vals = (xs - ts)[..., None]
+    vals = (xs - ts)[None]
     bot_x = 0.5 * (1 + bs.nodes)  # element [0,1] spatial points
-    inflow = bot_x[None, :, None]
+    inflow = bot_x[None, None, :]
 
     monkeypatch.setattr("stfr.st_solver.exact_state", linear_exact)
     op = SlabOperator(m, geom, Advection1D(1.0), inflow, bc=SineWave1D())
@@ -104,10 +130,10 @@ def test_residual_linearity_advection():
     bs = bt = make_basis(2)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.05, bs, bt)
     rng = np.random.default_rng(4)
-    u = rng.standard_normal((8, 3, 3, 1))
-    v = rng.standard_normal((8, 3, 3, 1))
-    iu = rng.standard_normal((8, 3, 1))
-    iv = rng.standard_normal((8, 3, 1))
+    u = rng.standard_normal((1, 8, 3, 3))
+    v = rng.standard_normal((1, 8, 3, 3))
+    iu = rng.standard_normal((1, 8, 3))
+    iv = rng.standard_normal((1, 8, 3))
     eq = Advection1D(1.0)
 
     def r(vals, infl):
@@ -123,9 +149,9 @@ def test_pseudo_march_freestream_immediate():
     m = rect_mesh(4, 4)
     bs = bt = make_basis(1)
     geom = slab_geometry(m, m.nodes, m.nodes, 0.1, bs, bt)
-    inflow = np.full((16, 4, 1), 1.0)
+    inflow = np.full((1, 16, 4), 1.0)
     op = SlabOperator(m, geom, Advection2D(), inflow)
-    u, stats = op.march(np.full((16, 2, 4, 1), 1.0), PseudoControls())
+    u, stats = op.march(np.full((1, 16, 2, 4), 1.0), PseudoControls())
     assert stats.iterations <= 1
 
 
@@ -159,7 +185,7 @@ def test_invalid_controls(capsys):
 def test_advance_slab_constant_top(moving_path):
     m = rect_mesh(4, 4)
     path = moving_path(SineDeformation(n=(3.0, 3.0)), m, 0.02, 2)
-    inflow = np.full((16, 9, 1), 3.0)
+    inflow = np.full((1, 16, 9), 3.0)
     u, geom, top, stats = advance_slab(
         inflow, m, path[1], path[2], 0.02, 0.02, Advection2D(),
         make_basis(2), make_basis(2))
@@ -249,7 +275,7 @@ def test_mass_balance_on_the_disk(mass):
 
     def balance(u, geom, top):
         plan = LevelPlan(mesh, geom, eq, sol)
-        tr = _traces_all_edges(np.moveaxis(u, -1, 0), cfg.k_s, mesh.dim)
+        tr = _traces_all_edges(u, cfg.k_s, mesh.dim)
         bound = mesh.side_rows(tr.shape[2])[2]
         QB = tr.reshape(len(tr), -1, tr.shape[-1]).take(bound, axis=1)
         w = _weights(eq, geom.face_m[tuple(mesh.dirichlet.T)])
@@ -343,8 +369,8 @@ def _slab_temporal_operator(kt: int):
     geom = slab_geometry(m, m.nodes, m.nodes, 2.0, bs, b)  # tau == t
     op = SlabOperator(m, geom, Advection1D(0.0), np.ones((1, 1, 1)))
     n = kt + 1
-    r0 = op.residual(np.zeros((1, n, 1, 1)))[0, :, 0, 0]
-    A = np.stack([op.residual(e.reshape(1, n, 1, 1))[0, :, 0, 0] - r0
+    r0 = op.residual(np.zeros((1, 1, n, 1)))[0, 0, :, 0]
+    A = np.stack([op.residual(e.reshape(1, 1, n, 1))[0, 0, :, 0] - r0
                   for e in np.eye(n)], axis=1)
     return A, r0, b
 
